@@ -219,6 +219,11 @@ def pair(sol: SpacetimeSolution, field_name: str, psi: TestFunction2D,
     ``field_name`` is one of ``E``, ``u``, ``sigma`` or the derived ``Q``.
     The test function must sit inside the solved window.
     """
+    return _pair_stack(_field_stack(sol, field_name, op), sol, psi)
+
+
+def _pair_stack(F: np.ndarray, sol: SpacetimeSolution, psi: TestFunction2D) -> float:
+    # pair() on a field stack (saved state x grid) that the caller already holds
     times = sol.times
     grid = sol.grid
     tiny = 1e-12
@@ -229,7 +234,6 @@ def pair(sol: SpacetimeSolution, field_name: str, psi: TestFunction2D,
         )
     if psi.x_lo < grid.x_min - tiny or psi.x_hi > grid.x_max + tiny:
         raise ValueError("pair: psi spatial support outside the grid")
-    F = _field_stack(sol, field_name, op)
     W = psi.value(times[:, None], grid.xs[None, :])
     inner = trapezoid(F * W, dx=grid.dx, axis=1)
     return float(trapezoid(inner, x=times))
@@ -365,8 +369,8 @@ def _run_member(template, eps, observables):
         return out
     for field_name, psi in observables:
         label = _observable_label(field_name, psi)
-        out["pairings"][label] = pair(sol, field_name, psi, op=pieces.operator)
         F = _field_stack(sol, field_name, pieces.operator)
+        out["pairings"][label] = _pair_stack(F, sol, psi)
         out["field_max"][label] = float(np.max(np.abs(F)))
         if psi.x_lo > 0.0:
             rep = support_probe(sol, 0.5 * psi.x_lo)

@@ -237,11 +237,13 @@ def validate_config(cfg: RunConfig) -> list:
             scaling_ok = False
 
     eps_values = []
+    single = None
     if cfg.eps is not None:
         if not _is_num(cfg.eps) or cfg.eps <= 0:
             errors.append("eps: must be a positive number")
         else:
-            eps_values.append(float(cfg.eps))
+            single = float(cfg.eps)
+            eps_values.append(single)
     if cfg.eps_schedule is not None:
         sched = cfg.eps_schedule
         if (not isinstance(sched, (list, tuple)) or len(sched) < 2
@@ -251,6 +253,8 @@ def validate_config(cfg: RunConfig) -> list:
             errors.append("eps_schedule: values must be strictly decreasing")
         else:
             eps_values.extend(float(e) for e in sched)
+    # the single-run eps may repeat a schedule member; report each value once
+    eps_values = list(dict.fromkeys(eps_values))
     if scaling_ok and s.get("kind") == "loglog":
         for e in eps_values:
             if e >= LOGLOG_EPS_MAX:
@@ -318,24 +322,24 @@ def validate_config(cfg: RunConfig) -> list:
             scl = build_scaling(cfg)
             grid = build_grid(cfg)
             net = build_delta_net(cfg) if (has_net and _uses_net(cfg)) else None
-            single = float(cfg.eps) if _is_num(cfg.eps) else None
+            if single is not None:
+                nu = h_eval(scl, single)
+                if nu < MIN_CELLS_PER_WIDTH * grid.dx:
+                    errors.append(
+                        f"regops: kernel width nu={nu:.6g} at eps={single:g} is below "
+                        f"{MIN_CELLS_PER_WIDTH}*dx={MIN_CELLS_PER_WIDTH * grid.dx:.6g}; "
+                        "the derivative stencil cannot resolve it (refine the grid)"
+                    )
+                if net is not None:
+                    w = net.half_width(single)
+                    if w < MIN_CELLS_PER_WIDTH * grid.dx:
+                        errors.append(
+                            f"delta_net: width {w:.6g} at eps={single:g} is below "
+                            f"{MIN_CELLS_PER_WIDTH}*dx={MIN_CELLS_PER_WIDTH * grid.dx:.6g}; "
+                            "refine the grid or stop the schedule earlier"
+                        )
             for e in eps_values:
                 nu = h_eval(scl, e)
-                if e == single:
-                    if nu < MIN_CELLS_PER_WIDTH * grid.dx:
-                        errors.append(
-                            f"regops: kernel width nu={nu:.6g} at eps={e:g} is below "
-                            f"{MIN_CELLS_PER_WIDTH}*dx={MIN_CELLS_PER_WIDTH * grid.dx:.6g}; "
-                            "the derivative stencil cannot resolve it (refine the grid)"
-                        )
-                    if net is not None:
-                        w = net.half_width(e)
-                        if w < MIN_CELLS_PER_WIDTH * grid.dx:
-                            errors.append(
-                                f"delta_net: width {w:.6g} at eps={e:g} is below "
-                                f"{MIN_CELLS_PER_WIDTH}*dx={MIN_CELLS_PER_WIDTH * grid.dx:.6g}; "
-                                "refine the grid or stop the schedule earlier"
-                            )
                 if net is not None:
                     lo, hi = net.support(e)
                     if lo < grid.x_min or hi > grid.x_max:

@@ -2,7 +2,8 @@
 
 The operator ``D f = phi'_nu * f`` with ``phi'_nu(x) = phi'(x/nu) / nu^2``
 replaces the spatial derivative everywhere in the model.  On a grid it is a
-short stencil applied by direct summation with zero padding.
+short stencil with zero padding outside the grid, applied as one real-FFT
+convolution against kernel spectra computed once per operator.
 
 Stencil weights are the exact per-cell integrals of ``phi'_nu``; by the
 fundamental theorem of calculus these are differences of ``phi_nu`` sampled
@@ -17,7 +18,10 @@ convergence of the operator in nu once ``nu/dx`` is modest.
 
 Orientation: ``apply(op, f)(x) = sum_j w_j f(x - y_j)``, so a kernel
 supported on ``[-nu, 0]`` reads f only on ``[x, x + nu]``.  One-sided
-support confinement in the solver relies on this exactly.
+support confinement in the solver relies on this exactly.  The FFT spreads
+rounding noise over its whole padded length, so the output is written only
+on the dependency cone ``[lo + j_min, hi + j_max]`` of the nonzero index
+range ``[lo, hi]`` of f and is exactly zero elsewhere, as a direct sum is.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .fields import Grid
 from .mollifier import Mollifier, make_mollifier
@@ -44,26 +49,42 @@ class RegDerivOperator:
     smooth_weights: np.ndarray  # mollify weights on the same offsets, sum 1
     op_norm: float            # cached bound ||phi'||_L1 / nu
 
+    def __post_init__(self):
+        # padded length that holds the full linear convolution without wrap
+        self._fft_len = next_fast_len(self.grid.n + len(self.offsets) - 1, real=True)
+        self._deriv_spectrum = rfft(self.weights, self._fft_len)
+        self._smooth_spectrum = rfft(self.smooth_weights, self._fft_len)
+
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Regularized derivative of f with zero padding outside the grid."""
-        return self._convolve(f, self.weights)
+        return self._convolve(f, self._deriv_spectrum)
 
     def mollify(self, f: np.ndarray) -> np.ndarray:
         """Smoothing ``phi_nu * f``; preserves the discrete mass of f."""
-        return self._convolve(f, self.smooth_weights)
+        return self._convolve(f, self._smooth_spectrum)
 
-    def _convolve(self, f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    def _convolve(self, f: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
-        if f.shape != (self.grid.n,):
+        n = self.grid.n
+        if f.shape != (n,):
             raise ValueError(
-                f"regops: field length {f.shape} does not match grid n={self.grid.n}"
+                f"regops: field length {f.shape} does not match grid n={n}"
             )
-        full = np.convolve(f, kernel)
+        out = np.zeros(n)
+        nonzero = f != 0.0
+        lo = int(nonzero.argmax())
+        if not nonzero[lo]:
+            return out
+        hi = n - 1 - int(nonzero[::-1].argmax())
+        # full[k] = sum_j w_j f[k + j_min - j], so out[i] = full[i - j_min]
+        spec = rfft(f, self._fft_len)
+        spec *= spectrum
+        full = irfft(spec, self._fft_len, overwrite_x=True)
         j_min = int(self.offsets[0])
-        out = np.zeros_like(f)
-        idx = np.arange(self.grid.n) - j_min
-        valid = (idx >= 0) & (idx < len(full))
-        out[valid] = full[idx[valid]]
+        a = max(lo + j_min, 0)
+        b = min(hi + int(self.offsets[-1]), n - 1) + 1
+        if a < b:
+            out[a:b] = full[a - j_min:b - j_min]
         return out
 
 

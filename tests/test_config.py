@@ -94,6 +94,17 @@ def test_resolution_check_applies_to_single_run_eps_only():
     assert errs == []
 
 
+def test_single_eps_in_schedule_reported_once():
+    # the single-run eps repeating a schedule member must not double its errors
+    cfg = cfg_of(grid={"x_min": -4.0, "x_max": 1.0, "n": 1001},
+                 eps=0.01, eps_schedule=[0.05, 0.01])
+    errs = validate_config(cfg)
+    assert len(errs) == len(set(errs))
+    width = [e for e in errs if e.startswith("delta_net: width 0.01")]
+    assert len(width) == 1
+    assert sum("kernel width" in e and "eps=0.01" in e for e in errs) == 1
+
+
 def test_net_support_checked_for_every_schedule_member():
     cfg = cfg_of(
         grid={"x_min": -0.05, "x_max": 1.0, "n": 1001},

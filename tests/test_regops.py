@@ -9,6 +9,16 @@ from maxlor.mollifier import make_mollifier
 from maxlor.regops import make_operator, operator_for_meta
 
 
+def _direct(op, f, kernel):
+    # reference: direct summation out[i] = sum_j kernel_j f[i - j], zero padded
+    full = np.convolve(f, kernel)
+    out = np.zeros_like(f)
+    idx = np.arange(len(f)) - int(op.offsets[0])
+    valid = (idx >= 0) & (idx < len(full))
+    out[valid] = full[idx[valid]]
+    return out
+
+
 def _interior(err, grid, nu):
     # ignore the zero-padding fringe: one kernel width plus slack per side
     k = int(math.ceil(2.0 * nu / grid.dx)) + 2
@@ -148,3 +158,63 @@ def test_apply_is_linear(alpha, beta):
     lhs = op.apply(alpha * f + beta * h)
     rhs = alpha * op.apply(f) + beta * op.apply(h)
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+# Worst measured FFT-vs-direct gap over 300 random cases spanning the ranges
+# below (all three kernels, m from 5 to 1300): 2.7e-16 * sum|w| * max|f|.
+# The bound sits more than 300x above that.
+FFT_REL_TOL = 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["left", "right", "symmetric"]),
+    st.integers(min_value=200, max_value=40000),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+)
+def test_fft_matches_direct_summation(kind, n, frac, seed, island):
+    g = Grid(-2.0, 2.0, n)
+    # cells per unit kernel width: 4 up to 650, capped at a quarter of the grid
+    cells = 4 + round(frac * (min(650, n // 4) - 4))
+    op = make_operator(make_mollifier(kind), cells * g.dx, g)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if island:
+        lo, hi = sorted(rng.integers(0, n, 2))
+        f[:lo] = 0.0
+        f[hi:] = 0.0
+    for kernel, fn in ((op.weights, op.apply), (op.smooth_weights, op.mollify)):
+        gap = np.max(np.abs(fn(f) - _direct(op, f, kernel)))
+        assert gap <= FFT_REL_TOL * np.sum(np.abs(kernel)) * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("kind", ["left", "right"])
+def test_exact_zeros_outside_dependency_cone(kind):
+    g = Grid(-4.0, 4.0, 20001)
+    op = make_operator(make_mollifier(kind), 0.25, g)
+    assert len(op.offsets) > 500
+    f = np.zeros(g.n)
+    lo, hi = 9000, 11000
+    f[lo:hi + 1] = np.exp(-((g.xs[lo:hi + 1]) ** 2) * 20.0) + 0.5
+    cone = np.zeros(g.n, dtype=bool)
+    cone[lo + op.offsets[0]:hi + op.offsets[-1] + 1] = True
+    for kernel, fn in ((op.weights, op.apply), (op.smooth_weights, op.mollify)):
+        out = fn(f)
+        assert np.all(out[~cone] == 0.0)
+        assert np.all(_direct(op, f, kernel)[~cone] == 0.0)
+        assert np.any(out[cone] != 0.0)
+        zero = fn(np.zeros(g.n))
+        assert np.all(zero == 0.0)
+
+
+def test_operators_from_same_meta_are_bit_identical():
+    g = Grid(-4.0, 1.0, 8001)
+    meta = {"mollifier": make_mollifier("left").spec_dict(), "nu": 0.1}
+    op1 = operator_for_meta(meta, g)
+    op2 = operator_for_meta(meta, g)
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal(g.n)
+    assert np.array_equal(op1.apply(f), op2.apply(f))
+    assert np.array_equal(op1.mollify(f), op2.mollify(f))
