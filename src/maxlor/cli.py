@@ -150,10 +150,13 @@ def _observables(cfg):
             "(each with field, t0, x0, r_t, r_x)"
         )
     obs = []
-    for d in specs:
+    for i, d in enumerate(specs):
         d = dict(d)
         field_name = d.pop("field", "Q")
-        obs.append((field_name, analysis.psi_from_dict(d)))
+        try:
+            obs.append((field_name, analysis.psi_from_dict(d)))
+        except KeyError as exc:
+            raise ValueError(f"experiment: psi[{i}] is missing {exc}") from None
     return obs
 
 

@@ -9,11 +9,13 @@ experiment with the causal left kernel.
 
 ``validate_config`` collects every violation instead of stopping at the
 first, with messages prefixed by the section they concern, so one
-round-trip fixes a broken file.  The checks are a dry rehearsal of every
-module precondition a run would hit (kernel resolvability, profile
-resolvability, the stable step bound), evaluated across the whole eps
-schedule.  ``assemble_run`` turns a config plus a concrete eps into
-ready-to-solve pieces.
+round-trip fixes a broken file.  It checks the raw JSON types and ranges
+of each section, then rehearses the run: for every eps a run will use
+(the single-run eps on the configured grid, each schedule member on its
+refined grid) it calls the builders the run calls (scaling, grid
+refinement, operator, delta-net sampling, the solver's step bound) and
+reports what they raise.  ``assemble_run`` turns a config plus a
+concrete eps into ready-to-solve pieces.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .deltanet import DeltaNet, net_from_spec, sample
 from .fields import FieldState, Grid, ModelParams
 from .mollifier import DEFAULT_SUPPORTS, Mollifier, make_mollifier
 from .regops import MIN_CELLS_PER_WIDTH, RegDerivOperator, make_operator
-from .scaling import LOGLOG_EPS_MAX, ScalingFunction, h_eval, make_scaling
-from .solver import SolverConfig, step_bound
+from .scaling import ScalingFunction, h_eval, make_scaling
+from .solver import SolverConfig, _check_step, step_bound
 
 __all__ = [
     "RunConfig",
@@ -102,28 +104,22 @@ class RunConfig:
     unknown_keys: tuple = ()
 
 
-def _merged(section: str, given: dict) -> dict:
-    out = copy.deepcopy(_DEFAULTS[section])
-    for k, v in (given or {}).items():
-        out[k] = v
-    return out
+def _merged(section: str, given) -> dict:
+    if given is not None and not isinstance(given, dict):
+        raise ValueError(f"{section}: must be a JSON object")
+    return {**copy.deepcopy(_DEFAULTS[section]), **copy.deepcopy(given or {})}
 
 
 def config_from_dict(d: dict) -> RunConfig:
     if not isinstance(d, dict):
         raise ValueError("config: top level must be a JSON object")
     unknown = tuple(sorted(k for k in d if k not in _KNOWN_TOP))
+    sections = {name: _merged(name, d.get(name)) for name in _DEFAULTS}
+    sched = d.get("eps_schedule")
     return RunConfig(
-        grid=_merged("grid", d.get("grid", {})),
-        mollifier=_merged("mollifier", d.get("mollifier", {})),
-        scaling=_merged("scaling", d.get("scaling", {})),
-        model=_merged("model", d.get("model", {})),
-        solver=_merged("solver", d.get("solver", {})),
-        initial=_merged("initial", d.get("initial", {})),
-        delta_net=_merged("delta_net", d.get("delta_net", {})),
-        experiment=copy.deepcopy(d.get("experiment", {})),
+        **sections,
         eps=(d["eps"] if "eps" in d else 0.1),
-        eps_schedule=list(d["eps_schedule"]) if d.get("eps_schedule") else None,
+        eps_schedule=(list(sched) if isinstance(sched, list) else sched) if sched else None,
         seed=d.get("seed", 0),
         unknown_keys=unknown,
     )
@@ -136,14 +132,7 @@ def load_config(path) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     return {
-        "grid": dict(cfg.grid),
-        "mollifier": dict(cfg.mollifier),
-        "scaling": dict(cfg.scaling),
-        "model": dict(cfg.model),
-        "solver": dict(cfg.solver),
-        "initial": copy.deepcopy(cfg.initial),
-        "delta_net": copy.deepcopy(cfg.delta_net),
-        "experiment": copy.deepcopy(cfg.experiment),
+        **{name: copy.deepcopy(getattr(cfg, name)) for name in _DEFAULTS},
         "eps": cfg.eps,
         "eps_schedule": cfg.eps_schedule,
         "seed": cfg.seed,
@@ -158,16 +147,17 @@ def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def _check_profile(name: str, prof, errors: list, has_net: bool):
+def _check_profile(name: str, prof, errors: list, has_net: bool) -> bool:
+    """Report problems with one initial profile; False when its kind is unusable."""
     if not isinstance(prof, dict):
         errors.append(f"initial.{name}: must be an object")
-        return
+        return False
     kind = prof.get("kind")
     if kind not in _PROFILE_KINDS:
         errors.append(
             f"initial.{name}: unknown kind {kind!r}; choose from {', '.join(_PROFILE_KINDS)}"
         )
-        return
+        return False
     if kind in ("gaussian", "bump"):
         if not _is_num(prof.get("width")) or prof.get("width", 0) <= 0:
             errors.append(f"initial.{name}: {kind} profile needs a positive width")
@@ -177,13 +167,12 @@ def _check_profile(name: str, prof, errors: list, has_net: bool):
             errors.append(f"initial.{name}: center must be a finite number")
     if kind == "delta-net" and not has_net:
         errors.append(f"initial.{name}: kind 'delta-net' needs a delta_net section")
+    return True
 
 
 def validate_config(cfg: RunConfig) -> list:
     """All violations as section-prefixed messages; empty means valid."""
-    errors: list = []
-    for key in cfg.unknown_keys:
-        errors.append(f"config: unknown top-level key {key!r}")
+    errors = [f"config: unknown top-level key {key!r}" for key in cfg.unknown_keys]
 
     g = cfg.grid
     grid_ok = True
@@ -200,7 +189,7 @@ def validate_config(cfg: RunConfig) -> list:
 
     m = cfg.mollifier
     moll_ok = True
-    if m.get("kind") not in DEFAULT_SUPPORTS:
+    if m.get("kind") not in tuple(DEFAULT_SUPPORTS):
         errors.append(
             f"mollifier: unknown kind {m.get('kind')!r}; choose from "
             f"{', '.join(sorted(DEFAULT_SUPPORTS))}"
@@ -212,13 +201,12 @@ def validate_config(cfg: RunConfig) -> list:
                 or not all(_is_num(v) for v in sup) or sup[0] >= sup[1]):
             errors.append("mollifier: support must be a pair [lo, hi] with lo < hi")
             moll_ok = False
-        elif moll_ok:
-            if m["kind"] == "left" and sup[1] > 0:
-                errors.append("mollifier: a left kernel needs support with hi <= 0")
-                moll_ok = False
-            if m["kind"] == "right" and sup[0] < 0:
-                errors.append("mollifier: a right kernel needs support with lo >= 0")
-                moll_ok = False
+    if moll_ok:
+        try:
+            build_mollifier(cfg)  # owns the one-sided support rule
+        except ValueError as exc:
+            errors.append(str(exc))
+            moll_ok = False
 
     s = cfg.scaling
     scaling_ok = True
@@ -230,20 +218,22 @@ def validate_config(cfg: RunConfig) -> list:
     if not _is_num(s.get("c")) or s.get("c", 0) <= 0:
         errors.append("scaling: c must be a positive number")
         scaling_ok = False
-    if s.get("kind") == "powerlaw":
-        exp = s.get("exponent", 1.0)
-        if not _is_num(exp) or not (0.0 < exp <= 1.0):
-            errors.append("scaling: powerlaw exponent must lie in (0, 1]")
-            scaling_ok = False
+    exp = s.get("exponent", 1.0)
+    if not _is_num(exp):
+        errors.append("scaling: exponent must be a finite number")
+        scaling_ok = False
+    elif s.get("kind") == "powerlaw" and not (0.0 < exp <= 1.0):
+        errors.append("scaling: powerlaw exponent must lie in (0, 1]")
+        scaling_ok = False
 
-    eps_values = []
-    single = None
+    # (eps, refine) for every member a run builds: the single run on the
+    # configured grid, schedule members on a refined one
+    members = []
     if cfg.eps is not None:
         if not _is_num(cfg.eps) or cfg.eps <= 0:
             errors.append("eps: must be a positive number")
         else:
-            single = float(cfg.eps)
-            eps_values.append(single)
+            members.append((float(cfg.eps), False))
     if cfg.eps_schedule is not None:
         sched = cfg.eps_schedule
         if (not isinstance(sched, (list, tuple)) or len(sched) < 2
@@ -252,16 +242,7 @@ def validate_config(cfg: RunConfig) -> list:
         elif any(b >= a for a, b in zip(sched, sched[1:])):
             errors.append("eps_schedule: values must be strictly decreasing")
         else:
-            eps_values.extend(float(e) for e in sched)
-    # the single-run eps may repeat a schedule member; report each value once
-    eps_values = list(dict.fromkeys(eps_values))
-    if scaling_ok and s.get("kind") == "loglog":
-        for e in eps_values:
-            if e >= LOGLOG_EPS_MAX:
-                errors.append(
-                    f"scaling: loglog is only defined for eps < exp(-e) ~ "
-                    f"{LOGLOG_EPS_MAX:.6g}; got eps={e:g}"
-                )
+            members.extend((float(e), True) for e in sched)
 
     md = cfg.model
     if not _is_num(md.get("B0")):
@@ -289,15 +270,19 @@ def validate_config(cfg: RunConfig) -> list:
     if psi_ is not None and (not _is_num(psi_) or psi_ <= 0):
         errors.append("solver: picard_subinterval must be positive when given")
     gf = sv.get("guard_factor")
-    if not _is_num(gf) or gf <= 1.0:
-        errors.append("solver: guard_factor must exceed 1")
+    if not _is_num(gf) or gf < 1.0:
+        errors.append("solver: guard_factor must be >= 1")
 
+    n_before = len(errors)
     has_net = bool(cfg.delta_net)
     if has_net:
         dn = cfg.delta_net
         prof = dn.get("profile", {})
-        if not isinstance(prof, dict) or prof.get("kind") not in DEFAULT_SUPPORTS:
+        if not isinstance(prof, dict) or prof.get("kind") not in tuple(DEFAULT_SUPPORTS):
             errors.append("delta_net: profile.kind must name a mollifier kind")
+        elif ("s_lo" in prof or "s_hi" in prof) and not (
+                _is_num(prof.get("s_lo")) and _is_num(prof.get("s_hi"))):
+            errors.append("delta_net: profile s_lo and s_hi must be given together as numbers")
         for key in ("center", "mass", "width_scale", "width_power"):
             if not _is_num(dn.get(key)):
                 errors.append(f"delta_net: {key} must be a finite number")
@@ -305,60 +290,56 @@ def validate_config(cfg: RunConfig) -> list:
             errors.append("delta_net: width_scale must be positive")
         if _is_num(dn.get("width_power")) and dn["width_power"] <= 0:
             errors.append("delta_net: width_power must be positive")
+    net_ok = len(errors) == n_before
 
-    for name in ("E", "u", "sigma"):
+    # a list, not a generator: every profile reports its problems
+    initial_ok = all([
         _check_profile(name, cfg.initial.get(name, {"kind": "zero"}), errors, has_net)
+        for name in ("E", "u", "sigma")
+    ])
     for name in cfg.initial:
         if name not in ("E", "u", "sigma"):
             errors.append(f"initial: unknown field {name!r}; expected E, u, sigma")
 
-    # dry checks across the eps values: every module precondition that a
-    # run would hit is reported here, before anything is solved.  Grid
-    # resolution is only checked for the single-run eps; schedule members
-    # go through the family harnesses, which refine the grid themselves.
-    if moll_ok and scaling_ok and grid_ok and eps_values:
-        try:
-            moll = build_mollifier(cfg)
-            scl = build_scaling(cfg)
-            grid = build_grid(cfg)
-            net = build_delta_net(cfg) if (has_net and _uses_net(cfg)) else None
-            if single is not None:
-                nu = h_eval(scl, single)
-                if nu < MIN_CELLS_PER_WIDTH * grid.dx:
-                    errors.append(
-                        f"regops: kernel width nu={nu:.6g} at eps={single:g} is below "
-                        f"{MIN_CELLS_PER_WIDTH}*dx={MIN_CELLS_PER_WIDTH * grid.dx:.6g}; "
-                        "the derivative stencil cannot resolve it (refine the grid)"
-                    )
-                if net is not None:
-                    w = net.half_width(single)
-                    if w < MIN_CELLS_PER_WIDTH * grid.dx:
-                        errors.append(
-                            f"delta_net: width {w:.6g} at eps={single:g} is below "
-                            f"{MIN_CELLS_PER_WIDTH}*dx={MIN_CELLS_PER_WIDTH * grid.dx:.6g}; "
-                            "refine the grid or stop the schedule earlier"
-                        )
-            for e in eps_values:
-                nu = h_eval(scl, e)
-                if net is not None:
-                    lo, hi = net.support(e)
-                    if lo < grid.x_min or hi > grid.x_max:
-                        errors.append(
-                            f"delta_net: support [{lo:g}, {hi:g}] at eps={e:g} "
-                            "sticks out of the grid"
-                        )
-                if _is_num(dt) and dt > 0:
-                    bound = step_bound(moll.l1_norm_deriv() / nu)
-                    if dt > bound * (1.0 + 1e-12):
-                        errors.append(
-                            f"solver: dt={dt:g} exceeds the stable step bound "
-                            f"{bound:.6g} at eps={e:g}; lower dt or use 'auto'"
-                        )
-        except ValueError as exc:
-            errors.append(f"config: {exc}")
+    if grid_ok and moll_ok and scaling_ok and net_ok and initial_ok:
+        # a single-run eps repeating a schedule member may fail the same way twice
+        errors.extend(dict.fromkeys(_rehearse(cfg, members)))
 
     if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool):
         errors.append("seed: must be an integer")
+    return errors
+
+
+def _rehearse(cfg: RunConfig, members: list) -> list:
+    """What the builders of ``assemble_run`` and the solver raise for each
+    ``(eps, refine)`` member; a failed step skips the steps needing its result.
+    """
+    errors: list = []
+
+    def attempt(fn, *args, eps=None):
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            errors.append(str(exc) if eps is None else f"{exc} (eps={eps:g})")
+            return None
+
+    moll = build_mollifier(cfg)
+    scl = build_scaling(cfg)
+    try:
+        net = build_delta_net(cfg) if _uses_net(cfg) else None
+    except ValueError as exc:
+        return [f"delta_net: profile {exc}"]
+    dt = cfg.solver["dt"]
+    for eps, refine in members:
+        nu = attempt(h_eval, scl, eps)
+        grid = None if nu is None else attempt(_member_grid, cfg, eps, nu, net, refine)
+        if grid is None:
+            continue
+        op = attempt(make_operator, moll, nu, grid, eps=eps)
+        if net is not None:
+            attempt(sample, net, eps, grid)
+        if op is not None and _is_num(dt) and dt > 0:
+            attempt(_check_step, float(dt), op.op_norm, eps=eps)
     return errors
 
 
@@ -463,6 +444,27 @@ def _uses_net(cfg: RunConfig) -> bool:
     return any(cfg.initial[name]["kind"] == "delta-net" for name in ("E", "u", "sigma"))
 
 
+def _member_grid(cfg: RunConfig, eps: float, nu: float, net: DeltaNet | None,
+                 refine: bool) -> Grid:
+    """The configured grid, or with ``refine`` its spacing halved until the
+    kernel width and the net width each span enough cells."""
+    grid = build_grid(cfg)
+    if not refine:
+        return grid
+    finest = nu if net is None else min(nu, net.half_width(eps))
+    n = grid.n
+    span = grid.x_max - grid.x_min
+    while span / (n - 1) > finest / MIN_CELLS_PER_WIDTH:
+        n = 2 * (n - 1) + 1
+        if n > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid: resolving width {finest:g} at eps={eps:g} on [{grid.x_min:g}, "
+                f"{grid.x_max:g}] needs more than {MAX_GRID_POINTS} points; "
+                "shrink the domain or stop the eps schedule earlier"
+            )
+    return grid if n == grid.n else Grid(x_min=grid.x_min, x_max=grid.x_max, n=n)
+
+
 def assemble_run(cfg: RunConfig, eps: float | None = None,
                  refine: bool = False) -> RunPieces:
     """Build every piece needed to solve one member of the family.
@@ -483,21 +485,7 @@ def assemble_run(cfg: RunConfig, eps: float | None = None,
     scl = build_scaling(cfg)
     nu = h_eval(scl, eps)
     net = build_delta_net(cfg) if _uses_net(cfg) else None
-    grid = build_grid(cfg)
-    if refine:
-        finest = nu if net is None else min(nu, net.half_width(eps))
-        n = grid.n
-        span = grid.x_max - grid.x_min
-        while span / (n - 1) > finest / MIN_CELLS_PER_WIDTH:
-            n = 2 * (n - 1) + 1
-            if n > MAX_GRID_POINTS:
-                raise ValueError(
-                    f"grid: resolving width {finest:g} on [{grid.x_min:g}, "
-                    f"{grid.x_max:g}] needs more than {MAX_GRID_POINTS} points; "
-                    "shrink the domain or stop the eps schedule earlier"
-                )
-        if n != grid.n:
-            grid = Grid(x_min=grid.x_min, x_max=grid.x_max, n=n)
+    grid = _member_grid(cfg, eps, nu, net, refine)
     op = make_operator(moll, nu, grid)
     solver_cfg = build_solver_config(cfg, op_norm=op.op_norm)
     q = float(cfg.model["q"])

@@ -89,14 +89,14 @@ def sample(net: DeltaNet, eps: float, grid: Grid) -> np.ndarray:
     dx = grid.dx
     if w < MIN_CELLS_PER_WIDTH * dx:
         raise ValueError(
-            f"delta net: width w(eps)={w:.6g} under-resolved on dx={dx:.6g}; "
-            f"need w >= {MIN_CELLS_PER_WIDTH}*dx = {MIN_CELLS_PER_WIDTH * dx:.6g}"
+            f"delta_net: width {w:.6g} at eps={eps:g} is below "
+            f"{MIN_CELLS_PER_WIDTH}*dx = {MIN_CELLS_PER_WIDTH * dx:.6g}; refine the grid"
         )
     lo, hi = net.support(eps)
     if lo < grid.x_min or hi > grid.x_max:
         raise ValueError(
-            f"delta net: support [{lo:.6g}, {hi:.6g}] not inside grid "
-            f"[{grid.x_min}, {grid.x_max}]"
+            f"delta_net: support [{lo:.6g}, {hi:.6g}] at eps={eps:g} sticks out of "
+            f"the grid [{grid.x_min:g}, {grid.x_max:g}]"
         )
     values = net.mass * net.density(eps)(grid.xs)
     if net.mass == 0.0:

@@ -111,8 +111,8 @@ def make_operator(m: Mollifier, nu: float, grid: Grid) -> RegDerivOperator:
         raise ValueError(f"regops: kernel width nu must be positive, got {nu}")
     if nu < MIN_CELLS_PER_WIDTH * dx:
         raise ValueError(
-            f"regops: kernel width nu={nu:.6g} under-resolved on grid spacing "
-            f"dx={dx:.6g}; need nu >= {MIN_CELLS_PER_WIDTH}*dx = {MIN_CELLS_PER_WIDTH * dx:.6g}"
+            f"regops: grid spacing dx={dx:.6g} cannot resolve kernel width nu={nu:.6g}; "
+            f"need nu >= {MIN_CELLS_PER_WIDTH}*dx = {MIN_CELLS_PER_WIDTH * dx:.6g}, refine the grid"
         )
     j_min = int(np.floor(nu * m.s_lo / dx - 0.5))
     j_max = int(np.ceil(nu * m.s_hi / dx + 0.5))

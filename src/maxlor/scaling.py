@@ -60,7 +60,8 @@ def h_eval(s: ScalingFunction, eps: float) -> float:
     # loglog
     if eps >= LOGLOG_EPS_MAX:
         raise ValueError(
-            f"scaling: loglog schedule needs eps < exp(-e) = {LOGLOG_EPS_MAX:.6g}, got {eps}"
+            f"scaling: loglog schedule needs eps < exp(-e) = {LOGLOG_EPS_MAX:.6g}, "
+            f"got eps={eps:g}"
         )
     return s.c / math.log(math.log(1.0 / eps))
 

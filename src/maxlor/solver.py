@@ -151,10 +151,16 @@ def _check_setup(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
     for name in ("E", "u", "sigma"):
         if not np.all(np.isfinite(initial.component(name))):
             raise ValueError(f"solver: non-finite initial data in {name}")
-    limit = step_bound(op.op_norm)
-    if cfg.dt > limit * (1.0 + 1e-12):
+    _check_step(cfg.dt, op.op_norm)
+
+
+def _check_step(dt: float, op_norm: float):
+    """Reject a dt above the explicit march's stable step bound."""
+    limit = step_bound(op_norm)
+    if dt > limit * (1.0 + 1e-12):
         raise ValueError(
-            f"solver: dt={cfg.dt:.6g} violates the step bound 0.5/||D|| = {limit:.6g}"
+            f"solver: dt={dt:.6g} exceeds the stable step bound 0.5/||D|| = {limit:.6g}; "
+            "lower dt or use 'auto'"
         )
 
 

@@ -66,6 +66,48 @@ class TestValidate:
         assert "cannot resolve" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("body, prefix", [
+        ({"delta_net": {"profile": "left"}}, "delta_net:"),
+        ({"delta_net": {"profile": {"kind": "left", "s_lo": -1}}}, "delta_net:"),
+        ({"initial": {"E": "zero"}}, "initial.E:"),
+        ({"initial": "zero"}, "initial:"),
+        ({"mollifier": {"kind": ["left"]}}, "mollifier:"),
+    ])
+    def test_malformed_section_exits_config(self, tmp_path, capsys, body, prefix):
+        cfg = write_cfg(tmp_path, **body)
+        assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        lines = (captured.out + captured.err).splitlines()
+        assert any(line.startswith(prefix) for line in lines), lines
+
+
+OVER_CAP = {
+    "scaling": {"kind": "constant", "c": 0.1},
+    "eps_schedule": [0.01, 0.003, 1e-5],
+    "experiment": {"psi": [{"field": "Q", "t0": 0.3, "x0": 0.3, "r_t": 0.1, "r_x": 0.1}]},
+}
+
+
+class TestGridCap:
+    def test_validate_names_the_cap_and_the_member(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, **OVER_CAP)
+        assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+        out = capsys.readouterr().out
+        assert any("600000" in line and "eps=1e-05" in line for line in out.splitlines())
+
+    @pytest.mark.parametrize("command", ["sweep", "probe-blowup"])
+    def test_family_commands_refuse_before_solving(self, tmp_path, monkeypatch, command):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve called on an invalid schedule")
+
+        monkeypatch.setattr("maxlor.cli.solve", no_solve)
+        monkeypatch.setattr("maxlor.solver.solve", no_solve)
+        cfg = write_cfg(tmp_path, **OVER_CAP)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+
 class TestSolve:
     def test_writes_states_summary_and_config(self, tmp_path):
         cfg = release_cfg(tmp_path)
@@ -139,6 +181,13 @@ class TestSweep:
         assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
         assert "psi" in capsys.readouterr().err
 
+    def test_incomplete_psi_names_key_and_index(self, tmp_path, capsys):
+        cfg = release_cfg(tmp_path, eps_schedule=[0.2, 0.1],
+                          experiment={"psi": [{"field": "Q", "t0": 0.3}]})
+        assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "psi[0]" in err and "'x0'" in err
+
     def test_writes_table_and_verdicts(self, tmp_path):
         cfg = release_cfg(
             tmp_path,
@@ -167,6 +216,16 @@ class TestSupportAndTrajectories:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["confined"] is True
         assert summary["worst_relative"] <= 1e-8
+
+    def test_symmetric_control_config_leaks(self, tmp_path):
+        cfg = os.path.join(os.path.dirname(__file__), "..", "configs",
+                           "support_control_symmetric.json")
+        out = tmp_path / "out"
+        assert main(["check-support", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = (out / "check_support.csv").read_text().splitlines()[1:]
+        right = {r.split(",")[0]: float(r.split(",")[4]) for r in rows if ",right," in r}
+        assert right["E"] == 1.0 and right["u"] == 1.0
+        assert right["sigma"] == pytest.approx(0.7917, abs=1e-4)
 
     def test_trajectories_need_starts(self, tmp_path, capsys):
         cfg = release_cfg(tmp_path)

@@ -14,7 +14,7 @@ from maxlor.config import (
     load_config,
     validate_config,
 )
-from maxlor.solver import step_bound
+from maxlor.solver import SolverConfig, step_bound
 
 
 def cfg_of(**overrides):
@@ -103,6 +103,24 @@ def test_single_eps_in_schedule_reported_once():
     width = [e for e in errs if e.startswith("delta_net: width 0.01")]
     assert len(width) == 1
     assert sum("kernel width" in e and "eps=0.01" in e for e in errs) == 1
+
+
+@pytest.mark.parametrize("factor, ok", [(1.0, True), (0.99, False)])
+def test_guard_factor_rule_matches_solver_config(factor, ok):
+    errs = validate_config(cfg_of(solver={"guard_factor": factor}))
+    assert (not any("guard_factor" in e for e in errs)) == ok
+    if ok:
+        SolverConfig(dt=0.01, guard_factor=factor)
+    else:
+        with pytest.raises(ValueError, match="guard_factor"):
+            SolverConfig(dt=0.01, guard_factor=factor)
+
+
+def test_validate_reports_the_message_a_refined_run_raises():
+    cfg = cfg_of(scaling={"kind": "constant", "c": 0.1}, eps_schedule=[0.01, 1e-5])
+    with pytest.raises(ValueError) as exc:
+        assemble_run(cfg, eps=1e-5, refine=True)
+    assert validate_config(cfg) == [str(exc.value)]
 
 
 def test_net_support_checked_for_every_schedule_member():
