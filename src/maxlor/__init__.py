@@ -49,7 +49,6 @@ from .scaling import (
 from .solver import (
     SolverConfig,
     a_priori_bound,
-    contraction_horizon,
     solve,
     solve_lines,
     solve_picard,

@@ -65,7 +65,6 @@ _DEFAULTS = {
         "save_every": 1,
         "picard_tol": 1e-10,
         "picard_max_iter": 200,
-        "picard_subinterval": None,
         "guard_factor": 10.0,
     },
     "initial": {
@@ -173,6 +172,11 @@ def _check_profile(name: str, prof, errors: list, has_net: bool) -> bool:
 def validate_config(cfg: RunConfig) -> list:
     """All violations as section-prefixed messages; empty means valid."""
     errors = [f"config: unknown top-level key {key!r}" for key in cfg.unknown_keys]
+    for section in ("grid", "model", "solver"):
+        errors.extend(
+            f"{section}: unknown key {key!r}"
+            for key in getattr(cfg, section) if key not in _DEFAULTS[section]
+        )
 
     g = cfg.grid
     grid_ok = True
@@ -266,9 +270,6 @@ def validate_config(cfg: RunConfig) -> list:
     mi = sv.get("picard_max_iter")
     if not isinstance(mi, int) or isinstance(mi, bool) or mi < 1:
         errors.append("solver: picard_max_iter must be a positive integer")
-    psi_ = sv.get("picard_subinterval")
-    if psi_ is not None and (not _is_num(psi_) or psi_ <= 0):
-        errors.append("solver: picard_subinterval must be positive when given")
     gf = sv.get("guard_factor")
     if not _is_num(gf) or gf < 1.0:
         errors.append("solver: guard_factor must be >= 1")
@@ -304,6 +305,21 @@ def validate_config(cfg: RunConfig) -> list:
     if grid_ok and moll_ok and scaling_ok and net_ok and initial_ok:
         # a single-run eps repeating a schedule member may fail the same way twice
         errors.extend(dict.fromkeys(_rehearse(cfg, members)))
+
+    ex = cfg.experiment
+    psi = ex.get("psi")
+    if psi is not None:
+        if not isinstance(psi, (list, tuple)):
+            errors.append("experiment: psi must be a list of objects")
+        else:
+            errors.extend(
+                f"experiment: psi[{i}] must be an object"
+                for i, spec in enumerate(psi) if not isinstance(spec, dict)
+            )
+    starts = ex.get("trajectory_starts")
+    if starts is not None and (
+            not isinstance(starts, (list, tuple)) or not all(_is_num(w) for w in starts)):
+        errors.append("experiment: trajectory_starts must be a list of finite numbers")
 
     if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool):
         errors.append("seed: must be an integer")
@@ -382,9 +398,6 @@ def build_solver_config(cfg: RunConfig, op_norm: float | None = None) -> SolverC
         save_every=int(sv["save_every"]),
         picard_tol=float(sv["picard_tol"]),
         picard_max_iter=int(sv["picard_max_iter"]),
-        picard_subinterval=(
-            None if sv["picard_subinterval"] is None else float(sv["picard_subinterval"])
-        ),
         guard_factor=float(sv["guard_factor"]),
     )
 

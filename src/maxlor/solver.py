@@ -10,15 +10,16 @@ with ``D`` the regularized derivative.  The constant 1 is subtracted inside
 the second convolution so its argument vanishes where u does; zero padding
 would otherwise see an artificial jump at the grid ends.
 
-Two integrators are provided: a method-of-lines RK4 march and a chained
-Picard iteration on the integral form of the equations.  They discretize
-time differently, so their agreement on matching grids is a meaningful
-consistency check rather than a tautology.
+Two integrators are provided: a method-of-lines RK4 march and the implicit
+trapezoid rule, whose step equation is solved by Picard (fixed-point)
+iteration on the integral form.  They discretize time differently, so their
+agreement on matching grids is a meaningful consistency check rather than a
+tautology.
 
-Every march is protected by a growth guard derived from the a-priori
-estimate for the continuum system: solutions wandering past a multiple of
-that bound indicate a numerical problem and abort the run, preserving the
-states saved so far.
+Both marches check every new state against a growth guard derived from the
+a-priori estimate for the continuum system: a non-finite state, or one
+wandering past a multiple of that bound, indicates a numerical problem and
+aborts the run, preserving the states saved so far.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "solve_picard",
     "a_priori_bound",
     "step_bound",
-    "contraction_horizon",
     "STATUS_OK",
     "STATUS_OVERFLOW",
     "STATUS_GUARD",
@@ -71,7 +71,6 @@ class SolverConfig:
     save_every: int = 1
     picard_tol: float = 1e-10
     picard_max_iter: int = 200
-    picard_subinterval: float | None = None
     guard_factor: float = 10.0
 
     def __post_init__(self):
@@ -92,11 +91,6 @@ class SolverConfig:
 def step_bound(op_norm: float) -> float:
     """Largest admissible dt for the explicit march: 0.5 / ||D||."""
     return 0.5 / op_norm
-
-
-def contraction_horizon(op_norm: float, B0: float) -> float:
-    """Subinterval length on which the Picard map is safely contracting."""
-    return 0.25 / (op_norm + 2.0 + abs(B0))
 
 
 def a_priori_bound(initial_norm: float, params: ModelParams, op_norm: float) -> float:
@@ -175,6 +169,30 @@ def _finalize(grid: Grid, times: list, states: list, meta: dict, backward: bool)
     return sol
 
 
+def _abort(meta: dict, status: str, reason: str, t: float, message: str) -> None:
+    meta["status"] = status
+    meta["abort"] = {"reason": reason, "t": t, "message": message}
+
+
+def _guard_tripped(meta: dict, t: float, V) -> bool:
+    """Record an overflow or growth-guard abort for the new state ``V`` at ``t``.
+
+    Returns True when the march must stop.
+    """
+    if not all(np.all(np.isfinite(x)) for x in V):
+        _abort(meta, STATUS_OVERFLOW, "overflow", t, f"overflow at t={t:.6g}")
+        return True
+    peak = max(np.max(np.abs(x)) for x in V)
+    factor, bound = meta["guard_factor"], meta["a_priori_bound"]
+    if peak > factor * bound:
+        _abort(meta, STATUS_GUARD, "guard", t, (
+            f"growth guard tripped at t={t:.6g}: max|V|={peak:.6g} exceeds "
+            f"{factor:g} x a-priori bound {bound:.6g}"
+        ))
+        return True
+    return False
+
+
 def solve_lines(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
                 params: ModelParams, backward: bool = False) -> SpacetimeSolution:
     """Classical RK4 march of the semi-discrete system.
@@ -204,29 +222,14 @@ def solve_lines(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
                 k3 = rhs(E + 0.5 * h * k2[0], u + 0.5 * h * k2[1], sig + 0.5 * h * k2[2], op, B0)
                 k4 = rhs(E + h * k3[0], u + h * k3[1], sig + h * k3[2], op, B0)
         except ValueError:
-            meta["status"] = STATUS_OVERFLOW
-            meta["abort"] = {"reason": "overflow", "t": t, "message": f"overflow at t={t:.6g}"}
+            _abort(meta, STATUS_OVERFLOW, "overflow", t, f"overflow at t={t:.6g}")
             break
-        # overflow is caught by the finiteness check below, not by warnings
+        # overflow is caught by the guard check below, not by warnings
         with np.errstate(over="ignore", invalid="ignore"):
             E = E + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
             u = u + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
             sig = sig + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        if not (np.all(np.isfinite(E)) and np.all(np.isfinite(u)) and np.all(np.isfinite(sig))):
-            meta["status"] = STATUS_OVERFLOW
-            meta["abort"] = {"reason": "overflow", "t": t, "message": f"overflow at t={t:.6g}"}
-            break
-        peak = max(np.max(np.abs(E)), np.max(np.abs(u)), np.max(np.abs(sig)))
-        if peak > cfg.guard_factor * bound:
-            meta["status"] = STATUS_GUARD
-            meta["abort"] = {
-                "reason": "guard",
-                "t": t,
-                "message": (
-                    f"growth guard tripped at t={t:.6g}: max|V|={peak:.6g} exceeds "
-                    f"{cfg.guard_factor:g} x a-priori bound {bound:.6g}"
-                ),
-            }
+        if _guard_tripped(meta, t, (E, u, sig)):
             break
         if i % cfg.save_every == 0 or i == n_steps:
             times.append(t)
@@ -236,13 +239,15 @@ def solve_lines(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
 
 def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
                  params: ModelParams, backward: bool = False) -> SpacetimeSolution:
-    """Fixed-point iteration on the integral form, chained over subintervals.
+    """Implicit trapezoid rule, each step solved by fixed-point iteration.
 
-    Each subinterval is short enough for the integral map to contract; the
-    converged endpoint seeds the next subinterval.  Non-contraction is
-    detected (updates growing several times in a row) rather than assumed
-    away, and stalls abort the run with the subinterval length in the
-    diagnostic.
+    A step from ``V`` solves ``Vn = V + h/2 (F(V) + F(Vn))``, with ``F`` the
+    right-hand side, by Picard iteration started at ``Vn = V``; ``F(V)`` is
+    evaluated once per step.  The map contracts for small enough ``h``.
+    Non-contraction (updates growing several times in a row) and missing
+    convergence within ``picard_max_iter`` iterations abort the run, as do
+    the overflow and growth-guard checks.  Time range and save grid are as
+    for ``solve_lines``.
     """
     _check_setup(initial, cfg, op, params)
     n_steps = max(1, int(math.ceil(params.T / cfg.dt - 1e-12)))
@@ -252,94 +257,62 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
     meta = _base_meta(cfg, op, params, dt_eff, bound, "picard")
     B0 = params.B0
 
-    chunk = cfg.picard_subinterval
-    if chunk is None:
-        chunk = contraction_horizon(op.op_norm, B0)
-    m = max(1, int(math.floor(chunk / dt_eff + 1e-12)))
-
     t0 = initial.t
     V = np.stack([initial.E, initial.u, initial.sigma]).astype(float)
     times = [t0]
     states = [FieldState(t0, V[0].copy(), V[1].copy(), V[2].copy())]
+    F = np.empty((2,) + V.shape)  # F at the left and right node of the step
     total_iters = 0
-    max_chunk_iters = 0
+    max_step_iters = 0
     max_residual = 0.0
-    chunks = 0
-    i = 0
-    aborted = False
-    while i < n_steps and not aborted:
-        k = min(m, n_steps - i)
-        Vk = np.repeat(V[None, :, :], k + 1, axis=0)
-        F = np.empty_like(Vk)
+    for i in range(1, n_steps + 1):
+        t_left = t0 + (i - 1) * h
+        F[0] = rhs(V[0], V[1], V[2], op, B0)
+        Vk = V
         prev_delta = math.inf
         grow = 0
-        converged = False
         for it in range(1, cfg.picard_max_iter + 1):
-            for j in range(k + 1):
-                F[j] = rhs(Vk[j, 0], Vk[j, 1], Vk[j, 2], op, B0)
-            Vn = V[None, :, :] + cumulative_trapezoid(F, dx=h, axis=0, initial=0.0)
+            F[1] = rhs(Vk[0], Vk[1], Vk[2], op, B0)
+            Vn = V + cumulative_trapezoid(F, dx=h, axis=0)[0]
             delta = float(np.max(np.abs(Vn - Vk)))
             Vk = Vn
             if not math.isfinite(delta):
-                meta["status"] = STATUS_OVERFLOW
-                meta["abort"] = {
-                    "reason": "overflow",
-                    "t": t0 + i * h,
-                    "message": f"overflow in Picard sweep starting at t={t0 + i * h:.6g}",
-                }
-                aborted = True
+                _abort(meta, STATUS_OVERFLOW, "overflow", t_left,
+                       f"overflow in the Picard step starting at t={t_left:.6g}")
                 break
             if delta < cfg.picard_tol:
-                converged = True
+                break
             grow = grow + 1 if delta > prev_delta else 0
             prev_delta = delta
-            if converged:
-                break
             if grow >= _STALL_PATIENCE:
-                meta["status"] = STATUS_PICARD_STALL
-                meta["abort"] = {
-                    "reason": "no-contraction",
-                    "t": t0 + i * h,
-                    "message": (
-                        f"Picard updates grew {_STALL_PATIENCE} times in a row on "
-                        f"subinterval of length {k * dt_eff:.6g}; reduce "
-                        f"picard_subinterval"
-                    ),
-                }
-                aborted = True
+                _abort(meta, STATUS_PICARD_STALL, "no-contraction", t_left, (
+                    f"Picard updates grew {_STALL_PATIENCE} times in a row on the step "
+                    f"starting at t={t_left:.6g} (dt={dt_eff:.6g}); lower dt"
+                ))
                 break
-        if aborted:
+        if meta["status"] != STATUS_OK:
             break
         total_iters += it
-        max_chunk_iters = max(max_chunk_iters, it)
-        chunks += 1
+        max_step_iters = max(max_step_iters, it)
         max_residual = max(max_residual, delta)
-        if not converged:
-            meta["status"] = STATUS_PICARD_STALL
-            meta["abort"] = {
-                "reason": "no-convergence",
-                "t": t0 + i * h,
-                "message": (
-                    f"Picard did not reach tol={cfg.picard_tol:g} in "
-                    f"{cfg.picard_max_iter} iterations (last update {delta:.3g})"
-                ),
-            }
+        if delta >= cfg.picard_tol:
+            _abort(meta, STATUS_PICARD_STALL, "no-convergence", t_left, (
+                f"Picard did not reach tol={cfg.picard_tol:g} in "
+                f"{cfg.picard_max_iter} iterations (last update {delta:.3g})"
+            ))
             break
-        for j in range(1, k + 1):
-            g = i + j
-            if g % cfg.save_every == 0 or g == n_steps:
-                t = t0 + g * h
-                times.append(t)
-                states.append(FieldState(t, Vk[j, 0].copy(), Vk[j, 1].copy(), Vk[j, 2].copy()))
-        V = Vk[k]
-        i += k
+        V = Vk
+        t = t0 + i * h
+        if _guard_tripped(meta, t, V):
+            break
+        if i % cfg.save_every == 0 or i == n_steps:
+            times.append(t)
+            states.append(FieldState(t, V[0].copy(), V[1].copy(), V[2].copy()))
     meta["picard"] = {
         "iterations": total_iters,
-        "max_chunk_iterations": max_chunk_iters,
-        "chunks": chunks,
+        "max_chunk_iterations": max_step_iters,
         "max_final_residual": max_residual,
-        "subinterval_steps": m,
-        "subinterval": m * dt_eff,
+        "subinterval_steps": 1,
     }
     return _finalize(op.grid, times, states, meta, backward)
 

@@ -188,6 +188,14 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "psi[0]" in err and "'x0'" in err
 
+    def test_non_object_psi_exits_before_solving(self, tmp_path, capsys):
+        cfg = release_cfg(tmp_path, eps_schedule=[0.2, 0.1], experiment={"psi": [5]})
+        assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+        assert "experiment: psi[0] must be an object" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_writes_table_and_verdicts(self, tmp_path):
         cfg = release_cfg(
             tmp_path,
@@ -231,6 +239,16 @@ class TestSupportAndTrajectories:
         cfg = release_cfg(tmp_path)
         assert main(["trajectories", "--config", cfg]) == EXIT_CONFIG
         assert "trajectory_starts" in capsys.readouterr().err
+
+    def test_non_numeric_start_exits_before_solving(self, tmp_path, capsys):
+        # the output directory is created before the solve, so its absence
+        # shows that nothing was solved
+        cfg = release_cfg(tmp_path, experiment={"trajectory_starts": [[1]]})
+        out = tmp_path / "out"
+        assert main(["trajectories", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert ("experiment: trajectory_starts must be a list of finite numbers"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_trajectories_write_one_file_per_start(self, tmp_path):
         cfg = release_cfg(

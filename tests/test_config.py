@@ -45,6 +45,17 @@ def test_unknown_keys_are_collected_not_fatal():
     assert any("'extra'" in e for e in errs)
 
 
+@pytest.mark.parametrize("section, key", [
+    ("grid", "nn"),
+    ("model", "b0"),
+    ("solver", "picard_subintervall"),
+    ("solver", "picard_subinterval"),
+])
+def test_unknown_section_key_is_reported(section, key):
+    errs = validate_config(cfg_of(**{section: {key: 0.1}}))
+    assert errs == [f"{section}: unknown key {key!r}"]
+
+
 def test_multiple_violations_all_reported():
     cfg = config_from_dict({
         "grid": {"x_min": 3.0, "x_max": -1.0, "n": 4},
