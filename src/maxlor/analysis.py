@@ -222,18 +222,28 @@ def pair(sol: SpacetimeSolution, field_name: str, psi: TestFunction2D,
     return _pair_stack(_field_stack(sol, field_name, op), sol, psi)
 
 
+def _check_window(psi: TestFunction2D, t_lo: float, t_hi: float,
+                  x_min: float, x_max: float) -> None:
+    """Raise unless the support of ``psi`` lies in ``[t_lo, t_hi] x [x_min, x_max]``."""
+    tiny = 1e-12
+    # written so that a nan bound fails the check too
+    if not (psi.t_lo >= t_lo - tiny and psi.t_hi <= t_hi + tiny):
+        raise ValueError(
+            f"psi time support [{psi.t_lo:g}, {psi.t_hi:g}] outside solved "
+            f"window [{t_lo:g}, {t_hi:g}]"
+        )
+    if not (psi.x_lo >= x_min - tiny and psi.x_hi <= x_max + tiny):
+        raise ValueError(
+            f"psi spatial support [{psi.x_lo:g}, {psi.x_hi:g}] outside the grid "
+            f"[{x_min:g}, {x_max:g}]"
+        )
+
+
 def _pair_stack(F: np.ndarray, sol: SpacetimeSolution, psi: TestFunction2D) -> float:
     # pair() on a field stack (saved state x grid) that the caller already holds
     times = sol.times
     grid = sol.grid
-    tiny = 1e-12
-    if psi.t_lo < times[0] - tiny or psi.t_hi > times[-1] + tiny:
-        raise ValueError(
-            f"pair: psi time support [{psi.t_lo:g}, {psi.t_hi:g}] outside solved "
-            f"window [{times[0]:g}, {times[-1]:g}]"
-        )
-    if psi.x_lo < grid.x_min - tiny or psi.x_hi > grid.x_max + tiny:
-        raise ValueError("pair: psi spatial support outside the grid")
+    _check_window(psi, times[0], times[-1], grid.x_min, grid.x_max)
     W = psi.value(times[:, None], grid.xs[None, :])
     inner = trapezoid(F * W, dx=grid.dx, axis=1)
     return float(trapezoid(inner, x=times))

@@ -6,16 +6,12 @@ codes sort failures by class: 0 clean, 2 config problems, 3 runtime
 aborts (guard trip, overflow, fixed-point stall), 4 boundary
 contamination of an otherwise finished run.
 
-Subcommands::
-
-    validate       dry-check a config against every module precondition
-    solve          run one eps and write the full space-time solution
-    sweep          run an eps schedule and classify pairing limits
-    check-support  probe one-sided support confinement
-    compare-lin    distance from the linearized closed form
-    probe-blowup   peak interaction density across an eps family
-    trajectories   integrate charge world lines through a solved field
-    check-scaling  test the admissible-growth condition for a scaling
+The subcommands are the rows of ``_COMMANDS``: a name, its ``--help``
+line, the config keys it cannot run without, and a run function that does
+only the command's own work.  ``main`` takes every subcommand down the one
+path load → validate (the config plus the row's needs) → create ``--out``
+→ run → stamp the run id on the summary and write ``summary.json``;
+``validate`` stops after the checks and prints its verdict.
 """
 
 from __future__ import annotations
@@ -24,8 +20,6 @@ import argparse
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import analysis, config as cfgmod, output, trajectories as trajmod
 from .scaling import verify_growth_condition
@@ -37,28 +31,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_CONTAMINATED = 4
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="maxlor",
-        description="Mollifier-regularized solver for a self-interacting "
-        "Maxwell-Lorentz toy model in one space dimension.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    names = (
-        "validate", "solve", "sweep", "check-support", "compare-lin",
-        "probe-blowup", "trajectories", "check-scaling",
-    )
-    for name in names:
-        p = sub.add_parser(name, help=f"{name} subcommand")
-        p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for sweep members")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-    return parser
 
 
 def _load(args):
@@ -75,26 +47,15 @@ def _load(args):
     return cfg
 
 
-def _validated(args):
-    cfg = _load(args)
-    if cfg is None:
-        return None
-    errors = cfgmod.validate_config(cfg)
-    if errors:
-        for e in errors:
-            print(e, file=sys.stderr)
-        print(f"config: {len(errors)} problem(s)", file=sys.stderr)
-        return None
-    return cfg
-
-
-def _outdir(args, cfg) -> str:
-    if args.out:
-        path = args.out
-    else:
-        path = os.path.join("runs", f"{args.command}-{output.run_id(cfgmod.config_to_dict(cfg))}")
-    os.makedirs(path, exist_ok=True)
-    return path
+def _missing(cfg, command: str, needs) -> list:
+    """A message for each needed key (``eps_schedule`` or ``experiment.<key>``)
+    that the config leaves unset or empty."""
+    errors = []
+    for need in needs:
+        section, _, key = need.rpartition(".")
+        if not (cfg.experiment.get(key) if section else getattr(cfg, key)):
+            errors.append(f"{section or key}: {command} needs {key!r}")
+    return errors
 
 
 def _exit_for(sol) -> int:
@@ -112,67 +73,18 @@ def _solve_once(cfg, eps=None, refine=False):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# run functions: (cfg, args, out) -> (summary, line to print, exit code)
 
 
-def _cmd_validate(args) -> int:
-    cfg = _load(args)
-    if cfg is None:
-        return EXIT_CONFIG
-    errors = cfgmod.validate_config(cfg)
-    if errors:
-        for e in errors:
-            print(e)
-        print(f"invalid: {len(errors)} problem(s)")
-        return EXIT_CONFIG
-    print(f"ok: run id {output.run_id(cfgmod.config_to_dict(cfg))}")
-    return EXIT_OK
-
-
-def _cmd_solve(args) -> int:
-    cfg = _validated(args)
-    if cfg is None:
-        return EXIT_CONFIG
-    out = _outdir(args, cfg)
-    pieces, sol = _solve_once(cfg)
+def _run_solve(cfg, args, out):
+    _, sol = _solve_once(cfg)
     output.write_solution(out, sol, cfgmod.config_to_dict(cfg))
-    summary = output.solve_summary(sol)
-    output.write_json(os.path.join(out, "summary.json"), summary)
-    print(f"status={sol.status} saved={len(sol.states)} out={out}")
-    return _exit_for(sol)
+    line = f"status={sol.status} saved={len(sol.states)} out={out}"
+    return output.solve_summary(sol), line, _exit_for(sol)
 
 
-def _observables(cfg):
-    specs = cfg.experiment.get("psi")
-    if not specs:
-        raise ValueError(
-            "experiment: sweep needs a 'psi' list of test functions "
-            "(each with field, t0, x0, r_t, r_x)"
-        )
-    obs = []
-    for i, d in enumerate(specs):
-        d = dict(d)
-        field_name = d.pop("field", "Q")
-        try:
-            obs.append((field_name, analysis.psi_from_dict(d)))
-        except KeyError as exc:
-            raise ValueError(f"experiment: psi[{i}] is missing {exc}") from None
-    return obs
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _validated(args)
-    if cfg is None:
-        return EXIT_CONFIG
-    if not cfg.eps_schedule:
-        print("eps_schedule: sweep needs a decreasing eps schedule", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        obs = _observables(cfg)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
-    out = _outdir(args, cfg)
+def _run_sweep(cfg, args, out):
+    obs = [(d.get("field", "Q"), analysis.psi_from_dict(d)) for d in cfg.experiment["psi"]]
     result = analysis.limit_sweep(cfg, cfg.eps_schedule, obs, workers=max(1, args.workers))
     rows = []
     for label in result.labels:
@@ -188,20 +100,13 @@ def _cmd_sweep(args) -> int:
         "statuses": list(result.statuses),
         "a_priori_bounds": list(result.bounds),
         "partial": result.partial,
-        "run_id": output.run_id(cfgmod.config_to_dict(cfg)),
     }
-    output.write_json(os.path.join(out, "summary.json"), summary)
-    for label in result.labels:
-        print(f"{label}: {result.verdicts[label]}")
-    return EXIT_RUNTIME if result.partial else EXIT_OK
+    line = "\n".join(f"{label}: {result.verdicts[label]}" for label in result.labels)
+    return summary, line, EXIT_RUNTIME if result.partial else EXIT_OK
 
 
-def _cmd_check_support(args) -> int:
-    cfg = _validated(args)
-    if cfg is None:
-        return EXIT_CONFIG
-    out = _outdir(args, cfg)
-    x0 = float(cfg.experiment.get("probe_x0", 0.05))
+def _run_check_support(cfg, args, out):
+    x0 = float(cfgmod._experiment_value(cfg, "probe_x0"))
     pieces, sol = _solve_once(cfg)
     rep = analysis.support_probe(sol, x0)
     rows = []
@@ -229,18 +134,11 @@ def _cmd_check_support(args) -> int:
         "status": sol.status,
         "a_priori_bound": sol.meta.get("a_priori_bound"),
         "boundary_contaminated": sol.meta.get("boundary_contaminated"),
-        "run_id": output.run_id(cfgmod.config_to_dict(cfg)),
     }
-    output.write_json(os.path.join(out, "summary.json"), summary)
-    print(f"vacuum side {vacuum}: worst relative {worst}")
-    return _exit_for(sol)
+    return summary, f"vacuum side {vacuum}: worst relative {worst}", _exit_for(sol)
 
 
-def _cmd_compare_lin(args) -> int:
-    cfg = _validated(args)
-    if cfg is None:
-        return EXIT_CONFIG
-    out = _outdir(args, cfg)
+def _run_compare_lin(cfg, args, out):
     pieces, sol = _solve_once(cfg)
     rep = analysis.compare_linearized(sol)
     output.write_table(
@@ -254,29 +152,15 @@ def _cmd_compare_lin(args) -> int:
         "max_l1_u": rep.max_l1_u,
         "status": sol.status,
         "a_priori_bound": sol.meta.get("a_priori_bound"),
-        "run_id": output.run_id(cfgmod.config_to_dict(cfg)),
     }
-    output.write_json(os.path.join(out, "summary.json"), summary)
-    print(f"max L1 gap: E {rep.max_l1_E:.6g}, u {rep.max_l1_u:.6g}")
-    return _exit_for(sol)
+    line = f"max L1 gap: E {rep.max_l1_E:.6g}, u {rep.max_l1_u:.6g}"
+    return summary, line, _exit_for(sol)
 
 
-def _cmd_probe_blowup(args) -> int:
-    cfg = _validated(args)
-    if cfg is None:
-        return EXIT_CONFIG
-    if not cfg.eps_schedule:
-        print("eps_schedule: probe-blowup needs a decreasing eps schedule", file=sys.stderr)
-        return EXIT_CONFIG
-    out = _outdir(args, cfg)
-    window = float(cfg.experiment.get("blowup_window", 0.25))
+def _run_probe_blowup(cfg, args, out):
+    window = float(cfgmod._experiment_value(cfg, "blowup_window"))
     center = float(cfg.delta_net.get("center", 0.0)) if cfg.delta_net else 0.0
-    sols = []
-    worst_exit = EXIT_OK
-    for eps in cfg.eps_schedule:
-        _, sol = _solve_once(cfg, eps=eps, refine=True)
-        sols.append(sol)
-        worst_exit = max(worst_exit, _exit_for(sol))
+    sols = [_solve_once(cfg, eps=eps, refine=True)[1] for eps in cfg.eps_schedule]
     rep = analysis.blow_up_probe(sols, window=window, center=center)
     output.write_table(
         os.path.join(out, "probe_blowup.csv"),
@@ -291,71 +175,56 @@ def _cmd_probe_blowup(args) -> int:
         "center": center,
         "statuses": [s.status for s in sols],
         "a_priori_bounds": [s.meta.get("a_priori_bound") for s in sols],
-        "run_id": output.run_id(cfgmod.config_to_dict(cfg)),
     }
-    output.write_json(os.path.join(out, "summary.json"), summary)
-    print(f"peak growth exponent {rep.exponent:.4g} over eps {list(rep.eps_values)}")
-    return worst_exit
+    line = f"peak growth exponent {rep.exponent:.4g} over eps {list(rep.eps_values)}"
+    return summary, line, max(_exit_for(s) for s in sols)
 
 
-def _cmd_trajectories(args) -> int:
-    cfg = _validated(args)
-    if cfg is None:
-        return EXIT_CONFIG
-    starts = cfg.experiment.get("trajectory_starts")
-    if not starts:
-        print("experiment: trajectories needs a 'trajectory_starts' list", file=sys.stderr)
-        return EXIT_CONFIG
-    out = _outdir(args, cfg)
-    n_steps = cfg.experiment.get("trajectory_steps")
-    pieces, sol = _solve_once(cfg)
-    if sol.status != STATUS_OK:
-        print(f"status={sol.status}: no trajectories integrated", file=sys.stderr)
-        return EXIT_RUNTIME
-    summary_rows = []
-    for i, w0 in enumerate(starts):
+def _run_trajectories(cfg, args, out):
+    starts = cfg.experiment["trajectory_starts"]
+    n_steps = cfgmod._experiment_value(cfg, "trajectory_steps")
+    _, sol = _solve_once(cfg)
+    rows = []
+    # an aborted solve has no field to integrate through
+    for i, w0 in enumerate(starts if sol.status == STATUS_OK else ()):
         traj = trajmod.integrate_world_line(sol, float(w0), n_steps=n_steps)
         output.write_table(
             os.path.join(out, f"trajectory_{i:02d}.csv"),
             ("r", "w"),
             zip(traj.times, traj.positions),
         )
-        summary_rows.append({
+        rows.append({
             "start": traj.start,
             "end": float(traj.positions[-1]),
             "max_speed": traj.max_speed,
             "exited": traj.exited,
         })
     summary = {
-        "trajectories": summary_rows,
+        "trajectories": rows,
         "n_steps": n_steps,
         "status": sol.status,
         "a_priori_bound": sol.meta.get("a_priori_bound"),
-        "run_id": output.run_id(cfgmod.config_to_dict(cfg)),
     }
-    output.write_json(os.path.join(out, "summary.json"), summary)
-    print(f"integrated {len(starts)} world line(s), "
-          f"max speed {max(r['max_speed'] for r in summary_rows):.6g}")
-    return _exit_for(sol)
+    if rows:
+        line = (f"integrated {len(rows)} world line(s), "
+                f"max speed {max(r['max_speed'] for r in rows):.6g}")
+    else:
+        line = f"status={sol.status}: no trajectories integrated"
+    return summary, line, _exit_for(sol)
 
 
-def _cmd_check_scaling(args) -> int:
-    cfg = _validated(args)
-    if cfg is None:
-        return EXIT_CONFIG
-    out = _outdir(args, cfg)
+def _run_check_scaling(cfg, args, out):
     scl = cfgmod.build_scaling(cfg)
-    ps = cfg.experiment.get("growth_p", [1, 2])
-    eps_grid = cfg.experiment.get("growth_eps")
-    if eps_grid is None:
-        eps_grid = list(np.logspace(-3, -12, 10))
-    rows = []
-    verdicts = {}
+    ps = cfgmod._experiment_value(cfg, "growth_p")
+    eps_grid = cfgmod._experiment_value(cfg, "growth_eps")
+    rows, verdicts, lines = [], {}, []
     for p in ps:
         rep = verify_growth_condition(scl, p, eps_grid)
         verdicts[str(p)] = {"satisfied": rep.satisfied, "k_estimate": rep.k_estimate}
         for eps, h, r in zip(rep.eps_grid, rep.h_values, rep.r_values):
             rows.append((p, eps, h, r))
+        word = "satisfied" if rep.satisfied else "violated"
+        lines.append(f"p={p}: growth condition {word} (k ~ {rep.k_estimate:.6g})")
     output.write_table(
         os.path.join(out, "check_scaling.csv"), ("p", "eps", "h", "growth_ratio"), rows
     )
@@ -363,32 +232,80 @@ def _cmd_check_scaling(args) -> int:
         "scaling": scl.spec_dict(),
         "eps_grid": [float(e) for e in eps_grid],
         "verdicts": verdicts,
-        "run_id": output.run_id(cfgmod.config_to_dict(cfg)),
     }
-    output.write_json(os.path.join(out, "summary.json"), summary)
-    for p in ps:
-        v = verdicts[str(p)]
-        word = "satisfied" if v["satisfied"] else "violated"
-        print(f"p={p}: growth condition {word} (k ~ {v['k_estimate']:.6g})")
-    return EXIT_OK
+    return summary, "\n".join(lines), EXIT_OK
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "solve": _cmd_solve,
-    "sweep": _cmd_sweep,
-    "check-support": _cmd_check_support,
-    "compare-lin": _cmd_compare_lin,
-    "probe-blowup": _cmd_probe_blowup,
-    "trajectories": _cmd_trajectories,
-    "check-scaling": _cmd_check_scaling,
+# name -> (--help line, keys the run cannot do without, run function)
+_COMMANDS = {
+    "validate": ("dry-check a config against every module precondition, then exit",
+                 (), None),
+    "solve": ("run one eps; write one CSV per saved time plus meta.json",
+              (), _run_solve),
+    "sweep": ("run an eps schedule, pair observables, classify the limit",
+              ("eps_schedule", "experiment.psi"), _run_sweep),
+    "check-support": ("solve, then probe field leakage into the vacuum half-line",
+                      (), _run_check_support),
+    "compare-lin": ("L1 distance of a run from the linearized closed form over time",
+                    (), _run_compare_lin),
+    "probe-blowup": ("peak interaction density sigma*a(u) across an eps family + fit",
+                     ("eps_schedule",), _run_probe_blowup),
+    "trajectories": ("integrate charge world lines through a solved field",
+                     ("experiment.trajectory_starts",), _run_trajectories),
+    "check-scaling": ("test the admissible-growth condition for the configured scaling",
+                      (), _run_check_scaling),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="maxlor",
+        description="Mollifier-regularized solver for a self-interacting "
+        "Maxwell-Lorentz toy model in one space dimension.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line, description=help_line)
+        p.add_argument("--config", required=True, help="path to the JSON config")
+        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker processes for sweep members")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the config seed")
+    return parser
+
+
+def _run(args) -> int:
+    _, needs, run = _COMMANDS[args.command]
+    cfg = _load(args)
+    if cfg is None:
+        return EXIT_CONFIG
+    errors = cfgmod.validate_config(cfg) + _missing(cfg, args.command, needs)
+    if errors:
+        # validate reports on stdout; a refused run on stderr
+        stream = sys.stdout if run is None else sys.stderr
+        for e in errors:
+            print(e, file=stream)
+        print(f"{'invalid' if run is None else 'config'}: {len(errors)} problem(s)",
+              file=stream)
+        return EXIT_CONFIG
+    rid = output.run_id(cfgmod.config_to_dict(cfg))
+    if run is None:
+        print(f"ok: run id {rid}")
+        return EXIT_OK
+    out = args.out or os.path.join("runs", f"{args.command}-{rid}")
+    os.makedirs(out, exist_ok=True)
+    summary, line, code = run(cfg, args, out)
+    summary["run_id"] = rid
+    output.write_json(os.path.join(out, "summary.json"), summary)
+    print(line)
+    return code
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _run(args)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG

@@ -1,8 +1,9 @@
 """Run configuration: JSON schema, validation, and assembly into run pieces.
 
 A config is a plain JSON object with sections ``grid``, ``mollifier``,
-``scaling``, ``model``, ``solver``, ``initial``, ``delta_net`` and a
-free-form ``experiment`` block, plus a top-level ``eps`` (or
+``scaling``, ``model``, ``solver``, ``initial``, ``delta_net`` and an
+``experiment`` block whose keys the subcommands read (``_EXPERIMENT``
+gives each its default and its rule), plus a top-level ``eps`` (or
 ``eps_schedule`` for sweeps) and ``seed``.  Every section has defaults
 chosen so that an empty config describes the basic point-charge release
 experiment with the causal left kernel.
@@ -14,7 +15,9 @@ of each section, then rehearses the run: for every eps a run will use
 (the single-run eps on the configured grid, each schedule member on its
 refined grid) it calls the builders the run calls (scaling, grid
 refinement, operator, delta-net sampling, the solver's step bound) and
-reports what they raise.  ``assemble_run`` turns a config plus a
+reports what they raise; each ``psi`` entry goes through the sweep's
+``psi_from_dict`` and the pairing window check, and the growth grid
+through ``verify_growth_condition``.  ``assemble_run`` turns a config plus a
 concrete eps into ready-to-solve pieces.
 """
 
@@ -27,11 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import _check_window, psi_from_dict
 from .deltanet import DeltaNet, net_from_spec, sample
-from .fields import FieldState, Grid, ModelParams
+from .fields import FIELD_NAMES, FieldState, Grid, ModelParams
 from .mollifier import DEFAULT_SUPPORTS, Mollifier, make_mollifier
 from .regops import MIN_CELLS_PER_WIDTH, RegDerivOperator, make_operator
-from .scaling import ScalingFunction, h_eval, make_scaling
+from .scaling import ScalingFunction, h_eval, make_scaling, verify_growth_condition
 from .solver import SolverConfig, _check_step, step_bound
 
 __all__ = [
@@ -146,6 +150,41 @@ def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def _is_pos_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
+def _is_num_list(v, ok=lambda x: True) -> bool:
+    return isinstance(v, (list, tuple)) and all(_is_num(x) and ok(x) for x in v)
+
+
+def _is_growth_grid(v) -> bool:
+    # what verify_growth_condition requires of its eps grid
+    return (_is_num_list(v, lambda e: e > 0) and len(v) >= 4
+            and all(b < a for a, b in zip(v, v[1:])))
+
+
+# The experiment keys the subcommands read: the value a run uses when the key
+# is absent or null, the rule a given value must pass, and what that rule asks.
+_EXPERIMENT = {
+    "psi": (None, lambda v: isinstance(v, (list, tuple)), "a list of objects"),
+    "probe_x0": (0.05, _is_num, "a finite number"),
+    "blowup_window": (0.25, lambda v: _is_num(v) and v > 0, "a positive number"),
+    "trajectory_starts": (None, _is_num_list, "a list of finite numbers"),
+    "trajectory_steps": (None, _is_pos_int, "a positive integer"),
+    "growth_p": ((1, 2), lambda v: _is_num_list(v, lambda p: p >= 1),
+                 "a list of numbers >= 1"),
+    "growth_eps": (tuple(np.logspace(-3, -12, 10)), _is_growth_grid,
+                   "a list of at least 4 strictly decreasing positive numbers"),
+}
+
+
+def _experiment_value(cfg: RunConfig, key: str):
+    """The value of ``experiment.<key>`` a run uses."""
+    value = cfg.experiment.get(key)
+    return _EXPERIMENT[key][0] if value is None else value
+
+
 def _check_profile(name: str, prof, errors: list, has_net: bool) -> bool:
     """Report problems with one initial profile; False when its kind is unusable."""
     if not isinstance(prof, dict):
@@ -187,7 +226,7 @@ def validate_config(cfg: RunConfig) -> list:
         errors.append("grid: x_min must be below x_max")
         grid_ok = False
     n = g.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 16:
+    if not _is_pos_int(n) or n < 16:
         errors.append("grid: n must be an integer of at least 16")
         grid_ok = False
 
@@ -251,7 +290,8 @@ def validate_config(cfg: RunConfig) -> list:
     md = cfg.model
     if not _is_num(md.get("B0")):
         errors.append("model: B0 must be a finite number")
-    if not _is_num(md.get("T")) or md.get("T", 0) <= 0:
+    t_ok = _is_num(md.get("T")) and md["T"] > 0
+    if not t_ok:
         errors.append("model: T must be a positive number")
     if not _is_num(md.get("q")):
         errors.append("model: q must be a finite number")
@@ -262,13 +302,11 @@ def validate_config(cfg: RunConfig) -> list:
         errors.append("solver: dt must be a positive number or 'auto'")
     if sv.get("method") not in ("rk4", "picard"):
         errors.append(f"solver: unknown method {sv.get('method')!r}; choose rk4 or picard")
-    se = sv.get("save_every")
-    if not isinstance(se, int) or isinstance(se, bool) or se < 1:
+    if not _is_pos_int(sv.get("save_every")):
         errors.append("solver: save_every must be a positive integer")
     if not _is_num(sv.get("picard_tol")) or sv.get("picard_tol", 0) <= 0:
         errors.append("solver: picard_tol must be a positive number")
-    mi = sv.get("picard_max_iter")
-    if not isinstance(mi, int) or isinstance(mi, bool) or mi < 1:
+    if not _is_pos_int(sv.get("picard_max_iter")):
         errors.append("solver: picard_max_iter must be a positive integer")
     gf = sv.get("guard_factor")
     if not _is_num(gf) or gf < 1.0:
@@ -306,24 +344,55 @@ def validate_config(cfg: RunConfig) -> list:
         # a single-run eps repeating a schedule member may fail the same way twice
         errors.extend(dict.fromkeys(_rehearse(cfg, members)))
 
-    ex = cfg.experiment
-    psi = ex.get("psi")
-    if psi is not None:
-        if not isinstance(psi, (list, tuple)):
-            errors.append("experiment: psi must be a list of objects")
-        else:
-            errors.extend(
-                f"experiment: psi[{i}] must be an object"
-                for i, spec in enumerate(psi) if not isinstance(spec, dict)
-            )
-    starts = ex.get("trajectory_starts")
-    if starts is not None and (
-            not isinstance(starts, (list, tuple)) or not all(_is_num(w) for w in starts)):
-        errors.append("experiment: trajectory_starts must be a list of finite numbers")
+    # every pairing window lies in [0, T] x [x_min, x_max]: refinement keeps
+    # the domain and the last saved state is at T
+    window = (0.0, md["T"], g["x_min"], g["x_max"]) if grid_ok and t_ok else None
+    errors.extend(_check_experiment(cfg, window, scaling_ok))
 
     if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool):
         errors.append("seed: must be an integer")
     return errors
+
+
+def _check_experiment(cfg: RunConfig, window, scaling_ok: bool) -> list:
+    """Each given experiment key against its rule, then the psi entries and
+    the growth study through the code the run calls on them."""
+    errors = []
+    ok = {}
+    for key, (_, rule, demand) in _EXPERIMENT.items():
+        value = cfg.experiment.get(key)
+        ok[key] = value is None or rule(value)
+        if not ok[key]:
+            errors.append(f"experiment: {key} must be {demand}")
+    if ok["psi"]:
+        for i, spec in enumerate(_experiment_value(cfg, "psi") or ()):
+            errors.extend(f"experiment: psi[{i}] {problem}"
+                          for problem in _psi_problems(spec, window))
+    if scaling_ok and ok["growth_eps"]:
+        # the rules above leave only the scaling's own domain to fail, for any p
+        try:
+            verify_growth_condition(build_scaling(cfg), 1, _experiment_value(cfg, "growth_eps"))
+        except ValueError as exc:
+            errors.append(f"experiment: growth_eps: {exc}")
+    return errors
+
+
+def _psi_problems(spec, window) -> list:
+    if not isinstance(spec, dict):
+        return ["must be an object"]
+    problems = []
+    field_name = spec.get("field", "Q")
+    if field_name not in ("Q",) + FIELD_NAMES:
+        problems.append(f"has unknown field {field_name!r}; choose Q, {', '.join(FIELD_NAMES)}")
+    try:
+        psi = psi_from_dict(spec)
+        if window is not None:
+            _check_window(psi, *window)
+    except KeyError as exc:
+        problems.append(f"is missing {exc}")
+    except (TypeError, ValueError) as exc:
+        problems.append(f"is invalid: {exc}")
+    return problems
 
 
 def _rehearse(cfg: RunConfig, members: list) -> list:

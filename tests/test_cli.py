@@ -81,6 +81,35 @@ class TestValidate:
         assert any(line.startswith(prefix) for line in lines), lines
 
 
+# (experiment key, a value its rule refuses, the subcommand that reads it,
+# the other keys that subcommand needs)
+BAD_EXPERIMENT_KEYS = [
+    ("trajectory_steps", "x", "trajectories", {"trajectory_starts": [-0.05]}),
+    ("probe_x0", [1], "check-support", {}),
+    ("blowup_window", "w", "probe-blowup", {}),
+    ("growth_p", "x", "check-scaling", {}),
+    ("growth_eps", [0.1, "a"], "check-scaling", {}),
+]
+
+
+@pytest.mark.parametrize("key, value, command, extra", BAD_EXPERIMENT_KEYS,
+                         ids=[case[0] for case in BAD_EXPERIMENT_KEYS])
+def test_bad_experiment_key_is_refused_before_solving(tmp_path, capsys, monkeypatch,
+                                                      key, value, command, extra):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve called on an invalid experiment block")
+
+    monkeypatch.setattr("maxlor.cli.solve", no_solve)
+    cfg = release_cfg(tmp_path, eps_schedule=[0.2, 0.1],
+                      experiment={key: value, **extra})
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    assert f"experiment: {key} must be" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"experiment: {key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 OVER_CAP = {
     "scaling": {"kind": "constant", "c": 0.1},
     "eps_schedule": [0.01, 0.003, 1e-5],
@@ -95,7 +124,12 @@ class TestGridCap:
         out = capsys.readouterr().out
         assert any("600000" in line and "eps=1e-05" in line for line in out.splitlines())
 
-    @pytest.mark.parametrize("command", ["sweep", "probe-blowup"])
+    # every run subcommand, not only the family ones: all take the one
+    # path that validates before it creates --out or solves
+    @pytest.mark.parametrize("command", [
+        "solve", "sweep", "check-support", "compare-lin", "probe-blowup",
+        "trajectories", "check-scaling",
+    ])
     def test_family_commands_refuse_before_solving(self, tmp_path, monkeypatch, command):
         def no_solve(*args, **kwargs):
             raise AssertionError("solve called on an invalid schedule")
@@ -196,6 +230,28 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"field": "B"}, "experiment: psi[0] has unknown field 'B'"),
+        ({"t0": 0.45}, "experiment: psi[0] is invalid: psi time support [0.35, 0.55]"),
+        ({"x0": 0.95}, "experiment: psi[0] is invalid: psi spatial support [0.85, 1.05]"),
+        ({"r_x": 0.0}, "experiment: psi[0] is invalid: test function: radii must be positive"),
+        ({"x0": float("nan")}, "experiment: psi[0] is invalid: psi spatial support [nan, nan]"),
+    ], ids=["field", "time-window", "space-window", "radius", "nan-center"])
+    def test_psi_rehearsal_refuses_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                  spec, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve called on an invalid psi")
+
+        monkeypatch.setattr("maxlor.solver.solve", no_solve)
+        psi = {"field": "Q", "t0": 0.15, "x0": 0.3, "r_t": 0.1, "r_x": 0.1, **spec}
+        cfg = release_cfg(tmp_path, eps_schedule=[0.2, 0.1], experiment={"psi": [psi]})
+        assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+        assert message in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_table_and_verdicts(self, tmp_path):
         cfg = release_cfg(
             tmp_path,
@@ -249,6 +305,23 @@ class TestSupportAndTrajectories:
         assert ("experiment: trajectory_starts must be a list of finite numbers"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    def test_aborted_solve_still_writes_summary(self, tmp_path):
+        # the overflow release of TestSolve::test_overflow_exits_runtime
+        cfg = release_cfg(
+            tmp_path,
+            initial={"E": {"kind": "gaussian", "amplitude": 2e307,
+                           "center": -1.5, "width": 0.3},
+                     "u": {"kind": "zero"}, "sigma": {"kind": "zero"}},
+            experiment={"trajectory_starts": [-0.05, -0.2]},
+        )
+        out = tmp_path / "out"
+        assert main(["trajectories", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+        assert os.listdir(out) == ["summary.json"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "overflow"
+        assert summary["trajectories"] == []
+        assert "a_priori_bound" in summary and "run_id" in summary
 
     def test_trajectories_write_one_file_per_start(self, tmp_path):
         cfg = release_cfg(

@@ -232,3 +232,17 @@ def test_seed_must_be_integer():
     assert any("seed" in e for e in errs)
     errs = validate_config(cfg_of(seed=True))
     assert any("seed" in e for e in errs)
+
+
+def test_growth_eps_is_rehearsed_on_the_configured_scaling():
+    # a well-formed grid that the loglog scaling is undefined on
+    grid = [0.5, 0.01, 0.001, 0.0001]
+    errors = validate_config(cfg_of(
+        scaling={"kind": "loglog", "c": 1.0}, eps=0.01,
+        initial={"sigma": {"kind": "zero"}}, experiment={"growth_eps": grid},
+    ))
+    assert any(e.startswith("experiment: growth_eps:") and "eps=0.5" in e for e in errors)
+    assert validate_config(cfg_of(
+        scaling={"kind": "loglog", "c": 1.0}, eps=0.01,
+        initial={"sigma": {"kind": "zero"}}, experiment={"growth_eps": grid[1:] + [1e-5]},
+    )) == []
