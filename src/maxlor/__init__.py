@@ -37,7 +37,7 @@ from .config import (
 from .deltanet import DeltaNet, net_from_spec, sample, verify_strict
 from .fields import FieldState, Grid, ModelParams, SpacetimeSolution, total_charge
 from .mollifier import Mollifier, make_mollifier
-from .nonlinearity import a, a_prime, sqrt1p_sq
+from .nonlinearity import a, sqrt1p_sq
 from .regops import RegDerivOperator, make_operator
 from .scaling import (
     GrowthReport,

@@ -266,15 +266,24 @@ class SupportReport:
 
 
 def support_probe(sol: SpacetimeSolution, x0: float) -> SupportReport:
-    """Per-field sup over ``{x >= x0}`` and ``{x <= x0}`` across saved times."""
+    """Per-field sup over ``{x >= x0}`` and ``{x <= x0}`` across saved times.
+
+    Raises ``ValueError`` when either side holds no grid point, where a sup
+    of 0 would report a vacuous confinement.
+    """
     xs = sol.grid.xs
     right = xs >= x0
     left = xs <= x0
+    if not (right.any() and left.any()):
+        raise ValueError(
+            f"support probe: x0={x0:g} leaves a side with no grid points on "
+            f"[{sol.grid.x_min:g}, {sol.grid.x_max:g}]"
+        )
     sup_r, sup_l, gmax = {}, {}, {}
     for name in ("E", "u", "sigma"):
         F = np.abs(sol.field_stack(name))
-        sup_r[name] = float(np.max(F[:, right])) if right.any() else 0.0
-        sup_l[name] = float(np.max(F[:, left])) if left.any() else 0.0
+        sup_r[name] = float(np.max(F[:, right]))
+        sup_l[name] = float(np.max(F[:, left]))
         gmax[name] = float(np.max(F))
     return SupportReport(x0=float(x0), sup_right=sup_r, sup_left=sup_l, global_max=gmax)
 

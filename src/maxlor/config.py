@@ -364,6 +364,13 @@ def _check_experiment(cfg: RunConfig, window, scaling_ok: bool) -> list:
         ok[key] = value is None or rule(value)
         if not ok[key]:
             errors.append(f"experiment: {key} must be {demand}")
+    x0 = cfg.experiment.get("probe_x0")
+    if ok["probe_x0"] and x0 is not None and window is not None:
+        x_min, x_max = window[2:]
+        if not x_min <= x0 <= x_max:
+            # a side of the cut with no grid points would be vacuously confined
+            errors.append(f"experiment: probe_x0 {x0:g} lies outside the grid "
+                          f"[{x_min:g}, {x_max:g}]")
     if ok["psi"]:
         for i, spec in enumerate(_experiment_value(cfg, "psi") or ()):
             errors.extend(f"experiment: psi[{i}] {problem}"

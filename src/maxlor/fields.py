@@ -19,15 +19,12 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .nonlinearity import sqrt1p_sq
-
 __all__ = [
     "Grid",
     "FieldState",
     "SpacetimeSolution",
     "ModelParams",
     "total_charge",
-    "restrict_velocity_norm",
     "margin_ratio",
     "solution_margin_ratio",
     "MARGIN_FRACTION",
@@ -134,16 +131,6 @@ class SpacetimeSolution:
 def total_charge(grid: Grid, state: FieldState) -> float:
     """Trapezoidal integral of sigma over the grid."""
     return float(trapezoid(state.sigma, dx=grid.dx))
-
-
-def restrict_velocity_norm(state: FieldState) -> float:
-    """Round-trip defect of the root used by the solver.
-
-    Returns ``max |(1 + u^2) - sqrt1p_sq(u)^2|`` over the grid; a direct
-    probe that the velocity stays strictly below light speed numerically.
-    """
-    s = sqrt1p_sq(state.u)
-    return float(np.max(np.abs((1.0 + state.u * state.u) - s * s)))
 
 
 def _edge_mask(n: int) -> np.ndarray:

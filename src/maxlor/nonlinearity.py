@@ -1,7 +1,7 @@
-"""Relativistic velocity nonlinearity and its derivatives.
+"""Relativistic velocity nonlinearity.
 
 The momentum-to-velocity map ``a(y) = y / sqrt(1 + y^2)`` appears in every
-evolution equation of the model.  All three functions here accept scalars or
+evolution equation of the model.  Both functions here accept scalars or
 numpy arrays and are safe for very large arguments (``|y|`` up to about
 1e150) by routing the square root through ``hypot``.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["a", "a_prime", "sqrt1p_sq"]
+__all__ = ["a", "sqrt1p_sq"]
 
 
 def _check_finite(y):
@@ -28,9 +28,3 @@ def a(y):
     """Velocity map y / sqrt(1 + y^2); odd, strictly increasing, |a| < 1."""
     _check_finite(y)
     return y / np.hypot(1.0, y)
-
-
-def a_prime(y):
-    """Derivative (1 + y^2)^(-3/2) of the velocity map; in (0, 1]."""
-    _check_finite(y)
-    return np.hypot(1.0, y) ** -3

@@ -3,9 +3,17 @@
 A run directory holds one CSV per saved time (columns ``x, E, u, sigma``),
 a ``meta.json`` sidecar describing grid, parameters, kernel, scaling and
 solver, a verbatim ``config.json`` copy, and a ``summary.json`` with the
-headline numbers.  Floats are written with 17 significant digits and JSON
-keys are sorted, so identical config and seed reproduce byte-identical
-files; nothing time- or host-dependent is ever written.
+headline numbers.  JSON keys are sorted, and every float in a CSV is
+written with 17 significant digits from the one ``%.17g`` spec, so
+identical config and seed reproduce byte-identical files; nothing time- or
+host-dependent is ever written.
+
+State files have their own writer: one row template ``x,E,u,sigma\r\n``
+is mapped over the columns as Python floats, and the ``x`` column, the
+same in every state of a run, is formatted once per run.  The files are
+byte-identical to what :func:`write_table` gives for the same rows;
+``write_table`` keeps the ``csv`` module for the mixed tables whose text
+cells may need quoting.
 
 The run id is the first 12 hex digits of the SHA-256 of the canonical
 config serialization, so directories are self-describing and reruns are
@@ -36,9 +44,15 @@ __all__ = [
 ]
 
 
+# the one float format of every CSV: fmt and the state-row template share it
+_FLOAT = "%.17g"
+_STATE_HEADER = "x,E,u,sigma\r\n"
+_STATE_ROW = f"%s,{_FLOAT},{_FLOAT},{_FLOAT}\r\n"
+
+
 def fmt(v) -> str:
     """17-significant-digit decimal form; round-trips any float."""
-    return format(float(v), ".17g")
+    return _FLOAT % float(v)
 
 
 def canonical_config_bytes(cfg_dict: dict) -> bytes:
@@ -72,15 +86,15 @@ def _state_name(i: int) -> str:
 def write_solution(out_dir, sol: SpacetimeSolution, cfg_dict: dict) -> dict:
     """Write one run directory; returns the sidecar actually written."""
     os.makedirs(out_dir, exist_ok=True)
-    xs = sol.grid.xs
+    xcol = [_FLOAT % x for x in sol.grid.xs.tolist()]
     files = []
     for i, state in enumerate(sol.states):
         name = _state_name(i)
-        write_table(
-            os.path.join(out_dir, name),
-            ("x", "E", "u", "sigma"),
-            zip(xs, state.E, state.u, state.sigma),
-        )
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
+            fh.write(_STATE_HEADER)
+            # rows are streamed: one joined string per state costs peak memory
+            fh.writelines(map(_STATE_ROW.__mod__, zip(
+                xcol, state.E.tolist(), state.u.tolist(), state.sigma.tolist())))
         files.append(name)
     meta = dict(sol.meta)
     meta["grid"] = sol.grid.spec_dict()

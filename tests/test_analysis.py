@@ -160,6 +160,13 @@ class TestSupportProbe:
         assert rep.rel_right("E") > 0.1
         assert rep.rel_left("E") > 0.1
 
+    @pytest.mark.parametrize("x0", [5.0, -10.0])
+    def test_cut_with_an_empty_side_is_refused(self, release_left, x0):
+        # with no grid point on one side its sup would read a vacuous 0
+        _, sol = release_left
+        with pytest.raises(ValueError, match="no grid points"):
+            support_probe(sol, x0)
+
 
 class TestTransportResidual:
     def test_small_on_compliant_run_and_shrinks_with_save_dt(self, smooth_rk4):

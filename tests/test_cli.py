@@ -110,6 +110,23 @@ def test_bad_experiment_key_is_refused_before_solving(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("x0", [5.0, -3.5])
+def test_probe_cut_outside_the_grid_is_refused_before_solving(tmp_path, capsys,
+                                                              monkeypatch, x0):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve called with a probe cut outside the grid")
+
+    monkeypatch.setattr("maxlor.cli.solve", no_solve)
+    cfg = release_cfg(tmp_path, experiment={"probe_x0": x0})
+    message = f"experiment: probe_x0 {x0:g} lies outside the grid [-3, 1]"
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    assert message in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["check-support", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 OVER_CAP = {
     "scaling": {"kind": "constant", "c": 0.1},
     "eps_schedule": [0.01, 0.003, 1e-5],

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from maxlor.nonlinearity import a, a_prime, sqrt1p_sq
+from maxlor.nonlinearity import a, sqrt1p_sq
 
 
 def test_reference_values():
     assert a(0.0) == 0.0
     assert a(1.0) == pytest.approx(0.7071067811865475, rel=1e-15)
     assert a(-1.0) == pytest.approx(-0.7071067811865475, rel=1e-15)
-    assert a_prime(0.0) == 1.0
-    assert a_prime(1.0) == pytest.approx(0.3535533905932738, rel=1e-15)
     assert sqrt1p_sq(0.0) == 1.0
     assert sqrt1p_sq(3.0) == pytest.approx(np.sqrt(10.0), rel=1e-15)
 
@@ -35,13 +33,6 @@ def test_speed_bound_and_oddness(y):
     assert sqrt1p_sq(y) >= max(1.0, abs(y))
 
 
-@given(st.floats(min_value=-50.0, max_value=50.0))
-def test_derivative_matches_finite_difference(y):
-    h = 1e-6 * max(1.0, abs(y))
-    fd = (a(y + h) - a(y - h)) / (2.0 * h)
-    assert a_prime(y) == pytest.approx(fd, rel=1e-5, abs=1e-8)
-
-
 @given(st.floats(min_value=-100.0, max_value=100.0), st.floats(min_value=1e-6, max_value=10.0))
 def test_strictly_increasing(y, dy):
     assert a(y + dy) > a(y)
@@ -49,13 +40,12 @@ def test_strictly_increasing(y, dy):
 
 def test_identity_between_maps():
     ys = np.linspace(-20, 20, 101)
-    # a = y / sqrt(1+y^2) and a' = (1+y^2)^(-3/2) by construction
+    # a = y / sqrt(1+y^2) by construction
     assert np.allclose(a(ys) * sqrt1p_sq(ys), ys, rtol=1e-14, atol=0)
-    assert np.allclose(a_prime(ys), sqrt1p_sq(ys) ** -3, rtol=1e-14)
 
 
 def test_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         a(np.array([1.0, np.nan]))
     with pytest.raises(ValueError, match="non-finite"):
-        a_prime(np.inf)
+        sqrt1p_sq(np.inf)

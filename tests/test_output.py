@@ -1,11 +1,14 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from maxlor.config import assemble_run, config_from_dict, config_to_dict
+from maxlor.fields import FieldState, Grid, SpacetimeSolution
 from maxlor.output import (
     canonical_config_bytes,
     fmt,
@@ -128,3 +131,58 @@ def test_summary_reports_the_run(solved_run):
     assert s["n_saved"] == len(sol.times)
     assert s["charge_max_drift"] <= 1e-6 * abs(s["charge_initial"])
     assert not math.isnan(s["peak_amplitude"])
+
+
+# values that stress the 17-digit format: signed zero, subnormals down to the
+# smallest, the ends of the exponent range, integers held as floats, nan, inf
+STRESS_VALUES = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308,
+    2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
+    1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 1e22, 123456789.0,
+    0.1, 1.0 / 3.0, math.nan, math.inf, -math.inf,
+]
+
+
+def solution_of(columns, x_min=-1.0, x_max=1.0):
+    """Two saved states holding the given (E, u, sigma) columns in turn."""
+    E, u, sigma = (np.asarray(c, dtype=float) for c in columns)
+    states = [FieldState(0.0, E, u, sigma), FieldState(0.5, sigma, E, u)]
+    return SpacetimeSolution(grid=Grid(x_min, x_max, len(E)),
+                             times=np.array([0.0, 0.5]), states=states)
+
+
+def assert_writers_agree(out_dir, sol):
+    """write_solution's state files equal write_table's on the same rows, and
+    read back bit for bit (nan as nan)."""
+    meta = write_solution(out_dir / "run", sol, {})
+    for name, state in zip(meta["files"], sol.states):
+        table = out_dir / "table.csv"
+        write_table(table, ("x", "E", "u", "sigma"),
+                    zip(sol.grid.xs, state.E, state.u, state.sigma))
+        assert (out_dir / "run" / name).read_bytes() == table.read_bytes(), name
+    again = read_solution(out_dir / "run")
+    for s1, s2 in zip(sol.states, again.states):
+        for field_name in ("E", "u", "sigma"):
+            v1, v2 = s1.component(field_name), s2.component(field_name)
+            nan = np.isnan(v1)
+            assert np.array_equal(nan, np.isnan(v2))
+            assert np.array_equal(v1[~nan].view(np.uint64), v2[~nan].view(np.uint64))
+
+
+def test_state_writer_matches_write_table_on_extreme_values(tmp_path):
+    values = STRESS_VALUES
+    sol = solution_of((values, values[::-1], values[7:] + values[:7]))
+    assert_writers_agree(tmp_path, sol)
+    text = (tmp_path / "run" / "state_00000.csv").read_text()
+    for token in (",-0,", ",4.9406564584124654e-324", ",1.0000000000000001e+300",
+                  ",9007199254740992", ",nan", ",inf", ",-inf"):
+        assert token in text, token
+
+
+@given(st.integers(min_value=16, max_value=40).flatmap(
+           lambda n: st.tuples(*[st.lists(st.floats(), min_size=n, max_size=n)] * 3)),
+       st.floats(min_value=-1e6, max_value=0.0),
+       st.floats(min_value=1e-3, max_value=1e6))
+def test_state_writer_matches_write_table_on_any_doubles(columns, x_min, x_max):
+    with tempfile.TemporaryDirectory() as d:
+        assert_writers_agree(Path(d), solution_of(columns, x_min, x_max))
