@@ -535,20 +535,16 @@ def linearized_reference(q: float) -> LinearizedReference:
     return LinearizedReference(q=float(q))
 
 
-def _inner_x(f, lo, hi, breaks):
+# the outer time integral of the quad route is looser than the inner one
+_OUTER_QUAD_KW = dict(limit=300, epsabs=1e-11, epsrel=1e-9)
+
+
+def _piecewise_quad(f, lo, hi, breaks, quad_kw):
+    """``quad`` of ``f`` over ``[lo, hi]``, split at the breaks inside it."""
     cuts = sorted({lo, hi} | {b for b in breaks if lo < b < hi})
     total = 0.0
     for a_, b in zip(cuts, cuts[1:]):
-        val, _ = quad(f, a_, b, **_QUAD_KW)
-        total += val
-    return total
-
-
-def _outer_t(f, lo, hi, breaks):
-    cuts = sorted({lo, hi} | {b for b in breaks if lo < b < hi})
-    total = 0.0
-    for a_, b in zip(cuts, cuts[1:]):
-        val, _ = quad(f, a_, b, limit=300, epsabs=1e-11, epsrel=1e-9)
+        val, _ = quad(f, a_, b, **quad_kw)
         total += val
     return total
 
@@ -629,12 +625,14 @@ def linear_system_residuals(q: float, psi: TestFunction2D, method: str = "gauss"
         lhs2 = -_gauss_outer(lambda tn: _gauss_inner(F_u_dt, tn, xlo, xhi), tlo, thi, tbreaks)
         rhs2 = _gauss_outer(lambda tn: _gauss_inner(F_E_psi, tn, xlo, xhi), tlo, thi, tbreaks)
     else:
-        lhs1 = -_outer_t(lambda t: _inner_x(lambda x: F_E_dpsi(t, x), xlo, xhi, (0.0, t)),
-                         tlo, thi, tbreaks)
-        lhs2 = -_outer_t(lambda t: _inner_x(lambda x: F_u_dt(t, x), xlo, xhi, (0.0, t)),
-                         tlo, thi, tbreaks)
-        rhs2 = _outer_t(lambda t: _inner_x(lambda x: F_E_psi(t, x), xlo, xhi, (0.0, t)),
-                        tlo, thi, tbreaks)
+        def quad2(F):
+            def inner(t):
+                return _piecewise_quad(lambda x: F(t, x), xlo, xhi, (0.0, t), _QUAD_KW)
+            return _piecewise_quad(inner, tlo, thi, tbreaks, _OUTER_QUAD_KW)
+
+        lhs1 = -quad2(F_E_dpsi)
+        lhs2 = -quad2(F_u_dt)
+        rhs2 = quad2(F_E_psi)
     rhs1 = ref.sigma_pairing(psi)
     if psi.x_lo > 0.0 or psi.x_hi < 0.0:
         res3 = 0.0

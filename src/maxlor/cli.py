@@ -7,7 +7,8 @@ aborts (guard trip, overflow, fixed-point stall), 4 boundary
 contamination of an otherwise finished run.
 
 The subcommands are the rows of ``_COMMANDS``: a name, its ``--help``
-line, the config keys it cannot run without, and a run function that does
+line, what it needs of a config beyond ``validate`` (keys it cannot run
+without, checks of the defaults it reads), and a run function that does
 only the command's own work.  ``main`` takes every subcommand down the one
 path load → validate (the config plus the row's needs) → create ``--out``
 → run → stamp the run id on the summary and write ``summary.json``;
@@ -47,15 +48,26 @@ def _load(args):
     return cfg
 
 
-def _missing(cfg, command: str, needs) -> list:
+def _unmet(cfg, command: str, needs) -> list:
     """A message for each needed key (``eps_schedule`` or ``experiment.<key>``)
-    that the config leaves unset or empty."""
+    that the config leaves unset or empty, and those of each needed check."""
     errors = []
     for need in needs:
+        if callable(need):
+            errors.extend(need(cfg))
+            continue
         section, _, key = need.rpartition(".")
         if not (cfg.experiment.get(key) if section else getattr(cfg, key)):
             errors.append(f"{section or key}: {command} needs {key!r}")
     return errors
+
+
+def _default_probe_cut(cfg) -> list:
+    """check-support cuts at the default probe_x0 when the key is absent, a
+    cut that validate does not know is used; it must lie on the grid too."""
+    if cfg.experiment.get("probe_x0") is not None:
+        return []  # validate checked the given cut
+    return cfgmod._probe_cut_problems(cfg, cfgmod._experiment_value(cfg, "probe_x0"))
 
 
 def _exit_for(sol) -> int:
@@ -84,7 +96,7 @@ def _run_solve(cfg, args, out):
 
 
 def _run_sweep(cfg, args, out):
-    obs = [(d.get("field", "Q"), analysis.psi_from_dict(d)) for d in cfg.experiment["psi"]]
+    obs = [(cfgmod._psi_field(d), analysis.psi_from_dict(d)) for d in cfg.experiment["psi"]]
     result = analysis.limit_sweep(cfg, cfg.eps_schedule, obs, workers=max(1, args.workers))
     rows = []
     for label in result.labels:
@@ -159,7 +171,7 @@ def _run_compare_lin(cfg, args, out):
 
 def _run_probe_blowup(cfg, args, out):
     window = float(cfgmod._experiment_value(cfg, "blowup_window"))
-    center = float(cfg.delta_net.get("center", 0.0)) if cfg.delta_net else 0.0
+    center = float(cfg.delta_net["center"])
     sols = [_solve_once(cfg, eps=eps, refine=True)[1] for eps in cfg.eps_schedule]
     rep = analysis.blow_up_probe(sols, window=window, center=center)
     output.write_table(
@@ -236,7 +248,7 @@ def _run_check_scaling(cfg, args, out):
     return summary, "\n".join(lines), EXIT_OK
 
 
-# name -> (--help line, keys the run cannot do without, run function)
+# name -> (--help line, keys and checks the run cannot do without, run function)
 _COMMANDS = {
     "validate": ("dry-check a config against every module precondition, then exit",
                  (), None),
@@ -245,7 +257,7 @@ _COMMANDS = {
     "sweep": ("run an eps schedule, pair observables, classify the limit",
               ("eps_schedule", "experiment.psi"), _run_sweep),
     "check-support": ("solve, then probe field leakage into the vacuum half-line",
-                      (), _run_check_support),
+                      (_default_probe_cut,), _run_check_support),
     "compare-lin": ("L1 distance of a run from the linearized closed form over time",
                     (), _run_compare_lin),
     "probe-blowup": ("peak interaction density sigma*a(u) across an eps family + fit",
@@ -280,7 +292,7 @@ def _run(args) -> int:
     cfg = _load(args)
     if cfg is None:
         return EXIT_CONFIG
-    errors = cfgmod.validate_config(cfg) + _missing(cfg, args.command, needs)
+    errors = cfgmod.validate_config(cfg) + _unmet(cfg, args.command, needs)
     if errors:
         # validate reports on stdout; a refused run on stderr
         stream = sys.stdout if run is None else sys.stderr

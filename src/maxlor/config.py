@@ -2,23 +2,30 @@
 
 A config is a plain JSON object with sections ``grid``, ``mollifier``,
 ``scaling``, ``model``, ``solver``, ``initial``, ``delta_net`` and an
-``experiment`` block whose keys the subcommands read (``_EXPERIMENT``
-gives each its default and its rule), plus a top-level ``eps`` (or
-``eps_schedule`` for sweeps) and ``seed``.  Every section has defaults
-chosen so that an empty config describes the basic point-charge release
-experiment with the causal left kernel.
+``experiment`` block whose keys the subcommands read, plus a top-level
+``eps`` (or ``eps_schedule`` for sweeps) and ``seed``.
+
+``_SCHEMA`` is the one table of what each section may hold: per key, the
+value a run uses when the key is absent, the rule a given value must
+pass, and what that rule demands.  ``config_from_dict`` writes the
+defaults of every section but ``experiment`` into the config, so an
+empty config is the point-charge release with the causal left kernel and
+the run id covers every default; experiment defaults, and those of the
+objects nested in a section, apply when a run reads the key.
 
 ``validate_config`` collects every violation instead of stopping at the
-first, with messages prefixed by the section they concern, so one
-round-trip fixes a broken file.  It checks the raw JSON types and ranges
-of each section, then rehearses the run: for every eps a run will use
-(the single-run eps on the configured grid, each schedule member on its
-refined grid) it calls the builders the run calls (scaling, grid
-refinement, operator, delta-net sampling, the solver's step bound) and
-reports what they raise; each ``psi`` entry goes through the sweep's
-``psi_from_dict`` and the pairing window check, and the growth grid
-through ``verify_growth_condition``.  ``assemble_run`` turns a config plus a
-concrete eps into ready-to-solve pieces.
+first, so one round-trip fixes a broken file.  One loop walks the table,
+refusing keys it does not know (``<section>: unknown key '<k>'``) and
+values their rule refuses (``<section>: <key> must be <demand>``); only
+the rules relating two keys are spelled out beside it.  Then it rehearses
+the run: for every eps a run will use (the single-run eps on the
+configured grid, each schedule member on its refined grid) it calls the
+builders the run calls (scaling, grid refinement, operator, delta-net
+sampling, the solver's step bound) and reports what they raise; each
+``psi`` entry goes through the sweep's ``psi_from_dict`` and the pairing
+window check, and the growth grid through ``verify_growth_condition``.
+``assemble_run`` turns a config plus a concrete eps into ready-to-solve
+pieces.
 """
 
 from __future__ import annotations
@@ -58,37 +65,118 @@ __all__ = [
 # refinement safety valve: needing more than this is a config mistake
 MAX_GRID_POINTS = 600_000
 
-_DEFAULTS = {
-    "grid": {"x_min": -4.0, "x_max": 1.0, "n": 1001},
-    "mollifier": {"kind": "left"},
-    "scaling": {"kind": "powerlaw", "c": 1.0, "exponent": 1.0},
-    "model": {"B0": 0.0, "T": 0.5, "q": 1.0},
+
+def _is_num(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_pos(v) -> bool:
+    return _is_num(v) and v > 0
+
+
+def _is_pos_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
+def _is_num_list(v, ok=lambda x: True) -> bool:
+    return isinstance(v, (list, tuple)) and all(_is_num(x) and ok(x) for x in v)
+
+
+def _is_growth_grid(v) -> bool:
+    # what verify_growth_condition requires of its eps grid
+    return (_is_num_list(v, lambda e: e > 0) and len(v) >= 4
+            and all(b < a for a, b in zip(v, v[1:])))
+
+
+# the default of a key that has none: it must be given
+_GIVEN = object()
+
+_FINITE = (_is_num, "a finite number")
+_POSITIVE = (_is_pos, "a positive number")
+
+# key -> (default, rule, demand).  A rule is a predicate the value must pass
+# (``demand`` says what it asks), a tuple of the names the value may take,
+# or a dict: the value is an object with those rows of its own.  A default
+# of None means the key is optional and has none.
+_PROFILE = {
+    "kind": (_GIVEN, ("zero", "gaussian", "bump", "delta-net"), None),
+    # needed by the gaussian and bump kinds
+    "width": (None, _is_pos, "a positive width"),
+    "amplitude": (1.0, *_FINITE),
+    "center": (0.0, *_FINITE),
+}
+_SHAPED_KINDS = ("gaussian", "bump")
+
+_MOLLIFIER_KINDS = tuple(sorted(DEFAULT_SUPPORTS))
+
+_SCHEMA = {
+    "grid": {
+        "x_min": (-4.0, *_FINITE),
+        "x_max": (1.0, *_FINITE),
+        "n": (1001, lambda v: _is_pos_int(v) and v >= 16, "an integer of at least 16"),
+    },
+    "mollifier": {
+        "kind": ("left", _MOLLIFIER_KINDS, None),
+        "support": (None, lambda v: _is_num_list(v) and len(v) == 2 and v[0] < v[1],
+                    "a pair [lo, hi] with lo < hi"),
+    },
+    "scaling": {
+        "kind": ("powerlaw", ("loglog", "powerlaw", "constant"), None),
+        "c": (1.0, *_POSITIVE),
+        "exponent": (1.0, *_FINITE),
+    },
+    "model": {
+        "B0": (0.0, *_FINITE),
+        "T": (0.5, *_POSITIVE),
+        "q": (1.0, *_FINITE),
+    },
     "solver": {
-        "dt": "auto",
-        "method": "rk4",
-        "save_every": 1,
-        "picard_tol": 1e-10,
-        "picard_max_iter": 200,
-        "guard_factor": 10.0,
+        "dt": ("auto", lambda v: v == "auto" or _is_pos(v), "a positive number or 'auto'"),
+        "method": ("rk4", ("rk4", "picard"), None),
+        "save_every": (1, _is_pos_int, "a positive integer"),
+        "picard_tol": (1e-10, *_POSITIVE),
+        "picard_max_iter": (200, _is_pos_int, "a positive integer"),
+        "guard_factor": (10.0, lambda v: _is_num(v) and v >= 1.0, ">= 1"),
     },
     "initial": {
-        "E": {"kind": "zero"},
-        "u": {"kind": "zero"},
-        "sigma": {"kind": "delta-net"},
+        "E": ({"kind": "zero"}, _PROFILE, None),
+        "u": ({"kind": "zero"}, _PROFILE, None),
+        "sigma": ({"kind": "delta-net"}, _PROFILE, None),
     },
     "delta_net": {
-        "profile": {"kind": "left"},
-        "center": 0.0,
-        "mass": 1.0,
-        "width_scale": 1.0,
-        "width_power": 1.0,
+        "profile": ({"kind": "left"}, {
+            "kind": (_GIVEN, _MOLLIFIER_KINDS, None),
+            "s_lo": (None, *_FINITE),
+            "s_hi": (None, *_FINITE),
+        }, None),
+        "center": (0.0, *_FINITE),
+        "mass": (1.0, *_FINITE),
+        "width_scale": (1.0, *_POSITIVE),
+        "width_power": (1.0, *_POSITIVE),
     },
-    "experiment": {},
+    "experiment": {
+        "psi": (None, lambda v: isinstance(v, (list, tuple)), "a list of objects"),
+        "probe_x0": (0.05, *_FINITE),
+        "blowup_window": (0.25, *_POSITIVE),
+        "trajectory_starts": (None, _is_num_list, "a list of finite numbers"),
+        "trajectory_steps": (None, _is_pos_int, "a positive integer"),
+        "growth_p": ((1, 2), lambda v: _is_num_list(v, lambda p: p >= 1),
+                     "a list of numbers >= 1"),
+        "growth_eps": (tuple(np.logspace(-3, -12, 10)), _is_growth_grid,
+                       "a list of at least 4 strictly decreasing positive numbers"),
+    },
 }
 
-_KNOWN_TOP = set(_DEFAULTS) | {"eps", "eps_schedule", "seed"}
+# the defaults config_from_dict writes into each section; experiment keys
+# get theirs when a run reads them, so they stay out of the run id
+_WRITTEN = {
+    section: {} if section == "experiment" else {
+        key: default for key, (default, _, _) in rows.items() if default is not None
+    }
+    for section, rows in _SCHEMA.items()
+}
 
-_PROFILE_KINDS = ("zero", "gaussian", "bump", "delta-net")
+_KNOWN_TOP = set(_SCHEMA) | {"eps", "eps_schedule", "seed"}
 
 
 @dataclass
@@ -110,20 +198,20 @@ class RunConfig:
 def _merged(section: str, given) -> dict:
     if given is not None and not isinstance(given, dict):
         raise ValueError(f"{section}: must be a JSON object")
-    return {**copy.deepcopy(_DEFAULTS[section]), **copy.deepcopy(given or {})}
+    return {**copy.deepcopy(_WRITTEN[section]), **copy.deepcopy(given or {})}
 
 
 def config_from_dict(d: dict) -> RunConfig:
     if not isinstance(d, dict):
         raise ValueError("config: top level must be a JSON object")
     unknown = tuple(sorted(k for k in d if k not in _KNOWN_TOP))
-    sections = {name: _merged(name, d.get(name)) for name in _DEFAULTS}
+    sections = {name: _merged(name, d.get(name)) for name in _SCHEMA}
+    given = {key: d[key] for key in ("eps", "seed") if key in d}
     sched = d.get("eps_schedule")
     return RunConfig(
         **sections,
-        eps=(d["eps"] if "eps" in d else 0.1),
+        **given,
         eps_schedule=(list(sched) if isinstance(sched, list) else sched) if sched else None,
-        seed=d.get("seed", 0),
         unknown_keys=unknown,
     )
 
@@ -135,139 +223,100 @@ def load_config(path) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     return {
-        **{name: copy.deepcopy(getattr(cfg, name)) for name in _DEFAULTS},
+        **{name: copy.deepcopy(getattr(cfg, name)) for name in _SCHEMA},
         "eps": cfg.eps,
         "eps_schedule": cfg.eps_schedule,
         "seed": cfg.seed,
     }
 
 
-# ---------------------------------------------------------------------------
-# validation
-
-
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _is_pos_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
-
-
-def _is_num_list(v, ok=lambda x: True) -> bool:
-    return isinstance(v, (list, tuple)) and all(_is_num(x) and ok(x) for x in v)
-
-
-def _is_growth_grid(v) -> bool:
-    # what verify_growth_condition requires of its eps grid
-    return (_is_num_list(v, lambda e: e > 0) and len(v) >= 4
-            and all(b < a for a, b in zip(v, v[1:])))
-
-
-# The experiment keys the subcommands read: the value a run uses when the key
-# is absent or null, the rule a given value must pass, and what that rule asks.
-_EXPERIMENT = {
-    "psi": (None, lambda v: isinstance(v, (list, tuple)), "a list of objects"),
-    "probe_x0": (0.05, _is_num, "a finite number"),
-    "blowup_window": (0.25, lambda v: _is_num(v) and v > 0, "a positive number"),
-    "trajectory_starts": (None, _is_num_list, "a list of finite numbers"),
-    "trajectory_steps": (None, _is_pos_int, "a positive integer"),
-    "growth_p": ((1, 2), lambda v: _is_num_list(v, lambda p: p >= 1),
-                 "a list of numbers >= 1"),
-    "growth_eps": (tuple(np.logspace(-3, -12, 10)), _is_growth_grid,
-                   "a list of at least 4 strictly decreasing positive numbers"),
-}
+def _read(values: dict, rows: dict, key: str):
+    """The value of ``key`` a run uses: the one given, or the row's default."""
+    value = values.get(key)
+    return rows[key][0] if value is None else value
 
 
 def _experiment_value(cfg: RunConfig, key: str):
     """The value of ``experiment.<key>`` a run uses."""
-    value = cfg.experiment.get(key)
-    return _EXPERIMENT[key][0] if value is None else value
+    return _read(cfg.experiment, _SCHEMA["experiment"], key)
 
 
-def _check_profile(name: str, prof, errors: list, has_net: bool) -> bool:
-    """Report problems with one initial profile; False when its kind is unusable."""
-    if not isinstance(prof, dict):
-        errors.append(f"initial.{name}: must be an object")
-        return False
-    kind = prof.get("kind")
-    if kind not in _PROFILE_KINDS:
-        errors.append(
-            f"initial.{name}: unknown kind {kind!r}; choose from {', '.join(_PROFILE_KINDS)}"
-        )
-        return False
-    if kind in ("gaussian", "bump"):
-        if not _is_num(prof.get("width")) or prof.get("width", 0) <= 0:
-            errors.append(f"initial.{name}: {kind} profile needs a positive width")
-        if not _is_num(prof.get("amplitude", 1.0)):
-            errors.append(f"initial.{name}: amplitude must be a finite number")
-        if not _is_num(prof.get("center", 0.0)):
-            errors.append(f"initial.{name}: center must be a finite number")
-    if kind == "delta-net" and not has_net:
-        errors.append(f"initial.{name}: kind 'delta-net' needs a delta_net section")
-    return True
+# ---------------------------------------------------------------------------
+# validation
+
+
+def _check(name: str, values: dict, rows: dict, errors: list) -> set:
+    """Report each key of ``values`` that ``rows`` does not know and each
+    value its row's rule refuses, prefixed ``<name>:``; return the refused keys.
+
+    A key set to null counts as absent, except where the config holds the
+    key's default and null would replace it.
+    """
+    # the keys of ``initial`` are fields, each naming its profile initial.<field>
+    noun = "field" if name == "initial" else "key"
+    errors.extend(f"{name}: unknown {noun} {key!r}" for key in values if key not in rows)
+    written = _WRITTEN.get(name, {})
+    refused = set()
+    for key, (default, rule, demand) in rows.items():
+        value = values.get(key)
+        if value is None and default is not _GIVEN and key not in written:
+            continue
+        if isinstance(rule, dict):
+            if not isinstance(value, dict):
+                errors.append(f"{name}.{key}: must be an object" if name == "initial"
+                              else f"{name}: {key} must be an object")
+                refused.add(key)
+            elif _check(f"{name}.{key}", value, rule, errors):
+                refused.add(key)
+        elif isinstance(rule, tuple):
+            if value not in rule:
+                errors.append(f"{name}: unknown {key} {value!r}; choose from {', '.join(rule)}")
+                refused.add(key)
+        elif not rule(value):
+            errors.append(f"{name}: {key} must be {demand}")
+            refused.add(key)
+    return refused
+
+
+def _probe_cut_problems(cfg: RunConfig, x0) -> list:
+    """A cut at ``x0`` outside a valid grid leaves a side with no grid points,
+    which would read as vacuously confined."""
+    x_min, x_max = cfg.grid.get("x_min"), cfg.grid.get("x_max")
+    if not (_is_num(x_min) and _is_num(x_max) and x_min < x_max) or x_min <= x0 <= x_max:
+        return []
+    return [f"experiment: probe_x0 {x0:g} lies outside the grid [{x_min:g}, {x_max:g}]"]
 
 
 def validate_config(cfg: RunConfig) -> list:
     """All violations as section-prefixed messages; empty means valid."""
     errors = [f"config: unknown top-level key {key!r}" for key in cfg.unknown_keys]
-    for section in ("grid", "model", "solver"):
-        errors.extend(
-            f"{section}: unknown key {key!r}"
-            for key in getattr(cfg, section) if key not in _DEFAULTS[section]
-        )
+    refused = {name: _check(name, getattr(cfg, name), rows, errors)
+               for name, rows in _SCHEMA.items()}
 
-    g = cfg.grid
-    grid_ok = True
-    if not _is_num(g.get("x_min")) or not _is_num(g.get("x_max")):
-        errors.append("grid: x_min and x_max must be finite numbers")
-        grid_ok = False
-    elif g["x_min"] >= g["x_max"]:
+    # the rules that relate two keys, each applied once its keys passed
+    g, s, net_prof = cfg.grid, cfg.scaling, cfg.delta_net.get("profile")
+    if not refused["grid"] & {"x_min", "x_max"} and g["x_min"] >= g["x_max"]:
         errors.append("grid: x_min must be below x_max")
-        grid_ok = False
-    n = g.get("n")
-    if not _is_pos_int(n) or n < 16:
-        errors.append("grid: n must be an integer of at least 16")
-        grid_ok = False
-
-    m = cfg.mollifier
-    moll_ok = True
-    if m.get("kind") not in tuple(DEFAULT_SUPPORTS):
-        errors.append(
-            f"mollifier: unknown kind {m.get('kind')!r}; choose from "
-            f"{', '.join(sorted(DEFAULT_SUPPORTS))}"
-        )
-        moll_ok = False
-    sup = m.get("support")
-    if sup is not None:
-        if (not isinstance(sup, (list, tuple)) or len(sup) != 2
-                or not all(_is_num(v) for v in sup) or sup[0] >= sup[1]):
-            errors.append("mollifier: support must be a pair [lo, hi] with lo < hi")
-            moll_ok = False
-    if moll_ok:
+        refused["grid"].add("x_max")
+    if (not refused["scaling"] & {"kind", "exponent"} and s["kind"] == "powerlaw"
+            and not 0.0 < s["exponent"] <= 1.0):
+        errors.append("scaling: powerlaw exponent must lie in (0, 1]")
+        refused["scaling"].add("exponent")
+    if ("profile" not in refused["delta_net"] and net_prof.keys() & {"s_lo", "s_hi"}
+            and None in (net_prof.get("s_lo"), net_prof.get("s_hi"))):
+        errors.append("delta_net: profile s_lo and s_hi must be given together as numbers")
+        refused["delta_net"].add("profile")
+    for name in _SCHEMA["initial"]:
+        prof = cfg.initial[name] if name not in refused["initial"] else {}
+        if prof.get("kind") in _SHAPED_KINDS and prof.get("width") is None:
+            errors.append(f"initial.{name}: {prof['kind']} profile needs a positive width")
+            refused["initial"].add(name)
+    if not refused["mollifier"]:
         try:
             build_mollifier(cfg)  # owns the one-sided support rule
         except ValueError as exc:
             errors.append(str(exc))
-            moll_ok = False
-
-    s = cfg.scaling
-    scaling_ok = True
-    if s.get("kind") not in ("loglog", "powerlaw", "constant"):
-        errors.append(
-            f"scaling: unknown kind {s.get('kind')!r}; choose loglog, powerlaw or constant"
-        )
-        scaling_ok = False
-    if not _is_num(s.get("c")) or s.get("c", 0) <= 0:
-        errors.append("scaling: c must be a positive number")
-        scaling_ok = False
-    exp = s.get("exponent", 1.0)
-    if not _is_num(exp):
-        errors.append("scaling: exponent must be a finite number")
-        scaling_ok = False
-    elif s.get("kind") == "powerlaw" and not (0.0 < exp <= 1.0):
-        errors.append("scaling: powerlaw exponent must lie in (0, 1]")
-        scaling_ok = False
+            refused["mollifier"].add("support")
 
     # (eps, refine) for every member a run builds: the single run on the
     # configured grid, schedule members on a refined one
@@ -287,95 +336,35 @@ def validate_config(cfg: RunConfig) -> list:
         else:
             members.extend((float(e), True) for e in sched)
 
-    md = cfg.model
-    if not _is_num(md.get("B0")):
-        errors.append("model: B0 must be a finite number")
-    t_ok = _is_num(md.get("T")) and md["T"] > 0
-    if not t_ok:
-        errors.append("model: T must be a positive number")
-    if not _is_num(md.get("q")):
-        errors.append("model: q must be a finite number")
-
-    sv = cfg.solver
-    dt = sv.get("dt")
-    if dt != "auto" and (not _is_num(dt) or dt <= 0):
-        errors.append("solver: dt must be a positive number or 'auto'")
-    if sv.get("method") not in ("rk4", "picard"):
-        errors.append(f"solver: unknown method {sv.get('method')!r}; choose rk4 or picard")
-    if not _is_pos_int(sv.get("save_every")):
-        errors.append("solver: save_every must be a positive integer")
-    if not _is_num(sv.get("picard_tol")) or sv.get("picard_tol", 0) <= 0:
-        errors.append("solver: picard_tol must be a positive number")
-    if not _is_pos_int(sv.get("picard_max_iter")):
-        errors.append("solver: picard_max_iter must be a positive integer")
-    gf = sv.get("guard_factor")
-    if not _is_num(gf) or gf < 1.0:
-        errors.append("solver: guard_factor must be >= 1")
-
-    n_before = len(errors)
-    has_net = bool(cfg.delta_net)
-    if has_net:
-        dn = cfg.delta_net
-        prof = dn.get("profile", {})
-        if not isinstance(prof, dict) or prof.get("kind") not in tuple(DEFAULT_SUPPORTS):
-            errors.append("delta_net: profile.kind must name a mollifier kind")
-        elif ("s_lo" in prof or "s_hi" in prof) and not (
-                _is_num(prof.get("s_lo")) and _is_num(prof.get("s_hi"))):
-            errors.append("delta_net: profile s_lo and s_hi must be given together as numbers")
-        for key in ("center", "mass", "width_scale", "width_power"):
-            if not _is_num(dn.get(key)):
-                errors.append(f"delta_net: {key} must be a finite number")
-        if _is_num(dn.get("width_scale")) and dn["width_scale"] <= 0:
-            errors.append("delta_net: width_scale must be positive")
-        if _is_num(dn.get("width_power")) and dn["width_power"] <= 0:
-            errors.append("delta_net: width_power must be positive")
-    net_ok = len(errors) == n_before
-
-    # a list, not a generator: every profile reports its problems
-    initial_ok = all([
-        _check_profile(name, cfg.initial.get(name, {"kind": "zero"}), errors, has_net)
-        for name in ("E", "u", "sigma")
-    ])
-    for name in cfg.initial:
-        if name not in ("E", "u", "sigma"):
-            errors.append(f"initial: unknown field {name!r}; expected E, u, sigma")
-
-    if grid_ok and moll_ok and scaling_ok and net_ok and initial_ok:
+    if not any(refused[name] for name in ("grid", "mollifier", "scaling", "delta_net",
+                                          "initial")):
         # a single-run eps repeating a schedule member may fail the same way twice
         errors.extend(dict.fromkeys(_rehearse(cfg, members)))
 
     # every pairing window lies in [0, T] x [x_min, x_max]: refinement keeps
     # the domain and the last saved state is at T
-    window = (0.0, md["T"], g["x_min"], g["x_max"]) if grid_ok and t_ok else None
-    errors.extend(_check_experiment(cfg, window, scaling_ok))
+    window = ((0.0, cfg.model["T"], g["x_min"], g["x_max"])
+              if not refused["grid"] and "T" not in refused["model"] else None)
+    errors.extend(_check_experiment(cfg, window, refused["experiment"],
+                                    not refused["scaling"]))
 
     if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool):
         errors.append("seed: must be an integer")
     return errors
 
 
-def _check_experiment(cfg: RunConfig, window, scaling_ok: bool) -> list:
-    """Each given experiment key against its rule, then the psi entries and
-    the growth study through the code the run calls on them."""
+def _check_experiment(cfg: RunConfig, window, refused: set, scaling_ok: bool) -> list:
+    """The given probe cut against the grid, then the psi entries and the
+    growth study through the code the run calls on them."""
     errors = []
-    ok = {}
-    for key, (_, rule, demand) in _EXPERIMENT.items():
-        value = cfg.experiment.get(key)
-        ok[key] = value is None or rule(value)
-        if not ok[key]:
-            errors.append(f"experiment: {key} must be {demand}")
     x0 = cfg.experiment.get("probe_x0")
-    if ok["probe_x0"] and x0 is not None and window is not None:
-        x_min, x_max = window[2:]
-        if not x_min <= x0 <= x_max:
-            # a side of the cut with no grid points would be vacuously confined
-            errors.append(f"experiment: probe_x0 {x0:g} lies outside the grid "
-                          f"[{x_min:g}, {x_max:g}]")
-    if ok["psi"]:
+    if "probe_x0" not in refused and x0 is not None:
+        errors.extend(_probe_cut_problems(cfg, x0))
+    if "psi" not in refused:
         for i, spec in enumerate(_experiment_value(cfg, "psi") or ()):
             errors.extend(f"experiment: psi[{i}] {problem}"
                           for problem in _psi_problems(spec, window))
-    if scaling_ok and ok["growth_eps"]:
+    if scaling_ok and "growth_eps" not in refused:
         # the rules above leave only the scaling's own domain to fail, for any p
         try:
             verify_growth_condition(build_scaling(cfg), 1, _experiment_value(cfg, "growth_eps"))
@@ -384,11 +373,16 @@ def _check_experiment(cfg: RunConfig, window, scaling_ok: bool) -> list:
     return errors
 
 
+def _psi_field(spec: dict) -> str:
+    """The field a ``psi`` entry pairs against: the charge Q unless it names one."""
+    return spec.get("field", "Q")
+
+
 def _psi_problems(spec, window) -> list:
     if not isinstance(spec, dict):
         return ["must be an object"]
     problems = []
-    field_name = spec.get("field", "Q")
+    field_name = _psi_field(spec)
     if field_name not in ("Q",) + FIELD_NAMES:
         problems.append(f"has unknown field {field_name!r}; choose Q, {', '.join(FIELD_NAMES)}")
     try:
@@ -452,12 +446,10 @@ def build_mollifier(cfg: RunConfig) -> Mollifier:
 
 def build_scaling(cfg: RunConfig) -> ScalingFunction:
     s = cfg.scaling
-    return make_scaling(kind=s["kind"], c=float(s["c"]), exponent=float(s.get("exponent", 1.0)))
+    return make_scaling(kind=s["kind"], c=float(s["c"]), exponent=float(s["exponent"]))
 
 
-def build_delta_net(cfg: RunConfig) -> DeltaNet | None:
-    if not cfg.delta_net:
-        return None
+def build_delta_net(cfg: RunConfig) -> DeltaNet:
     return net_from_spec(cfg.delta_net)
 
 
@@ -483,25 +475,20 @@ def _profile_values(prof: dict, grid: Grid, eps: float, net: DeltaNet | None) ->
     xs = grid.xs
     if kind == "zero":
         return np.zeros(grid.n)
-    if kind == "gaussian":
-        amp = float(prof.get("amplitude", 1.0))
-        c = float(prof.get("center", 0.0))
-        w = float(prof["width"])
-        return amp * np.exp(-(((xs - c) / w) ** 2))
-    if kind == "bump":
-        amp = float(prof.get("amplitude", 1.0))
-        c = float(prof.get("center", 0.0))
-        w = float(prof["width"])
-        s = (xs - c) / w
-        out = np.zeros(grid.n)
-        inside = np.abs(s) < 1.0
-        out[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
-        return out
     if kind == "delta-net":
-        if net is None:
-            raise ValueError("initial: delta-net profile without a delta_net section")
         return sample(net, eps, grid)
-    raise ValueError(f"initial: unknown profile kind {kind!r}")
+    if kind not in _SHAPED_KINDS:
+        raise ValueError(f"initial: unknown profile kind {kind!r}")
+    amp = float(_read(prof, _PROFILE, "amplitude"))
+    c = float(_read(prof, _PROFILE, "center"))
+    w = float(prof["width"])
+    if kind == "gaussian":
+        return amp * np.exp(-(((xs - c) / w) ** 2))
+    s = (xs - c) / w
+    out = np.zeros(grid.n)
+    inside = np.abs(s) < 1.0
+    out[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
+    return out
 
 
 def build_initial_state(cfg: RunConfig, grid: Grid, eps: float,

@@ -28,7 +28,6 @@ import json
 import os
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .fields import FieldState, Grid, SpacetimeSolution, total_charge
 

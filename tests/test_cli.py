@@ -127,6 +127,36 @@ def test_probe_cut_outside_the_grid_is_refused_before_solving(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_default_probe_cut_outside_the_grid_is_refused_before_solving(tmp_path, capsys,
+                                                                      monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve called with a probe cut outside the grid")
+
+    monkeypatch.setattr("maxlor.cli.solve", no_solve)
+    # no probe_x0: check-support cuts at the default 0.05, right of x_max
+    cfg = release_cfg(tmp_path, grid={"x_min": -3.0, "x_max": 0.0, "n": 801})
+    assert main(["validate", "--config", cfg]) == EXIT_OK
+    out = tmp_path / "out"
+    assert main(["check-support", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert ("experiment: probe_x0 0.05 lies outside the grid [-3, 0]"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_misspelt_key_is_refused_before_sweeping(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep run on a config with a misspelt key")
+
+    monkeypatch.setattr("maxlor.analysis.limit_sweep", no_sweep)
+    psi = {"field": "Q", "t0": 0.15, "x0": 0.3, "r_t": 0.1, "r_x": 0.1}
+    cfg = release_cfg(tmp_path, scaling={"kind": "constant", "c": 0.1, "exponant": 0.5},
+                      eps_schedule=[0.2, 0.1], experiment={"psi": [psi]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "scaling: unknown key 'exponant'" in capsys.readouterr().err.splitlines()
+    assert not out.exists()
+
+
 OVER_CAP = {
     "scaling": {"kind": "constant", "c": 0.1},
     "eps_schedule": [0.01, 0.003, 1e-5],

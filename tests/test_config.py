@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,10 +51,28 @@ def test_unknown_keys_are_collected_not_fatal():
     ("model", "b0"),
     ("solver", "picard_subintervall"),
     ("solver", "picard_subinterval"),
+    ("mollifier", "suport"),
+    ("scaling", "exponant"),
+    ("delta_net", "masss"),
+    ("delta_net.profile", "s_low"),
+    ("initial.E", "centre"),
+    ("experiment", "probe_xo"),
 ])
 def test_unknown_section_key_is_reported(section, key):
-    errs = validate_config(cfg_of(**{section: {key: 0.1}}))
+    outer, _, inner = section.partition(".")
+    body = {key: 0.1}
+    if inner:
+        # a nested object keeps the rest of its default, its kind included
+        body = {inner: {**getattr(config_from_dict({}), outer)[inner], key: 0.1}}
+    errs = validate_config(cfg_of(**{outer: body}))
     assert errs == [f"{section}: unknown key {key!r}"]
+
+
+def test_readme_schema_block_lists_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Config schema", 1)[1].split("```jsonc", 1)[1].split("```", 1)[0]
+    stripped = "\n".join(line.split("//", 1)[0] for line in block.splitlines())
+    assert json.loads(stripped) == config_to_dict(config_from_dict({}))
 
 
 def test_multiple_violations_all_reported():
