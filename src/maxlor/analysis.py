@@ -23,7 +23,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, trapezoid
 
 from .fields import FieldState, SpacetimeSolution, CONTAMINATION_TOL
 from .nonlinearity import a
@@ -189,6 +188,8 @@ def diag_pairing_target(psi: TestFunction2D, slope: float = 1.0) -> float:
     Evaluates ``int psi(t, slope*t) dt``; this is what ``<delta(x - slope t),
     psi>`` requires of any candidate distributional limit.
     """
+    from scipy.integrate import quad
+
     lo, hi = psi.t_lo, psi.t_hi
     if slope > 0:
         lo, hi = max(lo, psi.x_lo / slope), min(hi, psi.x_hi / slope)
@@ -245,8 +246,8 @@ def _pair_stack(F: np.ndarray, sol: SpacetimeSolution, psi: TestFunction2D) -> f
     grid = sol.grid
     _check_window(psi, times[0], times[-1], grid.x_min, grid.x_max)
     W = psi.value(times[:, None], grid.xs[None, :])
-    inner = trapezoid(F * W, dx=grid.dx, axis=1)
-    return float(trapezoid(inner, x=times))
+    inner = np.trapezoid(F * W, dx=grid.dx, axis=1)
+    return float(np.trapezoid(inner, x=times))
 
 
 @dataclass(frozen=True)
@@ -525,6 +526,8 @@ class LinearizedReference:
 
     def sigma_pairing(self, psi: TestFunction2D) -> float:
         """``<q delta(x), psi> = q int psi(t, 0) dt``."""
+        from scipy.integrate import quad
+
         if psi.x_lo > 0.0 or psi.x_hi < 0.0:
             return 0.0
         val, _ = quad(lambda t: psi.value(t, 0.0), psi.t_lo, psi.t_hi, **_QUAD_KW)
@@ -541,6 +544,8 @@ _OUTER_QUAD_KW = dict(limit=300, epsabs=1e-11, epsrel=1e-9)
 
 def _piecewise_quad(f, lo, hi, breaks, quad_kw):
     """``quad`` of ``f`` over ``[lo, hi]``, split at the breaks inside it."""
+    from scipy.integrate import quad
+
     cuts = sorted({lo, hi} | {b for b in breaks if lo < b < hi})
     total = 0.0
     for a_, b in zip(cuts, cuts[1:]):
@@ -604,6 +609,8 @@ def linear_system_residuals(q: float, psi: TestFunction2D, method: str = "gauss"
     three residuals keyed ``faraday`` (dE/dt + dE/dx = sigma), ``force``
     (du/dt = E), and ``continuity`` (dsigma/dt = 0).
     """
+    from scipy.integrate import quad
+
     if method not in ("gauss", "quad"):
         raise ValueError(f"linear system residuals: unknown method {method!r}")
     ref = linearized_reference(q)
@@ -660,8 +667,8 @@ def compare_linearized(sol: SpacetimeSolution, q: float | None = None) -> Compar
     dx = sol.grid.dx
     rows_E, rows_u = [], []
     for t, s in zip(sol.times, sol.states):
-        rows_E.append(float(trapezoid(np.abs(s.E - ref.E(t, xs)), dx=dx)))
-        rows_u.append(float(trapezoid(np.abs(s.u - ref.u(t, xs)), dx=dx)))
+        rows_E.append(float(np.trapezoid(np.abs(s.E - ref.E(t, xs)), dx=dx)))
+        rows_u.append(float(np.trapezoid(np.abs(s.u - ref.u(t, xs)), dx=dx)))
     return CompareReport(
         times=tuple(float(t) for t in sol.times),
         l1_E=tuple(rows_E),

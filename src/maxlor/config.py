@@ -373,6 +373,10 @@ def _check_experiment(cfg: RunConfig, window, refused: set, scaling_ok: bool) ->
     return errors
 
 
+# what a psi entry may hold: the field it pairs and the TestFunction2D keys
+_PSI_KEYS = ("field", "t0", "x0", "r_t", "r_x", "amplitude")
+
+
 def _psi_field(spec: dict) -> str:
     """The field a ``psi`` entry pairs against: the charge Q unless it names one."""
     return spec.get("field", "Q")
@@ -381,7 +385,7 @@ def _psi_field(spec: dict) -> str:
 def _psi_problems(spec, window) -> list:
     if not isinstance(spec, dict):
         return ["must be an object"]
-    problems = []
+    problems = [f"has unknown key {k!r}" for k in spec if k not in _PSI_KEYS]
     field_name = _psi_field(spec)
     if field_name not in ("Q",) + FIELD_NAMES:
         problems.append(f"has unknown field {field_name!r}; choose Q, {', '.join(FIELD_NAMES)}")

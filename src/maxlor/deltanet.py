@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, trapezoid
 
 from .fields import Grid
 from .mollifier import Mollifier, make_mollifier
@@ -101,7 +100,7 @@ def sample(net: DeltaNet, eps: float, grid: Grid) -> np.ndarray:
     values = net.mass * net.density(eps)(grid.xs)
     if net.mass == 0.0:
         return np.zeros(grid.n)
-    discrete_mass = trapezoid(values, dx=dx)
+    discrete_mass = np.trapezoid(values, dx=dx)
     return values * (net.mass / discrete_mass)
 
 
@@ -133,6 +132,8 @@ def verify_strict(net, eps_schedule, abs_bound: float = 10.0, mass_tol: float = 
     deliberately broken families can be probed as easily as proper nets.
     Masses are computed by adaptive quadrature over each member's support.
     """
+    from scipy.integrate import quad
+
     eps_schedule = [float(e) for e in eps_schedule]
     if len(eps_schedule) < 2:
         raise ValueError("delta net: schedule needs at least 2 entries")

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 __all__ = [
     "Grid",
@@ -130,7 +129,7 @@ class SpacetimeSolution:
 
 def total_charge(grid: Grid, state: FieldState) -> float:
     """Trapezoidal integral of sigma over the grid."""
-    return float(trapezoid(state.sigma, dx=grid.dx))
+    return float(np.trapezoid(state.sigma, dx=grid.dx))
 
 
 def _edge_mask(n: int) -> np.ndarray:

@@ -3,7 +3,11 @@
 The operator ``D f = phi'_nu * f`` with ``phi'_nu(x) = phi'(x/nu) / nu^2``
 replaces the spatial derivative everywhere in the model.  On a grid it is a
 short stencil with zero padding outside the grid, applied as one real-FFT
-convolution against kernel spectra computed once per operator.
+convolution (``numpy.fft``) against kernel spectra computed once per
+operator.  Each operator also owns two work buffers, a spectrum and a
+padded real array, that every convolution reuses as the ``out=`` of
+``rfft`` and ``irfft``, so a convolution allocates no array of the
+padded length.
 
 Stencil weights are the exact per-cell integrals of ``phi'_nu``; by the
 fundamental theorem of calculus these are differences of ``phi_nu`` sampled
@@ -29,14 +33,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .fields import Grid
 from .mollifier import Mollifier, make_mollifier
 
-__all__ = ["RegDerivOperator", "make_operator", "operator_for_meta"]
+__all__ = ["RegDerivOperator", "make_operator", "next_fast_len", "operator_for_meta"]
 
 MIN_CELLS_PER_WIDTH = 4
+
+
+def next_fast_len(target: int) -> int:
+    """Smallest 5-smooth integer ``>= target``, a length real FFTs are fast
+    on; equal to ``scipy.fft.next_fast_len(target, real=True)``."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that reaches target
+            best = min(best, p35 << ((target - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 @dataclass(eq=False)
@@ -51,9 +70,12 @@ class RegDerivOperator:
 
     def __post_init__(self):
         # padded length that holds the full linear convolution without wrap
-        self._fft_len = next_fast_len(self.grid.n + len(self.offsets) - 1, real=True)
+        self._fft_len = next_fast_len(self.grid.n + len(self.offsets) - 1)
         self._deriv_spectrum = rfft(self.weights, self._fft_len)
         self._smooth_spectrum = rfft(self.smooth_weights, self._fft_len)
+        # work buffers every convolution overwrites
+        self._spec = np.empty_like(self._deriv_spectrum)
+        self._full = np.empty(self._fft_len)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Regularized derivative of f with zero padding outside the grid."""
@@ -77,9 +99,9 @@ class RegDerivOperator:
             return out
         hi = n - 1 - int(nonzero[::-1].argmax())
         # full[k] = sum_j w_j f[k + j_min - j], so out[i] = full[i - j_min]
-        spec = rfft(f, self._fft_len)
+        spec = rfft(f, self._fft_len, out=self._spec)
         spec *= spectrum
-        full = irfft(spec, self._fft_len, overwrite_x=True)
+        full = irfft(spec, self._fft_len, out=self._full)
         j_min = int(self.offsets[0])
         a = max(lo + j_min, 0)
         b = min(hi + int(self.offsets[-1]), n - 1) + 1

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -283,7 +285,8 @@ class TestSweep:
         ({"x0": 0.95}, "experiment: psi[0] is invalid: psi spatial support [0.85, 1.05]"),
         ({"r_x": 0.0}, "experiment: psi[0] is invalid: test function: radii must be positive"),
         ({"x0": float("nan")}, "experiment: psi[0] is invalid: psi spatial support [nan, nan]"),
-    ], ids=["field", "time-window", "space-window", "radius", "nan-center"])
+        ({"feild": "sigma"}, "experiment: psi[0] has unknown key 'feild'"),
+    ], ids=["field", "time-window", "space-window", "radius", "nan-center", "unknown-key"])
     def test_psi_rehearsal_refuses_before_solving(self, tmp_path, capsys, monkeypatch,
                                                   spec, message):
         def no_solve(*args, **kwargs):
@@ -298,6 +301,12 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_psi_with_every_known_key_validates(self, tmp_path, capsys):
+        psi = {"field": "sigma", "t0": 0.15, "x0": -0.5, "r_t": 0.1, "r_x": 0.1,
+               "amplitude": 2.0}
+        cfg = release_cfg(tmp_path, eps_schedule=[0.2, 0.1], experiment={"psi": [psi]})
+        assert main(["validate", "--config", cfg]) == EXIT_OK
 
     def test_writes_table_and_verdicts(self, tmp_path):
         cfg = release_cfg(
@@ -424,3 +433,34 @@ class TestScalingAndBlowup:
 def test_unknown_subcommand_fails_fast(capsys):
     with pytest.raises(SystemExit):
         main(["transmogrify"])
+
+
+# runs one subcommand in a fresh interpreter and prints the SciPy modules it loaded
+_SCIPY_PROBE = """
+import sys
+from maxlor.cli import main
+code = main(sys.argv[1:])
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("subcommand, config", [
+    ("validate", "point_charge"),
+    ("solve", "point_charge"),
+    ("trajectories", "point_charge"),
+    ("check-support", "point_charge"),
+    ("compare-lin", "weak_charge"),
+])
+def test_run_path_loads_no_scipy(tmp_path, subcommand, config):
+    root = os.path.join(os.path.dirname(__file__), "..")
+    argv = [subcommand, "--config", os.path.join(root, "configs", f"{config}.json")]
+    if subcommand != "validate":
+        argv += ["--out", str(tmp_path / "out")]
+    env = dict(os.environ)
+    src = os.path.join(root, "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

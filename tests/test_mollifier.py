@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from maxlor.mollifier import DEFAULT_SUPPORTS, make_mollifier
+from maxlor.mollifier import DEFAULT_SUPPORTS, RAW_BUMP_MASS, make_mollifier
 
 # normalization constants computed once by adaptive quadrature of
 # exp(-1/(1-y^2)) (integral over (-1,1) = 0.4439938161680793) and frozen
@@ -11,6 +13,16 @@ NORM_SYMMETRIC = 2.2522836210435817
 NORM_LEFT = 4.504567242087163
 L1_DERIV_SYMMETRIC = 1.6571376797382102
 PEAK_SYMMETRIC = 0.8285688398691055
+
+
+def test_raw_bump_mass_literal_is_the_quadrature_value():
+    def raw_bump(y):
+        if abs(y) >= 1.0:
+            return 0.0
+        return math.exp(-1.0 / (1.0 - y * y))
+
+    mass, _ = quad(raw_bump, -1.0, 1.0, points=[0.0], epsabs=1e-14, epsrel=1e-12, limit=200)
+    assert mass.hex() == RAW_BUMP_MASS.hex()
 
 
 def test_default_supports():

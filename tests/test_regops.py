@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import fft as sfft
 
 from maxlor.fields import Grid
 from maxlor.mollifier import make_mollifier
-from maxlor.regops import make_operator, operator_for_meta
+from maxlor.regops import make_operator, next_fast_len, operator_for_meta
 
 
 def _direct(op, f, kernel):
@@ -218,3 +219,38 @@ def test_operators_from_same_meta_are_bit_identical():
     f = rng.standard_normal(g.n)
     assert np.array_equal(op1.apply(f), op2.apply(f))
     assert np.array_equal(op1.mollify(f), op2.mollify(f))
+
+
+def test_next_fast_len_matches_scipy():
+    mismatch = [t for t in range(1, 200_001)
+                if next_fast_len(t) != sfft.next_fast_len(t, real=True)]
+    assert mismatch == []
+
+
+def _scipy_convolve(op, f, kernel):
+    # the scipy.fft convolution the operator replaced, cut to the dependency
+    # cone of supp f the same way
+    n = len(f)
+    size = sfft.next_fast_len(n + len(kernel) - 1, real=True)
+    full = sfft.irfft(sfft.rfft(f, size) * sfft.rfft(kernel, size), size)
+    out = np.zeros(n)
+    nz = np.nonzero(f)[0]
+    j_min = int(op.offsets[0])
+    a = max(nz[0] + j_min, 0)
+    b = min(nz[-1] + int(op.offsets[-1]), n - 1) + 1
+    out[a:b] = full[a - j_min:b - j_min]
+    return out
+
+
+@pytest.mark.parametrize("n", [2001, 4001, 8001, 32001])
+@pytest.mark.parametrize("kind", ["left", "symmetric"])
+def test_numpy_fft_is_bitwise_the_scipy_convolution(kind, n):
+    g = Grid(-2.0, 2.0, n)
+    op = make_operator(make_mollifier(kind), 0.05, g)
+    rng = np.random.default_rng(n)
+    island = np.zeros(n)
+    island[n // 3:n // 2] = rng.standard_normal(n // 2 - n // 3)
+    for f in (rng.standard_normal(n), island):
+        # each operator reuses its work buffers, so apply each twice
+        for kernel, fn in ((op.weights, op.apply), (op.smooth_weights, op.mollify)) * 2:
+            assert fn(f).tobytes() == _scipy_convolve(op, f, kernel).tobytes()
