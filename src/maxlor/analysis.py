@@ -185,11 +185,11 @@ def psi_from_dict(d: dict) -> TestFunction2D:
 def diag_pairing_target(psi: TestFunction2D, slope: float = 1.0) -> float:
     """The pairing a unit charge transported along ``x = slope*t`` would give.
 
-    Evaluates ``int psi(t, slope*t) dt``; this is what ``<delta(x - slope t),
-    psi>`` requires of any candidate distributional limit.
+    Evaluates ``int psi(t, slope*t) dt``, by the 64-node Gauss-Legendre rule
+    on the interval where the line crosses the support (the integrand is
+    smooth there); this is what ``<delta(x - slope t), psi>`` requires of any
+    candidate distributional limit.
     """
-    from scipy.integrate import quad
-
     lo, hi = psi.t_lo, psi.t_hi
     if slope > 0:
         lo, hi = max(lo, psi.x_lo / slope), min(hi, psi.x_hi / slope)
@@ -197,8 +197,8 @@ def diag_pairing_target(psi: TestFunction2D, slope: float = 1.0) -> float:
         lo, hi = max(lo, psi.x_hi / slope), min(hi, psi.x_lo / slope)
     if lo >= hi:
         return 0.0
-    val, _ = quad(lambda t: psi.value(t, slope * t), lo, hi, **_QUAD_KW)
-    return float(val)
+    tn, tw = _gl_map(lo, hi)
+    return float(np.sum(psi.value(tn, slope * tn) * tw))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +317,7 @@ def transport_residual(sol: SpacetimeSolution, op: RegDerivOperator | None = Non
             f"transport residual: save spacing {save_dt:.6g} too coarse for "
             f"nu={op.nu:.6g}; need save_dt <= nu/4 = {op.nu / 4.0:.6g}"
         )
-    Q = np.stack([s.sigma - op.apply(s.E) for s in sol.states])
+    Q = _field_stack(sol, "Q", op)
     n = sol.grid.n
     k = max(1, int(round(0.05 * (n - 1))))
     cols = slice(k + 1, n - k - 1)

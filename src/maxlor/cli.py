@@ -111,10 +111,13 @@ def _run_sweep(cfg, args, out):
         "targets": dict(result.targets),
         "statuses": list(result.statuses),
         "a_priori_bounds": list(result.bounds),
+        "boundary_contaminated": list(result.contaminated),
         "partial": result.partial,
     }
     line = "\n".join(f"{label}: {result.verdicts[label]}" for label in result.labels)
-    return summary, line, EXIT_RUNTIME if result.partial else EXIT_OK
+    if result.partial:
+        return summary, line, EXIT_RUNTIME
+    return summary, line, EXIT_CONTAMINATED if any(result.contaminated) else EXIT_OK
 
 
 def _run_check_support(cfg, args, out):

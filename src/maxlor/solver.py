@@ -10,16 +10,17 @@ with ``D`` the regularized derivative.  The constant 1 is subtracted inside
 the second convolution so its argument vanishes where u does; zero padding
 would otherwise see an artificial jump at the grid ends.
 
-Two integrators are provided: a method-of-lines RK4 march and the implicit
+Two integrators are provided, as two step rules of one march (``_march``):
+classical RK4 (``rk4_step``, the method of lines) and the implicit
 trapezoid rule, whose step equation is solved by Picard (fixed-point)
-iteration on the integral form.  They discretize time differently, so their
-agreement on matching grids is a meaningful consistency check rather than a
-tautology.
+iteration.  They discretize time differently, so their agreement on
+matching grids is a meaningful consistency check rather than a tautology.
 
-Both marches check every new state against a growth guard derived from the
-a-priori estimate for the continuum system: a non-finite state, or one
-wandering past a multiple of that bound, indicates a numerical problem and
-aborts the run, preserving the states saved so far.
+The march owns everything else: setup checks, step count and direction,
+the save grid, and one overflow policy.  Floating-point overflow never
+warns; a stage the nonlinearity refuses as non-finite, a non-finite new
+state, or one wandering past a multiple of the a-priori bound for the
+continuum system aborts the run, preserving the states saved so far.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "solve",
     "solve_lines",
     "solve_picard",
+    "rk4_step",
     "a_priori_bound",
     "step_bound",
     "STATUS_OK",
@@ -127,36 +129,6 @@ def cumulative_trapezoid(F: np.ndarray, h: float) -> np.ndarray:
     return h * (F[1] + F[0]) / 2.0
 
 
-def _base_meta(cfg: SolverConfig, op: RegDerivOperator, params: ModelParams, dt_eff: float,
-               bound: float, method: str) -> dict:
-    return {
-        "solver": method,
-        "dt": dt_eff,
-        "n_steps": int(round(params.T / dt_eff)),
-        "save_every": cfg.save_every,
-        "eps": params.eps,
-        "nu": op.nu,
-        "mollifier": op.mollifier.spec_dict(),
-        "B0": params.B0,
-        "T": params.T,
-        "q": params.q,
-        "op_norm": op.op_norm,
-        "a_priori_bound": bound,
-        "guard_factor": cfg.guard_factor,
-        "status": STATUS_OK,
-    }
-
-
-def _check_setup(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
-                 params: ModelParams):
-    if len(initial.E) != op.grid.n:
-        raise ValueError("solver: initial state does not match operator grid")
-    for name in ("E", "u", "sigma"):
-        if not np.all(np.isfinite(initial.component(name))):
-            raise ValueError(f"solver: non-finite initial data in {name}")
-    _check_step(cfg.dt, op.op_norm)
-
-
 def _check_step(dt: float, op_norm: float):
     """Reject a dt above the explicit march's stable step bound."""
     limit = step_bound(op_norm)
@@ -167,31 +139,20 @@ def _check_step(dt: float, op_norm: float):
         )
 
 
-def _finalize(grid: Grid, times: list, states: list, meta: dict, backward: bool) -> SpacetimeSolution:
-    if backward:
-        times = times[::-1]
-        states = states[::-1]
-    sol = SpacetimeSolution(grid=grid, times=np.asarray(times), states=states, meta=meta)
-    ratio = solution_margin_ratio(sol)
-    meta["margin_ratio"] = ratio
-    meta["boundary_contaminated"] = bool(ratio > CONTAMINATION_TOL)
-    return sol
-
-
 def _abort(meta: dict, status: str, reason: str, t: float, message: str) -> None:
     meta["status"] = status
     meta["abort"] = {"reason": reason, "t": t, "message": message}
 
 
-def _guard_tripped(meta: dict, t: float, V) -> bool:
+def _guard_tripped(meta: dict, t: float, V: np.ndarray) -> bool:
     """Record an overflow or growth-guard abort for the new state ``V`` at ``t``.
 
     Returns True when the march must stop.
     """
-    if not all(np.all(np.isfinite(x)) for x in V):
+    if not np.all(np.isfinite(V)):
         _abort(meta, STATUS_OVERFLOW, "overflow", t, f"overflow at t={t:.6g}")
         return True
-    peak = max(np.max(np.abs(x)) for x in V)
+    peak = np.max(np.abs(V))
     factor, bound = meta["guard_factor"], meta["a_priori_bound"]
     if peak > factor * bound:
         _abort(meta, STATUS_GUARD, "guard", t, (
@@ -202,48 +163,96 @@ def _guard_tripped(meta: dict, t: float, V) -> bool:
     return False
 
 
-def solve_lines(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
-                params: ModelParams, backward: bool = False) -> SpacetimeSolution:
-    """Classical RK4 march of the semi-discrete system.
+def rk4_step(f, t, y, h):
+    """One classical RK4 step of ``dy/dt = f(t, y)`` from ``y`` at ``t``.
 
-    Covers ``[t0, t0+T]``, or ``[t0-T, t0]`` when ``backward`` is set (the
-    model is time-reversible, so backward runs are just a negated step).
-    Saved states land every ``save_every`` steps plus the final time.
+    ``y`` is a number or an array; the stages are combined element for
+    element, so a field state and a world-line position take the same rule.
     """
-    _check_setup(initial, cfg, op, params)
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _march(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
+           params: ModelParams, backward: bool, method: str, step) -> SpacetimeSolution:
+    """The time loop both integrators share; ``step`` is the integrator.
+
+    ``step(t, V, h, meta)`` advances the ``(3, n)`` state ``V = (E, u,
+    sigma)`` from ``t`` by ``h`` and returns the new state, or records an
+    abort in ``meta`` and returns None.  The march covers ``[t0, t0+T]``, or
+    ``[t0-T, t0]`` when ``backward`` is set (the model is time-reversible,
+    so a backward run is a negated step), in ``ceil(T/dt)`` equal steps, and
+    saves every ``save_every`` steps plus the final time.  Overflow shows as
+    non-finite values, never as warnings: a stage the nonlinearity refuses
+    and a non-finite or over-grown new state abort the run and keep the
+    states saved so far.
+    """
+    if len(initial.E) != op.grid.n:
+        raise ValueError("solver: initial state does not match operator grid")
+    for name in ("E", "u", "sigma"):
+        if not np.all(np.isfinite(initial.component(name))):
+            raise ValueError(f"solver: non-finite initial data in {name}")
+    _check_step(cfg.dt, op.op_norm)
     n_steps = max(1, int(math.ceil(params.T / cfg.dt - 1e-12)))
     dt_eff = params.T / n_steps
     h = -dt_eff if backward else dt_eff
-    bound = a_priori_bound(initial.max_abs(), params, op.op_norm)
-    meta = _base_meta(cfg, op, params, dt_eff, bound, "rk4")
-    B0 = params.B0
+    meta = {
+        "solver": method,
+        "dt": dt_eff,
+        "n_steps": n_steps,
+        "save_every": cfg.save_every,
+        "eps": params.eps,
+        "nu": op.nu,
+        "mollifier": op.mollifier.spec_dict(),
+        "B0": params.B0,
+        "T": params.T,
+        "q": params.q,
+        "op_norm": op.op_norm,
+        "a_priori_bound": a_priori_bound(initial.max_abs(), params, op.op_norm),
+        "guard_factor": cfg.guard_factor,
+        "status": STATUS_OK,
+    }
 
     t0 = initial.t
-    E, u, sig = initial.E.copy(), initial.u.copy(), initial.sigma.copy()
+    V = np.array([initial.E, initial.u, initial.sigma], dtype=float)
     times = [t0]
-    states = [FieldState(t0, E.copy(), u.copy(), sig.copy())]
-    for i in range(1, n_steps + 1):
-        t = t0 + i * h
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                k1 = rhs(E, u, sig, op, B0)
-                k2 = rhs(E + 0.5 * h * k1[0], u + 0.5 * h * k1[1], sig + 0.5 * h * k1[2], op, B0)
-                k3 = rhs(E + 0.5 * h * k2[0], u + 0.5 * h * k2[1], sig + 0.5 * h * k2[2], op, B0)
-                k4 = rhs(E + h * k3[0], u + h * k3[1], sig + h * k3[2], op, B0)
-        except ValueError:
-            _abort(meta, STATUS_OVERFLOW, "overflow", t, f"overflow at t={t:.6g}")
-            break
-        # overflow is caught by the guard check below, not by warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            E = E + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-            u = u + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-            sig = sig + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        if _guard_tripped(meta, t, (E, u, sig)):
-            break
-        if i % cfg.save_every == 0 or i == n_steps:
-            times.append(t)
-            states.append(FieldState(t, E.copy(), u.copy(), sig.copy()))
-    return _finalize(op.grid, times, states, meta, backward)
+    states = [FieldState(t0, *V)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n_steps + 1):
+            t = t0 + i * h
+            try:
+                V = step(t0 + (i - 1) * h, V, h, meta)
+            except ValueError:
+                _abort(meta, STATUS_OVERFLOW, "overflow", t, f"overflow at t={t:.6g}")
+                break
+            if V is None or _guard_tripped(meta, t, V):
+                break
+            if i % cfg.save_every == 0 or i == n_steps:
+                times.append(t)
+                states.append(FieldState(t, *V))
+
+    if backward:
+        times, states = times[::-1], states[::-1]
+    sol = SpacetimeSolution(grid=op.grid, times=np.asarray(times), states=states, meta=meta)
+    ratio = solution_margin_ratio(sol)
+    meta["margin_ratio"] = ratio
+    meta["boundary_contaminated"] = bool(ratio > CONTAMINATION_TOL)
+    return sol
+
+
+def solve_lines(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
+                params: ModelParams, backward: bool = False) -> SpacetimeSolution:
+    """Classical RK4 march of the semi-discrete system (see ``_march``)."""
+    B0 = params.B0
+
+    def field(t, V):
+        return np.stack(rhs(V[0], V[1], V[2], op, B0))
+
+    return _march(initial, cfg, op, params, backward, "rk4",
+                  lambda t, V, h, meta: rk4_step(field, t, V, h))
 
 
 def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
@@ -255,27 +264,14 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
     evaluated once per step.  The map contracts for small enough ``h``.
     Non-contraction (updates growing several times in a row) and missing
     convergence within ``picard_max_iter`` iterations abort the run, as do
-    the overflow and growth-guard checks.  Time range and save grid are as
-    for ``solve_lines``.
+    the checks of ``_march``, which also sets the time range and save grid.
     """
-    _check_setup(initial, cfg, op, params)
-    n_steps = max(1, int(math.ceil(params.T / cfg.dt - 1e-12)))
-    dt_eff = params.T / n_steps
-    h = -dt_eff if backward else dt_eff
-    bound = a_priori_bound(initial.max_abs(), params, op.op_norm)
-    meta = _base_meta(cfg, op, params, dt_eff, bound, "picard")
     B0 = params.B0
+    F = np.empty((2, 3, op.grid.n))  # F at the left and right node of the step
+    stats = {"iterations": 0, "max_chunk_iterations": 0, "max_final_residual": 0.0,
+             "subinterval_steps": 1}
 
-    t0 = initial.t
-    V = np.stack([initial.E, initial.u, initial.sigma]).astype(float)
-    times = [t0]
-    states = [FieldState(t0, V[0].copy(), V[1].copy(), V[2].copy())]
-    F = np.empty((2,) + V.shape)  # F at the left and right node of the step
-    total_iters = 0
-    max_step_iters = 0
-    max_residual = 0.0
-    for i in range(1, n_steps + 1):
-        t_left = t0 + (i - 1) * h
+    def step(t, V, h, meta):
         F[0] = rhs(V[0], V[1], V[2], op, B0)
         Vk = V
         prev_delta = math.inf
@@ -286,44 +282,33 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
             delta = float(np.max(np.abs(Vn - Vk)))
             Vk = Vn
             if not math.isfinite(delta):
-                _abort(meta, STATUS_OVERFLOW, "overflow", t_left,
-                       f"overflow in the Picard step starting at t={t_left:.6g}")
-                break
+                _abort(meta, STATUS_OVERFLOW, "overflow", t,
+                       f"overflow in the Picard step starting at t={t:.6g}")
+                return None
             if delta < cfg.picard_tol:
                 break
             grow = grow + 1 if delta > prev_delta else 0
             prev_delta = delta
             if grow >= _STALL_PATIENCE:
-                _abort(meta, STATUS_PICARD_STALL, "no-contraction", t_left, (
+                _abort(meta, STATUS_PICARD_STALL, "no-contraction", t, (
                     f"Picard updates grew {_STALL_PATIENCE} times in a row on the step "
-                    f"starting at t={t_left:.6g} (dt={dt_eff:.6g}); lower dt"
+                    f"starting at t={t:.6g} (dt={abs(h):.6g}); lower dt"
                 ))
-                break
-        if meta["status"] != STATUS_OK:
-            break
-        total_iters += it
-        max_step_iters = max(max_step_iters, it)
-        max_residual = max(max_residual, delta)
+                return None
+        stats["iterations"] += it
+        stats["max_chunk_iterations"] = max(stats["max_chunk_iterations"], it)
+        stats["max_final_residual"] = max(stats["max_final_residual"], delta)
         if delta >= cfg.picard_tol:
-            _abort(meta, STATUS_PICARD_STALL, "no-convergence", t_left, (
+            _abort(meta, STATUS_PICARD_STALL, "no-convergence", t, (
                 f"Picard did not reach tol={cfg.picard_tol:g} in "
                 f"{cfg.picard_max_iter} iterations (last update {delta:.3g})"
             ))
-            break
-        V = Vk
-        t = t0 + i * h
-        if _guard_tripped(meta, t, V):
-            break
-        if i % cfg.save_every == 0 or i == n_steps:
-            times.append(t)
-            states.append(FieldState(t, V[0].copy(), V[1].copy(), V[2].copy()))
-    meta["picard"] = {
-        "iterations": total_iters,
-        "max_chunk_iterations": max_step_iters,
-        "max_final_residual": max_residual,
-        "subinterval_steps": 1,
-    }
-    return _finalize(op.grid, times, states, meta, backward)
+            return None
+        return Vk
+
+    sol = _march(initial, cfg, op, params, backward, "picard", step)
+    sol.meta["picard"] = stats
+    return sol
 
 
 def solve(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,

@@ -8,7 +8,8 @@ the grid).
 
 The proper-time variant integrates ``dz0/ds = sqrt(1 + u^2)``,
 ``dz1/ds = u`` instead and resamples onto coordinate time, which gives an
-independent consistency check on the same path.
+independent consistency check on the same path.  Both take their steps
+with the solver's ``rk4_step``, the rule that also marches the fields.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from .fields import SpacetimeSolution
 from .nonlinearity import a, sqrt1p_sq
+from .solver import rk4_step
 
 __all__ = [
     "Trajectory",
@@ -103,23 +105,22 @@ def integrate_world_line(sol: SpacetimeSolution, start: float,
     x_min, x_max = sol.grid.x_min, sol.grid.x_max
     if not (x_min <= start <= x_max):
         raise ValueError("world line: start position outside the grid")
+
+    def velocity(t, w):
+        return a(u_at(t, w))
+
     h = (t_end - t_start) / n_steps
     times = [t_start]
     positions = [float(start)]
-    velocities = [a(u_at(t_start, start))]
+    velocities = [velocity(t_start, start)]
     w = float(start)
     exited = False
     for i in range(n_steps):
-        t = t_start + i * h
-        k1 = a(u_at(t, w))
-        k2 = a(u_at(t + 0.5 * h, w + 0.5 * h * k1))
-        k3 = a(u_at(t + 0.5 * h, w + 0.5 * h * k2))
-        k4 = a(u_at(t + h, w + h * k3))
-        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        w = rk4_step(velocity, t_start + i * h, w, h)
         t_next = t_start + (i + 1) * h
         times.append(t_next)
         positions.append(w)
-        velocities.append(a(u_at(t_next, w)))
+        velocities.append(velocity(t_next, w))
         if not (x_min <= w <= x_max):
             exited = True
             break
@@ -154,26 +155,20 @@ def proper_time_world_line(sol: SpacetimeSolution, start: float,
     u_at = _FieldSampler(sol, "u")
     if ds is None:
         ds = (t_end - t_start) / max(1, len(sol.times) - 1)
-    z0, z1 = t_start, float(start)
-    out_t, out_x = [z0], [z1]
-    max_steps = int(np.ceil((t_end - t_start) / ds)) + 2
-    for _ in range(max_steps):
-        if z0 >= t_end:
+
+    def rate(s, z):  # the proper-time system is autonomous
+        uu = u_at(z[0], z[1])
+        return np.array([sqrt1p_sq(uu), uu])
+
+    z = np.array([t_start, float(start)])
+    path = [z]
+    for _ in range(int(np.ceil((t_end - t_start) / ds)) + 2):
+        if z[0] >= t_end:
             break
-
-        def f(v0, v1):
-            uu = u_at(v0, v1)
-            return sqrt1p_sq(uu), uu
-
-        k1 = f(z0, z1)
-        k2 = f(z0 + 0.5 * ds * k1[0], z1 + 0.5 * ds * k1[1])
-        k3 = f(z0 + 0.5 * ds * k2[0], z1 + 0.5 * ds * k2[1])
-        k4 = f(z0 + ds * k3[0], z1 + ds * k3[1])
-        z0 = z0 + (ds / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        z1 = z1 + (ds / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        out_t.append(z0)
-        out_x.append(z1)
-    return np.asarray(out_t), np.asarray(out_x)
+        z = rk4_step(rate, 0.0, z, ds)
+        path.append(z)
+    z0, z1 = np.array(path).T
+    return z0, z1
 
 
 def reparametrization_gap(sol: SpacetimeSolution, start: float,

@@ -73,6 +73,19 @@ class TestTestFunction2D:
         assert diag_pairing_target(psi, slope=1.0) == pytest.approx(want, rel=1e-8)
         # the same window never meets the opposite diagonal x = -t
         assert diag_pairing_target(psi, slope=-1.0) == pytest.approx(0.0, abs=1e-12)
+        # seeded windows: adaptive quad over the whole time support, split
+        # where the line enters and leaves the spatial support
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            psi = TestFunction2D(t0=rng.uniform(0.1, 1.0), x0=rng.uniform(-1.0, 1.0),
+                                 r_t=rng.uniform(0.02, 0.4), r_x=rng.uniform(0.02, 0.4),
+                                 amplitude=rng.uniform(0.5, 2.0))
+            for slope in (1.0, -1.0):
+                cuts = [c / slope for c in (psi.x_lo, psi.x_hi)
+                        if psi.t_lo < c / slope < psi.t_hi]
+                want, _ = quad(lambda t: psi.value(t, slope * t), psi.t_lo, psi.t_hi,
+                               points=cuts or None, epsabs=1e-13, epsrel=1e-12, limit=200)
+                assert diag_pairing_target(psi, slope) == pytest.approx(want, abs=1e-11)
 
 
 def synthetic_solution(grid, times, fields, meta=None):

@@ -259,6 +259,29 @@ class TestSolve:
 
 
 class TestSweep:
+    def test_contaminated_member_exits_4(self, tmp_path):
+        # the tight symmetric-kernel domain of the solve contamination test,
+        # run as a two-member schedule
+        cfg = write_cfg(
+            tmp_path,
+            grid={"x_min": -1.0, "x_max": 1.0, "n": 401},
+            mollifier={"kind": "symmetric"},
+            scaling={"kind": "constant", "c": 0.1},
+            model={"B0": 0.0, "T": 0.8},
+            solver={"save_every": 8},
+            initial={"E": {"kind": "gaussian", "amplitude": 1.0, "center": 0.0,
+                           "width": 0.4},
+                     "u": {"kind": "zero"}, "sigma": {"kind": "zero"}},
+            eps_schedule=[0.2, 0.05],
+            experiment={"psi": [{"field": "E", "t0": 0.4, "x0": 0.0,
+                                 "r_t": 0.1, "r_x": 0.2}]},
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONTAMINATED
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["boundary_contaminated"] == [True, True]
+        assert summary["partial"] is False
+
     def test_needs_psi_list(self, tmp_path, capsys):
         cfg = release_cfg(tmp_path, eps_schedule=[0.2, 0.1])
         assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
@@ -451,6 +474,7 @@ sys.exit(code)
     ("trajectories", "point_charge"),
     ("check-support", "point_charge"),
     ("compare-lin", "weak_charge"),
+    ("sweep", "obstruction_sweep"),
 ])
 def test_run_path_loads_no_scipy(tmp_path, subcommand, config):
     root = os.path.join(os.path.dirname(__file__), "..")

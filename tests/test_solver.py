@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,21 @@ def test_overflow_abort_preserves_partial_output():
     assert np.all(np.isfinite(sol.states[0].E))
 
 
+def test_picard_overflow_abort_warns_nothing():
+    # the same field as above: Picard's step runs inside the march's overflow
+    # policy too, so the overflow is an abort, never a RuntimeWarning
+    grid, op, _, _, _ = small_pieces()
+    huge = 2e307 * np.sin(grid.xs)
+    initial = FieldState(0.0, huge.copy(), huge.copy(), huge.copy())
+    params = ModelParams(B0=0.0, T=0.5, eps=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_picard(initial, SolverConfig(dt=0.01, method="picard"), op, params)
+    assert sol.status == STATUS_OVERFLOW
+    assert sol.meta["abort"]["reason"] == "overflow"
+    assert np.all(np.isfinite(sol.states[0].E))
+
+
 def test_guard_abort(monkeypatch):
     # the proof bound is loose enough that honest data cannot trip it on a
     # clean run, so shrink the bound artificially to exercise the guard path
@@ -250,8 +267,9 @@ def test_picard_stall_when_iterations_run_out():
     assert len(sol.states) == 1
 
 
-def test_backward_run_and_round_trip():
-    grid, op, params, initial, cfg = small_pieces(T=0.2, dt=0.0025, save_every=4)
+@pytest.mark.parametrize("method", ["rk4", "picard"])
+def test_backward_run_and_round_trip(method):
+    grid, op, params, initial, cfg = small_pieces(method, T=0.2, dt=0.0025, save_every=4)
     back = solve(initial, cfg, op, params, backward=True)
     assert back.status == STATUS_OK
     assert back.times[0] == pytest.approx(-0.2)
@@ -267,17 +285,19 @@ def test_backward_run_and_round_trip():
     assert gap <= 1e-8
 
 
-def test_save_grid_covers_endpoints():
+@pytest.mark.parametrize("method", ["rk4", "picard"])
+def test_save_grid_covers_endpoints(method):
     grid, op, params, initial, _ = small_pieces(T=0.1)
-    cfg = SolverConfig(dt=0.003, method="rk4", save_every=7)
+    cfg = SolverConfig(dt=0.003, method=method, save_every=7)
     sol = solve(initial, cfg, op, params)
     assert sol.times[0] == 0.0
     assert sol.times[-1] == pytest.approx(0.1, abs=1e-12)
     assert sol.meta["n_steps"] == 34  # ceil(0.1/0.003)
 
 
-def test_identical_runs_are_bitwise_equal():
-    grid, op, params, initial, cfg = small_pieces(T=0.1)
+@pytest.mark.parametrize("method", ["rk4", "picard"])
+def test_identical_runs_are_bitwise_equal(method):
+    grid, op, params, initial, cfg = small_pieces(method, T=0.1)
     s1 = solve(initial, cfg, op, params)
     s2 = solve(initial, cfg, op, params)
     for a_, b in zip(s1.states, s2.states):
