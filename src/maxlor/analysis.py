@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldState, SpacetimeSolution, CONTAMINATION_TOL
+from .fields import SpacetimeSolution, _edge_mask
 from .nonlinearity import a
 from .regops import RegDerivOperator, operator_for_meta
 
@@ -65,7 +65,32 @@ OBSTRUCTION_TARGET_MIN = 1e-3
 # relative tolerance for "support stays on one side"
 SUPPORT_REL_TOL = 1e-8
 
-_QUAD_KW = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
+
+# ---------------------------------------------------------------------------
+# quadrature: the 64-node Gauss-Legendre rule on each smooth piece
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def _gl_map(lo, hi):
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    return mid[..., None] + half[..., None] * _GL_NODES, half[..., None] * _GL_WEIGHTS
+
+
+def _gauss(f, lo, hi, breaks=()):
+    """``int f(t) dt`` over ``[lo, hi]``, split at the breaks inside it.
+
+    ``f`` takes a vector of nodes; it must be smooth on each piece.
+    """
+    cuts = sorted({lo, hi} | {b for b in breaks if lo < b < hi})
+    total = 0.0
+    for a_, b in zip(cuts, cuts[1:]):
+        tn, tw = _gl_map(a_, b)
+        total += float(np.sum(f(tn) * tw))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -109,55 +134,38 @@ class TestFunction2D:
         return self.x0 + self.r_x
 
     @staticmethod
-    def _b(s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        inside = np.abs(s) < 1.0
-        si = s[inside]
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - si * si))
-        return out
-
-    @staticmethod
-    def _db(s):
-        s = np.asarray(s, dtype=float)
+    def _b(s, deriv: bool):
+        # the bump b(s), or its derivative b'(s) = b(s) * (-2 s / (1 - s^2)^2)
+        s = np.asarray(s)
         out = np.zeros_like(s)
         inside = np.abs(s) < 1.0
         si = s[inside]
         one = 1.0 - si * si
-        out[inside] = np.exp(1.0 - 1.0 / one) * (-2.0 * si / one**2)
+        out[inside] = np.exp(1.0 - 1.0 / one)
+        if deriv:
+            out[inside] *= -2.0 * si / one**2
         return out
+
+    def _eval(self, t, x, d_t: bool, d_x: bool):
+        # psi, or its t- or x-derivative, at broadcast (t, x); floats give a float
+        st = (np.asarray(t, dtype=float) - self.t0) / self.r_t
+        sx = (np.asarray(x, dtype=float) - self.x0) / self.r_x
+        out = self.amplitude * self._b(st, d_t)
+        if d_t:
+            out = out / self.r_t
+        out = out * self._b(sx, d_x)
+        if d_x:
+            out = out / self.r_x
+        return float(out) if out.ndim == 0 else out
 
     def value(self, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        out = self.amplitude * self._b((t - self.t0) / self.r_t) * self._b((x - self.x0) / self.r_x)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return self._eval(t, x, False, False)
 
     def dt(self, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        out = (
-            self.amplitude
-            * self._db((t - self.t0) / self.r_t) / self.r_t
-            * self._b((x - self.x0) / self.r_x)
-        )
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return self._eval(t, x, True, False)
 
     def dx(self, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        out = (
-            self.amplitude
-            * self._b((t - self.t0) / self.r_t)
-            * self._db((x - self.x0) / self.r_x) / self.r_x
-        )
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return self._eval(t, x, False, True)
 
     def label(self) -> str:
         return f"({self.t0:g},{self.x0:g})r({self.r_t:g},{self.r_x:g})"
@@ -197,8 +205,7 @@ def diag_pairing_target(psi: TestFunction2D, slope: float = 1.0) -> float:
         lo, hi = max(lo, psi.x_hi / slope), min(hi, psi.x_lo / slope)
     if lo >= hi:
         return 0.0
-    tn, tw = _gl_map(lo, hi)
-    return float(np.sum(psi.value(tn, slope * tn) * tw))
+    return _gauss(lambda tn: psi.value(tn, slope * tn), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +309,9 @@ def transport_residual(sol: SpacetimeSolution, op: RegDerivOperator | None = Non
 
     Uses a centered difference in time on ``Q = sigma - D E``; needs the
     saved spacing to resolve the kernel (``save_dt <= nu/4``) and at least
-    three uniformly spaced saves.  The outermost 5% of columns are excluded
-    since padding pollutes them for non-compact data.
+    three uniformly spaced saves.  The outermost 5% of columns, the margin
+    band of ``fields.margin_ratio``, are excluded since padding pollutes them
+    for non-compact data.
     """
     if op is None:
         op = operator_for_meta(sol.meta, sol.grid)
@@ -318,9 +326,7 @@ def transport_residual(sol: SpacetimeSolution, op: RegDerivOperator | None = Non
             f"nu={op.nu:.6g}; need save_dt <= nu/4 = {op.nu / 4.0:.6g}"
         )
     Q = _field_stack(sol, "Q", op)
-    n = sol.grid.n
-    k = max(1, int(round(0.05 * (n - 1))))
-    cols = slice(k + 1, n - k - 1)
+    cols = ~_edge_mask(sol.grid.n)
     worst = 0.0
     used = 0
     for i in range(1, len(times) - 1):
@@ -415,13 +421,10 @@ def limit_sweep(template, eps_schedule, observables, workers: int = 1) -> SweepR
     eps_schedule = [float(e) for e in eps_schedule]
     if any(b >= a_ for a_, b in zip(eps_schedule, eps_schedule[1:])):
         raise ValueError("sweep: eps schedule must be strictly decreasing")
-    observables = [
-        (f, psi if isinstance(psi, TestFunction2D) else psi_from_dict(psi))
-        for f, psi in observables
-    ]
     jobs = [(template, eps, observables) for eps in eps_schedule]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts all its processes at once: never more than members
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_sweep_worker, jobs))
     else:
         results = [_run_member(*j) for j in jobs]
@@ -526,43 +529,13 @@ class LinearizedReference:
 
     def sigma_pairing(self, psi: TestFunction2D) -> float:
         """``<q delta(x), psi> = q int psi(t, 0) dt``."""
-        from scipy.integrate import quad
-
         if psi.x_lo > 0.0 or psi.x_hi < 0.0:
             return 0.0
-        val, _ = quad(lambda t: psi.value(t, 0.0), psi.t_lo, psi.t_hi, **_QUAD_KW)
-        return self.q * float(val)
+        return self.q * _gauss(lambda t: psi.value(t, 0.0), psi.t_lo, psi.t_hi)
 
 
 def linearized_reference(q: float) -> LinearizedReference:
     return LinearizedReference(q=float(q))
-
-
-# the outer time integral of the quad route is looser than the inner one
-_OUTER_QUAD_KW = dict(limit=300, epsabs=1e-11, epsrel=1e-9)
-
-
-def _piecewise_quad(f, lo, hi, breaks, quad_kw):
-    """``quad`` of ``f`` over ``[lo, hi]``, split at the breaks inside it."""
-    from scipy.integrate import quad
-
-    cuts = sorted({lo, hi} | {b for b in breaks if lo < b < hi})
-    total = 0.0
-    for a_, b in zip(cuts, cuts[1:]):
-        val, _ = quad(f, a_, b, **quad_kw)
-        total += val
-    return total
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
-def _gl_map(lo, hi):
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    return mid[..., None] + half[..., None] * _GL_NODES, half[..., None] * _GL_WEIGHTS
 
 
 def _gauss_inner(F, t, xlo, xhi):
@@ -589,63 +562,31 @@ def _gauss_inner(F, t, xlo, xhi):
     return total
 
 
-def _gauss_outer(inner, tlo, thi, tbreaks):
-    cuts = sorted({tlo, thi} | {b for b in tbreaks if tlo < b < thi})
-    total = 0.0
-    for a_, b in zip(cuts, cuts[1:]):
-        tn, tw = _gl_map(a_, b)
-        total += float(np.sum(inner(tn) * tw))
-    return total
-
-
-def linear_system_residuals(q: float, psi: TestFunction2D, method: str = "gauss") -> dict:
+def linear_system_residuals(q: float, psi: TestFunction2D) -> dict:
     """Distributional residuals of the linearized system against one psi.
 
     All integrals act on the closed forms, split at the jump lines ``x = 0``
-    and ``x = t``; no solver output is involved.  ``method`` selects the
-    quadrature: "gauss" (vectorized fixed-order Gauss-Legendre per smooth
-    piece, the fast default) or "quad" (scalar adaptive quadrature; slower,
-    kept as an independent cross-check of the fast route).  Returns the
-    three residuals keyed ``faraday`` (dE/dt + dE/dx = sigma), ``force``
-    (du/dt = E), and ``continuity`` (dsigma/dt = 0).
+    and ``x = t``, by the Gauss-Legendre rule on each smooth piece; no solver
+    output is involved.  Returns the three residuals keyed ``faraday``
+    (dE/dt + dE/dx = sigma), ``force`` (du/dt = E), and ``continuity``
+    (dsigma/dt = 0).
     """
-    from scipy.integrate import quad
-
-    if method not in ("gauss", "quad"):
-        raise ValueError(f"linear system residuals: unknown method {method!r}")
     ref = linearized_reference(q)
     xlo, xhi = psi.x_lo, psi.x_hi
     tlo, thi = psi.t_lo, psi.t_hi
     tbreaks = (0.0, xlo, xhi)
 
-    def F_E_dpsi(t, x):
-        return ref.E(t, x) * (psi.dt(t, x) + psi.dx(t, x))
+    def integral(F):
+        return _gauss(lambda tn: _gauss_inner(F, tn, xlo, xhi), tlo, thi, tbreaks)
 
-    def F_u_dt(t, x):
-        return ref.u(t, x) * psi.dt(t, x)
-
-    def F_E_psi(t, x):
-        return ref.E(t, x) * psi.value(t, x)
-
-    if method == "gauss":
-        lhs1 = -_gauss_outer(lambda tn: _gauss_inner(F_E_dpsi, tn, xlo, xhi), tlo, thi, tbreaks)
-        lhs2 = -_gauss_outer(lambda tn: _gauss_inner(F_u_dt, tn, xlo, xhi), tlo, thi, tbreaks)
-        rhs2 = _gauss_outer(lambda tn: _gauss_inner(F_E_psi, tn, xlo, xhi), tlo, thi, tbreaks)
-    else:
-        def quad2(F):
-            def inner(t):
-                return _piecewise_quad(lambda x: F(t, x), xlo, xhi, (0.0, t), _QUAD_KW)
-            return _piecewise_quad(inner, tlo, thi, tbreaks, _OUTER_QUAD_KW)
-
-        lhs1 = -quad2(F_E_dpsi)
-        lhs2 = -quad2(F_u_dt)
-        rhs2 = quad2(F_E_psi)
+    lhs1 = -integral(lambda t, x: ref.E(t, x) * (psi.dt(t, x) + psi.dx(t, x)))
+    lhs2 = -integral(lambda t, x: ref.u(t, x) * psi.dt(t, x))
+    rhs2 = integral(lambda t, x: ref.E(t, x) * psi.value(t, x))
     rhs1 = ref.sigma_pairing(psi)
     if psi.x_lo > 0.0 or psi.x_hi < 0.0:
         res3 = 0.0
     else:
-        val, _ = quad(lambda t: psi.dt(t, 0.0), tlo, thi, **_QUAD_KW)
-        res3 = -q * float(val)
+        res3 = -q * _gauss(lambda t: psi.dt(t, 0.0), tlo, thi)
     return {"faraday": lhs1 - rhs1, "force": lhs2 - rhs2, "continuity": res3}
 
 

@@ -78,6 +78,15 @@ def _exit_for(sol) -> int:
     return EXIT_OK
 
 
+def _run_status(sol) -> dict:
+    """The status block of a one-solve summary: what ``_exit_for`` reads."""
+    return {
+        "status": sol.status,
+        "a_priori_bound": sol.meta.get("a_priori_bound"),
+        "boundary_contaminated": sol.meta.get("boundary_contaminated"),
+    }
+
+
 def _solve_once(cfg, eps=None, refine=False):
     pieces = cfgmod.assemble_run(cfg, eps=eps, refine=refine)
     sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
@@ -146,9 +155,7 @@ def _run_check_support(cfg, args, out):
         "vacuum_side": vacuum,
         "worst_relative": worst,
         "confined": None if worst is None else bool(worst <= analysis.SUPPORT_REL_TOL),
-        "status": sol.status,
-        "a_priori_bound": sol.meta.get("a_priori_bound"),
-        "boundary_contaminated": sol.meta.get("boundary_contaminated"),
+        **_run_status(sol),
     }
     return summary, f"vacuum side {vacuum}: worst relative {worst}", _exit_for(sol)
 
@@ -165,8 +172,7 @@ def _run_compare_lin(cfg, args, out):
         "q": pieces.params.q,
         "max_l1_E": rep.max_l1_E,
         "max_l1_u": rep.max_l1_u,
-        "status": sol.status,
-        "a_priori_bound": sol.meta.get("a_priori_bound"),
+        **_run_status(sol),
     }
     line = f"max L1 gap: E {rep.max_l1_E:.6g}, u {rep.max_l1_u:.6g}"
     return summary, line, _exit_for(sol)
@@ -190,6 +196,7 @@ def _run_probe_blowup(cfg, args, out):
         "center": center,
         "statuses": [s.status for s in sols],
         "a_priori_bounds": [s.meta.get("a_priori_bound") for s in sols],
+        "boundary_contaminated": [bool(s.meta.get("boundary_contaminated")) for s in sols],
     }
     line = f"peak growth exponent {rep.exponent:.4g} over eps {list(rep.eps_values)}"
     return summary, line, max(_exit_for(s) for s in sols)
@@ -217,8 +224,7 @@ def _run_trajectories(cfg, args, out):
     summary = {
         "trajectories": rows,
         "n_steps": n_steps,
-        "status": sol.status,
-        "a_priori_bound": sol.meta.get("a_priori_bound"),
+        **_run_status(sol),
     }
     if rows:
         line = (f"integrated {len(rows)} world line(s), "

@@ -294,14 +294,16 @@ def validate_config(cfg: RunConfig) -> list:
                for name, rows in _SCHEMA.items()}
 
     # the rules that relate two keys, each applied once its keys passed
-    g, s, net_prof = cfg.grid, cfg.scaling, cfg.delta_net.get("profile")
+    g, net_prof = cfg.grid, cfg.delta_net.get("profile")
     if not refused["grid"] & {"x_min", "x_max"} and g["x_min"] >= g["x_max"]:
         errors.append("grid: x_min must be below x_max")
         refused["grid"].add("x_max")
-    if (not refused["scaling"] & {"kind", "exponent"} and s["kind"] == "powerlaw"
-            and not 0.0 < s["exponent"] <= 1.0):
-        errors.append("scaling: powerlaw exponent must lie in (0, 1]")
-        refused["scaling"].add("exponent")
+    if not refused["scaling"]:
+        try:
+            build_scaling(cfg)  # owns the powerlaw exponent range
+        except ValueError as exc:
+            errors.append(str(exc))
+            refused["scaling"].add("exponent")
     if ("profile" not in refused["delta_net"] and net_prof.keys() & {"s_lo", "s_hi"}
             and None in (net_prof.get("s_lo"), net_prof.get("s_hi"))):
         errors.append("delta_net: profile s_lo and s_hi must be given together as numbers")

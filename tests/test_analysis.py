@@ -1,3 +1,8 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -244,10 +249,111 @@ class TestLimitSweep:
         assert any(s != "ok" for s in res.statuses)
         assert all(v == VERDICT_INCONCLUSIVE for v in res.verdicts.values())
 
+    def test_pool_is_never_larger_than_the_schedule(self, monkeypatch):
+        # a stand-in pool: records its size and maps in this process, so no
+        # process is started
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr("maxlor.analysis.ProcessPoolExecutor", SerialPool)
+        psi = TestFunction2D(t0=0.15, x0=-0.5, r_t=0.1, r_x=0.3)
+        schedule = [0.2, 0.1, 0.05]
+        pooled = limit_sweep(zero_template(), schedule, [("Q", psi)], workers=64)
+        assert sizes == [3]
+        assert pooled == limit_sweep(zero_template(), schedule, [("Q", psi)])
+
     def test_schedule_must_decrease(self):
         psi = TestFunction2D(t0=0.15, x0=-0.5, r_t=0.1, r_x=0.3)
         with pytest.raises(ValueError):
             limit_sweep(zero_template(), [0.05, 0.1], [("Q", psi)])
+
+
+# The adaptive oracle for the closed-form integrals of the linearized system:
+# scipy's quad on scalar integrands written with ``math`` (independent of the
+# vectorized evaluators under test), split at the jump lines x = 0, x = t in
+# x and at t = 0, x_lo, x_hi in t.  The outer (time) integrals are looser.
+_QUAD_INNER = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
+_QUAD_OUTER = dict(epsabs=1e-11, epsrel=1e-9, limit=300)
+
+
+def _bump(s, deriv=False):
+    if abs(s) >= 1.0:
+        return 0.0
+    one = 1.0 - s * s
+    b = math.exp(1.0 - 1.0 / one)
+    return b * (-2.0 * s / one**2) if deriv else b
+
+
+def _scalar_psi(psi, d_t=False, d_x=False):
+    """``psi`` (or one partial derivative) as a scalar function of (t, x)."""
+    t0, r_t, x0, r_x = psi.t0, psi.r_t, psi.x0, psi.r_x
+    scale = psi.amplitude / (r_t if d_t else 1.0) / (r_x if d_x else 1.0)
+
+    def f(t, x):
+        return scale * _bump((t - t0) / r_t, d_t) * _bump((x - x0) / r_x, d_x)
+    return f
+
+
+def _piecewise_quad(f, lo, hi, breaks, quad_kw):
+    """``quad`` of ``f`` over ``[lo, hi]``, split at the breaks inside it."""
+    cuts = sorted({lo, hi} | {b for b in breaks if lo < b < hi})
+    return sum(quad(f, a_, b, **quad_kw)[0] for a_, b in zip(cuts, cuts[1:]))
+
+
+def adaptive_on_axis(q, psi):
+    """``q int psi(t, 0) dt`` and the continuity residual ``-q int psi_t(t, 0) dt``."""
+    if psi.x_lo > 0.0 or psi.x_hi < 0.0:
+        return 0.0, 0.0
+    value, d_t = _scalar_psi(psi), _scalar_psi(psi, d_t=True)
+    sigma, _ = quad(lambda t: value(t, 0.0), psi.t_lo, psi.t_hi, **_QUAD_INNER)
+    cont, _ = quad(lambda t: d_t(t, 0.0), psi.t_lo, psi.t_hi, **_QUAD_INNER)
+    return q * sigma, -q * cont
+
+
+def adaptive_residuals(q, psi):
+    """``linear_system_residuals`` by nested scalar adaptive quadrature."""
+    value = _scalar_psi(psi)
+    d_t, d_x = _scalar_psi(psi, d_t=True), _scalar_psi(psi, d_x=True)
+
+    def box(t, x):  # H(x) - H(x - t) off the jump lines, which quad never samples
+        return float(x > 0.0) - float(x > t)
+
+    def quad2(F):
+        def inner(t):
+            return _piecewise_quad(lambda x: F(t, x), psi.x_lo, psi.x_hi, (0.0, t),
+                                   _QUAD_INNER)
+        return _piecewise_quad(inner, psi.t_lo, psi.t_hi, (0.0, psi.x_lo, psi.x_hi),
+                               _QUAD_OUTER)
+
+    sigma, cont = adaptive_on_axis(q, psi)
+    return {
+        "faraday": -q * quad2(lambda t, x: box(t, x) * (d_t(t, x) + d_x(t, x))) - sigma,
+        "force": (-q * quad2(lambda t, x: (t - x) * box(t, x) * d_t(t, x))
+                  - q * quad2(lambda t, x: box(t, x) * value(t, x))),
+        "continuity": cont,
+    }
+
+
+def random_windows(rng, count, x0=(-0.8, 1.2)):
+    """Seeded test functions in t >= 0, some straddling x = 0 or x = t."""
+    return [
+        TestFunction2D(t0=rng.uniform(0.45, 1.0), x0=rng.uniform(*x0),
+                       r_t=rng.uniform(0.02, 0.4), r_x=rng.uniform(0.02, 0.4),
+                       amplitude=rng.uniform(0.5, 2.0))
+        for _ in range(count)
+    ]
 
 
 class TestLinearizedReference:
@@ -281,19 +387,50 @@ class TestLinearizedReference:
             assert abs(val) <= 1e-8, (name, val)
 
     def test_gauss_route_matches_adaptive_quadrature(self):
-        # the fast fixed-order rule must reproduce the adaptive reference on
-        # windows that do and do not straddle the jump lines
-        for psi in (
+        # the fixed-order rule must reproduce the adaptive oracle on windows
+        # that do and do not straddle the jump lines
+        fixed = [
             TestFunction2D(t0=0.4, x0=0.2, r_t=0.3, r_x=0.35),
             TestFunction2D(t0=0.6, x0=-0.3, r_t=0.15, r_x=0.2),
             TestFunction2D(t0=0.2, x0=0.9, r_t=0.1, r_x=0.25),
-        ):
-            fast = linear_system_residuals(1.3, psi, method="gauss")
-            slow = linear_system_residuals(1.3, psi, method="quad")
+        ]
+        for psi in fixed + random_windows(np.random.default_rng(11), 50):
+            fast = linear_system_residuals(1.3, psi)
+            slow = adaptive_residuals(1.3, psi)
+            assert fast.keys() == slow.keys()
             for name in fast:
-                assert fast[name] == pytest.approx(slow[name], abs=1e-8)
-        with pytest.raises(ValueError):
-            linear_system_residuals(1.0, psi, method="simpson")
+                assert fast[name] == pytest.approx(slow[name], abs=1e-8), (name, psi)
+
+    def test_charge_pairing_and_continuity_match_adaptive_quadrature(self):
+        rng = np.random.default_rng(12)
+        windows = random_windows(rng, 60, x0=(-0.2, 0.2))
+        assert sum(psi.x_lo <= 0.0 <= psi.x_hi for psi in windows) >= 50
+        for psi in windows:
+            q = rng.uniform(-2.0, 2.0)
+            want_sigma, want_cont = adaptive_on_axis(q, psi)
+            assert linearized_reference(q).sigma_pairing(psi) == pytest.approx(
+                want_sigma, abs=1e-11)
+            assert linear_system_residuals(q, psi)["continuity"] == pytest.approx(
+                want_cont, abs=1e-11)
+
+    def test_closed_form_integrals_load_no_scipy(self):
+        probe = (
+            "import sys\n"
+            "from maxlor.analysis import (TestFunction2D, diag_pairing_target,\n"
+            "    linear_system_residuals, linearized_reference)\n"
+            "psi = TestFunction2D(t0=0.4, x0=0.2, r_t=0.3, r_x=0.35)\n"
+            "linear_system_residuals(1.0, psi)\n"
+            "linearized_reference(1.0).sigma_pairing(psi)\n"
+            "diag_pairing_target(psi)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_weak_residuals_vanish_for_random_bumps(self):
         rng = np.random.default_rng(7)

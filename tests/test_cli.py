@@ -33,6 +33,22 @@ def release_cfg(tmp_path, **extra):
     return write_cfg(tmp_path, **body)
 
 
+def tight_cfg(tmp_path, **extra):
+    # symmetric kernel on a domain so tight the field reaches the edge
+    body = {
+        "grid": {"x_min": -1.0, "x_max": 1.0, "n": 401},
+        "mollifier": {"kind": "symmetric"},
+        "scaling": {"kind": "constant", "c": 0.1},
+        "model": {"B0": 0.0, "T": 0.8},
+        "solver": {"save_every": 8},
+        "initial": {"E": {"kind": "gaussian", "amplitude": 1.0, "center": 0.0,
+                          "width": 0.4},
+                    "u": {"kind": "zero"}, "sigma": {"kind": "zero"}},
+    }
+    body.update(extra)
+    return write_cfg(tmp_path, **body)
+
+
 def read_csv_columns(path):
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     return rows
@@ -240,18 +256,7 @@ class TestSolve:
         assert summary["status"] == "overflow"
 
     def test_boundary_contamination_exits_4(self, tmp_path):
-        # symmetric kernel on a domain so tight the field reaches the edge
-        cfg = write_cfg(
-            tmp_path,
-            grid={"x_min": -1.0, "x_max": 1.0, "n": 401},
-            mollifier={"kind": "symmetric"},
-            scaling={"kind": "constant", "c": 0.1},
-            model={"B0": 0.0, "T": 0.8},
-            solver={"save_every": 8},
-            initial={"E": {"kind": "gaussian", "amplitude": 1.0, "center": 0.0,
-                           "width": 0.4},
-                     "u": {"kind": "zero"}, "sigma": {"kind": "zero"}},
-        )
+        cfg = tight_cfg(tmp_path)
         out = str(tmp_path / "out")
         assert main(["solve", "--config", cfg, "--out", out]) == EXIT_CONTAMINATED
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -260,18 +265,10 @@ class TestSolve:
 
 class TestSweep:
     def test_contaminated_member_exits_4(self, tmp_path):
-        # the tight symmetric-kernel domain of the solve contamination test,
-        # run as a two-member schedule
-        cfg = write_cfg(
+        # the tight domain of the solve contamination test, run as a
+        # two-member schedule
+        cfg = tight_cfg(
             tmp_path,
-            grid={"x_min": -1.0, "x_max": 1.0, "n": 401},
-            mollifier={"kind": "symmetric"},
-            scaling={"kind": "constant", "c": 0.1},
-            model={"B0": 0.0, "T": 0.8},
-            solver={"save_every": 8},
-            initial={"E": {"kind": "gaussian", "amplitude": 1.0, "center": 0.0,
-                           "width": 0.4},
-                     "u": {"kind": "zero"}, "sigma": {"kind": "zero"}},
             eps_schedule=[0.2, 0.05],
             experiment={"psi": [{"field": "E", "t0": 0.4, "x0": 0.0,
                                  "r_t": 0.1, "r_x": 0.2}]},
@@ -451,6 +448,23 @@ class TestScalingAndBlowup:
         assert rows.shape[1] == 3  # t, l1_E, l1_u
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert "max_l1_E" in summary
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("check-support", True),
+    ("compare-lin", True),
+    ("trajectories", True),
+    ("probe-blowup", [True, True]),
+])
+def test_contaminated_run_says_why_it_exits_4(tmp_path, command, flag):
+    # the tight domain of the solve contamination test, which every
+    # single-solve command runs once and probe-blowup once per member
+    cfg = tight_cfg(tmp_path, eps_schedule=[0.2, 0.05],
+                    experiment={"trajectory_starts": [0.0]})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONTAMINATED
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["boundary_contaminated"] == flag
 
 
 def test_unknown_subcommand_fails_fast(capsys):

@@ -15,6 +15,7 @@ from maxlor.config import (
     load_config,
     validate_config,
 )
+from maxlor.scaling import make_scaling
 from maxlor.solver import SolverConfig, step_bound
 
 
@@ -100,6 +101,15 @@ def test_loglog_scaling_rejects_large_eps():
     cfg = cfg_of(scaling={"kind": "loglog"}, eps=0.5)
     errs = validate_config(cfg)
     assert any("exp(-e)" in e for e in errs)
+
+
+@pytest.mark.parametrize("exponent", [0, 1.5])
+def test_powerlaw_exponent_rule_is_the_builders(exponent):
+    # validate reports the exponent range through make_scaling, once
+    errs = validate_config(cfg_of(scaling={"kind": "powerlaw", "exponent": exponent}))
+    with pytest.raises(ValueError) as built:
+        make_scaling("powerlaw", 1.0, exponent=float(exponent))
+    assert [e for e in errs if "scaling" in e] == [str(built.value)]
 
 
 def test_explicit_dt_above_stable_bound_is_rejected():
