@@ -368,42 +368,59 @@ class SweepResult:
     contaminated: tuple
     bounds: tuple
     partial: bool
+    errors: dict              # eps -> message, for each member that raised
 
 
 def _observable_label(field_name: str, psi: TestFunction2D) -> str:
     return f"{field_name}@{psi.label()}"
 
 
-def _run_member(template, eps, observables):
-    # worker body: run one member of the family and reduce it to scalars
-    from .config import assemble_run
+def _vacuum_diagonal(field_name: str, psi: TestFunction2D):
+    """Slope (1.0 or -1.0) of the light-cone diagonal through a vacuum
+    half-plane that ``psi`` sits on, when the observable is ``Q``; else None.
 
-    pieces = assemble_run(template, eps=eps, refine=True)
+    Only these observables can show the support obstruction.
+    """
+    if field_name != "Q":
+        return None
+    reach = min(psi.r_t, psi.r_x)
+    if psi.x_lo > 0.0 and abs(psi.t0 - psi.x0) <= reach:
+        return 1.0
+    if psi.x_hi < 0.0 and abs(psi.t0 + psi.x0) <= reach:
+        return -1.0
+    return None
+
+
+def _run_member(template, eps, observables):
+    # worker body: run one member of the family and reduce it to scalars; a
+    # member that raises becomes an "error" row, so the others' work is kept
+    from .config import assemble_run
     from .solver import solve
 
-    sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
-    out = {
-        "eps": eps,
-        "status": sol.status,
-        "contaminated": bool(sol.meta.get("boundary_contaminated", False)),
-        "a_priori_bound": sol.meta.get("a_priori_bound"),
-        "pairings": {},
-        "support_rel": {},
-        "field_max": {},
-    }
-    if sol.status != "ok":
-        return out
-    for field_name, psi in observables:
-        label = _observable_label(field_name, psi)
-        F = _field_stack(sol, field_name, pieces.operator)
-        out["pairings"][label] = _pair_stack(F, sol, psi)
-        out["field_max"][label] = float(np.max(np.abs(F)))
-        if psi.x_lo > 0.0:
-            rep = support_probe(sol, 0.5 * psi.x_lo)
-            out["support_rel"][label] = max(rep.rel_right(n) for n in ("E", "u", "sigma"))
-        elif psi.x_hi < 0.0:
-            rep = support_probe(sol, 0.5 * psi.x_hi)
-            out["support_rel"][label] = max(rep.rel_left(n) for n in ("E", "u", "sigma"))
+    out = {"eps": eps, "status": "error", "contaminated": False, "a_priori_bound": None,
+           "pairings": {}, "support_rel": {}, "field_max": {}}
+    try:
+        pieces = assemble_run(template, eps=eps, refine=True)
+        sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
+        out["status"] = sol.status
+        out["contaminated"] = bool(sol.meta.get("boundary_contaminated", False))
+        out["a_priori_bound"] = sol.meta.get("a_priori_bound")
+        if sol.status != "ok":
+            return out
+        for field_name, psi in observables:
+            label = _observable_label(field_name, psi)
+            F = _field_stack(sol, field_name, pieces.operator)
+            out["pairings"][label] = _pair_stack(F, sol, psi)
+            slope = _vacuum_diagonal(field_name, psi)
+            if slope is None:
+                continue
+            # what _classify reads to call the obstruction: size and leakage
+            out["field_max"][label] = float(np.max(np.abs(F)))
+            rep = support_probe(sol, 0.5 * (psi.x_lo if slope > 0 else psi.x_hi))
+            rel = rep.rel_right if slope > 0 else rep.rel_left
+            out["support_rel"][label] = max(rel(n) for n in ("E", "u", "sigma"))
+    except Exception as exc:
+        out.update(status="error", error=f"{type(exc).__name__}: {exc}", pairings={})
     return out
 
 
@@ -415,8 +432,9 @@ def limit_sweep(template, eps_schedule, observables, workers: int = 1) -> SweepR
     """Run the same configuration down an eps schedule and classify limits.
 
     ``observables`` is a list of ``(field_name, TestFunction2D)`` pairs.
-    Members run independently (optionally in a process pool); an aborted
-    member leaves the sweep partial and its observables inconclusive.
+    Members run independently (optionally in a process pool); a member that
+    aborted or raised leaves the sweep partial and its observables
+    inconclusive.
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if any(b >= a_ for a_, b in zip(eps_schedule, eps_schedule[1:])):
@@ -457,25 +475,22 @@ def limit_sweep(template, eps_schedule, observables, workers: int = 1) -> SweepR
         contaminated=contaminated,
         bounds=tuple(r["a_priori_bound"] for r in results),
         partial=partial,
+        errors={r["eps"]: r["error"] for r in results if "error" in r},
     )
 
 
 def _classify(field_name, psi, vals, incs, results, label, targets) -> str:
     # the obstruction case: Q paired against a diagonal bump in the vacuum
     # half-plane, for solutions carrying charge confined to the other side
-    if field_name == "Q":
-        on_right = psi.x_lo > 0.0 and abs(psi.t0 - psi.x0) <= min(psi.r_t, psi.r_x)
-        on_left = psi.x_hi < 0.0 and abs(psi.t0 + psi.x0) <= min(psi.r_t, psi.r_x)
-        if on_right or on_left:
-            target = diag_pairing_target(psi, slope=1.0 if on_right else -1.0)
-            targets[label] = target
-            confined = all(
-                r["support_rel"].get(label, math.inf) <= SUPPORT_REL_TOL for r in results
-            )
-            nontrivial = any(r["field_max"][label] > 1e-6 for r in results)
-            vanishing = all(abs(v) <= OBSTRUCTION_PAIRING_TOL for v in vals)
-            if confined and nontrivial and vanishing and target > OBSTRUCTION_TARGET_MIN:
-                return VERDICT_OBSTRUCTION
+    slope = _vacuum_diagonal(field_name, psi)
+    if slope is not None:
+        target = diag_pairing_target(psi, slope=slope)
+        targets[label] = target
+        confined = all(r["support_rel"][label] <= SUPPORT_REL_TOL for r in results)
+        nontrivial = any(r["field_max"][label] > 1e-6 for r in results)
+        vanishing = all(abs(v) <= OBSTRUCTION_PAIRING_TOL for v in vals)
+        if confined and nontrivial and vanishing and target > OBSTRUCTION_TARGET_MIN:
+            return VERDICT_OBSTRUCTION
     if not incs:
         return VERDICT_INCONCLUSIVE
     scale = max(abs(v) for v in vals)

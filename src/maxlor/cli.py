@@ -3,8 +3,9 @@
 Every subcommand is config-driven and deterministic: outputs are CSV data
 files plus one ``summary.json`` verdict object per run directory.  Exit
 codes sort failures by class: 0 clean, 2 config problems, 3 runtime
-aborts (guard trip, overflow, fixed-point stall), 4 boundary
-contamination of an otherwise finished run.
+aborts (guard trip, overflow, fixed-point stall, a sweep member that
+raised), 4 boundary contamination of an otherwise finished run; in a
+family of runs an aborted member wins over a contaminated one.
 
 The subcommands are the rows of ``_COMMANDS``: a name, its ``--help``
 line, what it needs of a config beyond ``validate`` (keys it cannot run
@@ -70,12 +71,16 @@ def _default_probe_cut(cfg) -> list:
     return cfgmod._probe_cut_problems(cfg, cfgmod._experiment_value(cfg, "probe_x0"))
 
 
-def _exit_for(sol) -> int:
-    if sol.status != STATUS_OK:
+def _exit_code(statuses, contaminated) -> int:
+    """The exit rule of every run: 3 when a run aborted or raised (it wins
+    over contamination), else 4 when a run is contaminated, else 0."""
+    if any(s != STATUS_OK for s in statuses):
         return EXIT_RUNTIME
-    if sol.meta.get("boundary_contaminated"):
-        return EXIT_CONTAMINATED
-    return EXIT_OK
+    return EXIT_CONTAMINATED if any(contaminated) else EXIT_OK
+
+
+def _exit_for(sol) -> int:
+    return _exit_code([sol.status], [sol.meta.get("boundary_contaminated")])
 
 
 def _run_status(sol) -> dict:
@@ -123,10 +128,10 @@ def _run_sweep(cfg, args, out):
         "boundary_contaminated": list(result.contaminated),
         "partial": result.partial,
     }
+    if result.errors:
+        summary["errors"] = dict(result.errors)
     line = "\n".join(f"{label}: {result.verdicts[label]}" for label in result.labels)
-    if result.partial:
-        return summary, line, EXIT_RUNTIME
-    return summary, line, EXIT_CONTAMINATED if any(result.contaminated) else EXIT_OK
+    return summary, line, _exit_code(result.statuses, result.contaminated)
 
 
 def _run_check_support(cfg, args, out):
@@ -199,7 +204,7 @@ def _run_probe_blowup(cfg, args, out):
         "boundary_contaminated": [bool(s.meta.get("boundary_contaminated")) for s in sols],
     }
     line = f"peak growth exponent {rep.exponent:.4g} over eps {list(rep.eps_values)}"
-    return summary, line, max(_exit_for(s) for s in sols)
+    return summary, line, _exit_code(summary["statuses"], summary["boundary_contaminated"])
 
 
 def _run_trajectories(cfg, args, out):

@@ -42,16 +42,7 @@ class Mollifier:
     s_lo: float
     s_hi: float
     norm_const: float
-    moment1: float
-    l1_deriv: float
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.s_lo, self.s_hi)
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.s_lo + self.s_hi)
+    l1_deriv: float           # total variation int |phi'| dx, twice the peak
 
     def _mapped(self, x):
         # affine map of [s_lo, s_hi] onto [-1, 1]
@@ -85,10 +76,6 @@ class Mollifier:
             return float(out)
         return out
 
-    def l1_norm_deriv(self) -> float:
-        """Total variation ``int |phi'| dx``, equal to ``2 max phi`` here."""
-        return self.l1_deriv
-
     def spec_dict(self) -> dict:
         return {"kind": self.kind, "s_lo": self.s_lo, "s_hi": self.s_hi}
 
@@ -113,20 +100,8 @@ def make_mollifier(kind: str = "symmetric", support: tuple[float, float] | None 
     if kind == "right" and s_lo < 0.0:
         raise ValueError(f"mollifier: right kernel requires support in [0, inf), got s_lo={s_lo}")
 
-    width = s_hi - s_lo
-    center = 0.5 * (s_lo + s_hi)
     # mass of the remapped raw profile; substitution y -> x gives width/2 factor
-    mass = 0.5 * width * RAW_BUMP_MASS
-    norm_const = 1.0 / mass
-    # even profile about the support center, so the first moment is the center
-    moment1 = center
+    norm_const = 1.0 / (0.5 * (s_hi - s_lo) * RAW_BUMP_MASS)
     # |phi'| integrates to twice the peak value for a single-hump profile
     l1_deriv = 2.0 * norm_const * math.exp(-1.0)
-    return Mollifier(
-        kind=kind,
-        s_lo=s_lo,
-        s_hi=s_hi,
-        norm_const=norm_const,
-        moment1=moment1,
-        l1_deriv=l1_deriv,
-    )
+    return Mollifier(kind=kind, s_lo=s_lo, s_hi=s_hi, norm_const=norm_const, l1_deriv=l1_deriv)

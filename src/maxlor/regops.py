@@ -3,10 +3,10 @@
 The operator ``D f = phi'_nu * f`` with ``phi'_nu(x) = phi'(x/nu) / nu^2``
 replaces the spatial derivative everywhere in the model.  On a grid it is a
 short stencil with zero padding outside the grid, applied as one real-FFT
-convolution (``numpy.fft``) against kernel spectra computed once per
-operator.  Each operator also owns two work buffers, a spectrum and a
-padded real array, that every convolution reuses as the ``out=`` of
-``rfft`` and ``irfft``, so a convolution allocates no array of the
+convolution (``numpy.fft``) against the stencil's spectrum, computed once
+per operator.  Each operator also owns two work buffers, a spectrum and a
+padded real array, that every application reuses as the ``out=`` of
+``rfft`` and ``irfft``, so an application allocates no array of the
 padded length.
 
 Stencil weights are the exact per-cell integrals of ``phi'_nu``; by the
@@ -65,27 +65,18 @@ class RegDerivOperator:
     grid: Grid
     offsets: np.ndarray       # integer grid offsets j with nonzero weight
     weights: np.ndarray       # derivative-kernel weights, sum exactly ~0
-    smooth_weights: np.ndarray  # mollify weights on the same offsets, sum 1
     op_norm: float            # cached bound ||phi'||_L1 / nu
 
     def __post_init__(self):
         # padded length that holds the full linear convolution without wrap
         self._fft_len = next_fast_len(self.grid.n + len(self.offsets) - 1)
-        self._deriv_spectrum = rfft(self.weights, self._fft_len)
-        self._smooth_spectrum = rfft(self.smooth_weights, self._fft_len)
-        # work buffers every convolution overwrites
-        self._spec = np.empty_like(self._deriv_spectrum)
+        self._spectrum = rfft(self.weights, self._fft_len)
+        # work buffers every application overwrites
+        self._spec = np.empty_like(self._spectrum)
         self._full = np.empty(self._fft_len)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Regularized derivative of f with zero padding outside the grid."""
-        return self._convolve(f, self._deriv_spectrum)
-
-    def mollify(self, f: np.ndarray) -> np.ndarray:
-        """Smoothing ``phi_nu * f``; preserves the discrete mass of f."""
-        return self._convolve(f, self._smooth_spectrum)
-
-    def _convolve(self, f: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
         n = self.grid.n
         if f.shape != (n,):
@@ -100,7 +91,7 @@ class RegDerivOperator:
         hi = n - 1 - int(nonzero[::-1].argmax())
         # full[k] = sum_j w_j f[k + j_min - j], so out[i] = full[i - j_min]
         spec = rfft(f, self._fft_len, out=self._spec)
-        spec *= spectrum
+        spec *= self._spectrum
         full = irfft(spec, self._fft_len, out=self._full)
         j_min = int(self.offsets[0])
         a = max(lo + j_min, 0)
@@ -108,17 +99,6 @@ class RegDerivOperator:
         if a < b:
             out[a:b] = full[a - j_min:b - j_min]
         return out
-
-
-def _trim_zeros(offsets: np.ndarray, *weight_arrays: np.ndarray):
-    keep = np.zeros(len(offsets), dtype=bool)
-    for w in weight_arrays:
-        keep |= w != 0.0
-    nz = np.nonzero(keep)[0]
-    if len(nz) == 0:
-        raise ValueError("regops: kernel sampled to an empty stencil")
-    sl = slice(nz[0], nz[-1] + 1)
-    return (offsets[sl],) + tuple(w[sl] for w in weight_arrays)
 
 
 def make_operator(m: Mollifier, nu: float, grid: Grid) -> RegDerivOperator:
@@ -142,20 +122,20 @@ def make_operator(m: Mollifier, nu: float, grid: Grid) -> RegDerivOperator:
     edges_hi = m.eval((js + 0.5) * dx / nu) / nu
     edges_lo = m.eval((js - 0.5) * dx / nu) / nu
     deriv_w = edges_hi - edges_lo
-    smooth_w = m.eval(js * dx / nu) / nu * dx
-    js, deriv_w, smooth_w = _trim_zeros(js, deriv_w, smooth_w)
-    # project to exact zero sum (derivative kernel) and exact unit sum (smoother)
+    nz = np.nonzero(deriv_w)[0]
+    if len(nz) == 0:
+        raise ValueError("regops: kernel sampled to an empty stencil")
+    js, deriv_w = js[nz[0]:nz[-1] + 1], deriv_w[nz[0]:nz[-1] + 1]
+    # project to an exact zero sum
     deriv_w = deriv_w - deriv_w.sum() / len(deriv_w)
     deriv_w = deriv_w - deriv_w.sum() / len(deriv_w)
-    smooth_w = smooth_w / smooth_w.sum()
     return RegDerivOperator(
         mollifier=m,
         nu=float(nu),
         grid=grid,
         offsets=js,
         weights=deriv_w,
-        smooth_weights=smooth_w,
-        op_norm=m.l1_norm_deriv() / nu,
+        op_norm=m.l1_deriv / nu,
     )
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from maxlor import analysis
 from maxlor.analysis import (
     OBSTRUCTION_PAIRING_TOL,
     SUPPORT_REL_TOL,
@@ -230,6 +231,29 @@ def zero_template():
     })
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """A stand-in for the sweep's process pool that maps in this process, so
+    no process is started; returns the sizes the pools were asked for."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr("maxlor.analysis.ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
 class TestLimitSweep:
     def test_zero_data_converges_with_zero_pairings(self):
         psi = TestFunction2D(t0=0.15, x0=-0.5, r_t=0.1, r_x=0.3)
@@ -249,30 +273,51 @@ class TestLimitSweep:
         assert any(s != "ok" for s in res.statuses)
         assert all(v == VERDICT_INCONCLUSIVE for v in res.verdicts.values())
 
-    def test_pool_is_never_larger_than_the_schedule(self, monkeypatch):
-        # a stand-in pool: records its size and maps in this process, so no
-        # process is started
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr("maxlor.analysis.ProcessPoolExecutor", SerialPool)
+    def test_pool_is_never_larger_than_the_schedule(self, serial_pool):
         psi = TestFunction2D(t0=0.15, x0=-0.5, r_t=0.1, r_x=0.3)
         schedule = [0.2, 0.1, 0.05]
         pooled = limit_sweep(zero_template(), schedule, [("Q", psi)], workers=64)
-        assert sizes == [3]
+        assert serial_pool == [3]
         assert pooled == limit_sweep(zero_template(), schedule, [("Q", psi)])
+
+    def test_raising_pooled_member_keeps_the_others(self, serial_pool, monkeypatch):
+        def solve_or_raise(initial, cfg, op, params):
+            if params.eps == 0.1:
+                raise MemoryError("no room")
+            return solve(initial, cfg, op, params)
+
+        monkeypatch.setattr("maxlor.solver.solve", solve_or_raise)
+        psi = TestFunction2D(t0=0.15, x0=-0.5, r_t=0.1, r_x=0.3)
+        res = limit_sweep(zero_template(), [0.2, 0.1, 0.05], [("Q", psi)], workers=2)
+        assert serial_pool == [2]
+        assert res.statuses == ("ok", "error", "ok")
+        assert res.errors == {0.1: "MemoryError: no room"}
+        assert res.partial
+        label = res.labels[0]
+        assert res.pairings[label][1] is None
+        assert res.pairings[label][0] is not None and res.pairings[label][2] is not None
+        assert res.verdicts[label] == VERDICT_INCONCLUSIVE
+
+    def test_vacuum_diagonal_observables_alone_are_probed(self, monkeypatch):
+        # only Q on a light-cone diagonal in a vacuum half-plane can show the
+        # obstruction; no other observable pays for a support probe
+        probed = []
+        real_probe = analysis.support_probe
+
+        def counting_probe(sol, x0):
+            probed.append(x0)
+            return real_probe(sol, x0)
+
+        monkeypatch.setattr("maxlor.analysis.support_probe", counting_probe)
+        observables = [
+            ("Q", TestFunction2D(t0=0.2, x0=0.2, r_t=0.1, r_x=0.1)),
+            ("Q", TestFunction2D(t0=0.2, x0=-0.2, r_t=0.1, r_x=0.1)),
+            ("sigma", TestFunction2D(t0=0.2, x0=0.2, r_t=0.1, r_x=0.1)),
+            ("Q", TestFunction2D(t0=0.15, x0=-0.5, r_t=0.1, r_x=0.3)),
+        ]
+        res = limit_sweep(zero_template(), [0.2, 0.1], observables)
+        assert probed == [0.5 * (0.2 - 0.1), 0.5 * (-0.2 + 0.1)] * 2
+        assert [lab for lab, t in res.targets.items() if t is not None] == list(res.labels[:2])
 
     def test_schedule_must_decrease(self):
         psi = TestFunction2D(t0=0.15, x0=-0.5, r_t=0.1, r_x=0.3)

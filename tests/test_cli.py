@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from maxlor import solver
+
 from maxlor.cli import (
     EXIT_CONFIG,
     EXIT_CONTAMINATED,
@@ -13,6 +16,9 @@ from maxlor.cli import (
     EXIT_RUNTIME,
     main,
 )
+from maxlor.fields import FieldState, Grid, SpacetimeSolution
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def write_cfg(tmp_path, name="cfg.json", **body):
@@ -279,6 +285,33 @@ class TestSweep:
         assert summary["boundary_contaminated"] == [True, True]
         assert summary["partial"] is False
 
+    def test_raising_member_keeps_the_others(self, tmp_path, monkeypatch):
+        # the eps=0.1 member raises mid-solve; the finished members' work is
+        # still written and the sweep exits as an aborted one
+        real_solve = solver.solve
+
+        def solve_or_raise(initial, cfg, op, params):
+            if params.eps == 0.1:
+                raise MemoryError("no room for the eps=0.1 member")
+            return real_solve(initial, cfg, op, params)
+
+        monkeypatch.setattr("maxlor.solver.solve", solve_or_raise)
+        cfg = os.path.join(CONFIGS, "obstruction_sweep.json")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["statuses"] == ["ok", "error", "ok"]
+        assert summary["partial"] is True
+        assert summary["errors"] == {"0.1": "MemoryError: no room for the eps=0.1 member"}
+        assert set(summary["verdicts"].values()) == {"inconclusive"}
+        for pairings in summary["pairings"].values():
+            assert pairings[1] is None
+            assert pairings[0] is not None and pairings[2] is not None
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [float(r[0]) for r in rows] == [0.2, 0.1, 0.05] * 2
+        assert [r[2] == "" for r in rows] == [False, True, False] * 2
+
     def test_needs_psi_list(self, tmp_path, capsys):
         cfg = release_cfg(tmp_path, eps_schedule=[0.2, 0.1])
         assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
@@ -439,6 +472,26 @@ class TestScalingAndBlowup:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["exponent"] > 0.0
         assert len(summary["peaks"]) == 3
+
+    def test_aborted_member_wins_over_contamination(self, tmp_path, monkeypatch):
+        # the eps=0.2 member trips the guard and the others finish
+        # contaminated: the abort decides the exit code, as in sweep
+        grid = Grid(-1.0, 1.0, 21)
+
+        def fake_solve_once(cfg, eps=None, refine=False):
+            ones = np.ones(grid.n)
+            states = [FieldState(t, ones, ones, ones / eps) for t in (0.0, 0.1)]
+            meta = {"eps": eps, "status": "guard" if eps == 0.2 else "ok",
+                    "boundary_contaminated": eps != 0.2, "a_priori_bound": 1.0}
+            return None, SpacetimeSolution(grid, np.array([0.0, 0.1]), states, meta)
+
+        monkeypatch.setattr("maxlor.cli._solve_once", fake_solve_once)
+        cfg = os.path.join(CONFIGS, "blowup_family.json")
+        out = tmp_path / "out"
+        assert main(["probe-blowup", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["statuses"] == ["guard", "ok", "ok", "ok"]
+        assert summary["boundary_contaminated"] == [False, True, True, True]
 
     def test_compare_lin_writes_distances(self, tmp_path):
         cfg = release_cfg(tmp_path, model={"B0": 0.0, "T": 0.2})

@@ -41,13 +41,12 @@ def test_symmetric_normalization():
 
 def test_left_normalization():
     m = make_mollifier("left")
-    assert m.support == (-1.0, 0.0)
+    assert (m.s_lo, m.s_hi) == (-1.0, 0.0)
     assert m.norm_const == pytest.approx(NORM_LEFT, rel=1e-12)
     mass, _ = quad(m.eval, -1.0, 0.0, epsabs=1e-13, limit=200)
     assert mass == pytest.approx(1.0, abs=1e-10)
     # the peak sits at the support midpoint
-    assert m.center == -0.5
-    assert m.moment1 == -0.5
+    assert m.eval(-0.5) == np.max(m.eval(np.linspace(-1.0, 0.0, 101)))
 
 
 def test_vanishes_outside_support_exactly():
@@ -65,11 +64,11 @@ def test_l1_norm_of_derivative():
     m = make_mollifier("symmetric")
     # closed form: the bump is unimodal, so the total variation is twice
     # the peak; cross-checked against direct quadrature of |phi'|
-    assert m.l1_norm_deriv() == pytest.approx(2.0 * m.eval(0.0), rel=1e-12)
+    assert m.l1_deriv == pytest.approx(2.0 * m.eval(0.0), rel=1e-12)
     direct, _ = quad(lambda y: abs(m.eval_deriv(y)), -1.0, 1.0,
                      points=[0.0], epsabs=1e-13, limit=200)
-    assert m.l1_norm_deriv() == pytest.approx(direct, rel=1e-9)
-    assert m.l1_norm_deriv() == pytest.approx(L1_DERIV_SYMMETRIC, rel=1e-12)
+    assert m.l1_deriv == pytest.approx(direct, rel=1e-9)
+    assert m.l1_deriv == pytest.approx(L1_DERIV_SYMMETRIC, rel=1e-12)
 
 
 def test_derivative_matches_finite_difference():
@@ -82,7 +81,7 @@ def test_derivative_matches_finite_difference():
 
 def test_custom_support_remap():
     m = make_mollifier("symmetric", support=(-0.25, 0.75))
-    assert m.support == (-0.25, 0.75)
+    assert (m.s_lo, m.s_hi) == (-0.25, 0.75)
     mass, _ = quad(m.eval, -0.25, 0.75, epsabs=1e-13, limit=200)
     assert mass == pytest.approx(1.0, abs=1e-10)
     assert m.eval(-0.3) == 0.0 and m.eval(0.8) == 0.0
@@ -111,8 +110,9 @@ def test_nonnegative_and_peaked_at_center(lo, width):
     m = make_mollifier("symmetric", support=(lo, lo + width))
     ys = np.linspace(lo - 0.5, lo + width + 0.5, 57)
     vals = m.eval(ys)
+    center = lo + 0.5 * width
     assert np.all(vals >= 0.0)
-    assert np.all(vals <= m.eval(m.center) + 1e-12)
+    assert np.all(vals <= m.eval(center) + 1e-12)
     # even about the center
     d = 0.3 * width
-    assert m.eval(m.center + d) == pytest.approx(m.eval(m.center - d), rel=1e-12)
+    assert m.eval(center + d) == pytest.approx(m.eval(center - d), rel=1e-12)

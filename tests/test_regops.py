@@ -32,8 +32,6 @@ def test_weights_sum_to_zero():
         m = make_mollifier(kind)
         op = make_operator(m, 0.1, g)
         assert abs(op.weights.sum()) <= 1e-9 * op.op_norm
-        # mollification weights are a partition of unity
-        assert op.smooth_weights.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_stencil_size_bound():
@@ -85,8 +83,6 @@ def test_constants_annihilated_on_interior():
     op = make_operator(make_mollifier("symmetric"), 0.1, g)
     out = op.apply(np.full(g.n, 3.7))
     assert np.max(np.abs(_interior(out, g, 0.1))) < 1e-13
-    smoothed = op.mollify(np.full(g.n, 3.7))
-    assert np.allclose(_interior(smoothed, g, 0.1), 3.7, rtol=0, atol=1e-12)
 
 
 def test_left_kernel_reads_only_rightward():
@@ -105,28 +101,56 @@ def test_left_kernel_reads_only_rightward():
     assert np.all(op2.apply(f2)[g2.xs <= 0.5] == 0.0)
 
 
-def test_mollify_converges_to_identity():
-    g = Grid(-10.0, 10.0, 4001)
-    f = np.sin(g.xs)
-    m = make_mollifier("symmetric")
-    errs = []
-    for nu in (0.2, 0.1):
-        op = make_operator(m, nu, g)
-        errs.append(np.max(np.abs(_interior(op.mollify(f) - f, g, nu))))
-    # smoothing error is second order in the width for the even kernel
-    assert np.log2(errs[0] / errs[1]) >= 1.8
-
-
 def test_operator_norm_bounds_amplification():
     g = Grid(-2.0, 2.0, 1601)
     m = make_mollifier("symmetric")
     op = make_operator(m, 0.1, g)
-    assert op.op_norm == pytest.approx(m.l1_norm_deriv() / 0.1, rel=1e-12)
+    assert op.op_norm == pytest.approx(m.l1_deriv / 0.1, rel=1e-12)
     assert np.sum(np.abs(op.weights)) <= op.op_norm * (1.0 + 1e-9)
     rng = np.random.default_rng(7)
     for _ in range(5):
         f = rng.standard_normal(g.n)
         assert np.max(np.abs(op.apply(f))) <= op.op_norm * np.max(np.abs(f)) * (1 + 1e-12)
+
+
+def _support(kind, anchor, width):
+    # a support of the given width that the kind admits, placed by anchor in [0, 1]
+    if kind == "left":
+        return (-anchor - width, -anchor)
+    if kind == "right":
+        return (anchor, anchor + width)
+    return (anchor - width, anchor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["left", "right", "symmetric"]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.5, max_value=3.0),
+    st.floats(min_value=4.0, max_value=400.0),
+)
+def test_stencil_holds_every_sampled_kernel_point(kind, anchor, width, cells):
+    # the stencil is trimmed on the derivative weights alone; it must still
+    # cover every offset j where the kernel sampled at j*dx is nonzero, which
+    # is where the union with the point-sampled kernel used to reach
+    g = Grid(-1.0, 1.0, 2001)
+    m = make_mollifier(kind, support=_support(kind, anchor, width))
+    nu = cells * g.dx
+    op = make_operator(m, nu, g)
+    js = np.arange(math.floor(nu * m.s_lo / g.dx) - 2, math.ceil(nu * m.s_hi / g.dx) + 3)
+    sampled = js[m.eval(js * g.dx / nu) != 0.0]
+    assert len(sampled) > 0
+    assert op.offsets[0] <= sampled[0] and sampled[-1] <= op.offsets[-1]
+
+
+def test_kernel_narrower_than_a_cell_is_refused():
+    # the kernel holds the grid point 0 but no midpoint j +- 1/2, so every
+    # derivative weight is zero
+    g = Grid(-1.0, 1.0, 2001)
+    m = make_mollifier("symmetric", support=(-0.05, 0.05))
+    assert m.eval(0.0) > 0.0
+    with pytest.raises(ValueError, match="empty stencil"):
+        make_operator(m, 4 * g.dx, g)
 
 
 def test_rebuild_from_meta():
@@ -186,9 +210,8 @@ def test_fft_matches_direct_summation(kind, n, frac, seed, island):
         lo, hi = sorted(rng.integers(0, n, 2))
         f[:lo] = 0.0
         f[hi:] = 0.0
-    for kernel, fn in ((op.weights, op.apply), (op.smooth_weights, op.mollify)):
-        gap = np.max(np.abs(fn(f) - _direct(op, f, kernel)))
-        assert gap <= FFT_REL_TOL * np.sum(np.abs(kernel)) * np.max(np.abs(f))
+    gap = np.max(np.abs(op.apply(f) - _direct(op, f, op.weights)))
+    assert gap <= FFT_REL_TOL * np.sum(np.abs(op.weights)) * np.max(np.abs(f))
 
 
 @pytest.mark.parametrize("kind", ["left", "right"])
@@ -201,13 +224,11 @@ def test_exact_zeros_outside_dependency_cone(kind):
     f[lo:hi + 1] = np.exp(-((g.xs[lo:hi + 1]) ** 2) * 20.0) + 0.5
     cone = np.zeros(g.n, dtype=bool)
     cone[lo + op.offsets[0]:hi + op.offsets[-1] + 1] = True
-    for kernel, fn in ((op.weights, op.apply), (op.smooth_weights, op.mollify)):
-        out = fn(f)
-        assert np.all(out[~cone] == 0.0)
-        assert np.all(_direct(op, f, kernel)[~cone] == 0.0)
-        assert np.any(out[cone] != 0.0)
-        zero = fn(np.zeros(g.n))
-        assert np.all(zero == 0.0)
+    out = op.apply(f)
+    assert np.all(out[~cone] == 0.0)
+    assert np.all(_direct(op, f, op.weights)[~cone] == 0.0)
+    assert np.any(out[cone] != 0.0)
+    assert np.all(op.apply(np.zeros(g.n)) == 0.0)
 
 
 def test_operators_from_same_meta_are_bit_identical():
@@ -218,7 +239,6 @@ def test_operators_from_same_meta_are_bit_identical():
     rng = np.random.default_rng(3)
     f = rng.standard_normal(g.n)
     assert np.array_equal(op1.apply(f), op2.apply(f))
-    assert np.array_equal(op1.mollify(f), op2.mollify(f))
 
 
 def test_next_fast_len_matches_scipy():
@@ -227,12 +247,12 @@ def test_next_fast_len_matches_scipy():
     assert mismatch == []
 
 
-def _scipy_convolve(op, f, kernel):
+def _scipy_convolve(op, f):
     # the scipy.fft convolution the operator replaced, cut to the dependency
     # cone of supp f the same way
     n = len(f)
-    size = sfft.next_fast_len(n + len(kernel) - 1, real=True)
-    full = sfft.irfft(sfft.rfft(f, size) * sfft.rfft(kernel, size), size)
+    size = sfft.next_fast_len(n + len(op.weights) - 1, real=True)
+    full = sfft.irfft(sfft.rfft(f, size) * sfft.rfft(op.weights, size), size)
     out = np.zeros(n)
     nz = np.nonzero(f)[0]
     j_min = int(op.offsets[0])
@@ -251,6 +271,6 @@ def test_numpy_fft_is_bitwise_the_scipy_convolution(kind, n):
     island = np.zeros(n)
     island[n // 3:n // 2] = rng.standard_normal(n // 2 - n // 3)
     for f in (rng.standard_normal(n), island):
-        # each operator reuses its work buffers, so apply each twice
-        for kernel, fn in ((op.weights, op.apply), (op.smooth_weights, op.mollify)) * 2:
-            assert fn(f).tobytes() == _scipy_convolve(op, f, kernel).tobytes()
+        # each operator reuses its work buffers, so apply twice
+        for _ in range(2):
+            assert op.apply(f).tobytes() == _scipy_convolve(op, f).tobytes()
