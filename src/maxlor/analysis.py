@@ -5,7 +5,8 @@ as data: pairing fields against smooth test functions, probing one-sided
 support, measuring how well the derived quantity ``Q = sigma - D E``
 transports, sweeping a family of runs down an eps schedule and classifying
 the limit behavior, and comparing against the closed-form solution of the
-linearized system.
+linearized system.  The sweep and the blow-up probe share one family runner
+(pooled if asked), which keeps a member that raises as an "error" row.
 
 The sweep verdict logic encodes the central structural dichotomy: smooth
 pairings that settle down are reported ``converging``; a family whose
@@ -18,6 +19,7 @@ point charge along the light cone.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -353,22 +355,69 @@ def thin_solution(sol: SpacetimeSolution, step: int) -> SpacetimeSolution:
 
 
 # ---------------------------------------------------------------------------
+# eps families: the one runner of every command that walks a schedule
+
+
+@dataclass(frozen=True)
+class _Family:
+    eps_schedule: tuple
+    statuses: tuple
+    contaminated: tuple
+    bounds: tuple
+    errors: dict              # eps -> message, for each member that raised
+    partial: bool             # some member aborted or raised
+
+
+def _run_member(template, reduce, args, eps):
+    # one member, reduced to numbers before it returns, so no solution
+    # outlives it; a member that raises becomes an "error" row
+    from .config import assemble_run
+    from .solver import solve
+
+    contaminated, bound = False, None
+    try:
+        pieces = assemble_run(template, eps=eps, refine=True)
+        sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
+        meta = sol.meta
+        contaminated, bound = bool(meta.get("boundary_contaminated")), meta.get("a_priori_bound")
+        return sol.status, contaminated, bound, reduce(sol, pieces.operator, *args), None
+    except Exception as exc:
+        return "error", contaminated, bound, None, f"{type(exc).__name__}: {exc}"
+
+
+def _run_family(template, eps_schedule, reduce, args=(), workers: int = 1):
+    """Assemble (refined), solve and reduce each member of an eps family.
+
+    ``reduce(sol, op, *args)`` turns a solved member into numbers; it and
+    ``args`` must pickle for ``workers > 1``, which pools the members.
+    """
+    eps_schedule = tuple(float(e) for e in eps_schedule)
+    if not eps_schedule or any(b >= a_ for a_, b in zip(eps_schedule, eps_schedule[1:])):
+        raise ValueError("family: eps schedule must be non-empty and strictly decreasing")
+    run = functools.partial(_run_member, template, reduce, args)
+    if workers > 1:
+        # the pool starts all its processes at once: never more than members
+        with ProcessPoolExecutor(max_workers=min(workers, len(eps_schedule))) as pool:
+            rows = list(pool.map(run, eps_schedule))
+    else:
+        rows = [run(eps) for eps in eps_schedule]
+    statuses, contaminated, bounds, values, errors = zip(*rows)
+    errors = {e: m for e, m in zip(eps_schedule, errors) if m is not None}
+    partial = any(s != "ok" for s in statuses)
+    return _Family(eps_schedule, statuses, contaminated, bounds, errors, partial), values
+
+
+# ---------------------------------------------------------------------------
 # limit sweep
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    eps_schedule: tuple
+class SweepResult(_Family):
     labels: tuple
     pairings: dict
     increments: dict
     verdicts: dict
     targets: dict
-    statuses: tuple
-    contaminated: tuple
-    bounds: tuple
-    partial: bool
-    errors: dict              # eps -> message, for each member that raised
 
 
 def _observable_label(field_name: str, psi: TestFunction2D) -> str:
@@ -391,41 +440,24 @@ def _vacuum_diagonal(field_name: str, psi: TestFunction2D):
     return None
 
 
-def _run_member(template, eps, observables):
-    # worker body: run one member of the family and reduce it to scalars; a
-    # member that raises becomes an "error" row, so the others' work is kept
-    from .config import assemble_run
-    from .solver import solve
-
-    out = {"eps": eps, "status": "error", "contaminated": False, "a_priori_bound": None,
-           "pairings": {}, "support_rel": {}, "field_max": {}}
-    try:
-        pieces = assemble_run(template, eps=eps, refine=True)
-        sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
-        out["status"] = sol.status
-        out["contaminated"] = bool(sol.meta.get("boundary_contaminated", False))
-        out["a_priori_bound"] = sol.meta.get("a_priori_bound")
-        if sol.status != "ok":
-            return out
-        for field_name, psi in observables:
-            label = _observable_label(field_name, psi)
-            F = _field_stack(sol, field_name, pieces.operator)
-            out["pairings"][label] = _pair_stack(F, sol, psi)
-            slope = _vacuum_diagonal(field_name, psi)
-            if slope is None:
-                continue
-            # what _classify reads to call the obstruction: size and leakage
-            out["field_max"][label] = float(np.max(np.abs(F)))
-            rep = support_probe(sol, 0.5 * (psi.x_lo if slope > 0 else psi.x_hi))
-            rel = rep.rel_right if slope > 0 else rep.rel_left
-            out["support_rel"][label] = max(rel(n) for n in ("E", "u", "sigma"))
-    except Exception as exc:
-        out.update(status="error", error=f"{type(exc).__name__}: {exc}", pairings={})
+def _sweep_member(sol, op, observables):
+    # the sweep's reducer: each pairing, plus what _classify reads (size and
+    # leakage) for the observables that can show the obstruction
+    if sol.status != "ok":
+        return None
+    out = {"pairings": {}, "support_rel": {}, "field_max": {}}
+    for field_name, psi in observables:
+        label = _observable_label(field_name, psi)
+        F = _field_stack(sol, field_name, op)
+        out["pairings"][label] = _pair_stack(F, sol, psi)
+        slope = _vacuum_diagonal(field_name, psi)
+        if slope is None:
+            continue
+        out["field_max"][label] = float(np.max(np.abs(F)))
+        rep = support_probe(sol, 0.5 * (psi.x_lo if slope > 0 else psi.x_hi))
+        rel = rep.rel_right if slope > 0 else rep.rel_left
+        out["support_rel"][label] = max(rel(n) for n in ("E", "u", "sigma"))
     return out
-
-
-def _sweep_worker(args):
-    return _run_member(*args)
 
 
 def limit_sweep(template, eps_schedule, observables, workers: int = 1) -> SweepResult:
@@ -436,47 +468,20 @@ def limit_sweep(template, eps_schedule, observables, workers: int = 1) -> SweepR
     aborted or raised leaves the sweep partial and its observables
     inconclusive.
     """
-    eps_schedule = [float(e) for e in eps_schedule]
-    if any(b >= a_ for a_, b in zip(eps_schedule, eps_schedule[1:])):
-        raise ValueError("sweep: eps schedule must be strictly decreasing")
-    jobs = [(template, eps, observables) for eps in eps_schedule]
-    if workers > 1:
-        # the pool starts all its processes at once: never more than members
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
-    else:
-        results = [_run_member(*j) for j in jobs]
-
-    statuses = tuple(r["status"] for r in results)
-    contaminated = tuple(r["contaminated"] for r in results)
-    partial = any(s != "ok" for s in statuses)
+    fam, values = _run_family(template, eps_schedule, _sweep_member, (observables,), workers)
     labels = tuple(_observable_label(f, psi) for f, psi in observables)
     pairings, increments, verdicts, targets = {}, {}, {}, {}
     for (field_name, psi), label in zip(observables, labels):
         targets[label] = None
-        if partial:
-            pairings[label] = tuple(r["pairings"].get(label) for r in results)
-            increments[label] = ()
-            verdicts[label] = VERDICT_INCONCLUSIVE
+        vals = pairings[label] = tuple(None if v is None else v["pairings"][label]
+                                       for v in values)
+        if fam.partial:
+            increments[label], verdicts[label] = (), VERDICT_INCONCLUSIVE
             continue
-        vals = [r["pairings"][label] for r in results]
-        pairings[label] = tuple(vals)
-        incs = [abs(b - a_) for a_, b in zip(vals, vals[1:])]
-        increments[label] = tuple(incs)
-        verdicts[label] = _classify(field_name, psi, vals, incs, results, label, targets)
-    return SweepResult(
-        eps_schedule=tuple(eps_schedule),
-        labels=labels,
-        pairings=pairings,
-        increments=increments,
-        verdicts=verdicts,
-        targets=targets,
-        statuses=statuses,
-        contaminated=contaminated,
-        bounds=tuple(r["a_priori_bound"] for r in results),
-        partial=partial,
-        errors={r["eps"]: r["error"] for r in results if "error" in r},
-    )
+        incs = increments[label] = tuple(abs(b - a_) for a_, b in zip(vals, vals[1:]))
+        verdicts[label] = _classify(field_name, psi, vals, incs, values, label, targets)
+    return SweepResult(**vars(fam), labels=labels, pairings=pairings, increments=increments,
+                       verdicts=verdicts, targets=targets)
 
 
 def _classify(field_name, psi, vals, incs, results, label, targets) -> str:
@@ -645,32 +650,34 @@ class BlowupReport:
     exponent: float
 
 
+def _window_peak(sol: SpacetimeSolution, window: float, center: float) -> float:
+    """Peak of ``|sigma a(u)|`` over ``|x - center| <= window`` and the saved states."""
+    mask = np.abs(sol.grid.xs - center) <= window
+    return max(float(np.max(np.abs((s.sigma * a(s.u))[mask]))) for s in sol.states)
+
+
+def _blowup_member(sol, op, window, center):
+    return _window_peak(sol, window, center)  # aborted members keep their peak
+
+
+def _peak_exponent(eps_values, peaks) -> float:
+    # least-squares slope of log peak against log(1/eps); 0 if a peak is not positive
+    if any(p <= 0.0 for p in peaks):
+        return 0.0
+    return float(np.polyfit(np.log([1.0 / e for e in eps_values]), np.log(peaks), 1)[0])
+
+
 def blow_up_probe(sols: list[SpacetimeSolution], window: float = 0.25,
                   center: float = 0.0) -> BlowupReport:
     """Peak of the interaction density ``|sigma a(u)|`` near the charge.
 
-    Given runs for a decreasing eps family, records the peak over the
-    window ``|x - center| <= window`` and fits the growth exponent of
-    peak against ``1/eps``.  A positive exponent is the finite-eps
+    Given runs for an eps family, records (in the order given) the peak
+    over the window ``|x - center| <= window`` and fits the growth
+    exponent of peak against ``1/eps``.  A positive exponent is the finite-eps
     signature of the interaction term concentrating without a limit.
     """
     if len(sols) < 2:
         raise ValueError("blow-up probe: need at least 2 runs")
-    eps_values, peaks = [], []
-    for sol in sols:
-        eps_values.append(float(sol.meta["eps"]))
-        mask = np.abs(sol.grid.xs - center) <= window
-        pk = max(
-            float(np.max(np.abs((s.sigma * a(s.u))[mask]))) for s in sol.states
-        )
-        peaks.append(pk)
-    order = np.argsort(eps_values)[::-1]
-    eps_sorted = [eps_values[i] for i in order]
-    pk_sorted = [peaks[i] for i in order]
-    if any(p <= 0.0 for p in pk_sorted):
-        exponent = 0.0
-    else:
-        exponent = float(
-            np.polyfit(np.log([1.0 / e for e in eps_sorted]), np.log(pk_sorted), 1)[0]
-        )
-    return BlowupReport(eps_values=tuple(eps_sorted), peaks=tuple(pk_sorted), exponent=exponent)
+    eps_values = tuple(float(sol.meta["eps"]) for sol in sols)
+    peaks = tuple(_window_peak(sol, window, center) for sol in sols)
+    return BlowupReport(eps_values, peaks, _peak_exponent(eps_values, peaks))

@@ -3,17 +3,19 @@
 Every subcommand is config-driven and deterministic: outputs are CSV data
 files plus one ``summary.json`` verdict object per run directory.  Exit
 codes sort failures by class: 0 clean, 2 config problems, 3 runtime
-aborts (guard trip, overflow, fixed-point stall, a sweep member that
+aborts (guard trip, overflow, fixed-point stall, a family member that
 raised), 4 boundary contamination of an otherwise finished run; in a
-family of runs an aborted member wins over a contaminated one.
+family an aborted member wins over a contaminated one.  ``sweep`` and
+``probe-blowup`` walk their eps family through one runner: ``--workers``
+pools the members, and a member that raises becomes an ``error`` row.
 
 The subcommands are the rows of ``_COMMANDS``: a name, its ``--help``
 line, what it needs of a config beyond ``validate`` (keys it cannot run
 without, checks of the defaults it reads), and a run function that does
 only the command's own work.  ``main`` takes every subcommand down the one
 path load → validate (the config plus the row's needs) → create ``--out``
-→ run → stamp the run id on the summary and write ``summary.json``;
-``validate`` stops after the checks and prints its verdict.
+→ run → stamp the run id on the summary, write ``summary.json`` and read
+the exit code off it; ``validate`` stops after the checks.
 """
 
 from __future__ import annotations
@@ -71,20 +73,18 @@ def _default_probe_cut(cfg) -> list:
     return cfgmod._probe_cut_problems(cfg, cfgmod._experiment_value(cfg, "probe_x0"))
 
 
-def _exit_code(statuses, contaminated) -> int:
-    """The exit rule of every run: 3 when a run aborted or raised (it wins
-    over contamination), else 4 when a run is contaminated, else 0."""
-    if any(s != STATUS_OK for s in statuses):
+def _exit_code(summary) -> int:
+    """The exit rule of every run, read off its summary: 3 when the run or a
+    member aborted or raised (it wins over contamination), else 4 when one
+    is contaminated, else 0; a summary without a status block exits 0."""
+    flags = summary.get("boundary_contaminated")
+    if any(s != STATUS_OK for s in summary.get("statuses", [summary.get("status", STATUS_OK)])):
         return EXIT_RUNTIME
-    return EXIT_CONTAMINATED if any(contaminated) else EXIT_OK
-
-
-def _exit_for(sol) -> int:
-    return _exit_code([sol.status], [sol.meta.get("boundary_contaminated")])
+    return EXIT_CONTAMINATED if any(flags if isinstance(flags, list) else [flags]) else EXIT_OK
 
 
 def _run_status(sol) -> dict:
-    """The status block of a one-solve summary: what ``_exit_for`` reads."""
+    """The status block of a one-solve summary: what ``_exit_code`` reads."""
     return {
         "status": sol.status,
         "a_priori_bound": sol.meta.get("a_priori_bound"),
@@ -92,30 +92,35 @@ def _run_status(sol) -> dict:
     }
 
 
-def _solve_once(cfg, eps=None, refine=False):
-    pieces = cfgmod.assemble_run(cfg, eps=eps, refine=refine)
-    sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
-    return pieces, sol
+def _family_status(fam) -> dict:
+    """A family's status block: one entry per member; ``errors`` if one raised."""
+    errors = {"errors": dict(fam.errors)} if fam.errors else {}
+    return {"statuses": list(fam.statuses), "a_priori_bounds": list(fam.bounds),
+            "boundary_contaminated": list(fam.contaminated), "partial": fam.partial, **errors}
+
+
+def _solve_once(cfg):
+    pieces = cfgmod.assemble_run(cfg)
+    return pieces, solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
 
 
 # ---------------------------------------------------------------------------
-# run functions: (cfg, args, out) -> (summary, line to print, exit code)
+# run functions: (cfg, args, out) -> (summary, line to print)
 
 
 def _run_solve(cfg, args, out):
     _, sol = _solve_once(cfg)
     output.write_solution(out, sol, cfgmod.config_to_dict(cfg))
     line = f"status={sol.status} saved={len(sol.states)} out={out}"
-    return output.solve_summary(sol), line, _exit_for(sol)
+    return output.solve_summary(sol), line
 
 
 def _run_sweep(cfg, args, out):
     obs = [(cfgmod._psi_field(d), analysis.psi_from_dict(d)) for d in cfg.experiment["psi"]]
-    result = analysis.limit_sweep(cfg, cfg.eps_schedule, obs, workers=max(1, args.workers))
-    rows = []
-    for label in result.labels:
-        for eps, val in zip(result.eps_schedule, result.pairings[label]):
-            rows.append((eps, label, "" if val is None else val))
+    result = analysis.limit_sweep(cfg, cfg.eps_schedule, obs, workers=args.workers)
+    # a member without a pairing leaves its cell empty
+    rows = [(eps, label, val) for label in result.labels
+            for eps, val in zip(result.eps_schedule, result.pairings[label])]
     output.write_table(os.path.join(out, "sweep.csv"), ("eps", "observable", "pairing"), rows)
     summary = {
         "eps_schedule": list(result.eps_schedule),
@@ -123,15 +128,10 @@ def _run_sweep(cfg, args, out):
         "pairings": {k: list(v) for k, v in result.pairings.items()},
         "increments": {k: list(v) for k, v in result.increments.items()},
         "targets": dict(result.targets),
-        "statuses": list(result.statuses),
-        "a_priori_bounds": list(result.bounds),
-        "boundary_contaminated": list(result.contaminated),
-        "partial": result.partial,
+        **_family_status(result),
     }
-    if result.errors:
-        summary["errors"] = dict(result.errors)
     line = "\n".join(f"{label}: {result.verdicts[label]}" for label in result.labels)
-    return summary, line, _exit_code(result.statuses, result.contaminated)
+    return summary, line
 
 
 def _run_check_support(cfg, args, out):
@@ -146,15 +146,10 @@ def _run_check_support(cfg, args, out):
         os.path.join(out, "check_support.csv"),
         ("field", "side", "sup", "global_max", "relative"), rows,
     )
-    kind = pieces.mollifier.kind
-    if kind == "left":
-        worst = max(rep.rel_right(n) for n in ("E", "u", "sigma"))
-        vacuum = "right"
-    elif kind == "right":
-        worst = max(rep.rel_left(n) for n in ("E", "u", "sigma"))
-        vacuum = "left"
-    else:
-        worst, vacuum = None, None
+    # a one-sided kernel keeps the other half-line vacuum; a symmetric one has none
+    vacuum = {"left": "right", "right": "left"}.get(pieces.mollifier.kind)
+    rel = {"right": rep.rel_right, "left": rep.rel_left}.get(vacuum)
+    worst = None if rel is None else max(rel(n) for n in ("E", "u", "sigma"))
     summary = {
         "x0": x0,
         "vacuum_side": vacuum,
@@ -162,7 +157,7 @@ def _run_check_support(cfg, args, out):
         "confined": None if worst is None else bool(worst <= analysis.SUPPORT_REL_TOL),
         **_run_status(sol),
     }
-    return summary, f"vacuum side {vacuum}: worst relative {worst}", _exit_for(sol)
+    return summary, f"vacuum side {vacuum}: worst relative {worst}"
 
 
 def _run_compare_lin(cfg, args, out):
@@ -180,31 +175,29 @@ def _run_compare_lin(cfg, args, out):
         **_run_status(sol),
     }
     line = f"max L1 gap: E {rep.max_l1_E:.6g}, u {rep.max_l1_u:.6g}"
-    return summary, line, _exit_for(sol)
+    return summary, line
 
 
 def _run_probe_blowup(cfg, args, out):
     window = float(cfgmod._experiment_value(cfg, "blowup_window"))
     center = float(cfg.delta_net["center"])
-    sols = [_solve_once(cfg, eps=eps, refine=True)[1] for eps in cfg.eps_schedule]
-    rep = analysis.blow_up_probe(sols, window=window, center=center)
-    output.write_table(
-        os.path.join(out, "probe_blowup.csv"),
-        ("eps", "peak_interaction"),
-        zip(rep.eps_values, rep.peaks),
-    )
+    fam, peaks = analysis._run_family(cfg, cfg.eps_schedule, analysis._blowup_member,
+                                      (window, center), workers=args.workers)
+    # a raised member has no peak, and a fit without it would hide the gap
+    exponent = None if fam.errors else analysis._peak_exponent(fam.eps_schedule, peaks)
+    output.write_table(os.path.join(out, "probe_blowup.csv"), ("eps", "peak_interaction"),
+                       zip(fam.eps_schedule, peaks))
     summary = {
-        "eps_schedule": list(rep.eps_values),
-        "peaks": list(rep.peaks),
-        "exponent": rep.exponent,
+        "eps_schedule": list(fam.eps_schedule),
+        "peaks": list(peaks),
+        "exponent": exponent,
         "window": window,
         "center": center,
-        "statuses": [s.status for s in sols],
-        "a_priori_bounds": [s.meta.get("a_priori_bound") for s in sols],
-        "boundary_contaminated": [bool(s.meta.get("boundary_contaminated")) for s in sols],
+        **_family_status(fam),
     }
-    line = f"peak growth exponent {rep.exponent:.4g} over eps {list(rep.eps_values)}"
-    return summary, line, _exit_code(summary["statuses"], summary["boundary_contaminated"])
+    line = (f"no growth exponent: {len(fam.errors)} member(s) raised" if exponent is None
+            else f"peak growth exponent {exponent:.4g} over eps {list(fam.eps_schedule)}")
+    return summary, line
 
 
 def _run_trajectories(cfg, args, out):
@@ -236,7 +229,7 @@ def _run_trajectories(cfg, args, out):
                 f"max speed {max(r['max_speed'] for r in rows):.6g}")
     else:
         line = f"status={sol.status}: no trajectories integrated"
-    return summary, line, _exit_for(sol)
+    return summary, line
 
 
 def _run_check_scaling(cfg, args, out):
@@ -259,7 +252,7 @@ def _run_check_scaling(cfg, args, out):
         "eps_grid": [float(e) for e in eps_grid],
         "verdicts": verdicts,
     }
-    return summary, "\n".join(lines), EXIT_OK
+    return summary, "\n".join(lines)
 
 
 # name -> (--help line, keys and checks the run cannot do without, run function)
@@ -295,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for sweep members")
+                       help="worker processes for the members of sweep and probe-blowup")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
     return parser
@@ -321,11 +314,11 @@ def _run(args) -> int:
         return EXIT_OK
     out = args.out or os.path.join("runs", f"{args.command}-{rid}")
     os.makedirs(out, exist_ok=True)
-    summary, line, code = run(cfg, args, out)
+    summary, line = run(cfg, args, out)
     summary["run_id"] = rid
     output.write_json(os.path.join(out, "summary.json"), summary)
     print(line)
-    return code
+    return _exit_code(summary)
 
 
 def main(argv=None) -> int:

@@ -69,7 +69,7 @@ def write_json(path, obj) -> None:
 
 
 def write_table(path, header, rows) -> None:
-    """CSV with RFC-4180 quoting; floats rendered via :func:`fmt`."""
+    """CSV with RFC-4180 quoting; floats rendered via :func:`fmt`, None as ''."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)

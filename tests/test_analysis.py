@@ -26,6 +26,7 @@ from maxlor.analysis import (
     thin_solution,
     transport_residual,
 )
+from maxlor.cli import main
 from maxlor.config import assemble_run, config_from_dict
 from maxlor.deltanet import DeltaNet
 from maxlor.fields import FieldState, Grid, SpacetimeSolution
@@ -273,12 +274,23 @@ class TestLimitSweep:
         assert any(s != "ok" for s in res.statuses)
         assert all(v == VERDICT_INCONCLUSIVE for v in res.verdicts.values())
 
-    def test_pool_is_never_larger_than_the_schedule(self, serial_pool):
+    def test_pool_is_never_larger_than_the_schedule(self, serial_pool, tmp_path):
         psi = TestFunction2D(t0=0.15, x0=-0.5, r_t=0.1, r_x=0.3)
         schedule = [0.2, 0.1, 0.05]
         pooled = limit_sweep(zero_template(), schedule, [("Q", psi)], workers=64)
         assert serial_pool == [3]
         assert pooled == limit_sweep(zero_template(), schedule, [("Q", psi)])
+        # probe-blowup's four members go through the same runner and pool
+        cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "blowup_family.json")
+        runs = {}
+        for workers in ("64", "1"):
+            out = tmp_path / workers
+            assert main(["probe-blowup", "--config", cfg, "--out", str(out),
+                         "--workers", workers]) == 0
+            runs[workers] = [(out / f).read_bytes()
+                             for f in ("summary.json", "probe_blowup.csv")]
+        assert serial_pool == [3, 4]
+        assert runs["64"] == runs["1"]
 
     def test_raising_pooled_member_keeps_the_others(self, serial_pool, monkeypatch):
         def solve_or_raise(initial, cfg, op, params):

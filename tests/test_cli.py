@@ -312,6 +312,36 @@ class TestSweep:
         assert [float(r[0]) for r in rows] == [0.2, 0.1, 0.05] * 2
         assert [r[2] == "" for r in rows] == [False, True, False] * 2
 
+    def test_raising_probe_blowup_member_keeps_the_others(self, tmp_path, monkeypatch):
+        # probe-blowup runs its members through the sweep's runner: the
+        # eps=0.05 member raises mid-solve, the three finished peaks are
+        # still written, no exponent is fitted and the run exits as aborted
+        real_solve = solver.solve
+
+        def solve_or_raise(initial, cfg, op, params):
+            if params.eps == 0.05:
+                raise MemoryError("no room for the eps=0.05 member")
+            return real_solve(initial, cfg, op, params)
+
+        monkeypatch.setattr("maxlor.solver.solve", solve_or_raise)
+        cfg = os.path.join(CONFIGS, "blowup_family.json")
+        out = tmp_path / "out"
+        assert main(["probe-blowup", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["statuses"] == ["ok", "ok", "error", "ok"]
+        assert summary["partial"] is True
+        assert summary["errors"] == {"0.05": "MemoryError: no room for the eps=0.05 member"}
+        assert summary["exponent"] is None
+        peaks = summary["peaks"]
+        assert peaks[2] is None
+        # the golden peaks of the members that finished
+        assert peaks[:2] + peaks[3:] == pytest.approx(
+            [13.263786092741983, 38.09066071166985, 72.29405589600186], rel=1e-9)
+        with open(out / "probe_blowup.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [float(r[0]) for r in rows] == [0.2, 0.1, 0.05, 0.025]
+        assert [r[1] == "" for r in rows] == [False, False, True, False]
+
     def test_needs_psi_list(self, tmp_path, capsys):
         cfg = release_cfg(tmp_path, eps_schedule=[0.2, 0.1])
         assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
@@ -478,14 +508,15 @@ class TestScalingAndBlowup:
         # contaminated: the abort decides the exit code, as in sweep
         grid = Grid(-1.0, 1.0, 21)
 
-        def fake_solve_once(cfg, eps=None, refine=False):
+        def fake_solve(initial, cfg, op, params):
+            eps = params.eps
             ones = np.ones(grid.n)
             states = [FieldState(t, ones, ones, ones / eps) for t in (0.0, 0.1)]
             meta = {"eps": eps, "status": "guard" if eps == 0.2 else "ok",
                     "boundary_contaminated": eps != 0.2, "a_priori_bound": 1.0}
-            return None, SpacetimeSolution(grid, np.array([0.0, 0.1]), states, meta)
+            return SpacetimeSolution(grid, np.array([0.0, 0.1]), states, meta)
 
-        monkeypatch.setattr("maxlor.cli._solve_once", fake_solve_once)
+        monkeypatch.setattr("maxlor.solver.solve", fake_solve)
         cfg = os.path.join(CONFIGS, "blowup_family.json")
         out = tmp_path / "out"
         assert main(["probe-blowup", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
@@ -542,6 +573,8 @@ sys.exit(code)
     ("check-support", "point_charge"),
     ("compare-lin", "weak_charge"),
     ("sweep", "obstruction_sweep"),
+    ("probe-blowup", "blowup_family"),
+    ("check-scaling", "loglog_scaling"),
 ])
 def test_run_path_loads_no_scipy(tmp_path, subcommand, config):
     root = os.path.join(os.path.dirname(__file__), "..")
