@@ -1,12 +1,13 @@
-"""Experiment harnesses on top of solved runs.
+"""Experiment harnesses on solved runs.
 
-Everything here treats a finished :class:`~maxlor.fields.SpacetimeSolution`
-as data: pairing fields against smooth test functions, probing one-sided
-support, measuring how well the derived quantity ``Q = sigma - D E``
-transports, sweeping a family of runs down an eps schedule and classifying
-the limit behavior, and comparing against the closed-form solution of the
-linearized system.  The sweep and the blow-up probe share one family runner
-(pooled if asked), which keeps a member that raises as an "error" row.
+Pairing against smooth test functions, probing one-sided support, comparing
+against the linearized closed form and tracking the interaction peak are
+each one fold over saved states, which a run hangs on the solver's
+``on_save`` hook and the stored-solution functions replay ``sol.states``
+into.  ``transport_residual`` differences neighbouring saves of a stored
+run.  The sweep and the blow-up probe share one family runner (pooled if
+asked), which records each member's sizes and keeps a member that raises
+as an "error" row.
 
 The sweep verdict logic encodes the central structural dichotomy: smooth
 pairings that settle down are reported ``converging``; a family whose
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpacetimeSolution, _edge_mask
+from .fields import FIELD_NAMES, SpacetimeSolution, _edge_mask
 from .nonlinearity import a
 from .regops import RegDerivOperator, operator_for_meta
 
@@ -211,25 +212,8 @@ def diag_pairing_target(psi: TestFunction2D, slope: float = 1.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pairings and probes
-
-
-def _field_stack(sol: SpacetimeSolution, name: str, op: RegDerivOperator | None) -> np.ndarray:
-    if name == "Q":
-        if op is None:
-            op = operator_for_meta(sol.meta, sol.grid)
-        return np.stack([s.sigma - op.apply(s.E) for s in sol.states])
-    return sol.field_stack(name)
-
-
-def pair(sol: SpacetimeSolution, field_name: str, psi: TestFunction2D,
-         op: RegDerivOperator | None = None) -> float:
-    """Space-time trapezoid pairing ``<field, psi>`` over the saved states.
-
-    ``field_name`` is one of ``E``, ``u``, ``sigma`` or the derived ``Q``.
-    The test function must sit inside the solved window.
-    """
-    return _pair_stack(_field_stack(sol, field_name, op), sol, psi)
+# pairings and probes: each a fold, called with every saved state in time
+# order and finished by result(); it keeps a few numbers per state
 
 
 def _check_window(psi: TestFunction2D, t_lo: float, t_hi: float,
@@ -249,14 +233,38 @@ def _check_window(psi: TestFunction2D, t_lo: float, t_hi: float,
         )
 
 
-def _pair_stack(F: np.ndarray, sol: SpacetimeSolution, psi: TestFunction2D) -> float:
-    # pair() on a field stack (saved state x grid) that the caller already holds
-    times = sol.times
-    grid = sol.grid
-    _check_window(psi, times[0], times[-1], grid.x_min, grid.x_max)
-    W = psi.value(times[:, None], grid.xs[None, :])
-    inner = np.trapezoid(F * W, dx=grid.dx, axis=1)
-    return float(np.trapezoid(inner, x=times))
+class _Pairing:
+    """``pair`` as a fold: the row integral of ``F psi(t, .)`` per state, then
+    the trapezoid over their times; also the peak of ``|F|``.  ``psi`` must
+    lie in the time window ``[t_lo, t_hi]`` the states will cover."""
+
+    def __init__(self, grid, field_name, psi, op, t_lo, t_hi):
+        _check_window(psi, t_lo, t_hi, grid.x_min, grid.x_max)
+        self.grid, self.field_name, self.psi, self.op = grid, field_name, psi, op
+        self.times, self.rows, self.peak = [], [], 0.0
+
+    def __call__(self, state) -> None:
+        name, t = self.field_name, state.t
+        F = state.sigma - self.op.apply(state.E) if name == "Q" else state.component(name)
+        self.times.append(t)
+        self.rows.append(np.trapezoid(F * self.psi.value(t, self.grid.xs), dx=self.grid.dx))
+        self.peak = max(self.peak, float(np.max(np.abs(F))))
+
+    def result(self) -> float:
+        return float(np.trapezoid(np.asarray(self.rows), x=np.asarray(self.times)))
+
+
+def pair(sol: SpacetimeSolution, field_name: str, psi: TestFunction2D,
+         op: RegDerivOperator | None = None) -> float:
+    """Space-time trapezoid pairing ``<field, psi>`` over the saved states.
+
+    ``field_name`` is one of ``E``, ``u``, ``sigma`` or the derived ``Q``.
+    The test function must sit inside the solved window.
+    """
+    if op is None and field_name == "Q":
+        op = operator_for_meta(sol.meta, sol.grid)
+    fold = _Pairing(sol.grid, field_name, psi, op, sol.times[0], sol.times[-1])
+    return sol.replay(fold).result()
 
 
 @dataclass(frozen=True)
@@ -275,27 +283,37 @@ class SupportReport:
         return self.sup_left[name] / g if g > 0.0 else 0.0
 
 
+class _Support:
+    # support_probe as a fold: per field, the running sup of |F| on each side
+    # of x0 and over the grid
+
+    def __init__(self, grid, x0: float):
+        xs = grid.xs
+        self.right, self.left = xs >= x0, xs <= x0
+        if not (self.right.any() and self.left.any()):
+            raise ValueError(
+                f"support probe: x0={x0:g} leaves a side with no grid points on "
+                f"[{grid.x_min:g}, {grid.x_max:g}]"
+            )
+        self.x0, self.sups = float(x0), ({}, {}, {})  # right, left, global
+
+    def __call__(self, state) -> None:
+        for name in FIELD_NAMES:
+            F = np.abs(state.component(name))
+            for sup, part in zip(self.sups, (F[self.right], F[self.left], F)):
+                sup[name] = max(sup.get(name, 0.0), float(np.max(part)))
+
+    def result(self) -> SupportReport:
+        return SupportReport(self.x0, *self.sups)
+
+
 def support_probe(sol: SpacetimeSolution, x0: float) -> SupportReport:
     """Per-field sup over ``{x >= x0}`` and ``{x <= x0}`` across saved times.
 
     Raises ``ValueError`` when either side holds no grid point, where a sup
     of 0 would report a vacuous confinement.
     """
-    xs = sol.grid.xs
-    right = xs >= x0
-    left = xs <= x0
-    if not (right.any() and left.any()):
-        raise ValueError(
-            f"support probe: x0={x0:g} leaves a side with no grid points on "
-            f"[{sol.grid.x_min:g}, {sol.grid.x_max:g}]"
-        )
-    sup_r, sup_l, gmax = {}, {}, {}
-    for name in ("E", "u", "sigma"):
-        F = np.abs(sol.field_stack(name))
-        sup_r[name] = float(np.max(F[:, right]))
-        sup_l[name] = float(np.max(F[:, left]))
-        gmax[name] = float(np.max(F))
-    return SupportReport(x0=float(x0), sup_right=sup_r, sup_left=sup_l, global_max=gmax)
+    return sol.replay(_Support(sol.grid, x0)).result()
 
 
 @dataclass(frozen=True)
@@ -327,7 +345,7 @@ def transport_residual(sol: SpacetimeSolution, op: RegDerivOperator | None = Non
             f"transport residual: save spacing {save_dt:.6g} too coarse for "
             f"nu={op.nu:.6g}; need save_dt <= nu/4 = {op.nu / 4.0:.6g}"
         )
-    Q = _field_stack(sol, "Q", op)
+    Q = [s.sigma - op.apply(s.E) for s in sol.states]
     cols = ~_edge_mask(sol.grid.n)
     worst = 0.0
     used = 0
@@ -364,47 +382,56 @@ class _Family:
     statuses: tuple
     contaminated: tuple
     bounds: tuple
+    members: tuple            # per member: its grid, stencil and march sizes
     errors: dict              # eps -> message, for each member that raised
     partial: bool             # some member aborted or raised
 
 
-def _run_member(template, reduce, args, eps):
-    # one member, reduced to numbers before it returns, so no solution
-    # outlives it; a member that raises becomes an "error" row
+def _run_member(template, make, args, eps):
+    # one member, each saved state folded as the march saves it, so no state
+    # outlives its step; a member that raises becomes an "error" row
     from .config import assemble_run
     from .solver import solve
 
     contaminated, bound = False, None
     try:
         pieces = assemble_run(template, eps=eps, refine=True)
-        sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
-        meta = sol.meta
+        fold, op, saved = make(pieces, *args), pieces.operator, []
+
+        def on_save(state):
+            saved.append(state.t)
+            fold(state)
+
+        meta = solve(pieces.initial, pieces.solver, op, pieces.params, on_save=on_save).meta
         contaminated, bound = bool(meta.get("boundary_contaminated")), meta.get("a_priori_bound")
-        return sol.status, contaminated, bound, reduce(sol, pieces.operator, *args), None
+        sizes = {"grid_n": op.grid.n, "m": len(op.weights), "nu": op.nu, "fft_len": op.fft_len,
+                 "n_steps": meta.get("n_steps"), "n_saved": len(saved)}
+        return meta["status"], contaminated, bound, sizes, fold.result(), None
     except Exception as exc:
-        return "error", contaminated, bound, None, f"{type(exc).__name__}: {exc}"
+        return "error", contaminated, bound, None, None, f"{type(exc).__name__}: {exc}"
 
 
-def _run_family(template, eps_schedule, reduce, args=(), workers: int = 1):
+def _run_family(template, eps_schedule, make, args=(), workers: int = 1):
     """Assemble (refined), solve and reduce each member of an eps family.
 
-    ``reduce(sol, op, *args)`` turns a solved member into numbers; it and
-    ``args`` must pickle for ``workers > 1``, which pools the members.
+    ``make(pieces, *args)`` returns the member's fold, whose ``result()`` is
+    the member's value; it and ``args`` must pickle for ``workers > 1``,
+    which pools the members.
     """
     eps_schedule = tuple(float(e) for e in eps_schedule)
     if not eps_schedule or any(b >= a_ for a_, b in zip(eps_schedule, eps_schedule[1:])):
         raise ValueError("family: eps schedule must be non-empty and strictly decreasing")
-    run = functools.partial(_run_member, template, reduce, args)
+    run = functools.partial(_run_member, template, make, args)
     if workers > 1:
         # the pool starts all its processes at once: never more than members
         with ProcessPoolExecutor(max_workers=min(workers, len(eps_schedule))) as pool:
             rows = list(pool.map(run, eps_schedule))
     else:
         rows = [run(eps) for eps in eps_schedule]
-    statuses, contaminated, bounds, values, errors = zip(*rows)
+    statuses, contaminated, bounds, members, values, errors = zip(*rows)
     errors = {e: m for e, m in zip(eps_schedule, errors) if m is not None}
     partial = any(s != "ok" for s in statuses)
-    return _Family(eps_schedule, statuses, contaminated, bounds, errors, partial), values
+    return _Family(eps_schedule, statuses, contaminated, bounds, members, errors, partial), values
 
 
 # ---------------------------------------------------------------------------
@@ -440,24 +467,34 @@ def _vacuum_diagonal(field_name: str, psi: TestFunction2D):
     return None
 
 
-def _sweep_member(sol, op, observables):
-    # the sweep's reducer: each pairing, plus what _classify reads (size and
+class _SweepMember:
+    # the sweep's fold: each pairing, plus what _classify reads (size and
     # leakage) for the observables that can show the obstruction
-    if sol.status != "ok":
-        return None
-    out = {"pairings": {}, "support_rel": {}, "field_max": {}}
-    for field_name, psi in observables:
-        label = _observable_label(field_name, psi)
-        F = _field_stack(sol, field_name, op)
-        out["pairings"][label] = _pair_stack(F, sol, psi)
-        slope = _vacuum_diagonal(field_name, psi)
-        if slope is None:
-            continue
-        out["field_max"][label] = float(np.max(np.abs(F)))
-        rep = support_probe(sol, 0.5 * (psi.x_lo if slope > 0 else psi.x_hi))
-        rel = rep.rel_right if slope > 0 else rep.rel_left
-        out["support_rel"][label] = max(rel(n) for n in ("E", "u", "sigma"))
-    return out
+
+    def __init__(self, pieces, observables):
+        t0, grid, self.folds = pieces.initial.t, pieces.grid, []
+        for field_name, psi in observables:
+            slope = _vacuum_diagonal(field_name, psi)
+            pairing = _Pairing(grid, field_name, psi, pieces.operator, t0, t0 + pieces.params.T)
+            probe = slope and _Support(grid, 0.5 * (psi.x_lo if slope > 0 else psi.x_hi))
+            self.folds.append((_observable_label(field_name, psi), slope, pairing, probe))
+
+    def __call__(self, state) -> None:
+        for *_, pairing, probe in self.folds:
+            pairing(state)
+            if probe:
+                probe(state)
+
+    def result(self) -> dict:
+        out = {"pairings": {}, "support_rel": {}, "field_max": {}}
+        for label, slope, pairing, probe in self.folds:
+            out["pairings"][label] = pairing.result()
+            if probe:
+                rep = probe.result()
+                rel = rep.rel_right if slope > 0 else rep.rel_left
+                out["support_rel"][label] = max(rel(n) for n in FIELD_NAMES)
+                out["field_max"][label] = pairing.peak
+        return out
 
 
 def limit_sweep(template, eps_schedule, observables, workers: int = 1) -> SweepResult:
@@ -465,16 +502,16 @@ def limit_sweep(template, eps_schedule, observables, workers: int = 1) -> SweepR
 
     ``observables`` is a list of ``(field_name, TestFunction2D)`` pairs.
     Members run independently (optionally in a process pool); a member that
-    aborted or raised leaves the sweep partial and its observables
-    inconclusive.
+    aborted or raised leaves the sweep partial, its pairings empty and the
+    observables inconclusive.
     """
-    fam, values = _run_family(template, eps_schedule, _sweep_member, (observables,), workers)
+    fam, values = _run_family(template, eps_schedule, _SweepMember, (observables,), workers)
     labels = tuple(_observable_label(f, psi) for f, psi in observables)
     pairings, increments, verdicts, targets = {}, {}, {}, {}
     for (field_name, psi), label in zip(observables, labels):
         targets[label] = None
-        vals = pairings[label] = tuple(None if v is None else v["pairings"][label]
-                                       for v in values)
+        vals = pairings[label] = tuple(v["pairings"][label] if s == "ok" else None
+                                       for s, v in zip(fam.statuses, values))
         if fam.partial:
             increments[label], verdicts[label] = (), VERDICT_INCONCLUSIVE
             continue
@@ -619,24 +656,28 @@ class CompareReport:
     max_l1_u: float
 
 
+class _Compare:
+    # compare_linearized as a fold: the L1 gaps of each saved state
+
+    def __init__(self, grid, q: float):
+        self.grid, self.ref, self.rows = grid, linearized_reference(q), []
+
+    def __call__(self, state) -> None:
+        t, xs, dx = state.t, self.grid.xs, self.grid.dx
+        self.rows.append((float(t),
+                          float(np.trapezoid(np.abs(state.E - self.ref.E(t, xs)), dx=dx)),
+                          float(np.trapezoid(np.abs(state.u - self.ref.u(t, xs)), dx=dx))))
+
+    def result(self) -> CompareReport:
+        times, l1_E, l1_u = zip(*self.rows)
+        return CompareReport(times, l1_E, l1_u, max(l1_E), max(l1_u))
+
+
 def compare_linearized(sol: SpacetimeSolution, q: float | None = None) -> CompareReport:
     """L1-in-space distances between a run and the linearized closed form."""
     if q is None:
         q = sol.meta.get("q", 1.0)
-    ref = linearized_reference(q)
-    xs = sol.grid.xs
-    dx = sol.grid.dx
-    rows_E, rows_u = [], []
-    for t, s in zip(sol.times, sol.states):
-        rows_E.append(float(np.trapezoid(np.abs(s.E - ref.E(t, xs)), dx=dx)))
-        rows_u.append(float(np.trapezoid(np.abs(s.u - ref.u(t, xs)), dx=dx)))
-    return CompareReport(
-        times=tuple(float(t) for t in sol.times),
-        l1_E=tuple(rows_E),
-        l1_u=tuple(rows_u),
-        max_l1_E=max(rows_E),
-        max_l1_u=max(rows_u),
-    )
+    return sol.replay(_Compare(sol.grid, q)).result()
 
 
 # ---------------------------------------------------------------------------
@@ -650,14 +691,31 @@ class BlowupReport:
     exponent: float
 
 
-def _window_peak(sol: SpacetimeSolution, window: float, center: float) -> float:
-    """Peak of ``|sigma a(u)|`` over ``|x - center| <= window`` and the saved states."""
-    mask = np.abs(sol.grid.xs - center) <= window
-    return max(float(np.max(np.abs((s.sigma * a(s.u))[mask]))) for s in sol.states)
+def _window_mask(grid, window: float, center: float, eps: float) -> np.ndarray:
+    """The grid points with ``|x - center| <= window``; raises if there are none."""
+    mask = np.abs(grid.xs - center) <= window
+    if not mask.any():
+        raise ValueError(f"blow-up probe: window {window:g} around center {center:g} holds "
+                         f"no grid point at eps={eps:g} (dx={grid.dx:.6g}); widen blowup_window")
+    return mask
 
 
-def _blowup_member(sol, op, window, center):
-    return _window_peak(sol, window, center)  # aborted members keep their peak
+class _Peak:
+    # the peak of |sigma a(u)| over the window and the saved states, as a
+    # fold; an aborted member keeps the peak of what it saved
+
+    def __init__(self, grid, window: float, center: float, eps: float):
+        self.mask, self.peaks = _window_mask(grid, window, center, eps), []
+
+    def __call__(self, state) -> None:
+        self.peaks.append(float(np.max(np.abs((state.sigma * a(state.u))[self.mask]))))
+
+    def result(self) -> float:
+        return max(self.peaks)
+
+
+def _blowup_member(pieces, window, center):
+    return _Peak(pieces.grid, window, center, pieces.eps)
 
 
 def _peak_exponent(eps_values, peaks) -> float:
@@ -679,5 +737,6 @@ def blow_up_probe(sols: list[SpacetimeSolution], window: float = 0.25,
     if len(sols) < 2:
         raise ValueError("blow-up probe: need at least 2 runs")
     eps_values = tuple(float(sol.meta["eps"]) for sol in sols)
-    peaks = tuple(_window_peak(sol, window, center) for sol in sols)
+    peaks = tuple(sol.replay(_Peak(sol.grid, window, center, eps)).result()
+                  for sol, eps in zip(sols, eps_values))
     return BlowupReport(eps_values, peaks, _peak_exponent(eps_values, peaks))

@@ -15,7 +15,9 @@ without, checks of the defaults it reads), and a run function that does
 only the command's own work.  ``main`` takes every subcommand down the one
 path load → validate (the config plus the row's needs) → create ``--out``
 → run → stamp the run id on the summary, write ``summary.json`` and read
-the exit code off it; ``validate`` stops after the checks.
+the exit code off it; ``validate`` stops after the checks.  A run function
+that solves hangs its fold on the solver's ``on_save`` hook and keeps no
+saved state, except ``trajectories``, whose world lines sample the field.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def _default_probe_cut(cfg) -> list:
     cut that validate does not know is used; it must lie on the grid too."""
     if cfg.experiment.get("probe_x0") is not None:
         return []  # validate checked the given cut
-    return cfgmod._probe_cut_problems(cfg, cfgmod._experiment_value(cfg, "probe_x0"))
+    return cfgmod._off_grid(cfg, "probe_x0", cfgmod._experiment_value(cfg, "probe_x0"))
 
 
 def _exit_code(summary) -> int:
@@ -93,15 +95,12 @@ def _run_status(sol) -> dict:
 
 
 def _family_status(fam) -> dict:
-    """A family's status block: one entry per member; ``errors`` if one raised."""
+    """A family's status block: one entry per member, ``members`` holding
+    each one's sizes (grid, stencil, FFT, steps, saves); ``errors`` if one raised."""
     errors = {"errors": dict(fam.errors)} if fam.errors else {}
     return {"statuses": list(fam.statuses), "a_priori_bounds": list(fam.bounds),
-            "boundary_contaminated": list(fam.contaminated), "partial": fam.partial, **errors}
-
-
-def _solve_once(cfg):
-    pieces = cfgmod.assemble_run(cfg)
-    return pieces, solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
+            "boundary_contaminated": list(fam.contaminated), "partial": fam.partial,
+            "members": list(fam.members), **errors}
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +108,18 @@ def _solve_once(cfg):
 
 
 def _run_solve(cfg, args, out):
-    _, sol = _solve_once(cfg)
-    output.write_solution(out, sol, cfgmod.config_to_dict(cfg))
-    line = f"status={sol.status} saved={len(sol.states)} out={out}"
-    return output.solve_summary(sol), line
+    pieces = cfgmod.assemble_run(cfg)
+    writer, summary = output.StateWriter(out, pieces.grid), output.SolveSummary(pieces.grid)
+
+    def on_save(state):
+        writer(state)
+        summary(state)
+
+    meta = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params,
+                 on_save=on_save).meta
+    writer.finish(meta, cfgmod.config_to_dict(cfg))
+    line = f"status={meta['status']} saved={len(writer.files)} out={out}"
+    return summary.result(meta), line
 
 
 def _run_sweep(cfg, args, out):
@@ -136,8 +143,10 @@ def _run_sweep(cfg, args, out):
 
 def _run_check_support(cfg, args, out):
     x0 = float(cfgmod._experiment_value(cfg, "probe_x0"))
-    pieces, sol = _solve_once(cfg)
-    rep = analysis.support_probe(sol, x0)
+    pieces = cfgmod.assemble_run(cfg)
+    probe = analysis._Support(pieces.grid, x0)
+    sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params, on_save=probe)
+    rep = probe.result()
     rows = []
     for name in ("E", "u", "sigma"):
         rows.append((name, "right", rep.sup_right[name], rep.global_max[name], rep.rel_right(name)))
@@ -161,8 +170,10 @@ def _run_check_support(cfg, args, out):
 
 
 def _run_compare_lin(cfg, args, out):
-    pieces, sol = _solve_once(cfg)
-    rep = analysis.compare_linearized(sol)
+    pieces = cfgmod.assemble_run(cfg)
+    gaps = analysis._Compare(pieces.grid, pieces.params.q)
+    sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params, on_save=gaps)
+    rep = gaps.result()
     output.write_table(
         os.path.join(out, "compare_lin.csv"),
         ("t", "l1_E", "l1_u"),
@@ -203,7 +214,9 @@ def _run_probe_blowup(cfg, args, out):
 def _run_trajectories(cfg, args, out):
     starts = cfg.experiment["trajectory_starts"]
     n_steps = cfgmod._experiment_value(cfg, "trajectory_steps")
-    _, sol = _solve_once(cfg)
+    pieces = cfgmod.assemble_run(cfg)
+    # the one stored solution: a world line samples it at any (t, x)
+    sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
     rows = []
     # an aborted solve has no field to integrate through
     for i, w0 in enumerate(starts if sol.status == STATUS_OK else ()):

@@ -37,13 +37,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import _check_window, psi_from_dict
+from .analysis import _check_window, _window_mask, psi_from_dict
 from .deltanet import DeltaNet, net_from_spec, sample
 from .fields import FIELD_NAMES, FieldState, Grid, ModelParams
 from .mollifier import DEFAULT_SUPPORTS, Mollifier, make_mollifier
 from .regops import MIN_CELLS_PER_WIDTH, RegDerivOperator, make_operator
 from .scaling import ScalingFunction, h_eval, make_scaling, verify_growth_condition
-from .solver import SolverConfig, _check_step, step_bound
+from .solver import SolverConfig, _check_step, march_plan, step_bound
+from .trajectories import _check_path_step
 
 __all__ = [
     "RunConfig",
@@ -278,13 +279,14 @@ def _check(name: str, values: dict, rows: dict, errors: list) -> set:
     return refused
 
 
-def _probe_cut_problems(cfg: RunConfig, x0) -> list:
-    """A cut at ``x0`` outside a valid grid leaves a side with no grid points,
-    which would read as vacuously confined."""
+def _off_grid(cfg: RunConfig, name: str, x) -> list:
+    """A point ``x`` outside a valid grid: a probe cut there leaves a side
+    with no grid points, which would read as vacuously confined, and a world
+    line started there has no field to move in."""
     x_min, x_max = cfg.grid.get("x_min"), cfg.grid.get("x_max")
-    if not (_is_num(x_min) and _is_num(x_max) and x_min < x_max) or x_min <= x0 <= x_max:
+    if not (_is_num(x_min) and _is_num(x_max) and x_min < x_max) or x_min <= x <= x_max:
         return []
-    return [f"experiment: probe_x0 {x0:g} lies outside the grid [{x_min:g}, {x_max:g}]"]
+    return [f"experiment: {name} {x:g} lies outside the grid [{x_min:g}, {x_max:g}]"]
 
 
 def validate_config(cfg: RunConfig) -> list:
@@ -340,8 +342,13 @@ def validate_config(cfg: RunConfig) -> list:
 
     if not any(refused[name] for name in ("grid", "mollifier", "scaling", "delta_net",
                                           "initial")):
+        # the given experiment values that depend on a member's grid or march
+        exp, bad = cfg.experiment, refused["experiment"]
+        window = None if "blowup_window" in bad else exp.get("blowup_window")
+        steps = (None if "trajectory_steps" in bad or refused["solver"] or "T" in refused["model"]
+                 else exp.get("trajectory_steps"))
         # a single-run eps repeating a schedule member may fail the same way twice
-        errors.extend(dict.fromkeys(_rehearse(cfg, members)))
+        errors.extend(dict.fromkeys(_rehearse(cfg, members, window, steps)))
 
     # every pairing window lies in [0, T] x [x_min, x_max]: refinement keeps
     # the domain and the last saved state is at T
@@ -361,7 +368,10 @@ def _check_experiment(cfg: RunConfig, window, refused: set, scaling_ok: bool) ->
     errors = []
     x0 = cfg.experiment.get("probe_x0")
     if "probe_x0" not in refused and x0 is not None:
-        errors.extend(_probe_cut_problems(cfg, x0))
+        errors.extend(_off_grid(cfg, "probe_x0", x0))
+    if "trajectory_starts" not in refused:
+        for i, w0 in enumerate(cfg.experiment.get("trajectory_starts") or ()):
+            errors.extend(_off_grid(cfg, f"trajectory_starts[{i}]", w0))
     if "psi" not in refused:
         for i, spec in enumerate(_experiment_value(cfg, "psi") or ()):
             errors.extend(f"experiment: psi[{i}] {problem}"
@@ -402,9 +412,13 @@ def _psi_problems(spec, window) -> list:
     return problems
 
 
-def _rehearse(cfg: RunConfig, members: list) -> list:
+def _rehearse(cfg: RunConfig, members: list, window=None, steps=None) -> list:
     """What the builders of ``assemble_run`` and the solver raise for each
     ``(eps, refine)`` member; a failed step skips the steps needing its result.
+
+    A given ``blowup_window`` must hold a grid point of each schedule
+    member's grid, and a given ``trajectory_steps`` must not step the world
+    lines finer than the single run saves its states.
     """
     errors: list = []
 
@@ -432,7 +446,24 @@ def _rehearse(cfg: RunConfig, members: list) -> list:
             attempt(sample, net, eps, grid)
         if op is not None and _is_num(dt) and dt > 0:
             attempt(_check_step, float(dt), op.op_norm, eps=eps)
+        if refine and window is not None:
+            attempt(_window_mask, grid, float(window), float(cfg.delta_net["center"]), eps)
+        if not refine and steps is not None and op is not None:
+            errors.extend(_path_step_problems(cfg, op, steps))
     return errors
+
+
+def _path_step_problems(cfg: RunConfig, op: RegDerivOperator, steps: int) -> list:
+    """``trajectories`` steps its world lines through the states the single
+    run saves, on the save grid its march will use."""
+    sv = build_solver_config(cfg, op.op_norm)
+    _, times, saved = march_plan(0.0, float(cfg.model["T"]), sv.dt, sv.save_every)
+    saves = np.asarray([times[i] for i in saved])
+    try:
+        _check_path_step(saves, saves[-1] - saves[0], steps)
+    except ValueError as exc:
+        return [f"experiment: trajectory_steps {steps}: {exc}"]
+    return []
 
 
 # ---------------------------------------------------------------------------

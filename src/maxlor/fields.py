@@ -3,7 +3,9 @@
 A state carries the triple ``(E, u, sigma)`` on a uniform grid: electric
 field, momentum, and charge density.  Solutions are stacks of saved states
 plus a metadata dictionary rich enough to rebuild the operator that
-produced them.
+produced them.  :meth:`SpacetimeSolution.replay` feeds the saved states to
+a fold, one at a time, as the solver's ``on_save`` hook does during a run;
+a :class:`Collector` is the fold that keeps them for a stored solution.
 
 Fields are treated as compactly supported well inside the grid; the margin
 check quantifies how badly a run violates that convention.  Runs whose
@@ -22,10 +24,10 @@ __all__ = [
     "Grid",
     "FieldState",
     "SpacetimeSolution",
+    "Collector",
     "ModelParams",
     "total_charge",
     "margin_ratio",
-    "solution_margin_ratio",
     "MARGIN_FRACTION",
     "CONTAMINATION_TOL",
 ]
@@ -118,6 +120,12 @@ class SpacetimeSolution:
         if len(self.times) >= 2 and not np.all(np.diff(self.times) > 0):
             raise ValueError("solution: times must be strictly increasing")
 
+    def replay(self, fold):
+        """Feed each saved state to ``fold`` in time order; returns ``fold``."""
+        for state in self.states:
+            fold(state)
+        return fold
+
     def field_stack(self, name: str) -> np.ndarray:
         """All saved values of one component as a (n_times, n_x) array."""
         return np.stack([s.component(name) for s in self.states])
@@ -125,6 +133,18 @@ class SpacetimeSolution:
     @property
     def status(self) -> str:
         return self.meta.get("status", "ok")
+
+
+class Collector(list):
+    """The stored route's fold: keeps every saved state it is given."""
+
+    def __call__(self, state: FieldState) -> None:
+        self.append(state)
+
+    def solution(self, grid: Grid, meta: dict, backward: bool = False) -> SpacetimeSolution:
+        """The kept states in time order (a backward march saves the last first)."""
+        states = self[::-1] if backward else list(self)
+        return SpacetimeSolution(grid, np.asarray([s.t for s in states]), states, meta)
 
 
 def total_charge(grid: Grid, state: FieldState) -> float:
@@ -153,7 +173,3 @@ def margin_ratio(grid: Grid, state: FieldState) -> float:
     if interior_max == 0.0:
         return 0.0
     return float(np.max(tot[edge]) / interior_max)
-
-
-def solution_margin_ratio(sol: SpacetimeSolution) -> float:
-    return max((margin_ratio(sol.grid, s) for s in sol.states), default=0.0)

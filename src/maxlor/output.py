@@ -8,12 +8,12 @@ written with 17 significant digits from the one ``%.17g`` spec, so
 identical config and seed reproduce byte-identical files; nothing time- or
 host-dependent is ever written.
 
-State files have their own writer: one row template ``x,E,u,sigma\r\n``
-is mapped over the columns as Python floats, and the ``x`` column, the
-same in every state of a run, is formatted once per run.  The files are
-byte-identical to what :func:`write_table` gives for the same rows;
-``write_table`` keeps the ``csv`` module for the mixed tables whose text
-cells may need quoting.
+State files and the headline numbers are folds over saved states
+(:class:`StateWriter`, :class:`SolveSummary`): ``solve`` writes each state
+as the march saves it, and the stored-run functions replay ``sol.states``.
+One row template ``x,E,u,sigma\r\n`` is mapped over the columns, with the
+``x`` column formatted once per run; the bytes are :func:`write_table`'s
+for the same rows, which keeps ``csv`` for tables that may need quoting.
 
 The run id is the first 12 hex digits of the SHA-256 of the canonical
 config serialization, so directories are self-describing and reruns are
@@ -29,7 +29,7 @@ import os
 
 import numpy as np
 
-from .fields import FieldState, Grid, SpacetimeSolution, total_charge
+from .fields import Collector, FieldState, Grid, SpacetimeSolution, total_charge
 
 __all__ = [
     "canonical_config_bytes",
@@ -37,8 +37,10 @@ __all__ = [
     "fmt",
     "write_json",
     "write_table",
+    "StateWriter",
     "write_solution",
     "read_solution",
+    "SolveSummary",
     "solve_summary",
 ]
 
@@ -82,27 +84,37 @@ def _state_name(i: int) -> str:
     return f"state_{i:05d}.csv"
 
 
-def write_solution(out_dir, sol: SpacetimeSolution, cfg_dict: dict) -> dict:
-    """Write one run directory; returns the sidecar actually written."""
-    os.makedirs(out_dir, exist_ok=True)
-    xcol = [_FLOAT % x for x in sol.grid.xs.tolist()]
-    files = []
-    for i, state in enumerate(sol.states):
-        name = _state_name(i)
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
+class StateWriter:
+    """A fold that writes each saved state as the next state file of
+    ``out_dir``; ``finish`` writes ``meta.json`` and ``config.json``."""
+
+    def __init__(self, out_dir, grid: Grid):
+        os.makedirs(out_dir, exist_ok=True)
+        self.out_dir, self.grid, self.times, self.files = out_dir, grid, [], []
+        self.xcol = [_FLOAT % x for x in grid.xs.tolist()]
+
+    def __call__(self, state: FieldState) -> None:
+        name = _state_name(len(self.files))
+        with open(os.path.join(self.out_dir, name), "w", encoding="utf-8", newline="") as fh:
             fh.write(_STATE_HEADER)
             # rows are streamed: one joined string per state costs peak memory
             fh.writelines(map(_STATE_ROW.__mod__, zip(
-                xcol, state.E.tolist(), state.u.tolist(), state.sigma.tolist())))
-        files.append(name)
-    meta = dict(sol.meta)
-    meta["grid"] = sol.grid.spec_dict()
-    meta["times"] = [float(t) for t in sol.times]
-    meta["files"] = files
-    meta["run_id"] = run_id(cfg_dict)
-    write_json(os.path.join(out_dir, "meta.json"), meta)
-    write_json(os.path.join(out_dir, "config.json"), cfg_dict)
-    return meta
+                self.xcol, state.E.tolist(), state.u.tolist(), state.sigma.tolist())))
+        self.times.append(float(state.t))
+        self.files.append(name)
+
+    def finish(self, run_meta: dict, cfg_dict: dict) -> dict:
+        """Write the sidecars; returns the ``meta.json`` written."""
+        meta = {**run_meta, "grid": self.grid.spec_dict(), "times": self.times,
+                "files": self.files, "run_id": run_id(cfg_dict)}
+        write_json(os.path.join(self.out_dir, "meta.json"), meta)
+        write_json(os.path.join(self.out_dir, "config.json"), cfg_dict)
+        return meta
+
+
+def write_solution(out_dir, sol: SpacetimeSolution, cfg_dict: dict) -> dict:
+    """Write one run directory; returns the sidecar actually written."""
+    return sol.replay(StateWriter(out_dir, sol.grid)).finish(sol.meta, cfg_dict)
 
 
 def read_solution(out_dir) -> SpacetimeSolution:
@@ -110,35 +122,44 @@ def read_solution(out_dir) -> SpacetimeSolution:
         meta = json.load(fh)
     g = meta["grid"]
     grid = Grid(x_min=g["x_min"], x_max=g["x_max"], n=g["n"])
-    states = []
+    states = Collector()
     for t, name in zip(meta["times"], meta["files"]):
         data = np.loadtxt(os.path.join(out_dir, name), delimiter=",", skiprows=1)
-        states.append(FieldState(t=t, E=data[:, 1], u=data[:, 2], sigma=data[:, 3]))
+        states(FieldState(t=t, E=data[:, 1], u=data[:, 2], sigma=data[:, 3]))
     inner_meta = {k: v for k, v in meta.items() if k not in ("grid", "times", "files")}
-    return SpacetimeSolution(
-        grid=grid, times=np.asarray(meta["times"], dtype=float),
-        states=states, meta=inner_meta,
-    )
+    return states.solution(grid, inner_meta)
+
+
+class SolveSummary:
+    """The headline numbers of a run as a fold: each saved state's charge,
+    peak amplitude and time; ``result`` adds the run's record."""
+
+    def __init__(self, grid: Grid):
+        self.grid, self.rows = grid, []
+
+    def __call__(self, state: FieldState) -> None:
+        self.rows.append((total_charge(self.grid, state), state.max_abs(), float(state.t)))
+
+    def result(self, meta: dict) -> dict:
+        charges, peaks, times = zip(*self.rows)
+        q0 = charges[0]
+        return {
+            "status": meta.get("status", "ok"),
+            "a_priori_bound": meta.get("a_priori_bound"),
+            "op_norm": meta.get("op_norm"),
+            "nu": meta.get("nu"),
+            "eps": meta.get("eps"),
+            "charge_initial": q0,
+            "charge_final": charges[-1],
+            "charge_max_drift": max(abs(c - q0) for c in charges),
+            "peak_amplitude": max(peaks),
+            "margin_ratio": meta.get("margin_ratio"),
+            "boundary_contaminated": meta.get("boundary_contaminated"),
+            "n_saved": len(charges),
+            "t_final": times[-1],
+        }
 
 
 def solve_summary(sol: SpacetimeSolution) -> dict:
     """Headline numbers for a finished run."""
-    charges = [total_charge(sol.grid, s) for s in sol.states]
-    q0 = charges[0]
-    drift = max(abs(c - q0) for c in charges)
-    peak = max(s.max_abs() for s in sol.states)
-    return {
-        "status": sol.status,
-        "a_priori_bound": sol.meta.get("a_priori_bound"),
-        "op_norm": sol.meta.get("op_norm"),
-        "nu": sol.meta.get("nu"),
-        "eps": sol.meta.get("eps"),
-        "charge_initial": q0,
-        "charge_final": charges[-1],
-        "charge_max_drift": drift,
-        "peak_amplitude": peak,
-        "margin_ratio": sol.meta.get("margin_ratio"),
-        "boundary_contaminated": sol.meta.get("boundary_contaminated"),
-        "n_saved": len(sol.states),
-        "t_final": float(sol.times[-1]),
-    }
+    return sol.replay(SolveSummary(sol.grid)).result(sol.meta)

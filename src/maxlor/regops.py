@@ -69,11 +69,11 @@ class RegDerivOperator:
 
     def __post_init__(self):
         # padded length that holds the full linear convolution without wrap
-        self._fft_len = next_fast_len(self.grid.n + len(self.offsets) - 1)
-        self._spectrum = rfft(self.weights, self._fft_len)
+        self.fft_len = next_fast_len(self.grid.n + len(self.offsets) - 1)
+        self._spectrum = rfft(self.weights, self.fft_len)
         # work buffers every application overwrites
         self._spec = np.empty_like(self._spectrum)
-        self._full = np.empty(self._fft_len)
+        self._full = np.empty(self.fft_len)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Regularized derivative of f with zero padding outside the grid."""
@@ -90,9 +90,9 @@ class RegDerivOperator:
             return out
         hi = n - 1 - int(nonzero[::-1].argmax())
         # full[k] = sum_j w_j f[k + j_min - j], so out[i] = full[i - j_min]
-        spec = rfft(f, self._fft_len, out=self._spec)
+        spec = rfft(f, self.fft_len, out=self._spec)
         spec *= self._spectrum
-        full = irfft(spec, self._fft_len, out=self._full)
+        full = irfft(spec, self.fft_len, out=self._full)
         j_min = int(self.offsets[0])
         a = max(lo + j_min, 0)
         b = min(hi + int(self.offsets[-1]), n - 1) + 1

@@ -16,11 +16,14 @@ trapezoid rule, whose step equation is solved by Picard (fixed-point)
 iteration.  They discretize time differently, so their agreement on
 matching grids is a meaningful consistency check rather than a tautology.
 
-The march owns everything else: setup checks, step count and direction,
-the save grid, and one overflow policy.  Floating-point overflow never
-warns; a stage the nonlinearity refuses as non-finite, a non-finite new
-state, or one wandering past a multiple of the a-priori bound for the
-continuum system aborts the run, preserving the states saved so far.
+The march owns everything else: setup checks, the time grid, one
+overflow policy, and one hook, ``on_save``, that gets each saved state as
+it is saved; a caller folding the states there gets back a solution with
+only ``meta``, and without a hook the solution holds every state.
+Floating-point overflow never warns; a stage the nonlinearity refuses as
+non-finite, a non-finite new state, or one wandering past a multiple of
+the a-priori bound for the continuum system aborts the run, keeping what
+the states saved so far gave the hook.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    Collector,
     FieldState,
-    Grid,
     ModelParams,
     SpacetimeSolution,
-    solution_margin_ratio,
+    margin_ratio,
     CONTAMINATION_TOL,
 )
 from .nonlinearity import a, sqrt1p_sq
@@ -48,6 +51,7 @@ __all__ = [
     "solve_lines",
     "solve_picard",
     "rk4_step",
+    "march_plan",
     "a_priori_bound",
     "step_bound",
     "STATUS_OK",
@@ -176,19 +180,30 @@ def rk4_step(f, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def march_plan(t0: float, T: float, dt: float, save_every: int, backward: bool = False):
+    """``(h, times, saved)`` of a march over ``T`` from ``t0``: ``ceil(T/dt)``
+    equal steps ``h`` (negative when ``backward``), ``times[i]`` the time after
+    step ``i``, and the saved step numbers: 0, every ``save_every``-th, the last."""
+    n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
+    h = -(T / n_steps) if backward else T / n_steps
+    times = [t0 + i * h for i in range(n_steps + 1)]
+    return h, times, list(range(0, n_steps, save_every)) + [n_steps]
+
+
 def _march(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
-           params: ModelParams, backward: bool, method: str, step) -> SpacetimeSolution:
+           params: ModelParams, backward: bool, method: str, step, on_save) -> SpacetimeSolution:
     """The time loop both integrators share; ``step`` is the integrator.
 
     ``step(t, V, h, meta)`` advances the ``(3, n)`` state ``V = (E, u,
     sigma)`` from ``t`` by ``h`` and returns the new state, or records an
     abort in ``meta`` and returns None.  The march covers ``[t0, t0+T]``, or
     ``[t0-T, t0]`` when ``backward`` is set (the model is time-reversible,
-    so a backward run is a negated step), in ``ceil(T/dt)`` equal steps, and
-    saves every ``save_every`` steps plus the final time.  Overflow shows as
+    so a backward run is a negated step), on the grid of ``march_plan``, and
+    passes each saved :class:`FieldState` to ``on_save`` (see above); it
+    folds their margin ratio into ``meta`` itself.  Overflow shows as
     non-finite values, never as warnings: a stage the nonlinearity refuses
-    and a non-finite or over-grown new state abort the run and keep the
-    states saved so far.
+    and a non-finite or over-grown new state abort the run, after the
+    states saved so far went to the hook.
     """
     if len(initial.E) != op.grid.n:
         raise ValueError("solver: initial state does not match operator grid")
@@ -196,12 +211,11 @@ def _march(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
         if not np.all(np.isfinite(initial.component(name))):
             raise ValueError(f"solver: non-finite initial data in {name}")
     _check_step(cfg.dt, op.op_norm)
-    n_steps = max(1, int(math.ceil(params.T / cfg.dt - 1e-12)))
-    dt_eff = params.T / n_steps
-    h = -dt_eff if backward else dt_eff
+    h, times, saved = march_plan(initial.t, params.T, cfg.dt, cfg.save_every, backward)
+    n_steps = len(times) - 1
     meta = {
         "solver": method,
-        "dt": dt_eff,
+        "dt": abs(h),
         "n_steps": n_steps,
         "save_every": cfg.save_every,
         "eps": params.eps,
@@ -215,36 +229,38 @@ def _march(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
         "guard_factor": cfg.guard_factor,
         "status": STATUS_OK,
     }
+    kept, ratios = Collector(), []
+    if on_save is None:
+        on_save = kept  # the stored route
 
-    t0 = initial.t
+    def save(t, V):
+        state = FieldState(t, *V)
+        ratios.append(margin_ratio(op.grid, state))
+        on_save(state)
+
     V = np.array([initial.E, initial.u, initial.sigma], dtype=float)
-    times = [t0]
-    states = [FieldState(t0, *V)]
+    saved = set(saved)
     with np.errstate(over="ignore", invalid="ignore"):
+        save(times[0], V)
         for i in range(1, n_steps + 1):
-            t = t0 + i * h
+            t = times[i]
             try:
-                V = step(t0 + (i - 1) * h, V, h, meta)
+                V = step(times[i - 1], V, h, meta)
             except ValueError:
                 _abort(meta, STATUS_OVERFLOW, "overflow", t, f"overflow at t={t:.6g}")
                 break
             if V is None or _guard_tripped(meta, t, V):
                 break
-            if i % cfg.save_every == 0 or i == n_steps:
-                times.append(t)
-                states.append(FieldState(t, *V))
+            if i in saved:
+                save(t, V)
 
-    if backward:
-        times, states = times[::-1], states[::-1]
-    sol = SpacetimeSolution(grid=op.grid, times=np.asarray(times), states=states, meta=meta)
-    ratio = solution_margin_ratio(sol)
-    meta["margin_ratio"] = ratio
-    meta["boundary_contaminated"] = bool(ratio > CONTAMINATION_TOL)
-    return sol
+    meta["margin_ratio"] = max(ratios)
+    meta["boundary_contaminated"] = bool(meta["margin_ratio"] > CONTAMINATION_TOL)
+    return kept.solution(op.grid, meta, backward)
 
 
 def solve_lines(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
-                params: ModelParams, backward: bool = False) -> SpacetimeSolution:
+                params: ModelParams, backward: bool = False, on_save=None) -> SpacetimeSolution:
     """Classical RK4 march of the semi-discrete system (see ``_march``)."""
     B0 = params.B0
 
@@ -252,11 +268,11 @@ def solve_lines(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
         return np.stack(rhs(V[0], V[1], V[2], op, B0))
 
     return _march(initial, cfg, op, params, backward, "rk4",
-                  lambda t, V, h, meta: rk4_step(field, t, V, h))
+                  lambda t, V, h, meta: rk4_step(field, t, V, h), on_save)
 
 
 def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
-                 params: ModelParams, backward: bool = False) -> SpacetimeSolution:
+                 params: ModelParams, backward: bool = False, on_save=None) -> SpacetimeSolution:
     """Implicit trapezoid rule, each step solved by fixed-point iteration.
 
     A step from ``V`` solves ``Vn = V + h/2 (F(V) + F(Vn))``, with ``F`` the
@@ -306,14 +322,13 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
             return None
         return Vk
 
-    sol = _march(initial, cfg, op, params, backward, "picard", step)
+    sol = _march(initial, cfg, op, params, backward, "picard", step, on_save)
     sol.meta["picard"] = stats
     return sol
 
 
 def solve(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
-          params: ModelParams, backward: bool = False) -> SpacetimeSolution:
-    """Dispatch on ``cfg.method``."""
-    if cfg.method == "picard":
-        return solve_picard(initial, cfg, op, params, backward=backward)
-    return solve_lines(initial, cfg, op, params, backward=backward)
+          params: ModelParams, backward: bool = False, on_save=None) -> SpacetimeSolution:
+    """Dispatch on ``cfg.method``; ``on_save`` as in ``_march``."""
+    march = solve_picard if cfg.method == "picard" else solve_lines
+    return march(initial, cfg, op, params, backward=backward, on_save=on_save)

@@ -79,6 +79,21 @@ def _window(sol: SpacetimeSolution, t_start, t_end):
     return t_start, t_end
 
 
+def _check_path_step(times, span: float, n_steps: int) -> None:
+    """Raise unless the saved ``times`` are as fine as the path step ``span/n_steps``.
+
+    ``validate`` runs the same check on the save grid ``solver.march_plan``
+    gives, before anything is solved.
+    """
+    save_dt = float(np.min(np.diff(times))) if len(times) > 1 else 0.0
+    dr = span / n_steps
+    if save_dt > dr * (1.0 + 1e-9):
+        raise ValueError(
+            f"world line: saved spacing {save_dt:.6g} exceeds the path step "
+            f"{dr:.6g}; save more often or take fewer steps"
+        )
+
+
 def integrate_world_line(sol: SpacetimeSolution, start: float,
                          t_start: float | None = None, t_end: float | None = None,
                          n_steps: int | None = None) -> Trajectory:
@@ -94,13 +109,7 @@ def integrate_world_line(sol: SpacetimeSolution, start: float,
         n_steps = max(1, len(sol.times) - 1)
     if n_steps < 1:
         raise ValueError("world line: n_steps must be positive")
-    save_dt = float(np.min(np.diff(sol.times))) if len(sol.times) > 1 else 0.0
-    dr = (t_end - t_start) / n_steps
-    if save_dt > dr * (1.0 + 1e-9):
-        raise ValueError(
-            f"world line: saved spacing {save_dt:.6g} exceeds the path step "
-            f"{dr:.6g}; save more often or take fewer steps"
-        )
+    _check_path_step(sol.times, t_end - t_start, n_steps)
     u_at = _FieldSampler(sol, "u")
     x_min, x_max = sol.grid.x_min, sol.grid.x_max
     if not (x_min <= start <= x_max):

@@ -293,10 +293,10 @@ class TestLimitSweep:
         assert runs["64"] == runs["1"]
 
     def test_raising_pooled_member_keeps_the_others(self, serial_pool, monkeypatch):
-        def solve_or_raise(initial, cfg, op, params):
+        def solve_or_raise(initial, cfg, op, params, on_save=None):
             if params.eps == 0.1:
                 raise MemoryError("no room")
-            return solve(initial, cfg, op, params)
+            return solve(initial, cfg, op, params, on_save=on_save)
 
         monkeypatch.setattr("maxlor.solver.solve", solve_or_raise)
         psi = TestFunction2D(t0=0.15, x0=-0.5, r_t=0.1, r_x=0.3)
@@ -314,13 +314,13 @@ class TestLimitSweep:
         # only Q on a light-cone diagonal in a vacuum half-plane can show the
         # obstruction; no other observable pays for a support probe
         probed = []
-        real_probe = analysis.support_probe
+        real_probe = analysis._Support
 
-        def counting_probe(sol, x0):
+        def counting_probe(grid, x0):
             probed.append(x0)
-            return real_probe(sol, x0)
+            return real_probe(grid, x0)
 
-        monkeypatch.setattr("maxlor.analysis.support_probe", counting_probe)
+        monkeypatch.setattr("maxlor.analysis._Support", counting_probe)
         observables = [
             ("Q", TestFunction2D(t0=0.2, x0=0.2, r_t=0.1, r_x=0.1)),
             ("Q", TestFunction2D(t0=0.2, x0=-0.2, r_t=0.1, r_x=0.1)),

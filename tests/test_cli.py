@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from maxlor import solver
+from maxlor import analysis, solver
+from maxlor import config as cfgmod
 
 from maxlor.cli import (
     EXIT_CONFIG,
@@ -16,7 +17,8 @@ from maxlor.cli import (
     EXIT_RUNTIME,
     main,
 )
-from maxlor.fields import FieldState, Grid, SpacetimeSolution
+from maxlor.fields import FieldState, SpacetimeSolution
+from maxlor.trajectories import integrate_world_line
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -167,6 +169,80 @@ def test_default_probe_cut_outside_the_grid_is_refused_before_solving(tmp_path, 
     assert not out.exists()
 
 
+def _no_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve called on a config validate refuses")
+
+    monkeypatch.setattr("maxlor.cli.solve", no_solve)
+    monkeypatch.setattr("maxlor.solver.solve", no_solve)
+
+
+def _sample_with(tmp_path, name, **experiment_and_net):
+    body = json.loads(open(os.path.join(CONFIGS, name)).read())
+    body["delta_net"].update(experiment_and_net.pop("delta_net", {}))
+    body["experiment"].update(experiment_and_net)
+    return write_cfg(tmp_path, **body)
+
+
+def test_blowup_window_without_a_grid_point_is_refused_before_solving(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the window [0.0013 - 1e-6, 0.0013 + 1e-6] falls between two grid points
+    _no_solve(monkeypatch)
+    cfg = _sample_with(tmp_path, "blowup_family.json", blowup_window=1e-6,
+                       delta_net={"center": 0.0013})
+    message = ("blow-up probe: window 1e-06 around center 0.0013 holds no grid point "
+               "at eps=0.2 (dx=0.005); widen blowup_window")
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    assert message in capsys.readouterr().out.splitlines()
+    out = tmp_path / "out"
+    assert main(["probe-blowup", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err.splitlines()
+    assert not out.exists()
+
+
+def test_blowup_peak_names_the_window_that_holds_no_grid_point(release_left):
+    # a window the run was not validated for: the peak fold names it
+    _, sol = release_left
+    with pytest.raises(ValueError, match=r"window 1e-06 around center 0.0013 holds no grid "
+                                         r"point at eps=0.1"):
+        analysis.blow_up_probe([sol, sol], window=1e-6, center=0.0013)
+
+
+@pytest.mark.parametrize("experiment, message", [
+    ({"trajectory_starts": [-0.5, 3.0]},
+     "experiment: trajectory_starts[1] 3 lies outside the grid [-4, 1]"),
+    ({"trajectory_steps": 200},
+     "experiment: trajectory_steps 200: world line: saved spacing 0.0180723 exceeds the "
+     "path step 0.0025; save more often or take fewer steps"),
+], ids=["start-off-grid", "steps-finer-than-saves"])
+def test_trajectories_are_refused_before_solving(tmp_path, capsys, monkeypatch,
+                                                  experiment, message):
+    _no_solve(monkeypatch)
+    cfg = _sample_with(tmp_path, "point_charge.json", **experiment)
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    assert message in capsys.readouterr().out.splitlines()
+    out = tmp_path / "out"
+    assert main(["trajectories", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err.splitlines()
+    assert not out.exists()
+
+
+def test_validate_and_the_world_lines_agree_on_the_path_step(tmp_path, release_left):
+    # validate refuses a step count exactly when the run's world line would:
+    # from 28 steps on, the path step is below the last saved spacing
+    _, sol = release_left
+    body = json.loads(open(os.path.join(CONFIGS, "point_charge.json")).read())
+    for steps in range(20, 36):
+        body["experiment"] = {"trajectory_starts": [-0.05], "trajectory_steps": steps}
+        refused = cfgmod.validate_config(cfgmod.config_from_dict(body))
+        try:
+            integrate_world_line(sol, -0.05, n_steps=steps)
+            raised = False
+        except ValueError:
+            raised = True
+        assert bool(refused) == raised, (steps, refused)
+
+
 def test_misspelt_key_is_refused_before_sweeping(tmp_path, capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("sweep run on a config with a misspelt key")
@@ -270,6 +346,24 @@ class TestSolve:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("command, config", [
+        ("sweep", "obstruction_sweep.json"), ("probe-blowup", "blowup_family.json"),
+    ])
+    def test_summary_records_each_members_sizes(self, tmp_path, command, config):
+        path = os.path.join(CONFIGS, config)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        cfg = cfgmod.load_config(path)
+        assert len(summary["members"]) == len(cfg.eps_schedule)
+        for eps, member in zip(cfg.eps_schedule, summary["members"]):
+            pieces = cfgmod.assemble_run(cfg, eps=eps, refine=True)
+            op = pieces.operator
+            sol = solver.solve(pieces.initial, pieces.solver, op, pieces.params)
+            assert member == {"grid_n": op.grid.n, "m": len(op.weights), "nu": op.nu,
+                              "fft_len": op.fft_len, "n_steps": sol.meta["n_steps"],
+                              "n_saved": len(sol.states)}
+
     def test_contaminated_member_exits_4(self, tmp_path):
         # the tight domain of the solve contamination test, run as a
         # two-member schedule
@@ -290,10 +384,10 @@ class TestSweep:
         # still written and the sweep exits as an aborted one
         real_solve = solver.solve
 
-        def solve_or_raise(initial, cfg, op, params):
+        def solve_or_raise(initial, cfg, op, params, on_save=None):
             if params.eps == 0.1:
                 raise MemoryError("no room for the eps=0.1 member")
-            return real_solve(initial, cfg, op, params)
+            return real_solve(initial, cfg, op, params, on_save=on_save)
 
         monkeypatch.setattr("maxlor.solver.solve", solve_or_raise)
         cfg = os.path.join(CONFIGS, "obstruction_sweep.json")
@@ -318,10 +412,10 @@ class TestSweep:
         # still written, no exponent is fitted and the run exits as aborted
         real_solve = solver.solve
 
-        def solve_or_raise(initial, cfg, op, params):
+        def solve_or_raise(initial, cfg, op, params, on_save=None):
             if params.eps == 0.05:
                 raise MemoryError("no room for the eps=0.05 member")
-            return real_solve(initial, cfg, op, params)
+            return real_solve(initial, cfg, op, params, on_save=on_save)
 
         monkeypatch.setattr("maxlor.solver.solve", solve_or_raise)
         cfg = os.path.join(CONFIGS, "blowup_family.json")
@@ -506,15 +600,14 @@ class TestScalingAndBlowup:
     def test_aborted_member_wins_over_contamination(self, tmp_path, monkeypatch):
         # the eps=0.2 member trips the guard and the others finish
         # contaminated: the abort decides the exit code, as in sweep
-        grid = Grid(-1.0, 1.0, 21)
-
-        def fake_solve(initial, cfg, op, params):
+        def fake_solve(initial, cfg, op, params, on_save):
             eps = params.eps
-            ones = np.ones(grid.n)
-            states = [FieldState(t, ones, ones, ones / eps) for t in (0.0, 0.1)]
+            ones = np.ones(op.grid.n)
+            for t in (0.0, 0.1):
+                on_save(FieldState(t, ones, ones, ones / eps))
             meta = {"eps": eps, "status": "guard" if eps == 0.2 else "ok",
                     "boundary_contaminated": eps != 0.2, "a_priori_bound": 1.0}
-            return SpacetimeSolution(grid, np.array([0.0, 0.1]), states, meta)
+            return SpacetimeSolution(op.grid, np.empty(0), [], meta)
 
         monkeypatch.setattr("maxlor.solver.solve", fake_solve)
         cfg = os.path.join(CONFIGS, "blowup_family.json")

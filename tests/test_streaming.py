@@ -1,0 +1,139 @@
+"""The march's ``on_save`` hook and the folds that reduce each saved state.
+
+Every command but ``trajectories`` reduces its states as the march saves
+them, so these tests pin what makes that safe: the row-wise arithmetic of
+the folds equals the stacked arithmetic bit for bit, the hook sees exactly
+the states the stored route keeps, and a streamed run holds far less than
+its states.
+"""
+
+import json
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from maxlor import analysis, output
+from maxlor.analysis import TestFunction2D, limit_sweep
+from maxlor.cli import main
+from maxlor.config import assemble_run, config_from_dict
+from maxlor.solver import march_plan, solve
+
+
+@pytest.mark.parametrize("n", [16, 1001, 32001, 256001])
+def test_row_trapezoid_equals_the_stacked_reduction_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((3, n)) * np.array([[1.0], [1e-9], [1e9]])
+    dx = 5.0 / (n - 1)
+    stacked = np.trapezoid(rows, dx=dx, axis=1)
+    assert [np.trapezoid(row, dx=dx) for row in rows] == list(stacked)
+
+
+def test_psi_per_row_equals_the_broadcast_weights():
+    psi = TestFunction2D(t0=0.3, x0=-0.2, r_t=0.15, r_x=0.4, amplitude=1.7)
+    times = np.linspace(0.0, 0.5, 41)
+    xs = np.linspace(-4.0, 1.0, 2001)
+    stacked = psi.value(times[:, None], xs[None, :])
+    for i, t in enumerate(times.tolist()):
+        assert np.array_equal(psi.value(t, xs), stacked[i])
+
+
+def test_the_hook_sees_the_stored_states_and_the_solution_keeps_none(release_left):
+    pieces, stored = release_left
+    seen = []
+    streamed = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params,
+                     on_save=seen.append)
+    assert streamed.states == [] and len(streamed.times) == 0
+    assert streamed.meta == stored.meta
+    assert [s.t for s in seen] == stored.times.tolist()
+    for a, b in zip(seen, stored.states):
+        assert all(np.array_equal(a.component(n), b.component(n)) for n in ("E", "u", "sigma"))
+
+
+def test_a_backward_march_hooks_from_the_end_and_stores_in_time_order(release_left):
+    pieces, _ = release_left
+    args = (pieces.initial, pieces.solver, pieces.operator, pieces.params)
+    seen = []
+    solve(*args, backward=True, on_save=seen.append)
+    stored = solve(*args, backward=True)
+    assert [s.t for s in seen] == stored.times.tolist()[::-1]
+    assert seen[0].t == 0.0 and stored.times[-1] == 0.0
+
+
+@pytest.mark.parametrize("T, dt, save_every", [(0.5, 0.006, 4), (0.3, 0.01, 7), (0.2, 0.03, 1)])
+def test_march_plan_is_the_save_grid_the_march_uses(T, dt, save_every):
+    body = {"grid": {"x_min": -4.0, "x_max": 1.0, "n": 401},
+            "scaling": {"kind": "constant", "c": 0.2}, "eps": 0.1,
+            "model": {"T": T}, "solver": {"dt": dt, "save_every": save_every}}
+    pieces = assemble_run(config_from_dict(body))
+    sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
+    h, times, saved = march_plan(0.0, T, dt, save_every)
+    assert sol.meta["n_steps"] == len(times) - 1 and sol.meta["dt"] == h
+    assert sol.times.tolist() == [times[i] for i in saved]
+
+
+# a point-charge release whose stored run would hold 85 states of 1001 cells
+_RELEASE = {
+    "grid": {"x_min": -4.0, "x_max": 1.0, "n": 1001}, "mollifier": {"kind": "left"},
+    "scaling": {"kind": "constant", "c": 0.1}, "eps": 0.1, "eps_schedule": [0.2, 0.1],
+    "model": {"B0": 0.0, "T": 0.5}, "solver": {"save_every": 1},
+}
+
+
+def _stored_bytes(cfg, eps, refine):
+    # what a stored run of that member holds: every saved (E, u, sigma)
+    pieces = assemble_run(cfg, eps=eps, refine=refine)
+    n_saved = math.ceil(pieces.params.T / pieces.solver.dt - 1e-12) + 1
+    return n_saved * 3 * pieces.grid.n * 8
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_solve_peaks_below_the_states_it_writes(tmp_path):
+    cfg_path = tmp_path / "release.json"
+    cfg_path.write_text(json.dumps(_RELEASE))
+    stored = _stored_bytes(config_from_dict(_RELEASE), 0.1, False)
+    out = tmp_path / "out"
+    peak = _peak_bytes(lambda: main(["solve", "--config", str(cfg_path), "--out", str(out)]))
+    assert len(list(out.glob("state_*.csv"))) * 3 * 1001 * 8 == stored
+    assert peak < stored / 2, (peak, stored)
+
+
+def test_streamed_sweep_member_peaks_below_its_states():
+    cfg = config_from_dict(_RELEASE)
+    stored = _stored_bytes(cfg, 0.1, True)
+    psi = TestFunction2D(t0=0.3, x0=0.3, r_t=0.1, r_x=0.1)
+    peak = _peak_bytes(lambda: limit_sweep(cfg, [0.1], [("Q", psi), ("sigma", psi)]))
+    assert peak < stored / 2, (peak, stored)
+
+
+def test_stored_functions_replay_into_the_streamed_folds(release_left, tmp_path):
+    # each public stored-solution function equals its fold fed by the march
+    pieces, sol = release_left
+    grid, op = pieces.grid, pieces.operator
+    psi = TestFunction2D(t0=0.3, x0=-0.2, r_t=0.1, r_x=0.1)
+    folds = {
+        "pair": analysis._Pairing(grid, "Q", psi, op, 0.0, pieces.params.T),
+        "support": analysis._Support(grid, 0.05),
+        "compare": analysis._Compare(grid, pieces.params.q),
+        "summary": output.SolveSummary(grid),
+        "writer": output.StateWriter(tmp_path / "streamed", grid),
+    }
+    meta = solve(pieces.initial, pieces.solver, op, pieces.params,
+                 on_save=lambda s: [fold(s) for fold in folds.values()]).meta
+    assert folds["pair"].result() == analysis.pair(sol, "Q", psi, op)
+    assert folds["support"].result() == analysis.support_probe(sol, 0.05)
+    assert folds["compare"].result() == analysis.compare_linearized(sol)
+    assert folds["summary"].result(meta) == output.solve_summary(sol)
+    assert folds["writer"].finish(meta, {}) == output.write_solution(tmp_path / "stored", sol, {})
+    for name in folds["writer"].files + ["meta.json", "config.json"]:
+        assert ((tmp_path / "streamed" / name).read_bytes()
+                == (tmp_path / "stored" / name).read_bytes())
