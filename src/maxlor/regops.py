@@ -3,11 +3,18 @@
 The operator ``D f = phi'_nu * f`` with ``phi'_nu(x) = phi'(x/nu) / nu^2``
 replaces the spatial derivative everywhere in the model.  On a grid it is a
 short stencil with zero padding outside the grid, applied as one real-FFT
-convolution (``numpy.fft``) against the stencil's spectrum, computed once
-per operator.  Each operator also owns two work buffers, a spectrum and a
-padded real array, that every application reuses as the ``out=`` of
-``rfft`` and ``irfft``, so an application allocates no array of the
-padded length.
+convolution (``numpy.fft``) against the stencil's spectrum.
+
+Only the window ``f[lo:hi+1]`` between the first and the last nonzero
+value of f is transformed, padded to ``next_fast_len(hi - lo + m)`` for a
+stencil of m weights: a delta-like field covers a small part of the grid,
+and the one-sided kernel keeps the vacuum side exactly zero.  A field
+spanning the grid takes the longest transform, ``fft_len``.  The stencil's
+spectrum depends on the transform length, so each operator keeps the
+spectra of its last two lengths.  Each operator also owns two work
+buffers of the longest length, a spectrum and a padded real array, whose
+leading slices every application reuses as the ``out=`` of ``rfft`` and
+``irfft``, so an application allocates no padded array.
 
 Stencil weights are the exact per-cell integrals of ``phi'_nu``; by the
 fundamental theorem of calculus these are differences of ``phi_nu`` sampled
@@ -24,13 +31,15 @@ Orientation: ``apply(op, f)(x) = sum_j w_j f(x - y_j)``, so a kernel
 supported on ``[-nu, 0]`` reads f only on ``[x, x + nu]``.  One-sided
 support confinement in the solver relies on this exactly.  The FFT spreads
 rounding noise over its whole padded length, so the output is written only
-on the dependency cone ``[lo + j_min, hi + j_max]`` of the nonzero index
-range ``[lo, hi]`` of f and is exactly zero elsewhere, as a direct sum is.
+on the dependency cone ``[lo + j_min, hi + j_max]`` of the window and is
+exactly zero elsewhere, as a direct sum is.  The output depends on f alone,
+not on which fields the operator transformed before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -41,8 +50,12 @@ from .mollifier import Mollifier, make_mollifier
 __all__ = ["RegDerivOperator", "make_operator", "next_fast_len", "operator_for_meta"]
 
 MIN_CELLS_PER_WIDTH = 4
+# kernel spectra an operator keeps, one per transform length, least
+# recently used dropped first
+SPECTRA_KEPT = 2
 
 
+@lru_cache(maxsize=1024)
 def next_fast_len(target: int) -> int:
     """Smallest 5-smooth integer ``>= target``, a length real FFTs are fast
     on; equal to ``scipy.fft.next_fast_len(target, real=True)``."""
@@ -68,12 +81,24 @@ class RegDerivOperator:
     op_norm: float            # cached bound ||phi'||_L1 / nu
 
     def __post_init__(self):
-        # padded length that holds the full linear convolution without wrap
+        # padded length that holds the linear convolution of a field
+        # spanning the grid without wrap: the longest transform of apply
         self.fft_len = next_fast_len(self.grid.n + len(self.offsets) - 1)
-        self._spectrum = rfft(self.weights, self.fft_len)
-        # work buffers every application overwrites
-        self._spec = np.empty_like(self._spectrum)
+        self._spectra = {}  # transform length -> stencil spectrum
+        # work buffers whose leading slices every application overwrites
+        self._spec = np.empty(self.fft_len // 2 + 1, dtype=complex)
         self._full = np.empty(self.fft_len)
+
+    def _spectrum(self, size: int) -> np.ndarray:
+        """Spectrum of the stencil padded to ``size``, from the bounded cache."""
+        spectra = self._spectra
+        spectrum = spectra.pop(size, None)
+        if spectrum is None:
+            spectrum = rfft(self.weights, size)
+            if len(spectra) >= SPECTRA_KEPT:
+                del spectra[next(iter(spectra))]
+        spectra[size] = spectrum  # reinserted: most recently used last
+        return spectrum
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Regularized derivative of f with zero padding outside the grid."""
@@ -89,15 +114,17 @@ class RegDerivOperator:
         if not nonzero[lo]:
             return out
         hi = n - 1 - int(nonzero[::-1].argmax())
-        # full[k] = sum_j w_j f[k + j_min - j], so out[i] = full[i - j_min]
-        spec = rfft(f, self.fft_len, out=self._spec)
-        spec *= self._spectrum
-        full = irfft(spec, self.fft_len, out=self._full)
+        # the window's linear convolution has hi - lo + m terms
+        size = next_fast_len(hi - lo + len(self.weights))
+        spec = rfft(f[lo:hi + 1], size, out=self._spec[:size // 2 + 1])
+        spec *= self._spectrum(size)
+        full = irfft(spec, size, out=self._full[:size])
+        # full[k] = sum_j w_j f[lo + k + j_min - j], so out[i] = full[i - lo - j_min]
         j_min = int(self.offsets[0])
         a = max(lo + j_min, 0)
         b = min(hi + int(self.offsets[-1]), n - 1) + 1
         if a < b:
-            out[a:b] = full[a - j_min:b - j_min]
+            out[a:b] = full[a - lo - j_min:b - lo - j_min]
         return out
 
 

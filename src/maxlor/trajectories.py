@@ -79,17 +79,27 @@ def _window(sol: SpacetimeSolution, t_start, t_end):
     return t_start, t_end
 
 
+# relative slack of the path-step check, so a step equal to the saved
+# spacing up to rounding passes
+_STEP_SLACK = 1e-9
+
+
+def _largest_save_spacing(times) -> float:
+    return float(np.max(np.diff(times))) if len(times) > 1 else 0.0
+
+
 def _check_path_step(times, span: float, n_steps: int) -> None:
-    """Raise unless the saved ``times`` are as fine as the path step ``span/n_steps``.
+    """Raise unless every saved spacing of ``times`` is as fine as the path
+    step ``span/n_steps``.
 
     ``validate`` runs the same check on the save grid ``solver.march_plan``
     gives, before anything is solved.
     """
-    save_dt = float(np.min(np.diff(times))) if len(times) > 1 else 0.0
+    save_dt = _largest_save_spacing(times)
     dr = span / n_steps
-    if save_dt > dr * (1.0 + 1e-9):
+    if save_dt > dr * (1.0 + _STEP_SLACK):
         raise ValueError(
-            f"world line: saved spacing {save_dt:.6g} exceeds the path step "
+            f"world line: largest saved spacing {save_dt:.6g} exceeds the path step "
             f"{dr:.6g}; save more often or take fewer steps"
         )
 
@@ -103,10 +113,12 @@ def integrate_world_line(sol: SpacetimeSolution, start: float,
     returned arrays may cover less than the requested window.  The saved
     field must be at least as fine in time as the path step, otherwise the
     interpolated samples would be coarser than the integrator pretends.
+    The default ``n_steps`` is the largest count that check passes.
     """
     t_start, t_end = _window(sol, t_start, t_end)
     if n_steps is None:
-        n_steps = max(1, len(sol.times) - 1)
+        n_steps = max(1, int((t_end - t_start) / _largest_save_spacing(sol.times)
+                             * (1.0 + _STEP_SLACK)))
     if n_steps < 1:
         raise ValueError("world line: n_steps must be positive")
     _check_path_step(sol.times, t_end - t_start, n_steps)

@@ -212,7 +212,8 @@ def test_blowup_peak_names_the_window_that_holds_no_grid_point(release_left):
     ({"trajectory_starts": [-0.5, 3.0]},
      "experiment: trajectory_starts[1] 3 lies outside the grid [-4, 1]"),
     ({"trajectory_steps": 200},
-     "experiment: trajectory_steps 200: world line: saved spacing 0.0180723 exceeds the "
+     "experiment: trajectory_steps 200: world line: largest saved spacing 0.0240964 exceeds "
+     "the "
      "path step 0.0025; save more often or take fewer steps"),
 ], ids=["start-off-grid", "steps-finer-than-saves"])
 def test_trajectories_are_refused_before_solving(tmp_path, capsys, monkeypatch,
@@ -229,7 +230,7 @@ def test_trajectories_are_refused_before_solving(tmp_path, capsys, monkeypatch,
 
 def test_validate_and_the_world_lines_agree_on_the_path_step(tmp_path, release_left):
     # validate refuses a step count exactly when the run's world line would:
-    # from 28 steps on, the path step is below the last saved spacing
+    # from 21 steps on, the path step is below the largest saved spacing
     _, sol = release_left
     body = json.loads(open(os.path.join(CONFIGS, "point_charge.json")).read())
     for steps in range(20, 36):
@@ -241,6 +242,28 @@ def test_validate_and_the_world_lines_agree_on_the_path_step(tmp_path, release_l
         except ValueError:
             raised = True
         assert bool(refused) == raised, (steps, refused)
+
+
+def test_path_steps_coarser_than_some_saves_are_refused(release_left):
+    # point_charge saves every fourth of 83 steps: 27 path steps are finer
+    # than the last, short save interval but 1.3x coarser than the others
+    _, sol = release_left
+    body = json.loads(open(os.path.join(CONFIGS, "point_charge.json")).read())
+    body["experiment"] = {"trajectory_starts": [-0.05], "trajectory_steps": 27}
+    refused = cfgmod.validate_config(cfgmod.config_from_dict(body))
+    assert any("largest saved spacing" in line for line in refused)
+    with pytest.raises(ValueError, match="largest saved spacing"):
+        integrate_world_line(sol, -0.05, n_steps=27)
+
+
+def test_default_path_steps_are_the_most_the_saves_allow(release_left):
+    _, sol = release_left
+    default = integrate_world_line(sol, -0.05)
+    assert len(default.times) - 1 == 20
+    assert np.array_equal(default.positions,
+                          integrate_world_line(sol, -0.05, n_steps=20).positions)
+    with pytest.raises(ValueError, match="path step"):
+        integrate_world_line(sol, -0.05, n_steps=21)
 
 
 def test_misspelt_key_is_refused_before_sweeping(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,7 @@ from scipy import fft as sfft
 
 from maxlor.fields import Grid
 from maxlor.mollifier import make_mollifier
-from maxlor.regops import make_operator, next_fast_len, operator_for_meta
+from maxlor.regops import SPECTRA_KEPT, make_operator, next_fast_len, operator_for_meta
 
 
 def _direct(op, f, kernel):
@@ -248,17 +248,19 @@ def test_next_fast_len_matches_scipy():
 
 
 def _scipy_convolve(op, f):
-    # the scipy.fft convolution the operator replaced, cut to the dependency
-    # cone of supp f the same way
+    # the scipy.fft convolution of the window between the first and the last
+    # nonzero of f, padded to the window's own fast length, cut to the
+    # dependency cone of that window the same way
     n = len(f)
-    size = sfft.next_fast_len(n + len(op.weights) - 1, real=True)
-    full = sfft.irfft(sfft.rfft(f, size) * sfft.rfft(op.weights, size), size)
-    out = np.zeros(n)
     nz = np.nonzero(f)[0]
+    lo, hi = nz[0], nz[-1]
+    size = sfft.next_fast_len(hi - lo + len(op.weights), real=True)
+    full = sfft.irfft(sfft.rfft(f[lo:hi + 1], size) * sfft.rfft(op.weights, size), size)
+    out = np.zeros(n)
     j_min = int(op.offsets[0])
-    a = max(nz[0] + j_min, 0)
-    b = min(nz[-1] + int(op.offsets[-1]), n - 1) + 1
-    out[a:b] = full[a - j_min:b - j_min]
+    a = max(lo + j_min, 0)
+    b = min(hi + int(op.offsets[-1]), n - 1) + 1
+    out[a:b] = full[a - lo - j_min:b - lo - j_min]
     return out
 
 
@@ -274,3 +276,88 @@ def test_numpy_fft_is_bitwise_the_scipy_convolution(kind, n):
         # each operator reuses its work buffers, so apply twice
         for _ in range(2):
             assert op.apply(f).tobytes() == _scipy_convolve(op, f).tobytes()
+
+
+def _full_grid_fft(op, f):
+    # the transform of the whole grid at the operator's longest length,
+    # fft_len, cut to the dependency cone of the nonzero values of f
+    n = len(f)
+    full = np.fft.irfft(np.fft.rfft(f, op.fft_len) * np.fft.rfft(op.weights, op.fft_len),
+                        op.fft_len)
+    out = np.zeros(n)
+    nz = np.nonzero(f)[0]
+    j_min = int(op.offsets[0])
+    a = max(nz[0] + j_min, 0)
+    b = min(nz[-1] + int(op.offsets[-1]), n - 1) + 1
+    out[a:b] = full[a - j_min:b - j_min]
+    return out
+
+
+def _supported(n, rng, shape):
+    # a random field whose nonzero values have the given shape of support
+    f = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    lo, hi = sorted(int(i) for i in rng.integers(0, n, 2))
+    if shape == "point":
+        keep = slice(lo, lo + 1)
+    elif shape == "first":
+        keep = slice(0, hi + 1)
+    elif shape == "last":
+        keep = slice(lo, n)
+    elif shape == "island":
+        keep = slice(lo, hi + 1)
+    else:  # the whole grid
+        keep = slice(0, n)
+    g = np.zeros(n)
+    g[keep] = f[keep]
+    g[keep.start] = g[keep.stop - 1] = 1.0  # nonzero window ends exactly there
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["left", "right", "symmetric"]),
+    st.integers(min_value=200, max_value=20000),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["point", "first", "last", "island", "grid"]),
+)
+def test_window_transform_matches_the_full_grid_transform(kind, n, frac, seed, shape):
+    g = Grid(-2.0, 2.0, n)
+    cells = 4 + round(frac * (min(650, n // 4) - 4))
+    op = make_operator(make_mollifier(kind), cells * g.dx, g)
+    f = _supported(n, np.random.default_rng(seed), shape)
+    out, oracle = op.apply(f), _full_grid_fft(op, f)
+    if shape == "grid":
+        assert out.tobytes() == oracle.tobytes()
+    gap = np.max(np.abs(out - oracle))
+    assert gap <= FFT_REL_TOL * np.sum(np.abs(op.weights)) * np.max(np.abs(f))
+
+
+def test_apply_does_not_depend_on_the_operator_history():
+    # a sweep member gives the same bytes whether its operator is fresh, as
+    # in a pool worker, or has transformed other supports first
+    g = Grid(-4.0, 1.0, 8001)
+    meta = {"mollifier": make_mollifier("left").spec_dict(), "nu": 0.05}
+    used = operator_for_meta(meta, g)
+    rng = np.random.default_rng(11)
+    fields = [_supported(g.n, rng, shape)
+              for shape in ("grid", "island", "point", "first", "last", "island", "grid")]
+    for f in fields:
+        used.apply(f)
+    for f in fields[::-1]:
+        fresh = operator_for_meta(meta, g)
+        assert used.apply(f).tobytes() == fresh.apply(f).tobytes()
+
+
+def test_spectrum_cache_stays_within_its_bound():
+    g = Grid(-2.0, 2.0, 4001)
+    op = make_operator(make_mollifier("symmetric"), 0.05, g)
+    rng = np.random.default_rng(5)
+    sizes = set()
+    for width in rng.integers(1, g.n, 60):
+        f = np.zeros(g.n)
+        f[:width] = 1.0
+        op.apply(f)
+        sizes.add(next_fast_len(int(width) - 1 + len(op.weights)))
+        assert len(op._spectra) <= SPECTRA_KEPT
+    assert len(sizes) > SPECTRA_KEPT

@@ -57,6 +57,49 @@ def test_rhs_zero_state_is_fixed_point():
         assert np.all(dE == 0.0) and np.all(du == 0.0) and np.all(dsigma == 0.0)
 
 
+def test_rhs_keeps_the_bytes_of_the_two_nonlinearity_calls():
+    # rhs takes one hypot for a(u) and sqrt1p_sq(u); its bytes must be those
+    # of calling both, on signed zeros, subnormals and huge momenta too
+    grid, op, _, _, _ = small_pieces()
+    rng = np.random.default_rng(4)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, 1e150, -1e150, 1.0, -1.0]
+    u = rng.standard_normal(grid.n) * 10.0 ** rng.uniform(-3.0, 3.0, grid.n)
+    u[np.linspace(0, grid.n - 1, len(special)).astype(int)] = special
+    u[200:260] = 0.0
+    E = rng.standard_normal(grid.n)
+    sigma = rng.standard_normal(grid.n)
+    for B0 in (0.0, 1.0, -2.5):
+        got = rhs(E, u, sigma, op, B0)
+        want = (-op.apply(E) + sigma * (1.0 - a(u)),
+                -op.apply(sqrt1p_sq(u) - 1.0) + E + B0 * a(u),
+                -op.apply(sigma * a(u)))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rhs_refuses_non_finite_momentum(bad):
+    grid, op, _, _, _ = small_pieces()
+    z = np.zeros(grid.n)
+    u = z.copy()
+    u[300] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        rhs(z, u, z, op, 1.0)
+
+
+def test_momentum_overflowing_in_a_stage_aborts_the_march():
+    # the first RK4 stage pushes u past the float ceiling; the next rhs
+    # refuses it and the march records the overflow at the first step
+    grid, op, _, _, _ = small_pieces()
+    z = np.zeros(grid.n)
+    initial = FieldState(0.0, z.copy(), 1e308 * np.sin(grid.xs), z.copy())
+    params = ModelParams(B0=0.0, T=0.05, eps=0.1)
+    sol = solve_lines(initial, SolverConfig(dt=0.01, method="rk4"), op, params)
+    assert sol.status == STATUS_OVERFLOW
+    assert sol.meta["abort"]["message"] == "overflow at t=0.01"
+    assert len(sol.states) == 1
+
+
 def test_zero_data_stays_exactly_zero():
     grid, op, _, _, _ = small_pieces()
     z = np.zeros(grid.n)
