@@ -219,7 +219,12 @@ def _run_trajectories(cfg, args, out):
     sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
     rows = []
     # an aborted solve has no field to integrate through
-    for i, w0 in enumerate(starts if sol.status == STATUS_OK else ()):
+    if sol.status != STATUS_OK:
+        starts = ()
+    elif n_steps is None:
+        # recorded in the summary: the count every world line steps with
+        n_steps = trajmod.default_path_steps(sol.times, sol.times[-1] - sol.times[0])
+    for i, w0 in enumerate(starts):
         traj = trajmod.integrate_world_line(sol, float(w0), n_steps=n_steps)
         output.write_table(
             os.path.join(out, f"trajectory_{i:02d}.csv"),

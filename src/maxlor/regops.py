@@ -14,7 +14,8 @@ spectrum depends on the transform length, so each operator keeps the
 spectra of its last two lengths.  Each operator also owns two work
 buffers of the longest length, a spectrum and a padded real array, whose
 leading slices every application reuses as the ``out=`` of ``rfft`` and
-``irfft``, so an application allocates no padded array.
+``irfft``, so an application allocates no padded array; given an ``out``
+array, it allocates no output either.
 
 Stencil weights are the exact per-cell integrals of ``phi'_nu``; by the
 fundamental theorem of calculus these are differences of ``phi_nu`` sampled
@@ -100,18 +101,21 @@ class RegDerivOperator:
         spectra[size] = spectrum  # reinserted: most recently used last
         return spectrum
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """Regularized derivative of f with zero padding outside the grid."""
+    def apply(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Regularized derivative of f with zero padding outside the grid,
+        written into ``out`` (a fresh array when None) and returned."""
         f = np.asarray(f, dtype=float)
         n = self.grid.n
         if f.shape != (n,):
             raise ValueError(
                 f"regops: field length {f.shape} does not match grid n={n}"
             )
-        out = np.zeros(n)
+        if out is None:
+            out = np.empty(n)
         nonzero = f != 0.0
         lo = int(nonzero.argmax())
         if not nonzero[lo]:
+            out[:] = 0.0
             return out
         hi = n - 1 - int(nonzero[::-1].argmax())
         # the window's linear convolution has hi - lo + m terms
@@ -120,11 +124,13 @@ class RegDerivOperator:
         spec *= self._spectrum(size)
         full = irfft(spec, size, out=self._full[:size])
         # full[k] = sum_j w_j f[lo + k + j_min - j], so out[i] = full[i - lo - j_min]
+        # on the cone [a, b), and out is exactly zero outside it
         j_min = int(self.offsets[0])
         a = max(lo + j_min, 0)
-        b = min(hi + int(self.offsets[-1]), n - 1) + 1
-        if a < b:
-            out[a:b] = full[a - lo - j_min:b - lo - j_min]
+        b = max(min(hi + int(self.offsets[-1]), n - 1) + 1, a)
+        out[:a] = 0.0
+        out[a:b] = full[a - lo - j_min:b - lo - j_min]
+        out[b:] = 0.0
         return out
 
 

@@ -19,7 +19,10 @@ matching grids is a meaningful consistency check rather than a tautology.
 The march owns everything else: setup checks, the time grid, one
 overflow policy, and one hook, ``on_save``, that gets each saved state as
 it is saved; a caller folding the states there gets back a solution with
-only ``meta``, and without a hook the solution holds every state.
+only ``meta``, and without a hook the solution holds every state.  Each
+integrator also owns a workspace, allocated once per march, into which
+its stages, ``rhs`` and the regularized derivative write; a step hands
+out one fresh state, since the saved states hold views of it.
 Floating-point overflow never warns; a stage the nonlinearity refuses as
 non-finite, a non-finite new state, or one wandering past a multiple of
 the a-priori bound for the continuum system aborts the run, keeping what
@@ -116,29 +119,46 @@ def a_priori_bound(initial_norm: float, params: ModelParams, op_norm: float) -> 
     return (initial_norm + T * (op_norm + abs(params.B0))) * growth
 
 
-def rhs(E, u, sigma, op: RegDerivOperator, B0: float):
-    """Right-hand side of the evolved system for one state.
+def rhs(E, u, sigma, op: RegDerivOperator, B0: float, out=None, work=None):
+    """Right-hand side ``(dE, du, dsigma)`` of the evolved system for one state.
 
-    One ``hypot`` serves both nonlinear terms: ``a(u)`` is ``u / root``
-    with ``root = sqrt1p_sq(u)``, the bytes of ``nonlinearity.a``.
+    The three derivatives are the rows of ``out``, a ``(3, n)`` array, and
+    the intermediates use the two rows of ``work``; either is allocated
+    when not given, so a march passing both allocates nothing here.  One
+    ``hypot`` serves both nonlinear terms: ``a(u)`` is ``u / root`` with
+    ``root = sqrt1p_sq(u)``, the bytes of ``nonlinearity.a``.  ``-D f + g``
+    is computed as ``g - D f``, the same IEEE operation.
     """
-    root = sqrt1p_sq(u)
-    au = u / root
-    dE = -op.apply(E) + sigma * (1.0 - au)
+    n = len(u)
+    out = np.empty((3, n)) if out is None else out
+    work = np.empty((2, n)) if work is None else work
+    dE, du, dsigma = out
+    root = sqrt1p_sq(u, out=work[0])
+    au = np.divide(u, root, out=work[1])
+    # dsigma holds each product term until its own turn
+    np.subtract(1.0, au, out=dsigma)
+    dsigma *= sigma
+    np.subtract(dsigma, op.apply(E, out=dE), out=dE)
     root -= 1.0
-    du = -op.apply(root) + E + B0 * au
-    dsigma = -op.apply(sigma * au)
+    np.subtract(E, op.apply(root, out=du), out=du)
+    du += np.multiply(B0, au, out=dsigma)
+    op.apply(np.multiply(sigma, au, out=root), out=dsigma)
+    np.negative(dsigma, out=dsigma)
     return dE, du, dsigma
 
 
-def cumulative_trapezoid(F: np.ndarray, h: float) -> np.ndarray:
-    """Trapezoid integral ``h (F[0] + F[1]) / 2`` of a two-node stack over one step.
+def cumulative_trapezoid(F: np.ndarray, h: float, out=None) -> np.ndarray:
+    """Trapezoid integral ``h (F[0] + F[1]) / 2`` of a two-node stack over
+    one step, written into ``out`` when given.
 
     The arithmetic of ``scipy.integrate.cumulative_trapezoid(F, dx=h,
     axis=0)[0]``, so Picard results are unchanged; a module function so that
     ``bench/tracer.py`` can time the Picard quadrature by name.
     """
-    return h * (F[1] + F[0]) / 2.0
+    out = np.add(F[1], F[0], out=out)
+    out *= h
+    out /= 2.0
+    return out
 
 
 def _check_step(dt: float, op_norm: float):
@@ -159,12 +179,16 @@ def _abort(meta: dict, status: str, reason: str, t: float, message: str) -> None
 def _guard_tripped(meta: dict, t: float, V: np.ndarray) -> bool:
     """Record an overflow or growth-guard abort for the new state ``V`` at ``t``.
 
-    Returns True when the march must stop.
+    Returns True when the march must stop.  ``V``'s largest and smallest
+    values give both answers without a temporary: either is non-finite when
+    any value is, and ``max|V|`` is the larger of the largest and minus the
+    smallest.
     """
-    if not np.all(np.isfinite(V)):
+    top, bottom = float(np.max(V)), float(np.min(V))
+    if not (math.isfinite(top) and math.isfinite(bottom)):
         _abort(meta, STATUS_OVERFLOW, "overflow", t, f"overflow at t={t:.6g}")
         return True
-    peak = np.max(np.abs(V))
+    peak = max(top, -bottom)
     factor, bound = meta["guard_factor"], meta["a_priori_bound"]
     if peak > factor * bound:
         _abort(meta, STATUS_GUARD, "guard", t, (
@@ -175,17 +199,29 @@ def _guard_tripped(meta: dict, t: float, V: np.ndarray) -> bool:
     return False
 
 
-def rk4_step(f, t, y, h):
-    """One classical RK4 step of ``dy/dt = f(t, y)`` from ``y`` at ``t``.
+def rk4_step(f, t, y, h, stages=None):
+    """One classical RK4 step of ``dy/dt = f(t, y, out)`` from ``y`` at ``t``.
 
     ``y`` is a number or an array; the stages are combined element for
     element, so a field state and a world-line position take the same rule.
+    ``f`` returns the slope, written into ``out`` when that is an array.
+    ``stages`` is None, so every stage is a fresh value, or a ``(5,) +
+    y.shape`` array whose rows take the four slopes and the stage state;
+    then the step allocates only the state it returns.  Either way the
+    arithmetic is that of
+
+        y + (h/6) (k1 + 2 k2 + 2 k3 + k4),  k2 = f(t + h/2, y + (h/2) k1), ...
     """
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out1, out2, out3, out4, stage = (None,) * 5 if stages is None else stages
+    k1 = f(t, y, out1)
+    k2 = f(t + 0.5 * h, np.add(y, np.multiply(0.5 * h, k1, out=stage), out=stage), out2)
+    k3 = f(t + 0.5 * h, np.add(y, np.multiply(0.5 * h, k2, out=stage), out=stage), out3)
+    k4 = f(t + h, np.add(y, np.multiply(h, k3, out=stage), out=stage), out4)
+    # the slope sum ((k1 + 2 k2) + 2 k3) + k4 builds up in the stage row
+    total = np.add(k1, np.multiply(2.0, k2, out=stage), out=stage)
+    total = np.add(total, np.multiply(2.0, k3, out=out2), out=stage)
+    total = np.add(total, k4, out=stage)
+    return y + np.multiply(h / 6.0, total, out=stage)
 
 
 def march_plan(t0: float, T: float, dt: float, save_every: int, backward: bool = False):
@@ -269,14 +305,22 @@ def _march(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
 
 def solve_lines(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
                 params: ModelParams, backward: bool = False, on_save=None) -> SpacetimeSolution:
-    """Classical RK4 march of the semi-discrete system (see ``_march``)."""
-    B0 = params.B0
+    """Classical RK4 march of the semi-discrete system (see ``_march``).
 
-    def field(t, V):
-        return np.stack(rhs(V[0], V[1], V[2], op, B0))
+    The slopes, the stage state and ``rhs``'s intermediates live in one
+    workspace for the whole march; each step allocates only its new state.
+    """
+    B0 = params.B0
+    n = op.grid.n
+    stages = np.empty((5, 3, n))  # k1..k4 and the stage state
+    work = np.empty((2, n))
+
+    def field(t, V, out):
+        rhs(V[0], V[1], V[2], op, B0, out=out, work=work)
+        return out
 
     return _march(initial, cfg, op, params, backward, "rk4",
-                  lambda t, V, h, meta: rk4_step(field, t, V, h), on_save)
+                  lambda t, V, h, meta: rk4_step(field, t, V, h, stages), on_save)
 
 
 def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
@@ -285,25 +329,36 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
 
     A step from ``V`` solves ``Vn = V + h/2 (F(V) + F(Vn))``, with ``F`` the
     right-hand side, by Picard iteration started at ``Vn = V``; ``F(V)`` is
-    evaluated once per step.  The map contracts for small enough ``h``.
-    Non-contraction (updates growing several times in a row) and missing
-    convergence within ``picard_max_iter`` iterations abort the run, as do
-    the checks of ``_march``, which also sets the time range and save grid.
+    evaluated once per step, and the first iterate's ``F(Vn)`` is a copy of
+    it, since that iterate starts at ``Vn = V``.  The map contracts for
+    small enough ``h``.  Non-contraction (updates growing several times in a
+    row) and missing convergence within ``picard_max_iter`` iterations abort
+    the run, as do the checks of ``_march``, which also sets the time range
+    and save grid.  The node slopes, the quadrature, two alternating
+    iterates and ``rhs``'s intermediates live in one workspace for the
+    whole march; each step allocates only the copy of its last iterate.
     """
     B0 = params.B0
-    F = np.empty((2, 3, op.grid.n))  # F at the left and right node of the step
+    n = op.grid.n
+    F = np.empty((2, 3, n))  # F at the left and right node of the step
+    iterates = np.empty((2, 3, n))
+    quad = np.empty((3, n))  # the trapezoid sum, then the update
+    work = np.empty((2, n))
     stats = {"iterations": 0, "max_chunk_iterations": 0, "max_final_residual": 0.0,
              "subinterval_steps": 1}
 
     def step(t, V, h, meta):
-        F[0] = rhs(V[0], V[1], V[2], op, B0)
+        rhs(V[0], V[1], V[2], op, B0, out=F[0], work=work)
         Vk = V
         prev_delta = math.inf
         grow = 0
         for it in range(1, cfg.picard_max_iter + 1):
-            F[1] = rhs(Vk[0], Vk[1], Vk[2], op, B0)
-            Vn = V + cumulative_trapezoid(F, h)
-            delta = float(np.max(np.abs(Vn - Vk)))
+            if it == 1:
+                F[1] = F[0]
+            else:
+                rhs(Vk[0], Vk[1], Vk[2], op, B0, out=F[1], work=work)
+            Vn = np.add(V, cumulative_trapezoid(F, h, out=quad), out=iterates[it % 2])
+            delta = float(np.max(np.abs(np.subtract(Vn, Vk, out=quad), out=quad)))
             Vk = Vn
             if not math.isfinite(delta):
                 _abort(meta, STATUS_OVERFLOW, "overflow", t,
@@ -328,7 +383,7 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
                 f"{cfg.picard_max_iter} iterations (last update {delta:.3g})"
             ))
             return None
-        return Vk
+        return Vk.copy()
 
     sol = _march(initial, cfg, op, params, backward, "picard", step, on_save)
     sol.meta["picard"] = stats

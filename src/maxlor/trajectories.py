@@ -24,6 +24,7 @@ from .solver import rk4_step
 
 __all__ = [
     "Trajectory",
+    "default_path_steps",
     "integrate_world_line",
     "integrate_world_lines",
     "proper_time_world_line",
@@ -104,6 +105,13 @@ def _check_path_step(times, span: float, n_steps: int) -> None:
         )
 
 
+def default_path_steps(times, span: float) -> int:
+    """The largest step count over ``span`` whose path step passes
+    ``_check_path_step`` on the saved ``times``: the default of both world
+    lines."""
+    return max(1, int(span / _largest_save_spacing(times) * (1.0 + _STEP_SLACK)))
+
+
 def integrate_world_line(sol: SpacetimeSolution, start: float,
                          t_start: float | None = None, t_end: float | None = None,
                          n_steps: int | None = None) -> Trajectory:
@@ -117,8 +125,7 @@ def integrate_world_line(sol: SpacetimeSolution, start: float,
     """
     t_start, t_end = _window(sol, t_start, t_end)
     if n_steps is None:
-        n_steps = max(1, int((t_end - t_start) / _largest_save_spacing(sol.times)
-                             * (1.0 + _STEP_SLACK)))
+        n_steps = default_path_steps(sol.times, t_end - t_start)
     if n_steps < 1:
         raise ValueError("world line: n_steps must be positive")
     _check_path_step(sol.times, t_end - t_start, n_steps)
@@ -127,7 +134,7 @@ def integrate_world_line(sol: SpacetimeSolution, start: float,
     if not (x_min <= start <= x_max):
         raise ValueError("world line: start position outside the grid")
 
-    def velocity(t, w):
+    def velocity(t, w, out=None):
         return a(u_at(t, w))
 
     h = (t_end - t_start) / n_steps
@@ -170,14 +177,16 @@ def proper_time_world_line(sol: SpacetimeSolution, start: float,
 
     Returns ``(z0, z1)`` arrays: coordinate times reached and positions.
     The time component advances at rate ``sqrt(1 + u^2) >= 1``, so a step
-    budget based on the window length always suffices.
+    budget based on the window length always suffices.  The default ``ds``
+    is the window over ``default_path_steps``, the path step the
+    coordinate-time world line takes by default.
     """
     t_start, t_end = _window(sol, t_start, t_end)
     u_at = _FieldSampler(sol, "u")
     if ds is None:
-        ds = (t_end - t_start) / max(1, len(sol.times) - 1)
+        ds = (t_end - t_start) / default_path_steps(sol.times, t_end - t_start)
 
-    def rate(s, z):  # the proper-time system is autonomous
+    def rate(s, z, out=None):  # the proper-time system is autonomous
         uu = u_at(z[0], z[1])
         return np.array([sqrt1p_sq(uu), uu])
 

@@ -593,6 +593,19 @@ class TestSupportAndTrajectories:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert all(t["max_speed"] < 1.0 for t in summary["trajectories"])
 
+    def test_trajectories_record_the_default_step_count(self, tmp_path):
+        # without trajectory_steps the summary records the count the world
+        # lines took: on point_charge the largest one its saves allow
+        out = tmp_path / "out"
+        cfg = os.path.join(CONFIGS, "point_charge.json")
+        assert main(["trajectories", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["n_steps"] == 20
+        for i, row in enumerate(summary["trajectories"]):
+            assert not row["exited"]
+            samples = read_csv_columns(out / f"trajectory_{i:02d}.csv")
+            assert len(samples) == summary["n_steps"] + 1
+
 
 class TestScalingAndBlowup:
     def test_check_scaling_writes_growth_table(self, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from maxlor.fields import FieldState, Grid, SpacetimeSolution
 from maxlor.nonlinearity import a
 from maxlor.trajectories import (
+    default_path_steps,
     integrate_world_line,
     integrate_world_lines,
     proper_time_world_line,
@@ -11,9 +12,10 @@ from maxlor.trajectories import (
 )
 
 
-def momentum_solution(u_of_tx, x_min=-2.0, x_max=2.0, n=401, t_max=1.0, n_times=101):
+def momentum_solution(u_of_tx, x_min=-2.0, x_max=2.0, n=401, t_max=1.0, n_times=101,
+                      times=None):
     grid = Grid(x_min, x_max, n)
-    times = np.linspace(0.0, t_max, n_times)
+    times = np.linspace(0.0, t_max, n_times) if times is None else np.asarray(times)
     z = np.zeros(grid.n)
     states = [
         FieldState(t, z.copy(), np.asarray(u_of_tx(t, grid.xs), float), z.copy())
@@ -119,6 +121,20 @@ def test_proper_time_clock_never_slows():
     # dz1/dz0 = a(u): constant momentum gives a straight line in (z0, z1)
     slopes = np.diff(z1) / np.diff(z0)
     assert np.allclose(slopes, a(3.0), rtol=1e-12)
+
+
+def test_proper_time_step_defaults_to_the_world_line_path_step():
+    # a short last save interval, as a step count that is not a multiple of
+    # save_every leaves: the largest spacing 0.3 allows 3 path steps over
+    # the window, while 4 saved intervals would suggest a finer step
+    sol = momentum_solution(lambda t, x: 0.8 * np.exp(-x * x) * (1.0 + t),
+                            times=[0.0, 0.3, 0.6, 0.9, 1.0])
+    assert default_path_steps(sol.times, 1.0) == 3
+    assert len(integrate_world_line(sol, 0.2).times) - 1 == 3
+    z0, z1 = proper_time_world_line(sol, 0.2)
+    want = proper_time_world_line(sol, 0.2, ds=1.0 / 3)
+    assert np.array_equal(z0, want[0]) and np.array_equal(z1, want[1])
+    assert not np.array_equal(z0, proper_time_world_line(sol, 0.2, ds=0.25)[0])
 
 
 def test_reparametrization_gap_requires_contained_path():
