@@ -56,15 +56,15 @@ class _FieldSampler:
     def __call__(self, t: float, x: float) -> float:
         ts = self.times
         if t <= ts[0]:
-            row = self.stack[0]
-        elif t >= ts[-1]:
-            row = self.stack[-1]
-        else:
-            i = int(np.searchsorted(ts, t, side="right")) - 1
-            i = min(i, len(ts) - 2)
-            lam = (t - ts[i]) / (ts[i + 1] - ts[i])
-            row = (1.0 - lam) * self.stack[i] + lam * self.stack[i + 1]
-        return float(np.interp(x, self.xs, row))
+            return float(np.interp(x, self.xs, self.stack[0]))
+        if t >= ts[-1]:
+            return float(np.interp(x, self.xs, self.stack[-1]))
+        i = int(np.searchsorted(ts, t, side="right")) - 1
+        i = min(i, len(ts) - 2)
+        lam = (t - ts[i]) / (ts[i + 1] - ts[i])
+        # each saved row is read at x first, so a sample costs O(log n)
+        before, after = (np.interp(x, self.xs, self.stack[j]) for j in (i, i + 1))
+        return float((1.0 - lam) * before + lam * after)
 
 
 def _window(sol: SpacetimeSolution, t_start, t_end):

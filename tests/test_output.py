@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from maxlor import output
 from maxlor.config import assemble_run, config_from_dict, config_to_dict
 from maxlor.fields import FieldState, Grid, SpacetimeSolution
 from maxlor.output import (
@@ -186,3 +187,91 @@ def test_state_writer_matches_write_table_on_extreme_values(tmp_path):
 def test_state_writer_matches_write_table_on_any_doubles(columns, x_min, x_max):
     with tempfile.TemporaryDirectory() as d:
         assert_writers_agree(Path(d), solution_of(columns, x_min, x_max))
+
+
+# -- the state-file kernel against fmt ---------------------------------------
+
+def kernel_bytes(values):
+    """The kernel's bytes for ``values``, each followed by a newline."""
+    size = 3 * output._BLOCK
+    formatter = output._CellFormatter(size)
+    cells = np.empty((output._SPARSE + 1, size), np.uint8)
+    cells[-1] = ord("\n")
+    chunks = []
+    for lo in range(0, len(values), size):
+        v = values[lo:lo + size]
+        formatter(v, cells[:-1, :len(v)])
+        chunks.append(cells[:, :len(v)].T.tobytes().translate(None, b"\0"))
+    return b"".join(chunks)
+
+
+def assert_kernel_matches_fmt(values):
+    values = np.ascontiguousarray(values, dtype=float)
+    got = kernel_bytes(values)
+    want = "".join(fmt(v) + "\n" for v in values.tolist()).encode()
+    if got != want:
+        bad = [(v, g) for v, g, w in zip(values.tolist(), got.split(b"\n"), want.split(b"\n"))
+               if g != w]
+        pytest.fail(f"{len(bad)} of {len(values)} differ from fmt, first {bad[:3]}")
+
+
+def _near_ties(rng, n, exponents):
+    # 18-digit decimals ending in 5: the doubles nearest them sit close to a
+    # rounding tie of the 17-digit form
+    mantissas = rng.integers(10 ** 16, 10 ** 17, n).tolist()
+    return [float(f"{m}5e{e}") for m, e in zip(mantissas, rng.integers(*exponents, n).tolist())]
+
+
+def _ulps_around(centres, k):
+    up, down, out = centres.copy(), centres.copy(), [centres]
+    for _ in range(k):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def _random_bits(rng, n, high=2 ** 64):
+    return rng.integers(0, high, n, dtype=np.uint64, endpoint=False).view(np.float64)
+
+
+# the families hold 1.19 M doubles together
+KERNEL_FAMILIES = {
+    "near ties": lambda rng: _near_ties(rng, 150_000, (-300, 290)),
+    "near ties, fixed notation": lambda rng: _near_ties(rng, 150_000, (-22, 0)),
+    "powers of ten and 1-5 ulps either side": lambda rng: _ulps_around(
+        np.array([s * float(f"1e{k}") for s in (1, -1) for k in range(-300, 301)]), 5),
+    "integers around 2**53": lambda rng: np.concatenate(
+        [c + np.arange(-20_000, 20_000) for c in (2.0 ** 53, 2.0 ** 54, 1e16, -1e17)]),
+    "subnormals, zeros, inf and nan": lambda rng: np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+         2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308],
+        _ulps_around(np.array([1e-280, 1e280, -1e-280, -1e280]), 3),
+        _random_bits(rng, 20_000, 2 ** 52), -_random_bits(rng, 20_000, 2 ** 52)]),
+    "E = -5, -4, 16 and 17": lambda rng: np.concatenate(
+        [_ulps_around(10.0 ** e * np.array([1.0, 9.99999999999999999]), 3) for e in (-5, -4, 16, 17, 18)]
+        + [rng.uniform(1.0, 10.0, 20_000) * 10.0 ** e for e in (-5, -4, 16, 17)]),
+    "random bit patterns": lambda rng: _random_bits(rng, 500_000),
+    "random magnitudes": lambda rng: (rng.standard_normal(100_000)
+                                      * 10.0 ** rng.integers(-30, 30, 100_000)),
+}
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+def test_kernel_writes_the_bytes_of_fmt(family):
+    assert_kernel_matches_fmt(KERNEL_FAMILIES[family](np.random.default_rng(2024)))
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_kernel_writes_the_bytes_of_fmt_on_any_doubles(values):
+    assert_kernel_matches_fmt(values)
+
+
+@pytest.mark.parametrize("n", [16, output._BLOCK - 1, output._BLOCK, output._BLOCK + 1,
+                               3 * output._BLOCK + 1])
+def test_state_writer_matches_write_table_at_block_edges(tmp_path, n):
+    # a grid has at least 16 points, so 16 rows stand in for a single row
+    rng = np.random.default_rng(n)
+    columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n) for _ in range(3)]
+    columns[0][::7] = 0.0
+    columns[1][::11] = np.nan
+    assert_writers_agree(tmp_path, solution_of(columns, x_min=-3.0, x_max=1e-3))

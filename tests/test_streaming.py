@@ -18,6 +18,7 @@ from maxlor import analysis, output
 from maxlor.analysis import TestFunction2D, limit_sweep
 from maxlor.cli import main
 from maxlor.config import assemble_run, config_from_dict
+from maxlor.fields import FieldState, Grid
 from maxlor.solver import march_plan, solve
 
 
@@ -105,6 +106,19 @@ def test_streamed_solve_peaks_below_the_states_it_writes(tmp_path):
     peak = _peak_bytes(lambda: main(["solve", "--config", str(cfg_path), "--out", str(out)]))
     assert len(list(out.glob("state_*.csv"))) * 3 * 1001 * 8 == stored
     assert peak < stored / 2, (peak, stored)
+
+
+def test_state_writer_holds_the_x_cells_and_one_block(tmp_path):
+    # a writer keeps the x column as _CELL bytes per point and buffers and
+    # temporaries for _BLOCK rows (about 1.3 kB a row): no object per point
+    n = 256001
+    grid = Grid(-4.0, 1.0, n)
+    rng = np.random.default_rng(5)
+    state = FieldState(0.5, rng.standard_normal(n), rng.standard_normal(n) * 1e-200, np.zeros(n))
+    grid.xs  # the march has the grid points before any writer exists
+    output._kernel_tables()  # built once per process
+    peak = _peak_bytes(lambda: output.StateWriter(tmp_path, grid)(state))
+    assert peak < n * output._CELL + 2048 * output._BLOCK, peak
 
 
 def test_streamed_sweep_member_peaks_below_its_states():

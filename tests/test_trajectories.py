@@ -4,6 +4,7 @@ import pytest
 from maxlor.fields import FieldState, Grid, SpacetimeSolution
 from maxlor.nonlinearity import a
 from maxlor.trajectories import (
+    _FieldSampler,
     default_path_steps,
     integrate_world_line,
     integrate_world_lines,
@@ -23,6 +24,20 @@ def momentum_solution(u_of_tx, x_min=-2.0, x_max=2.0, n=401, t_max=1.0, n_times=
     ]
     return SpacetimeSolution(grid=grid, times=times, states=states,
                             meta={"status": "ok"})
+
+
+def test_sampler_equals_the_blended_row_up_to_rounding():
+    # the sampler reads the two saved rows at x, then blends the two numbers;
+    # reading the time-blended row at x gives the same value up to rounding
+    sol = momentum_solution(lambda t, x: np.sin(3 * x + 5 * t) + t * x ** 2, n=2001, n_times=23)
+    sample, stack, ts = _FieldSampler(sol, "u"), sol.field_stack("u"), sol.times
+    tol = 4 * np.finfo(float).eps * np.max(np.abs(stack))
+    rng = np.random.default_rng(7)
+    for t, x in zip(rng.uniform(-0.1, 1.1, 2000), rng.uniform(-2.0, 2.0, 2000)):
+        i = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2))
+        lam = np.clip((t - ts[i]) / (ts[i + 1] - ts[i]), 0.0, 1.0)
+        row = (1.0 - lam) * stack[i] + lam * stack[i + 1]
+        assert abs(sample(t, x) - np.interp(x, sol.grid.xs, row)) <= tol, (t, x)
 
 
 def test_zero_momentum_is_exactly_stationary():
