@@ -57,7 +57,6 @@ from .solver import (
 from .trajectories import (
     Trajectory,
     integrate_world_line,
-    integrate_world_lines,
     proper_time_world_line,
     reparametrization_gap,
 )

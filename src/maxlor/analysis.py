@@ -173,15 +173,6 @@ class TestFunction2D:
     def label(self) -> str:
         return f"({self.t0:g},{self.x0:g})r({self.r_t:g},{self.r_x:g})"
 
-    def spec_dict(self) -> dict:
-        return {
-            "t0": self.t0,
-            "x0": self.x0,
-            "r_t": self.r_t,
-            "r_x": self.r_x,
-            "amplitude": self.amplitude,
-        }
-
 
 def psi_from_dict(d: dict) -> TestFunction2D:
     return TestFunction2D(

@@ -56,7 +56,6 @@ __all__ = [
     "build_grid",
     "build_mollifier",
     "build_scaling",
-    "build_delta_net",
     "build_solver_config",
     "build_initial_state",
     "assemble_run",
@@ -432,7 +431,7 @@ def _rehearse(cfg: RunConfig, members: list, window=None, steps=None) -> list:
     moll = build_mollifier(cfg)
     scl = build_scaling(cfg)
     try:
-        net = build_delta_net(cfg) if _uses_net(cfg) else None
+        net = net_from_spec(cfg.delta_net) if _uses_net(cfg) else None
     except ValueError as exc:
         return [f"delta_net: profile {exc}"]
     dt = cfg.solver["dt"]
@@ -486,10 +485,6 @@ def build_scaling(cfg: RunConfig) -> ScalingFunction:
     return make_scaling(kind=s["kind"], c=float(s["c"]), exponent=float(s["exponent"]))
 
 
-def build_delta_net(cfg: RunConfig) -> DeltaNet:
-    return net_from_spec(cfg.delta_net)
-
-
 def build_solver_config(cfg: RunConfig, op_norm: float | None = None) -> SolverConfig:
     sv = cfg.solver
     dt = sv["dt"]
@@ -531,7 +526,7 @@ def _profile_values(prof: dict, grid: Grid, eps: float, net: DeltaNet | None) ->
 def build_initial_state(cfg: RunConfig, grid: Grid, eps: float,
                         net: DeltaNet | None = None) -> FieldState:
     if net is None:
-        net = build_delta_net(cfg)
+        net = net_from_spec(cfg.delta_net)
     fields = {
         name: _profile_values(cfg.initial[name], grid, eps, net)
         for name in ("E", "u", "sigma")
@@ -597,7 +592,7 @@ def assemble_run(cfg: RunConfig, eps: float | None = None,
     moll = build_mollifier(cfg)
     scl = build_scaling(cfg)
     nu = h_eval(scl, eps)
-    net = build_delta_net(cfg) if _uses_net(cfg) else None
+    net = net_from_spec(cfg.delta_net) if _uses_net(cfg) else None
     grid = _member_grid(cfg, eps, nu, net, refine)
     op = make_operator(moll, nu, grid)
     solver_cfg = build_solver_config(cfg, op_norm=op.op_norm)

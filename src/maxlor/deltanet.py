@@ -53,27 +53,20 @@ class DeltaNet:
 
         return rho
 
-    def spec_dict(self) -> dict:
-        return {
-            "profile": self.profile.spec_dict(),
-            "center": self.center,
-            "mass": self.mass,
-            "width_scale": self.width_scale,
-            "width_power": self.width_power,
-        }
-
 
 def net_from_spec(d: dict) -> DeltaNet:
-    prof = d.get("profile", {"kind": "symmetric"})
+    """The net of a ``delta_net`` config section; every key is required (the
+    config writes the defaults) except the profile's ``s_lo`` and ``s_hi``."""
+    prof = d["profile"]
     support = None
     if "s_lo" in prof or "s_hi" in prof:
         support = (prof["s_lo"], prof["s_hi"])
     return DeltaNet(
         profile=make_mollifier(prof["kind"], support),
-        center=float(d.get("center", 0.0)),
-        mass=float(d.get("mass", 1.0)),
-        width_scale=float(d.get("width_scale", 1.0)),
-        width_power=float(d.get("width_power", 1.0)),
+        center=float(d["center"]),
+        mass=float(d["mass"]),
+        width_scale=float(d["width_scale"]),
+        width_power=float(d["width_power"]),
     )
 
 
@@ -130,9 +123,16 @@ def verify_strict(net, eps_schedule, abs_bound: float = 10.0, mass_tol: float = 
 
     Works on anything exposing ``support(eps)`` and ``density(eps)``, so
     deliberately broken families can be probed as easily as proper nets.
-    Masses are computed by adaptive quadrature over each member's support.
+    Masses are computed by adaptive quadrature over each member's support,
+    with SciPy's ``quad``, which the ``test`` extra installs.
     """
-    from scipy.integrate import quad
+    try:
+        from scipy.integrate import quad
+    except ImportError as exc:
+        raise ImportError(
+            "verify_strict needs SciPy's adaptive quadrature; install it with "
+            "pip install scipy, or pip install 'maxlor[test]'"
+        ) from exc
 
     eps_schedule = [float(e) for e in eps_schedule]
     if len(eps_schedule) < 2:

@@ -77,9 +77,6 @@ class FieldState:
         if not (len(self.E) == len(self.u) == len(self.sigma)):
             raise ValueError("field state: component length mismatch")
 
-    def copy(self) -> "FieldState":
-        return FieldState(self.t, self.E.copy(), self.u.copy(), self.sigma.copy())
-
     def max_abs(self) -> float:
         return float(
             max(np.max(np.abs(self.E)), np.max(np.abs(self.u)), np.max(np.abs(self.sigma)))
@@ -141,10 +138,9 @@ class Collector(list):
     def __call__(self, state: FieldState) -> None:
         self.append(state)
 
-    def solution(self, grid: Grid, meta: dict, backward: bool = False) -> SpacetimeSolution:
-        """The kept states in time order (a backward march saves the last first)."""
-        states = self[::-1] if backward else list(self)
-        return SpacetimeSolution(grid, np.asarray([s.t for s in states]), states, meta)
+    def solution(self, grid: Grid, meta: dict) -> SpacetimeSolution:
+        """The kept states, in the time order the march saved them."""
+        return SpacetimeSolution(grid, np.asarray([s.t for s in self]), list(self), meta)
 
 
 def total_charge(grid: Grid, state: FieldState) -> float:

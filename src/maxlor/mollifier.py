@@ -61,21 +61,6 @@ class Mollifier:
             return float(out)
         return out
 
-    def eval_deriv(self, x):
-        """Kernel derivative phi'(x); exactly zero outside the support."""
-        y = self._mapped(x)
-        dydx = 2.0 / (self.s_hi - self.s_lo)
-        out = np.zeros_like(y)
-        inside = np.abs(y) < 1.0
-        yi = y[inside]
-        one = 1.0 - yi * yi
-        out[inside] = (
-            self.norm_const * np.exp(-1.0 / one) * (-2.0 * yi / one**2) * dydx
-        )
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
-
     def spec_dict(self) -> dict:
         return {"kind": self.kind, "s_lo": self.s_lo, "s_hi": self.s_hi}
 

@@ -16,7 +16,7 @@ trapezoid rule, whose step equation is solved by Picard (fixed-point)
 iteration.  They discretize time differently, so their agreement on
 matching grids is a meaningful consistency check rather than a tautology.
 
-The march owns everything else: setup checks, the time grid, one
+The march owns everything else: setup checks, the forward time grid, one
 overflow policy, and one hook, ``on_save``, that gets each saved state as
 it is saved; a caller folding the states there gets back a solution with
 only ``meta``, and without a hook the solution holds every state.  Each
@@ -224,30 +224,28 @@ def rk4_step(f, t, y, h, stages=None):
     return y + np.multiply(h / 6.0, total, out=stage)
 
 
-def march_plan(t0: float, T: float, dt: float, save_every: int, backward: bool = False):
+def march_plan(t0: float, T: float, dt: float, save_every: int):
     """``(h, times, saved)`` of a march over ``T`` from ``t0``: ``ceil(T/dt)``
-    equal steps ``h`` (negative when ``backward``), ``times[i]`` the time after
-    step ``i``, and the saved step numbers: 0, every ``save_every``-th, the last."""
+    equal steps ``h``, ``times[i]`` the time after step ``i``, and the saved
+    step numbers: 0, every ``save_every``-th, the last."""
     n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
-    h = -(T / n_steps) if backward else T / n_steps
+    h = T / n_steps
     times = [t0 + i * h for i in range(n_steps + 1)]
     return h, times, list(range(0, n_steps, save_every)) + [n_steps]
 
 
 def _march(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
-           params: ModelParams, backward: bool, method: str, step, on_save) -> SpacetimeSolution:
+           params: ModelParams, method: str, step, on_save) -> SpacetimeSolution:
     """The time loop both integrators share; ``step`` is the integrator.
 
     ``step(t, V, h, meta)`` advances the ``(3, n)`` state ``V = (E, u,
     sigma)`` from ``t`` by ``h`` and returns the new state, or records an
-    abort in ``meta`` and returns None.  The march covers ``[t0, t0+T]``, or
-    ``[t0-T, t0]`` when ``backward`` is set (the model is time-reversible,
-    so a backward run is a negated step), on the grid of ``march_plan``, and
-    passes each saved :class:`FieldState` to ``on_save`` (see above); it
-    folds their margin ratio into ``meta`` itself.  Overflow shows as
-    non-finite values, never as warnings: a stage the nonlinearity refuses
-    and a non-finite or over-grown new state abort the run, after the
-    states saved so far went to the hook.
+    abort in ``meta`` and returns None.  The march covers ``[t0, t0+T]`` on
+    the grid of ``march_plan``, and passes each saved :class:`FieldState`
+    to ``on_save`` (see above); it folds their margin ratio into ``meta``
+    itself.  Overflow shows as non-finite values, never as warnings: a
+    stage the nonlinearity refuses and a non-finite or over-grown new state
+    abort the run, after the states saved so far went to the hook.
     """
     if len(initial.E) != op.grid.n:
         raise ValueError("solver: initial state does not match operator grid")
@@ -255,11 +253,11 @@ def _march(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
         if not np.all(np.isfinite(initial.component(name))):
             raise ValueError(f"solver: non-finite initial data in {name}")
     _check_step(cfg.dt, op.op_norm)
-    h, times, saved = march_plan(initial.t, params.T, cfg.dt, cfg.save_every, backward)
+    h, times, saved = march_plan(initial.t, params.T, cfg.dt, cfg.save_every)
     n_steps = len(times) - 1
     meta = {
         "solver": method,
-        "dt": abs(h),
+        "dt": h,
         "n_steps": n_steps,
         "save_every": cfg.save_every,
         "eps": params.eps,
@@ -300,11 +298,11 @@ def _march(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
 
     meta["margin_ratio"] = max(ratios)
     meta["boundary_contaminated"] = bool(meta["margin_ratio"] > CONTAMINATION_TOL)
-    return kept.solution(op.grid, meta, backward)
+    return kept.solution(op.grid, meta)
 
 
 def solve_lines(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
-                params: ModelParams, backward: bool = False, on_save=None) -> SpacetimeSolution:
+                params: ModelParams, on_save=None) -> SpacetimeSolution:
     """Classical RK4 march of the semi-discrete system (see ``_march``).
 
     The slopes, the stage state and ``rhs``'s intermediates live in one
@@ -319,12 +317,12 @@ def solve_lines(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
         rhs(V[0], V[1], V[2], op, B0, out=out, work=work)
         return out
 
-    return _march(initial, cfg, op, params, backward, "rk4",
+    return _march(initial, cfg, op, params, "rk4",
                   lambda t, V, h, meta: rk4_step(field, t, V, h, stages), on_save)
 
 
 def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
-                 params: ModelParams, backward: bool = False, on_save=None) -> SpacetimeSolution:
+                 params: ModelParams, on_save=None) -> SpacetimeSolution:
     """Implicit trapezoid rule, each step solved by fixed-point iteration.
 
     A step from ``V`` solves ``Vn = V + h/2 (F(V) + F(Vn))``, with ``F`` the
@@ -371,7 +369,7 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
             if grow >= _STALL_PATIENCE:
                 _abort(meta, STATUS_PICARD_STALL, "no-contraction", t, (
                     f"Picard updates grew {_STALL_PATIENCE} times in a row on the step "
-                    f"starting at t={t:.6g} (dt={abs(h):.6g}); lower dt"
+                    f"starting at t={t:.6g} (dt={h:.6g}); lower dt"
                 ))
                 return None
         stats["iterations"] += it
@@ -385,13 +383,13 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
             return None
         return Vk.copy()
 
-    sol = _march(initial, cfg, op, params, backward, "picard", step, on_save)
+    sol = _march(initial, cfg, op, params, "picard", step, on_save)
     sol.meta["picard"] = stats
     return sol
 
 
 def solve(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
-          params: ModelParams, backward: bool = False, on_save=None) -> SpacetimeSolution:
+          params: ModelParams, on_save=None) -> SpacetimeSolution:
     """Dispatch on ``cfg.method``; ``on_save`` as in ``_march``."""
     march = solve_picard if cfg.method == "picard" else solve_lines
-    return march(initial, cfg, op, params, backward=backward, on_save=on_save)
+    return march(initial, cfg, op, params, on_save=on_save)

@@ -26,7 +26,6 @@ __all__ = [
     "Trajectory",
     "default_path_steps",
     "integrate_world_line",
-    "integrate_world_lines",
     "proper_time_world_line",
     "reparametrization_gap",
 ]
@@ -159,15 +158,6 @@ def integrate_world_line(sol: SpacetimeSolution, start: float,
         velocities=np.asarray(velocities),
         exited=exited,
     )
-
-
-def integrate_world_lines(sol: SpacetimeSolution, starts,
-                          t_start: float | None = None, t_end: float | None = None,
-                          n_steps: int | None = None) -> list:
-    return [
-        integrate_world_line(sol, s, t_start=t_start, t_end=t_end, n_steps=n_steps)
-        for s in starts
-    ]
 
 
 def proper_time_world_line(sol: SpacetimeSolution, start: float,

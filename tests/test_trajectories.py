@@ -7,7 +7,6 @@ from maxlor.trajectories import (
     _FieldSampler,
     default_path_steps,
     integrate_world_line,
-    integrate_world_lines,
     proper_time_world_line,
     reparametrization_gap,
 )
@@ -112,7 +111,7 @@ def test_exit_truncates_path():
 
 def test_multiple_starts_order_preserved():
     sol = momentum_solution(lambda t, x: np.full_like(x, 2.0))
-    trajs = integrate_world_lines(sol, [-0.5, 0.0, 0.5])
+    trajs = [integrate_world_line(sol, start) for start in (-0.5, 0.0, 0.5)]
     assert [t.start for t in trajs] == [-0.5, 0.0, 0.5]
     # ordered starts stay ordered under one velocity field
     finals = [t.positions[-1] for t in trajs]
