@@ -1,4 +1,4 @@
-"""Golden values: three sample-config runs against numbers recorded once.
+"""Golden values: five sample-config runs against numbers recorded once.
 
 Byte-identical reruns (acceptance 10) only compare a build with itself.
 These values pin the numbers across Python and numpy builds, whose FFT
@@ -52,3 +52,31 @@ def test_blowup_family(tmp_path):
     assert s["peaks"] == pytest.approx(
         [13.263786092741983, 38.09066071166985, 57.2681280257718, 72.29405589600186], rel=REL)
     assert s["exponent"] == pytest.approx(0.7927448291955418, rel=REL)
+
+
+# (start, end, max_speed) of each world line
+POINT_CHARGE_LINES = [
+    (-0.5, -0.598069488683306, 0.9999978318855157),
+    (-0.25, -0.24419900734476252, 0.999384066975052),
+    (-0.05, -0.002789889912597398, 0.27261507414335817),
+]
+SMOOTH_FIELDS_LINES = [
+    (-1.0, -0.9953501732220765, 0.018878400314058286),
+    (0.0, 0.016608322467411053, 0.07450733339166563),
+    (1.0, 1.0084409574125468, 0.04299992051776591),
+]
+
+
+@pytest.mark.parametrize("config, n_steps, lines", [
+    ("point_charge", 20, POINT_CHARGE_LINES),
+    ("smooth_fields", 40, SMOOTH_FIELDS_LINES),
+])
+def test_world_lines(tmp_path, config, n_steps, lines):
+    s = run(tmp_path, "trajectories", config)
+    assert s["n_steps"] == n_steps
+    assert len(s["trajectories"]) == len(lines)
+    for row, (start, end, max_speed) in zip(s["trajectories"], lines):
+        assert row["start"] == start
+        assert row["end"] == pytest.approx(end, rel=REL)
+        assert row["max_speed"] == pytest.approx(max_speed, rel=REL)
+        assert row["exited"] is False
