@@ -716,8 +716,8 @@ def _peak_exponent(eps_values, peaks) -> float:
     return float(np.polyfit(np.log([1.0 / e for e in eps_values]), np.log(peaks), 1)[0])
 
 
-def blow_up_probe(sols: list[SpacetimeSolution], window: float = 0.25,
-                  center: float = 0.0) -> BlowupReport:
+def blow_up_probe(sols: list[SpacetimeSolution], window: float,
+                  center: float) -> BlowupReport:
     """Peak of the interaction density ``|sigma a(u)|`` near the charge.
 
     Given runs for an eps family, records (in the order given) the peak

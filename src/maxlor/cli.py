@@ -17,7 +17,7 @@ path load → validate (the config plus the row's needs) → create ``--out``
 → run → stamp the run id on the summary, write ``summary.json`` and read
 the exit code off it; ``validate`` stops after the checks.  A run function
 that solves hangs its fold on the solver's ``on_save`` hook and keeps no
-saved state, except ``trajectories``, whose world lines sample the field.
+saved state, except ``trajectories``, whose world lines read ``u`` in place.
 """
 
 from __future__ import annotations
@@ -213,19 +213,16 @@ def _run_probe_blowup(cfg, args, out):
 
 def _run_trajectories(cfg, args, out):
     starts = cfg.experiment["trajectory_starts"]
-    n_steps = cfgmod._experiment_value(cfg, "trajectory_steps")
     pieces = cfgmod.assemble_run(cfg)
     # the one stored solution: a world line samples it at any (t, x)
     sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
     rows = []
-    # an aborted solve has no field to integrate through
-    if sol.status != STATUS_OK:
-        starts = ()
-    elif n_steps is None:
-        # recorded in the summary: the count every world line steps with
-        n_steps = trajmod.default_path_steps(sol.times, sol.times[-1] - sol.times[0])
-    for i, w0 in enumerate(starts):
-        traj = trajmod.integrate_world_line(sol, float(w0), n_steps=n_steps)
+    # an aborted solve has no field to integrate through; else the summary
+    # records the count every world line steps with
+    ok = sol.status == STATUS_OK
+    n_steps = trajmod.default_path_steps(sol.times) if ok else None
+    for i, w0 in enumerate(starts if ok else ()):
+        traj = trajmod.integrate_world_line(sol, float(w0))
         output.write_table(
             os.path.join(out, f"trajectory_{i:02d}.csv"),
             ("r", "w"),

@@ -43,8 +43,7 @@ from .fields import FIELD_NAMES, FieldState, Grid, ModelParams
 from .mollifier import DEFAULT_SUPPORTS, Mollifier, make_mollifier
 from .regops import MIN_CELLS_PER_WIDTH, RegDerivOperator, make_operator
 from .scaling import ScalingFunction, h_eval, make_scaling, verify_growth_condition
-from .solver import SolverConfig, _check_step, march_plan, step_bound
-from .trajectories import _check_path_step
+from .solver import SolverConfig, _check_step, step_bound
 
 __all__ = [
     "RunConfig",
@@ -159,7 +158,6 @@ _SCHEMA = {
         "probe_x0": (0.05, *_FINITE),
         "blowup_window": (0.25, *_POSITIVE),
         "trajectory_starts": (None, _is_num_list, "a list of finite numbers"),
-        "trajectory_steps": (None, _is_pos_int, "a positive integer"),
         "growth_p": ((1, 2), lambda v: _is_num_list(v, lambda p: p >= 1),
                      "a list of numbers >= 1"),
         "growth_eps": (tuple(np.logspace(-3, -12, 10)), _is_growth_grid,
@@ -341,13 +339,11 @@ def validate_config(cfg: RunConfig) -> list:
 
     if not any(refused[name] for name in ("grid", "mollifier", "scaling", "delta_net",
                                           "initial")):
-        # the given experiment values that depend on a member's grid or march
-        exp, bad = cfg.experiment, refused["experiment"]
-        window = None if "blowup_window" in bad else exp.get("blowup_window")
-        steps = (None if "trajectory_steps" in bad or refused["solver"] or "T" in refused["model"]
-                 else exp.get("trajectory_steps"))
+        # a given blowup_window depends on each schedule member's grid
+        window = (None if "blowup_window" in refused["experiment"]
+                  else cfg.experiment.get("blowup_window"))
         # a single-run eps repeating a schedule member may fail the same way twice
-        errors.extend(dict.fromkeys(_rehearse(cfg, members, window, steps)))
+        errors.extend(dict.fromkeys(_rehearse(cfg, members, window)))
 
     # every pairing window lies in [0, T] x [x_min, x_max]: refinement keeps
     # the domain and the last saved state is at T
@@ -411,13 +407,12 @@ def _psi_problems(spec, window) -> list:
     return problems
 
 
-def _rehearse(cfg: RunConfig, members: list, window=None, steps=None) -> list:
+def _rehearse(cfg: RunConfig, members: list, window=None) -> list:
     """What the builders of ``assemble_run`` and the solver raise for each
     ``(eps, refine)`` member; a failed step skips the steps needing its result.
 
     A given ``blowup_window`` must hold a grid point of each schedule
-    member's grid, and a given ``trajectory_steps`` must not step the world
-    lines finer than the single run saves its states.
+    member's grid.
     """
     errors: list = []
 
@@ -447,22 +442,7 @@ def _rehearse(cfg: RunConfig, members: list, window=None, steps=None) -> list:
             attempt(_check_step, float(dt), op.op_norm, eps=eps)
         if refine and window is not None:
             attempt(_window_mask, grid, float(window), float(cfg.delta_net["center"]), eps)
-        if not refine and steps is not None and op is not None:
-            errors.extend(_path_step_problems(cfg, op, steps))
     return errors
-
-
-def _path_step_problems(cfg: RunConfig, op: RegDerivOperator, steps: int) -> list:
-    """``trajectories`` steps its world lines through the states the single
-    run saves, on the save grid its march will use."""
-    sv = build_solver_config(cfg, op.op_norm)
-    _, times, saved = march_plan(0.0, float(cfg.model["T"]), sv.dt, sv.save_every)
-    saves = np.asarray([times[i] for i in saved])
-    try:
-        _check_path_step(saves, saves[-1] - saves[0], steps)
-    except ValueError as exc:
-        return [f"experiment: trajectory_steps {steps}: {exc}"]
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +505,7 @@ def _profile_values(prof: dict, grid: Grid, eps: float, net: DeltaNet | None) ->
 
 def build_initial_state(cfg: RunConfig, grid: Grid, eps: float,
                         net: DeltaNet | None = None) -> FieldState:
-    if net is None:
+    if net is None and _uses_net(cfg):
         net = net_from_spec(cfg.delta_net)
     fields = {
         name: _profile_values(cfg.initial[name], grid, eps, net)

@@ -123,10 +123,6 @@ class SpacetimeSolution:
             fold(state)
         return fold
 
-    def field_stack(self, name: str) -> np.ndarray:
-        """All saved values of one component as a (n_times, n_x) array."""
-        return np.stack([s.component(name) for s in self.states])
-
     @property
     def status(self) -> str:
         return self.meta.get("status", "ok")

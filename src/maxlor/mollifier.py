@@ -65,7 +65,7 @@ class Mollifier:
         return {"kind": self.kind, "s_lo": self.s_lo, "s_hi": self.s_hi}
 
 
-def make_mollifier(kind: str = "symmetric", support: tuple[float, float] | None = None) -> Mollifier:
+def make_mollifier(kind: str, support: tuple[float, float] | None = None) -> Mollifier:
     """Build a unit-mass bump kernel of the given kind.
 
     The normalization constant rescales ``RAW_BUMP_MASS``, the mass of the

@@ -4,7 +4,7 @@ A world line follows ``dw/dt = a(u(t, w))`` where ``a`` is the velocity
 map; since ``|a| < 1`` the path is always subluminal regardless of how
 large the momentum field gets.  The field is read off the saved states by
 bilinear interpolation (linear in time between saves, linear in space on
-the grid).
+the grid) in place; every world line covers the whole solved window.
 
 The proper-time variant integrates ``dz0/ds = sqrt(1 + u^2)``,
 ``dz1/ds = u`` instead and resamples onto coordinate time, which gives an
@@ -45,38 +45,32 @@ class Trajectory:
 
 
 class _FieldSampler:
-    """Bilinear sampler for one saved field component."""
+    """Bilinear sampler of the saved momentum ``u``, read in place."""
 
-    def __init__(self, sol: SpacetimeSolution, name: str = "u"):
+    def __init__(self, sol: SpacetimeSolution):
         self.times = sol.times
         self.xs = sol.grid.xs
-        self.stack = sol.field_stack(name)
+        self.rows = [s.u for s in sol.states]
 
     def __call__(self, t: float, x: float) -> float:
         ts = self.times
         if t <= ts[0]:
-            return float(np.interp(x, self.xs, self.stack[0]))
+            return float(np.interp(x, self.xs, self.rows[0]))
         if t >= ts[-1]:
-            return float(np.interp(x, self.xs, self.stack[-1]))
+            return float(np.interp(x, self.xs, self.rows[-1]))
         i = int(np.searchsorted(ts, t, side="right")) - 1
         i = min(i, len(ts) - 2)
         lam = (t - ts[i]) / (ts[i + 1] - ts[i])
         # each saved row is read at x first, so a sample costs O(log n)
-        before, after = (np.interp(x, self.xs, self.stack[j]) for j in (i, i + 1))
+        before, after = (np.interp(x, self.xs, self.rows[j]) for j in (i, i + 1))
         return float((1.0 - lam) * before + lam * after)
 
 
-def _window(sol: SpacetimeSolution, t_start, t_end):
-    lo, hi = float(sol.times[0]), float(sol.times[-1])
-    t_start = lo if t_start is None else float(t_start)
-    t_end = hi if t_end is None else float(t_end)
-    tiny = 1e-12
-    if t_start < lo - tiny or t_end > hi + tiny or t_start >= t_end:
-        raise ValueError(
-            f"world line: time window [{t_start:g}, {t_end:g}] must sit inside "
-            f"the solved window [{lo:g}, {hi:g}]"
-        )
-    return t_start, t_end
+def _span(times) -> float:
+    """The length of the solved window, which every world line covers."""
+    if len(times) < 2:
+        raise ValueError(f"world line: needs at least two saved times, got {len(times)}")
+    return float(times[-1] - times[0])
 
 
 # relative slack of the path-step check, so a step equal to the saved
@@ -84,19 +78,11 @@ def _window(sol: SpacetimeSolution, t_start, t_end):
 _STEP_SLACK = 1e-9
 
 
-def _largest_save_spacing(times) -> float:
-    return float(np.max(np.diff(times))) if len(times) > 1 else 0.0
-
-
-def _check_path_step(times, span: float, n_steps: int) -> None:
+def _check_path_step(times, n_steps: int) -> None:
     """Raise unless every saved spacing of ``times`` is as fine as the path
-    step ``span/n_steps``.
-
-    ``validate`` runs the same check on the save grid ``solver.march_plan``
-    gives, before anything is solved.
-    """
-    save_dt = _largest_save_spacing(times)
-    dr = span / n_steps
+    step, the solved window over ``n_steps``."""
+    dr = _span(times) / n_steps
+    save_dt = float(np.max(np.diff(times)))
     if save_dt > dr * (1.0 + _STEP_SLACK):
         raise ValueError(
             f"world line: largest saved spacing {save_dt:.6g} exceeds the path step "
@@ -104,31 +90,30 @@ def _check_path_step(times, span: float, n_steps: int) -> None:
         )
 
 
-def default_path_steps(times, span: float) -> int:
-    """The largest step count over ``span`` whose path step passes
-    ``_check_path_step`` on the saved ``times``: the default of both world
-    lines."""
-    return max(1, int(span / _largest_save_spacing(times) * (1.0 + _STEP_SLACK)))
+def default_path_steps(times) -> int:
+    """The largest step count whose path step passes ``_check_path_step`` on
+    the saved ``times``: the default of both world lines."""
+    span = _span(times)
+    return max(1, int(span / float(np.max(np.diff(times))) * (1.0 + _STEP_SLACK)))
 
 
 def integrate_world_line(sol: SpacetimeSolution, start: float,
-                         t_start: float | None = None, t_end: float | None = None,
                          n_steps: int | None = None) -> Trajectory:
-    """RK4 integration of ``dw/dt = a(u(t, w))`` from ``w(t_start) = start``.
+    """RK4 integration of ``dw/dt = a(u(t, w))`` over the solved window,
+    from ``w = start`` at the first saved time.
 
     Stops early (with ``exited=True``) if the path leaves the grid, so the
-    returned arrays may cover less than the requested window.  The saved
-    field must be at least as fine in time as the path step, otherwise the
+    returned arrays may cover less than the window.  The saved field must
+    be at least as fine in time as the path step, otherwise the
     interpolated samples would be coarser than the integrator pretends.
     The default ``n_steps`` is the largest count that check passes.
     """
-    t_start, t_end = _window(sol, t_start, t_end)
     if n_steps is None:
-        n_steps = default_path_steps(sol.times, t_end - t_start)
+        n_steps = default_path_steps(sol.times)
     if n_steps < 1:
         raise ValueError("world line: n_steps must be positive")
-    _check_path_step(sol.times, t_end - t_start, n_steps)
-    u_at = _FieldSampler(sol, "u")
+    _check_path_step(sol.times, n_steps)
+    u_at = _FieldSampler(sol)
     x_min, x_max = sol.grid.x_min, sol.grid.x_max
     if not (x_min <= start <= x_max):
         raise ValueError("world line: start position outside the grid")
@@ -136,15 +121,16 @@ def integrate_world_line(sol: SpacetimeSolution, start: float,
     def velocity(t, w, out=None):
         return a(u_at(t, w))
 
-    h = (t_end - t_start) / n_steps
-    times = [t_start]
+    t_first = float(sol.times[0])
+    h = _span(sol.times) / n_steps
+    times = [t_first]
     positions = [float(start)]
-    velocities = [velocity(t_start, start)]
+    velocities = [velocity(t_first, start)]
     w = float(start)
     exited = False
     for i in range(n_steps):
-        w = rk4_step(velocity, t_start + i * h, w, h)
-        t_next = t_start + (i + 1) * h
+        w = rk4_step(velocity, t_first + i * h, w, h)
+        t_next = t_first + (i + 1) * h
         times.append(t_next)
         positions.append(w)
         velocities.append(velocity(t_next, w))
@@ -160,10 +146,9 @@ def integrate_world_line(sol: SpacetimeSolution, start: float,
     )
 
 
-def proper_time_world_line(sol: SpacetimeSolution, start: float,
-                           t_start: float | None = None, t_end: float | None = None,
-                           ds: float | None = None):
-    """Integrate the proper-time form and resample onto coordinate time.
+def proper_time_world_line(sol: SpacetimeSolution, start: float, ds: float | None = None):
+    """Integrate the proper-time form over the solved window and resample
+    onto coordinate time.
 
     Returns ``(z0, z1)`` arrays: coordinate times reached and positions.
     The time component advances at rate ``sqrt(1 + u^2) >= 1``, so a step
@@ -171,19 +156,20 @@ def proper_time_world_line(sol: SpacetimeSolution, start: float,
     is the window over ``default_path_steps``, the path step the
     coordinate-time world line takes by default.
     """
-    t_start, t_end = _window(sol, t_start, t_end)
-    u_at = _FieldSampler(sol, "u")
+    span = _span(sol.times)
+    u_at = _FieldSampler(sol)
     if ds is None:
-        ds = (t_end - t_start) / default_path_steps(sol.times, t_end - t_start)
+        ds = span / default_path_steps(sol.times)
 
     def rate(s, z, out=None):  # the proper-time system is autonomous
         uu = u_at(z[0], z[1])
         return np.array([sqrt1p_sq(uu), uu])
 
-    z = np.array([t_start, float(start)])
+    t_last = float(sol.times[-1])
+    z = np.array([float(sol.times[0]), float(start)])
     path = [z]
-    for _ in range(int(np.ceil((t_end - t_start) / ds)) + 2):
-        if z[0] >= t_end:
+    for _ in range(int(np.ceil(span / ds)) + 2):
+        if z[0] >= t_last:
             break
         z = rk4_step(rate, 0.0, z, ds)
         path.append(z)
@@ -192,12 +178,11 @@ def proper_time_world_line(sol: SpacetimeSolution, start: float,
 
 
 def reparametrization_gap(sol: SpacetimeSolution, start: float,
-                          t_start: float | None = None, t_end: float | None = None,
                           n_steps: int | None = None) -> float:
     """Max distance between the two parametrizations of the same world line."""
-    traj = integrate_world_line(sol, start, t_start=t_start, t_end=t_end, n_steps=n_steps)
+    traj = integrate_world_line(sol, start, n_steps=n_steps)
     if traj.exited:
         raise ValueError("reparametrization gap: path left the grid; widen the domain")
-    z0, z1 = proper_time_world_line(sol, start, t_start=t_start, t_end=traj.times[-1])
+    z0, z1 = proper_time_world_line(sol, start)
     resampled = np.interp(traj.times, z0, z1)
     return float(np.max(np.abs(resampled - traj.positions)))

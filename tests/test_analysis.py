@@ -582,7 +582,7 @@ class TestBlowupProbe:
 
     def test_reciprocal_peaks_give_unit_exponent(self):
         sols = [self._sol_with_peak(e, 1.0 / e) for e in (0.2, 0.1, 0.05, 0.025)]
-        rep = blow_up_probe(sols)
+        rep = blow_up_probe(sols, window=0.25, center=0.0)
         assert a(1e9) == 1.0
         assert rep.exponent == pytest.approx(1.0, abs=1e-6)
         assert rep.peaks[0] < rep.peaks[-1]
@@ -595,14 +595,14 @@ class TestBlowupProbe:
             return synthetic_solution(grid, [0.0, 0.1],
                                       [(z, z, sigma)] * 2, meta={"eps": eps})
 
-        rep = blow_up_probe([flat(e) for e in (0.2, 0.1, 0.05)])
+        rep = blow_up_probe([flat(e) for e in (0.2, 0.1, 0.05)], window=0.25, center=0.0)
         assert rep.peaks == (0.0, 0.0, 0.0)
         assert rep.exponent == 0.0
 
     def test_needs_at_least_two_runs(self, release_left):
         _, sol = release_left
         with pytest.raises(ValueError, match="2 runs"):
-            blow_up_probe([sol])
+            blow_up_probe([sol], window=0.25, center=0.0)
 
     def test_release_run_has_nontrivial_interaction_term(self, release_left):
         # physical sanity: the probed source sigma*a(u) is alive near the

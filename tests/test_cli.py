@@ -110,7 +110,6 @@ class TestValidate:
 # (experiment key, a value its rule refuses, the subcommand that reads it,
 # the other keys that subcommand needs)
 BAD_EXPERIMENT_KEYS = [
-    ("trajectory_steps", "x", "trajectories", {"trajectory_starts": [-0.05]}),
     ("probe_x0", [1], "check-support", {}),
     ("blowup_window", "w", "probe-blowup", {}),
     ("growth_p", "x", "check-scaling", {}),
@@ -211,11 +210,7 @@ def test_blowup_peak_names_the_window_that_holds_no_grid_point(release_left):
 @pytest.mark.parametrize("experiment, message", [
     ({"trajectory_starts": [-0.5, 3.0]},
      "experiment: trajectory_starts[1] 3 lies outside the grid [-4, 1]"),
-    ({"trajectory_steps": 200},
-     "experiment: trajectory_steps 200: world line: largest saved spacing 0.0240964 exceeds "
-     "the "
-     "path step 0.0025; save more often or take fewer steps"),
-], ids=["start-off-grid", "steps-finer-than-saves"])
+], ids=["start-off-grid"])
 def test_trajectories_are_refused_before_solving(tmp_path, capsys, monkeypatch,
                                                   experiment, message):
     _no_solve(monkeypatch)
@@ -228,30 +223,10 @@ def test_trajectories_are_refused_before_solving(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
-def test_validate_and_the_world_lines_agree_on_the_path_step(tmp_path, release_left):
-    # validate refuses a step count exactly when the run's world line would:
-    # from 21 steps on, the path step is below the largest saved spacing
-    _, sol = release_left
-    body = json.loads(open(os.path.join(CONFIGS, "point_charge.json")).read())
-    for steps in range(20, 36):
-        body["experiment"] = {"trajectory_starts": [-0.05], "trajectory_steps": steps}
-        refused = cfgmod.validate_config(cfgmod.config_from_dict(body))
-        try:
-            integrate_world_line(sol, -0.05, n_steps=steps)
-            raised = False
-        except ValueError:
-            raised = True
-        assert bool(refused) == raised, (steps, refused)
-
-
 def test_path_steps_coarser_than_some_saves_are_refused(release_left):
     # point_charge saves every fourth of 83 steps: 27 path steps are finer
     # than the last, short save interval but 1.3x coarser than the others
     _, sol = release_left
-    body = json.loads(open(os.path.join(CONFIGS, "point_charge.json")).read())
-    body["experiment"] = {"trajectory_starts": [-0.05], "trajectory_steps": 27}
-    refused = cfgmod.validate_config(cfgmod.config_from_dict(body))
-    assert any("largest saved spacing" in line for line in refused)
     with pytest.raises(ValueError, match="largest saved spacing"):
         integrate_world_line(sol, -0.05, n_steps=27)
 
@@ -594,8 +569,8 @@ class TestSupportAndTrajectories:
         assert all(t["max_speed"] < 1.0 for t in summary["trajectories"])
 
     def test_trajectories_record_the_default_step_count(self, tmp_path):
-        # without trajectory_steps the summary records the count the world
-        # lines took: on point_charge the largest one its saves allow
+        # the summary records the count the world lines took: on
+        # point_charge the largest one its saves allow
         out = tmp_path / "out"
         cfg = os.path.join(CONFIGS, "point_charge.json")
         assert main(["trajectories", "--config", cfg, "--out", str(out)]) == EXIT_OK

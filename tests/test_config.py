@@ -58,6 +58,7 @@ def test_unknown_keys_are_collected_not_fatal():
     ("delta_net.profile", "s_low"),
     ("initial.E", "centre"),
     ("experiment", "probe_xo"),
+    ("experiment", "trajectory_steps"),
 ])
 def test_unknown_section_key_is_reported(section, key):
     outer, _, inner = section.partition(".")
@@ -238,6 +239,18 @@ def test_initial_profile_builders():
     assert abs(state.E[-1]) < 1e-6
     assert state.u[-1] == 0.0
     assert np.all(state.sigma == 0.0)
+
+
+def test_a_run_without_a_delta_net_profile_builds_no_net(monkeypatch):
+    # smooth_fields starts from gaussians only: nothing reads the net
+    def no_net(spec):
+        raise AssertionError("delta net built for a run that reads none")
+
+    monkeypatch.setattr("maxlor.config.net_from_spec", no_net)
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "smooth_fields.json")
+    pieces = assemble_run(cfg)
+    assert pieces.net is None
+    assert np.all(pieces.initial.u == 0.0)
 
 
 def test_profile_validation_messages():

@@ -74,16 +74,13 @@ def test_solution_requires_increasing_times():
         SpacetimeSolution(g, np.array([0.0, 0.0]), [mk(0.0), mk(0.0)], {})
 
 
-def test_solution_field_stack_and_status():
+def test_solution_status():
     g = Grid(-1.0, 1.0, 32)
     states = [
         FieldState(t, np.full(g.n, t), np.zeros(g.n), np.zeros(g.n))
         for t in (0.0, 0.5)
     ]
     sol = SpacetimeSolution(g, np.array([0.0, 0.5]), states, {})
-    stack = sol.field_stack("E")
-    assert stack.shape == (2, g.n)
-    assert np.all(stack[1] == 0.5)
     assert sol.status == "ok"
     sol2 = SpacetimeSolution(g, np.array([0.0, 0.5]), states, {"status": "guard"})
     assert sol2.status == "guard"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ def test_sampler_equals_the_blended_row_up_to_rounding():
     # the sampler reads the two saved rows at x, then blends the two numbers;
     # reading the time-blended row at x gives the same value up to rounding
     sol = momentum_solution(lambda t, x: np.sin(3 * x + 5 * t) + t * x ** 2, n=2001, n_times=23)
-    sample, stack, ts = _FieldSampler(sol, "u"), sol.field_stack("u"), sol.times
+    sample, stack, ts = _FieldSampler(sol), np.stack([s.u for s in sol.states]), sol.times
     tol = 4 * np.finfo(float).eps * np.max(np.abs(stack))
     rng = np.random.default_rng(7)
     for t, x in zip(rng.uniform(-0.1, 1.1, 2000), rng.uniform(-2.0, 2.0, 2000)):
@@ -93,12 +95,32 @@ def test_rejects_path_step_finer_than_saves():
 
 def test_window_validation():
     sol = momentum_solution(lambda t, x: np.zeros_like(x))
-    with pytest.raises(ValueError, match="window"):
-        integrate_world_line(sol, 0.0, t_start=-0.5)
-    with pytest.raises(ValueError, match="window"):
-        integrate_world_line(sol, 0.0, t_end=2.0)
     with pytest.raises(ValueError, match="start position"):
         integrate_world_line(sol, 5.0)
+
+
+def test_one_saved_time_is_refused():
+    sol = momentum_solution(lambda t, x: np.zeros_like(x), n_times=1)
+    for world_line in (integrate_world_line, proper_time_world_line):
+        with pytest.raises(ValueError, match="two saved times"):
+            world_line(sol, 0.0)
+    with pytest.raises(ValueError, match="two saved times"):
+        default_path_steps(sol.times)
+
+
+def test_world_line_copies_no_field():
+    # the sampler reads the saved u rows in place: a world line through 40
+    # saves of 20 001 points allocates less than one (n_saved, n) stack
+    n_saved, n = 40, 20_001
+    sol = momentum_solution(lambda t, x: 0.5 * np.sin(x + t), n=n, n_times=n_saved)
+    stack_bytes = n_saved * n * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        integrate_world_line(sol, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes, (peak, stack_bytes)
 
 
 def test_exit_truncates_path():
@@ -143,7 +165,7 @@ def test_proper_time_step_defaults_to_the_world_line_path_step():
     # the window, while 4 saved intervals would suggest a finer step
     sol = momentum_solution(lambda t, x: 0.8 * np.exp(-x * x) * (1.0 + t),
                             times=[0.0, 0.3, 0.6, 0.9, 1.0])
-    assert default_path_steps(sol.times, 1.0) == 3
+    assert default_path_steps(sol.times) == 3
     assert len(integrate_world_line(sol, 0.2).times) - 1 == 3
     z0, z1 = proper_time_world_line(sol, 0.2)
     want = proper_time_world_line(sol, 0.2, ds=1.0 / 3)
