@@ -17,7 +17,7 @@ path load → validate (the config plus the row's needs) → create ``--out``
 → run → stamp the run id on the summary, write ``summary.json`` and read
 the exit code off it; ``validate`` stops after the checks.  A run function
 that solves hangs its fold on the solver's ``on_save`` hook and keeps no
-saved state, except ``trajectories``, whose world lines read ``u`` in place.
+saved state.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import sys
 
 from . import analysis, config as cfgmod, output, trajectories as trajmod
 from .scaling import verify_growth_condition
-from .solver import STATUS_OK, solve
+from .solver import STATUS_OK, march_plan, solve
 
 __all__ = ["main", "console_entry"]
 
@@ -54,7 +54,7 @@ def _load(args):
 
 
 def _unmet(cfg, command: str, needs) -> list:
-    """A message for each needed key (``eps_schedule`` or ``experiment.<key>``)
+    """A message for each needed key (``eps``, ``eps_schedule`` or ``experiment.<key>``)
     that the config leaves unset or empty, and those of each needed check."""
     errors = []
     for need in needs:
@@ -212,17 +212,18 @@ def _run_probe_blowup(cfg, args, out):
 
 
 def _run_trajectories(cfg, args, out):
-    starts = cfg.experiment["trajectory_starts"]
     pieces = cfgmod.assemble_run(cfg)
-    # the one stored solution: a world line samples it at any (t, x)
-    sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
+    # the world lines step on the save grid the march is about to take
+    _, times, saved = march_plan(pieces.initial.t, pieces.params.T, pieces.solver.dt,
+                                 pieces.solver.save_every)
+    lines = trajmod.WorldLines(pieces.grid, [times[i] for i in saved],
+                               cfg.experiment["trajectory_starts"])
+    sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params, on_save=lines)
     rows = []
     # an aborted solve has no field to integrate through; else the summary
     # records the count every world line steps with
     ok = sol.status == STATUS_OK
-    n_steps = trajmod.default_path_steps(sol.times) if ok else None
-    for i, w0 in enumerate(starts if ok else ()):
-        traj = trajmod.integrate_world_line(sol, float(w0))
+    for i, traj in enumerate(lines.result() if ok else ()):
         output.write_table(
             os.path.join(out, f"trajectory_{i:02d}.csv"),
             ("r", "w"),
@@ -236,7 +237,7 @@ def _run_trajectories(cfg, args, out):
         })
     summary = {
         "trajectories": rows,
-        "n_steps": n_steps,
+        "n_steps": lines.n_steps if ok else None,
         **_run_status(sol),
     }
     if rows:
@@ -275,17 +276,17 @@ _COMMANDS = {
     "validate": ("dry-check a config against every module precondition, then exit",
                  (), None),
     "solve": ("run one eps; write one CSV per saved time plus meta.json",
-              (), _run_solve),
+              ("eps",), _run_solve),
     "sweep": ("run an eps schedule, pair observables, classify the limit",
               ("eps_schedule", "experiment.psi"), _run_sweep),
     "check-support": ("solve, then probe field leakage into the vacuum half-line",
-                      (_default_probe_cut,), _run_check_support),
+                      ("eps", _default_probe_cut), _run_check_support),
     "compare-lin": ("L1 distance of a run from the linearized closed form over time",
-                    (), _run_compare_lin),
+                    ("eps",), _run_compare_lin),
     "probe-blowup": ("peak interaction density sigma*a(u) across an eps family + fit",
                      ("eps_schedule",), _run_probe_blowup),
     "trajectories": ("integrate charge world lines through a solved field",
-                     ("experiment.trajectory_starts",), _run_trajectories),
+                     ("eps", "experiment.trajectory_starts"), _run_trajectories),
     "check-scaling": ("test the admissible-growth condition for the configured scaling",
                       (), _run_check_scaling),
 }

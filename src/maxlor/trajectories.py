@@ -4,7 +4,8 @@ A world line follows ``dw/dt = a(u(t, w))`` where ``a`` is the velocity
 map; since ``|a| < 1`` the path is always subluminal regardless of how
 large the momentum field gets.  The field is read off the saved states by
 bilinear interpolation (linear in time between saves, linear in space on
-the grid) in place; every world line covers the whole solved window.
+the grid) in place by :class:`WorldLines`, a fold on the march's
+``on_save`` hook; every world line covers the whole solved window.
 
 The proper-time variant integrates ``dz0/ds = sqrt(1 + u^2)``,
 ``dz1/ds = u`` instead and resamples onto coordinate time, which gives an
@@ -24,6 +25,7 @@ from .solver import rk4_step
 
 __all__ = [
     "Trajectory",
+    "WorldLines",
     "default_path_steps",
     "integrate_world_line",
     "proper_time_world_line",
@@ -45,12 +47,10 @@ class Trajectory:
 
 
 class _FieldSampler:
-    """Bilinear sampler of the saved momentum ``u``, read in place."""
+    """Bilinear sampler of the momentum rows ``u`` saved at ``times``, read in place."""
 
-    def __init__(self, sol: SpacetimeSolution):
-        self.times = sol.times
-        self.xs = sol.grid.xs
-        self.rows = [s.u for s in sol.states]
+    def __init__(self, times, xs, rows):
+        self.times, self.xs, self.rows = times, xs, rows
 
     def __call__(self, t: float, x: float) -> float:
         ts = self.times
@@ -97,53 +97,67 @@ def default_path_steps(times) -> int:
     return max(1, int(span / float(np.max(np.diff(times))) * (1.0 + _STEP_SLACK)))
 
 
+class WorldLines:
+    """RK4 world lines ``dw/dt = a(u(t, w))`` from ``starts`` over the solved
+    window, as a fold over the states of a run saved at ``times``.  A line
+    takes ``n_steps`` path steps (by default the most the saves allow) and
+    stops, ``exited``, once it leaves the grid.  A step to ``t + h`` runs once
+    a state after ``t + h`` is saved, the last ones in :meth:`result`; rows
+    no step reads again are dropped, so the fold holds about four of them.
+    """
+
+    def __init__(self, grid, times, starts, n_steps=None):
+        n_steps = default_path_steps(times) if n_steps is None else n_steps
+        if n_steps < 1:
+            raise ValueError("world line: n_steps must be positive")
+        _check_path_step(times, n_steps)
+        self.x_min, self.x_max = grid.x_min, grid.x_max
+        if not all(self.x_min <= w <= self.x_max for w in starts):
+            raise ValueError("world line: start position outside the grid")
+        self.times, self.rows = np.asarray(times, dtype=float), []
+        self.u_at = _FieldSampler(self.times, grid.xs, self.rows)
+        self.n_steps, self.t_first, self.h = n_steps, float(self.times[0]), _span(times) / n_steps
+        self.positions, self.taken = [[float(w)] for w in starts], 0
+
+    def _velocity(self, t, w, out=None):
+        return a(self.u_at(t, w))
+
+    def __call__(self, state) -> None:
+        self.rows.append(state.u)
+        if len(self.rows) == 1:  # the first node's velocity reads row 0 alone
+            self.velocities = [[self._velocity(self.t_first, w[0])] for w in self.positions]
+        self._advance(self.times[len(self.rows) - 1])
+        # drop the rows before the one at or below the next step's start
+        t = self.t_first + self.taken * self.h
+        drop = min(int(np.searchsorted(self.times, t, side="right")) - 1, len(self.times) - 2)
+        self.rows[:drop] = [None] * drop
+
+    def _advance(self, t_saved: float) -> None:
+        h = self.h
+        while self.taken < self.n_steps:
+            t, t_next = self.t_first + self.taken * h, self.t_first + (self.taken + 1) * h
+            if not t_saved > max(t + h, t_next):  # rk4's last stage, then the node
+                return
+            for w, v in zip(self.positions, self.velocities):
+                if self.x_min <= w[-1] <= self.x_max:  # it stops at its first node off the grid
+                    w.append(rk4_step(self._velocity, t, w[-1], h))
+                    v.append(self._velocity(t_next, w[-1]))
+            self.taken += 1
+
+    def result(self) -> list[Trajectory]:
+        """One :class:`Trajectory` per start; needs every state saved."""
+        self._advance(np.inf)
+        return [Trajectory(start=w[0], times=self.t_first + np.arange(len(w)) * self.h,
+                           positions=np.asarray(w), velocities=np.asarray(v),
+                           exited=not (self.x_min <= w[-1] <= self.x_max))
+                for w, v in zip(self.positions, self.velocities)]
+
+
 def integrate_world_line(sol: SpacetimeSolution, start: float,
                          n_steps: int | None = None) -> Trajectory:
-    """RK4 integration of ``dw/dt = a(u(t, w))`` over the solved window,
-    from ``w = start`` at the first saved time.
-
-    Stops early (with ``exited=True``) if the path leaves the grid, so the
-    returned arrays may cover less than the window.  The saved field must
-    be at least as fine in time as the path step, otherwise the
-    interpolated samples would be coarser than the integrator pretends.
-    The default ``n_steps`` is the largest count that check passes.
-    """
-    if n_steps is None:
-        n_steps = default_path_steps(sol.times)
-    if n_steps < 1:
-        raise ValueError("world line: n_steps must be positive")
-    _check_path_step(sol.times, n_steps)
-    u_at = _FieldSampler(sol)
-    x_min, x_max = sol.grid.x_min, sol.grid.x_max
-    if not (x_min <= start <= x_max):
-        raise ValueError("world line: start position outside the grid")
-
-    def velocity(t, w, out=None):
-        return a(u_at(t, w))
-
-    t_first = float(sol.times[0])
-    h = _span(sol.times) / n_steps
-    times = [t_first]
-    positions = [float(start)]
-    velocities = [velocity(t_first, start)]
-    w = float(start)
-    exited = False
-    for i in range(n_steps):
-        w = rk4_step(velocity, t_first + i * h, w, h)
-        t_next = t_first + (i + 1) * h
-        times.append(t_next)
-        positions.append(w)
-        velocities.append(velocity(t_next, w))
-        if not (x_min <= w <= x_max):
-            exited = True
-            break
-    return Trajectory(
-        start=float(start),
-        times=np.asarray(times),
-        positions=np.asarray(positions),
-        velocities=np.asarray(velocities),
-        exited=exited,
-    )
+    """The :class:`WorldLines` path from ``w = start`` through the stored
+    solution ``sol``; ``n_steps`` as there."""
+    return sol.replay(WorldLines(sol.grid, sol.times, [start], n_steps)).result()[0]
 
 
 def proper_time_world_line(sol: SpacetimeSolution, start: float, ds: float | None = None):
@@ -157,7 +171,7 @@ def proper_time_world_line(sol: SpacetimeSolution, start: float, ds: float | Non
     coordinate-time world line takes by default.
     """
     span = _span(sol.times)
-    u_at = _FieldSampler(sol)
+    u_at = _FieldSampler(sol.times, sol.grid.xs, [s.u for s in sol.states])
     if ds is None:
         ds = span / default_path_steps(sol.times)
 

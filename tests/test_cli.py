@@ -135,6 +135,18 @@ def test_bad_experiment_key_is_refused_before_solving(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "check-support", "compare-lin", "trajectories"])
+def test_a_one_eps_run_without_eps_is_refused_before_out_exists(tmp_path, capsys, command):
+    # "eps": null passes validate, which has no single eps to need
+    cfg = release_cfg(tmp_path, eps=None, experiment={"trajectory_starts": [-0.1]})
+    assert main(["validate", "--config", cfg]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"eps: {command} needs 'eps'" in capsys.readouterr().err.splitlines()
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("x0", [5.0, -3.5])
 def test_probe_cut_outside_the_grid_is_refused_before_solving(tmp_path, capsys,
                                                               monkeypatch, x0):

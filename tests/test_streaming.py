@@ -1,10 +1,9 @@
 """The march's ``on_save`` hook and the folds that reduce each saved state.
 
-Every command but ``trajectories`` reduces its states as the march saves
-them, so these tests pin what makes that safe: the row-wise arithmetic of
-the folds equals the stacked arithmetic bit for bit, the hook sees exactly
-the states the stored route keeps, and a streamed run holds far less than
-its states.
+Every command reduces its states as the march saves them, so these tests
+pin what makes that safe: the row-wise arithmetic of the folds equals the
+stacked arithmetic bit for bit, the hook sees exactly the states the stored
+route keeps, and a streamed run holds far less than its states.
 """
 
 import json
@@ -95,6 +94,18 @@ def test_streamed_solve_peaks_below_the_states_it_writes(tmp_path):
     out = tmp_path / "out"
     peak = _peak_bytes(lambda: main(["solve", "--config", str(cfg_path), "--out", str(out)]))
     assert len(list(out.glob("state_*.csv"))) * 3 * 1001 * 8 == stored
+    assert peak < stored / 2, (peak, stored)
+
+
+def test_streamed_world_lines_peak_below_the_states_they_read(tmp_path):
+    body = {**_RELEASE, "experiment": {"trajectory_starts": [-0.6, -0.3, -0.05]}}
+    cfg_path = tmp_path / "release.json"
+    cfg_path.write_text(json.dumps(body))
+    stored = _stored_bytes(config_from_dict(body), 0.1, False)
+    out = tmp_path / "out"
+    peak = _peak_bytes(lambda: main(["trajectories", "--config", str(cfg_path),
+                                     "--out", str(out)]))
+    assert len(list(out.glob("trajectory_*.csv"))) == 3
     assert peak < stored / 2, (peak, stored)
 
 

@@ -3,9 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from maxlor.config import assemble_run, config_from_dict
 from maxlor.fields import FieldState, Grid, SpacetimeSolution
 from maxlor.nonlinearity import a
+from maxlor.solver import march_plan, rk4_step, solve
 from maxlor.trajectories import (
+    WorldLines,
     _FieldSampler,
     default_path_steps,
     integrate_world_line,
@@ -31,7 +34,8 @@ def test_sampler_equals_the_blended_row_up_to_rounding():
     # the sampler reads the two saved rows at x, then blends the two numbers;
     # reading the time-blended row at x gives the same value up to rounding
     sol = momentum_solution(lambda t, x: np.sin(3 * x + 5 * t) + t * x ** 2, n=2001, n_times=23)
-    sample, stack, ts = _FieldSampler(sol), np.stack([s.u for s in sol.states]), sol.times
+    rows = [s.u for s in sol.states]
+    sample, stack, ts = _FieldSampler(sol.times, sol.grid.xs, rows), np.stack(rows), sol.times
     tol = 4 * np.finfo(float).eps * np.max(np.abs(stack))
     rng = np.random.default_rng(7)
     for t, x in zip(rng.uniform(-0.1, 1.1, 2000), rng.uniform(-2.0, 2.0, 2000)):
@@ -187,3 +191,64 @@ def test_world_line_on_solver_output(release_left):
     assert not traj.exited
     assert traj.max_speed < 1.0
     assert traj.times[-1] == pytest.approx(float(sol.times[-1]))
+
+
+def _plain_world_line(sol, start):
+    # the reference: a plain stepping loop over a stored solution, every
+    # step taken at once with every saved row at hand
+    u_at = _FieldSampler(sol.times, sol.grid.xs, [s.u for s in sol.states])
+
+    def velocity(t, w, out=None):
+        return a(u_at(t, w))
+
+    n_steps = default_path_steps(sol.times)
+    t_first, h = float(sol.times[0]), float(sol.times[-1] - sol.times[0]) / n_steps
+    times, positions, velocities = [t_first], [float(start)], [velocity(t_first, start)]
+    for i in range(n_steps):
+        w = rk4_step(velocity, t_first + i * h, positions[-1], h)
+        times.append(t_first + (i + 1) * h)
+        positions.append(w)
+        velocities.append(velocity(times[-1], w))
+        if not (sol.grid.x_min <= w <= sol.grid.x_max):
+            break
+    return np.asarray(times), np.asarray(positions), np.asarray(velocities)
+
+
+# (T, save_every, march steps): the last save interval short; path nodes on
+# the save times; two saves and one path step.  dt is 0.005 throughout
+LIVE_GRIDS = [(0.415, 4, 83), (0.4, 4, 80), (0.02, 8, 4)]
+
+
+@pytest.mark.parametrize("T, save_every, n_march", LIVE_GRIDS,
+                         ids=["short-last-save", "nodes-on-saves", "one-path-step"])
+def test_the_live_fold_equals_the_stored_replay(T, save_every, n_march):
+    # a momentum bump pushes the start at 0.85 off the right edge mid-run
+    body = {"grid": {"x_min": -3.0, "x_max": 1.0, "n": 801}, "mollifier": {"kind": "left"},
+            "scaling": {"kind": "constant", "c": 0.1}, "model": {"B0": 0.0, "T": T},
+            "solver": {"dt": 0.005, "save_every": save_every},
+            "initial": {"u": {"kind": "gaussian", "amplitude": 3.0, "width": 1.0}}}
+    pieces = assemble_run(config_from_dict(body))
+    _, times, saved = march_plan(0.0, T, pieces.solver.dt, save_every)
+    assert len(times) - 1 == n_march
+    starts = [-0.5, 0.0, 0.85]
+    lines, held = WorldLines(pieces.grid, [times[i] for i in saved], starts), []
+
+    def on_save(state):
+        lines(state)
+        held.append(sum(row is not None for row in lines.rows))
+
+    solve(pieces.initial, pieces.solver, pieces.operator, pieces.params, on_save=on_save)
+    stored = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
+    assert max(held) <= 4, held
+    live = lines.result()
+    assert lines.n_steps == default_path_steps(stored.times)
+    for traj, start in zip(live, starts):
+        replayed = integrate_world_line(stored, start)
+        for name in ("times", "positions", "velocities"):
+            assert np.array_equal(getattr(traj, name), getattr(replayed, name)), name
+        assert traj.exited == replayed.exited
+        want = _plain_world_line(stored, start)
+        assert all(np.array_equal(got, w)
+                   for got, w in zip((traj.times, traj.positions, traj.velocities), want))
+    if n_march > save_every:
+        assert [t.exited for t in live] == [False, False, True]
