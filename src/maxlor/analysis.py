@@ -676,10 +676,9 @@ def compare_linearized(sol: SpacetimeSolution, q: float | None = None) -> Compar
 
 
 @dataclass(frozen=True)
-class BlowupReport:
-    eps_values: tuple
-    peaks: tuple
-    exponent: float
+class BlowupReport(_Family):
+    peaks: tuple              # per member; None for one that raised
+    exponent: float | None    # None when a member raised
 
 
 def _window_mask(grid, window: float, center: float, eps: float) -> np.ndarray:
@@ -692,21 +691,17 @@ def _window_mask(grid, window: float, center: float, eps: float) -> np.ndarray:
 
 
 class _Peak:
-    # the peak of |sigma a(u)| over the window and the saved states, as a
-    # fold; an aborted member keeps the peak of what it saved
+    # a member's fold: the peak of |sigma a(u)| over the window and the saved
+    # states; an aborted member keeps the peak of what it saved
 
-    def __init__(self, grid, window: float, center: float, eps: float):
-        self.mask, self.peaks = _window_mask(grid, window, center, eps), []
+    def __init__(self, pieces, window: float, center: float):
+        self.mask, self.peaks = _window_mask(pieces.grid, window, center, pieces.eps), []
 
     def __call__(self, state) -> None:
         self.peaks.append(float(np.max(np.abs((state.sigma * a(state.u))[self.mask]))))
 
     def result(self) -> float:
         return max(self.peaks)
-
-
-def _blowup_member(pieces, window, center):
-    return _Peak(pieces.grid, window, center, pieces.eps)
 
 
 def _peak_exponent(eps_values, peaks) -> float:
@@ -716,18 +711,21 @@ def _peak_exponent(eps_values, peaks) -> float:
     return float(np.polyfit(np.log([1.0 / e for e in eps_values]), np.log(peaks), 1)[0])
 
 
-def blow_up_probe(sols: list[SpacetimeSolution], window: float,
-                  center: float) -> BlowupReport:
-    """Peak of the interaction density ``|sigma a(u)|`` near the charge.
+def blow_up_probe(template, eps_schedule, window: float, center: float,
+                  workers: int = 1) -> BlowupReport:
+    """Peak of the interaction density ``|sigma a(u)|`` near the charge
+    across an eps family.
 
-    Given runs for an eps family, records (in the order given) the peak
-    over the window ``|x - center| <= window`` and fits the growth
-    exponent of peak against ``1/eps``.  A positive exponent is the finite-eps
+    Runs the family as ``limit_sweep`` does (refined members, pooled if
+    asked, a member that raises kept as an "error" row), records each
+    member's peak over the window ``|x - center| <= window`` and fits the
+    growth exponent of peak against ``1/eps``; a raised member leaves its
+    peak and the exponent None.  A positive exponent is the finite-eps
     signature of the interaction term concentrating without a limit.
     """
-    if len(sols) < 2:
-        raise ValueError("blow-up probe: need at least 2 runs")
-    eps_values = tuple(float(sol.meta["eps"]) for sol in sols)
-    peaks = tuple(sol.replay(_Peak(sol.grid, window, center, eps)).result()
-                  for sol, eps in zip(sols, eps_values))
-    return BlowupReport(eps_values, peaks, _peak_exponent(eps_values, peaks))
+    if len(eps_schedule) < 2:
+        raise ValueError("blow-up probe: the eps schedule needs at least 2 members")
+    fam, peaks = _run_family(template, eps_schedule, _Peak, (window, center), workers)
+    # a fit without a raised member's peak would hide the gap
+    exponent = None if fam.errors else _peak_exponent(fam.eps_schedule, peaks)
+    return BlowupReport(**vars(fam), peaks=peaks, exponent=exponent)

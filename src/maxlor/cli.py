@@ -192,22 +192,19 @@ def _run_compare_lin(cfg, args, out):
 def _run_probe_blowup(cfg, args, out):
     window = float(cfgmod._experiment_value(cfg, "blowup_window"))
     center = float(cfg.delta_net["center"])
-    fam, peaks = analysis._run_family(cfg, cfg.eps_schedule, analysis._blowup_member,
-                                      (window, center), workers=args.workers)
-    # a raised member has no peak, and a fit without it would hide the gap
-    exponent = None if fam.errors else analysis._peak_exponent(fam.eps_schedule, peaks)
+    rep = analysis.blow_up_probe(cfg, cfg.eps_schedule, window, center, workers=args.workers)
     output.write_table(os.path.join(out, "probe_blowup.csv"), ("eps", "peak_interaction"),
-                       zip(fam.eps_schedule, peaks))
+                       zip(rep.eps_schedule, rep.peaks))
     summary = {
-        "eps_schedule": list(fam.eps_schedule),
-        "peaks": list(peaks),
-        "exponent": exponent,
+        "eps_schedule": list(rep.eps_schedule),
+        "peaks": list(rep.peaks),
+        "exponent": rep.exponent,
         "window": window,
         "center": center,
-        **_family_status(fam),
+        **_family_status(rep),
     }
-    line = (f"no growth exponent: {len(fam.errors)} member(s) raised" if exponent is None
-            else f"peak growth exponent {exponent:.4g} over eps {list(fam.eps_schedule)}")
+    line = (f"no growth exponent: {len(rep.errors)} member(s) raised" if rep.exponent is None
+            else f"peak growth exponent {rep.exponent:.4g} over eps {list(rep.eps_schedule)}")
     return summary, line
 
 

@@ -407,7 +407,7 @@ def _psi_problems(spec, window) -> list:
     return problems
 
 
-def _rehearse(cfg: RunConfig, members: list, window=None) -> list:
+def _rehearse(cfg: RunConfig, members: list, window) -> list:
     """What the builders of ``assemble_run`` and the solver raise for each
     ``(eps, refine)`` member; a failed step skips the steps needing its result.
 
@@ -465,12 +465,11 @@ def build_scaling(cfg: RunConfig) -> ScalingFunction:
     return make_scaling(kind=s["kind"], c=float(s["c"]), exponent=float(s["exponent"]))
 
 
-def build_solver_config(cfg: RunConfig, op_norm: float | None = None) -> SolverConfig:
+def build_solver_config(cfg: RunConfig, op_norm: float) -> SolverConfig:
+    """The solver section, with dt ``"auto"`` resolved against ``op_norm``."""
     sv = cfg.solver
     dt = sv["dt"]
     if dt == "auto":
-        if op_norm is None:
-            raise ValueError("solver: dt 'auto' needs the operator norm to resolve")
         dt = 0.4 * step_bound(op_norm)
     return SolverConfig(
         dt=float(dt),
@@ -518,7 +517,6 @@ def build_initial_state(cfg: RunConfig, grid: Grid, eps: float,
 class RunPieces:
     grid: Grid
     mollifier: Mollifier
-    scaling: ScalingFunction
     eps: float
     nu: float
     net: DeltaNet | None
@@ -570,18 +568,17 @@ def assemble_run(cfg: RunConfig, eps: float | None = None,
         raise ValueError("config: no eps given and none set in the config")
     eps = float(eps)
     moll = build_mollifier(cfg)
-    scl = build_scaling(cfg)
-    nu = h_eval(scl, eps)
+    nu = h_eval(build_scaling(cfg), eps)
     net = net_from_spec(cfg.delta_net) if _uses_net(cfg) else None
     grid = _member_grid(cfg, eps, nu, net, refine)
     op = make_operator(moll, nu, grid)
-    solver_cfg = build_solver_config(cfg, op_norm=op.op_norm)
+    solver_cfg = build_solver_config(cfg, op.op_norm)
     q = float(cfg.model["q"])
     if net is not None and cfg.initial["sigma"]["kind"] == "delta-net":
         q = net.mass
     params = ModelParams(B0=float(cfg.model["B0"]), T=float(cfg.model["T"]), eps=eps, q=q)
     initial = build_initial_state(cfg, grid, eps, net=net)
     return RunPieces(
-        grid=grid, mollifier=moll, scaling=scl, eps=eps, nu=nu, net=net,
+        grid=grid, mollifier=moll, eps=eps, nu=nu, net=net,
         operator=op, params=params, initial=initial, solver=solver_cfg,
     )

@@ -205,23 +205,26 @@ def rk4_step(f, t, y, h, stages=None):
     ``y`` is a number or an array; the stages are combined element for
     element, so a field state and a world-line position take the same rule.
     ``f`` returns the slope, written into ``out`` when that is an array.
-    ``stages`` is None, so every stage is a fresh value, or a ``(5,) +
-    y.shape`` array whose rows take the four slopes and the stage state;
-    then the step allocates only the state it returns.  Either way the
+    ``stages`` is None, so every stage is a fresh value, or a ``(3,) +
+    y.shape`` array whose rows are three registers: the running slope sum
+    (which takes ``k1`` first), the latest slope and the stage state; then
+    the step allocates only the state it returns.  Either way the
     arithmetic is that of
 
-        y + (h/6) (k1 + 2 k2 + 2 k3 + k4),  k2 = f(t + h/2, y + (h/2) k1), ...
+        y + (h/6) (((k1 + 2 k2) + 2 k3) + k4),  k2 = f(t + h/2, y + (h/2) k1), ...
     """
-    out1, out2, out3, out4, stage = (None,) * 5 if stages is None else stages
-    k1 = f(t, y, out1)
-    k2 = f(t + 0.5 * h, np.add(y, np.multiply(0.5 * h, k1, out=stage), out=stage), out2)
-    k3 = f(t + 0.5 * h, np.add(y, np.multiply(0.5 * h, k2, out=stage), out=stage), out3)
-    k4 = f(t + h, np.add(y, np.multiply(h, k3, out=stage), out=stage), out4)
-    # the slope sum ((k1 + 2 k2) + 2 k3) + k4 builds up in the stage row
-    total = np.add(k1, np.multiply(2.0, k2, out=stage), out=stage)
-    total = np.add(total, np.multiply(2.0, k3, out=out2), out=stage)
-    total = np.add(total, k4, out=stage)
-    return y + np.multiply(h / 6.0, total, out=stage)
+    # the registers are never rebound: a number y gets no numpy scalar as out=
+    total_out, k_out, stage_out = (None,) * 3 if stages is None else stages
+    total = f(t, y, total_out)  # k1 opens the slope sum
+    k = f(t + 0.5 * h, np.add(y, np.multiply(0.5 * h, total, out=stage_out), out=stage_out),
+          k_out)
+    for c in (0.5 * h, h):
+        # k (k2, then k3) gives the next stage state before 2 k joins the sum
+        y_next = np.add(y, np.multiply(c, k, out=stage_out), out=stage_out)
+        total = np.add(total, np.multiply(2.0, k, out=k_out), out=total_out)
+        k = f(t + c, y_next, k_out)
+    total = np.add(total, k, out=total_out)
+    return y + np.multiply(h / 6.0, total, out=total_out)
 
 
 def march_plan(t0: float, T: float, dt: float, save_every: int):
@@ -305,12 +308,13 @@ def solve_lines(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
                 params: ModelParams, on_save=None) -> SpacetimeSolution:
     """Classical RK4 march of the semi-discrete system (see ``_march``).
 
-    The slopes, the stage state and ``rhs``'s intermediates live in one
-    workspace for the whole march; each step allocates only its new state.
+    The three RK4 registers (slope sum, latest slope, stage state) and
+    ``rhs``'s intermediates live in one workspace for the whole march, 11
+    rows of ``n``; each step allocates only its new state.
     """
     B0 = params.B0
     n = op.grid.n
-    stages = np.empty((5, 3, n))  # k1..k4 and the stage state
+    stages = np.empty((3, 3, n))  # the slope sum, the latest slope, the stage state
     work = np.empty((2, n))
 
     def field(t, V, out):

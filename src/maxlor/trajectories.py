@@ -10,7 +10,8 @@ the grid) in place by :class:`WorldLines`, a fold on the march's
 The proper-time variant integrates ``dz0/ds = sqrt(1 + u^2)``,
 ``dz1/ds = u`` instead and resamples onto coordinate time, which gives an
 independent consistency check on the same path.  Both take their steps
-with the solver's ``rk4_step``, the rule that also marches the fields.
+with the solver's ``rk4_step``, the rule that also marches the fields,
+and both step by the one path step ``default_path_steps`` gives.
 """
 
 from __future__ import annotations
@@ -73,26 +74,15 @@ def _span(times) -> float:
     return float(times[-1] - times[0])
 
 
-# relative slack of the path-step check, so a step equal to the saved
-# spacing up to rounding passes
+# relative slack of the path step, so a step equal to the largest saved
+# spacing up to rounding still counts as that spacing
 _STEP_SLACK = 1e-9
 
 
-def _check_path_step(times, n_steps: int) -> None:
-    """Raise unless every saved spacing of ``times`` is as fine as the path
-    step, the solved window over ``n_steps``."""
-    dr = _span(times) / n_steps
-    save_dt = float(np.max(np.diff(times)))
-    if save_dt > dr * (1.0 + _STEP_SLACK):
-        raise ValueError(
-            f"world line: largest saved spacing {save_dt:.6g} exceeds the path step "
-            f"{dr:.6g}; save more often or take fewer steps"
-        )
-
-
 def default_path_steps(times) -> int:
-    """The largest step count whose path step passes ``_check_path_step`` on
-    the saved ``times``: the default of both world lines."""
+    """The step count of every world line over the saved ``times``: the
+    most steps whose path step, the solved window over the count, is no
+    finer than the largest saved spacing."""
     span = _span(times)
     return max(1, int(span / float(np.max(np.diff(times))) * (1.0 + _STEP_SLACK)))
 
@@ -100,23 +90,20 @@ def default_path_steps(times) -> int:
 class WorldLines:
     """RK4 world lines ``dw/dt = a(u(t, w))`` from ``starts`` over the solved
     window, as a fold over the states of a run saved at ``times``.  A line
-    takes ``n_steps`` path steps (by default the most the saves allow) and
-    stops, ``exited``, once it leaves the grid.  A step to ``t + h`` runs once
-    a state after ``t + h`` is saved, the last ones in :meth:`result`; rows
-    no step reads again are dropped, so the fold holds about four of them.
+    takes ``default_path_steps(times)`` path steps and stops, ``exited``,
+    once it leaves the grid.  A step to ``t + h`` runs once a state after
+    ``t + h`` is saved, the last ones in :meth:`result`; rows no step reads
+    again are dropped, so the fold holds about four of them.
     """
 
-    def __init__(self, grid, times, starts, n_steps=None):
-        n_steps = default_path_steps(times) if n_steps is None else n_steps
-        if n_steps < 1:
-            raise ValueError("world line: n_steps must be positive")
-        _check_path_step(times, n_steps)
+    def __init__(self, grid, times, starts):
         self.x_min, self.x_max = grid.x_min, grid.x_max
         if not all(self.x_min <= w <= self.x_max for w in starts):
             raise ValueError("world line: start position outside the grid")
         self.times, self.rows = np.asarray(times, dtype=float), []
         self.u_at = _FieldSampler(self.times, grid.xs, self.rows)
-        self.n_steps, self.t_first, self.h = n_steps, float(self.times[0]), _span(times) / n_steps
+        self.n_steps = default_path_steps(times)
+        self.t_first, self.h = float(self.times[0]), _span(times) / self.n_steps
         self.positions, self.taken = [[float(w)] for w in starts], 0
 
     def _velocity(self, t, w, out=None):
@@ -153,27 +140,25 @@ class WorldLines:
                 for w, v in zip(self.positions, self.velocities)]
 
 
-def integrate_world_line(sol: SpacetimeSolution, start: float,
-                         n_steps: int | None = None) -> Trajectory:
+def integrate_world_line(sol: SpacetimeSolution, start: float) -> Trajectory:
     """The :class:`WorldLines` path from ``w = start`` through the stored
-    solution ``sol``; ``n_steps`` as there."""
-    return sol.replay(WorldLines(sol.grid, sol.times, [start], n_steps)).result()[0]
+    solution ``sol``."""
+    return sol.replay(WorldLines(sol.grid, sol.times, [start])).result()[0]
 
 
-def proper_time_world_line(sol: SpacetimeSolution, start: float, ds: float | None = None):
+def proper_time_world_line(sol: SpacetimeSolution, start: float):
     """Integrate the proper-time form over the solved window and resample
     onto coordinate time.
 
     Returns ``(z0, z1)`` arrays: coordinate times reached and positions.
     The time component advances at rate ``sqrt(1 + u^2) >= 1``, so a step
-    budget based on the window length always suffices.  The default ``ds``
-    is the window over ``default_path_steps``, the path step the
-    coordinate-time world line takes by default.
+    budget based on the window length always suffices.  The step ``ds`` is
+    the path step of the coordinate-time world line, the window over
+    ``default_path_steps``.
     """
     span = _span(sol.times)
     u_at = _FieldSampler(sol.times, sol.grid.xs, [s.u for s in sol.states])
-    if ds is None:
-        ds = span / default_path_steps(sol.times)
+    ds = span / default_path_steps(sol.times)
 
     def rate(s, z, out=None):  # the proper-time system is autonomous
         uu = u_at(z[0], z[1])
@@ -191,10 +176,9 @@ def proper_time_world_line(sol: SpacetimeSolution, start: float, ds: float | Non
     return z0, z1
 
 
-def reparametrization_gap(sol: SpacetimeSolution, start: float,
-                          n_steps: int | None = None) -> float:
+def reparametrization_gap(sol: SpacetimeSolution, start: float) -> float:
     """Max distance between the two parametrizations of the same world line."""
-    traj = integrate_world_line(sol, start, n_steps=n_steps)
+    traj = integrate_world_line(sol, start)
     if traj.exited:
         raise ValueError("reparametrization gap: path left the grid; widen the domain")
     z0, z1 = proper_time_world_line(sol, start)

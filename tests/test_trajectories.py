@@ -5,7 +5,7 @@ import pytest
 
 from maxlor.config import assemble_run, config_from_dict
 from maxlor.fields import FieldState, Grid, SpacetimeSolution
-from maxlor.nonlinearity import a
+from maxlor.nonlinearity import a, sqrt1p_sq
 from maxlor.solver import march_plan, rk4_step, solve
 from maxlor.trajectories import (
     WorldLines,
@@ -81,20 +81,17 @@ def test_step_halving_is_fourth_order():
     def u(t, x):
         return 1.0 - 2.0 * t + x + 3.0 * t * x
 
-    sol = momentum_solution(u, n=201, n_times=201)
+    # the path step is the save spacing, so 51, 101 and 201 saved times give
+    # 50, 100 and 200 steps through the same field
     end = {}
     for n_steps in (50, 100, 200):
-        end[n_steps] = integrate_world_line(sol, 0.1, n_steps=n_steps).positions[-1]
+        sol = momentum_solution(u, n=201, n_times=n_steps + 1)
+        assert default_path_steps(sol.times) == n_steps
+        end[n_steps] = integrate_world_line(sol, 0.1).positions[-1]
     err_c = abs(end[50] - end[200])
     err_f = abs(end[100] - end[200])
     assert err_f > 0.0
     assert err_c / err_f >= 8.0
-
-
-def test_rejects_path_step_finer_than_saves():
-    sol = momentum_solution(lambda t, x: np.zeros_like(x), n_times=11)
-    with pytest.raises(ValueError, match="path step"):
-        integrate_world_line(sol, 0.0, n_steps=100)
 
 
 def test_window_validation():
@@ -149,13 +146,13 @@ def test_proper_time_route_agrees():
         return 0.8 * np.exp(-x * x) * (1.0 + 0.5 * t)
 
     sol = momentum_solution(u, n=801, n_times=401)
-    gap = reparametrization_gap(sol, 0.2, n_steps=400)
+    gap = reparametrization_gap(sol, 0.2)
     assert gap <= 1e-6
 
 
 def test_proper_time_clock_never_slows():
     sol = momentum_solution(lambda t, x: np.full_like(x, 3.0))
-    z0, z1 = proper_time_world_line(sol, 0.0, ds=0.01)
+    z0, z1 = proper_time_world_line(sol, 0.0)
     assert np.all(np.diff(z0) > 0)
     assert z0[-1] >= 1.0
     # dz1/dz0 = a(u): constant momentum gives a straight line in (z0, z1)
@@ -172,9 +169,17 @@ def test_proper_time_step_defaults_to_the_world_line_path_step():
     assert default_path_steps(sol.times) == 3
     assert len(integrate_world_line(sol, 0.2).times) - 1 == 3
     z0, z1 = proper_time_world_line(sol, 0.2)
-    want = proper_time_world_line(sol, 0.2, ds=1.0 / 3)
-    assert np.array_equal(z0, want[0]) and np.array_equal(z1, want[1])
-    assert not np.array_equal(z0, proper_time_world_line(sol, 0.2, ds=0.25)[0])
+    # the proper-time march takes RK4 steps of ds = 1/3 from (0, 0.2)
+    u_at = _FieldSampler(sol.times, sol.grid.xs, [s.u for s in sol.states])
+
+    def rate(s, z, out=None):
+        uu = u_at(z[0], z[1])
+        return np.array([sqrt1p_sq(uu), uu])
+
+    z = np.array([0.0, 0.2])
+    for i in range(len(z0)):
+        assert z0[i] == z[0] and z1[i] == z[1], i
+        z = rk4_step(rate, 0.0, z, 1.0 / 3)
 
 
 def test_reparametrization_gap_requires_contained_path():

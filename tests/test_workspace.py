@@ -8,17 +8,19 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import maxlor
 from maxlor import assemble_run
-from maxlor.fields import Grid
+from maxlor.fields import FieldState, Grid, ModelParams
 from maxlor.mollifier import make_mollifier
 from maxlor.nonlinearity import a, sqrt1p_sq
 from maxlor.regops import make_operator
-from maxlor.solver import STATUS_OK, march_plan, rhs, solve_lines, solve_picard
+from maxlor.solver import (STATUS_OK, SolverConfig, march_plan, rhs, solve_lines, solve_picard,
+                           step_bound)
 
 from conftest import release_config, smooth_pieces
 
@@ -144,6 +146,28 @@ def test_buffered_march_gives_the_expression_form_bytes(pieces, method):
     for state, V in zip(sol.states, want):
         for k, name in enumerate(("E", "u", "sigma")):
             assert state.component(name).tobytes() == V[k].tobytes()
+
+
+def test_rk4_march_holds_under_20_doubles_per_grid_point():
+    # With nothing kept, an RK4 march on a long grid holds its state and the
+    # next one (6 rows of n), the three RK4 registers (9), rhs's
+    # intermediates (2) and the windowed FFT's buffers: 17.6 doubles per
+    # grid point.  Four slope registers and a stage state took 23.6.
+    n = 200_001
+    grid = Grid(-4.0, 1.0, n)
+    op = make_operator(make_mollifier("left"), 0.0005, grid)
+    sigma = np.exp(-((grid.xs + 0.5) / 0.05) ** 2)
+    initial = FieldState(0.0, np.zeros(n), 0.1 * sigma, sigma)
+    dt = step_bound(op.op_norm)
+    tracemalloc.start()
+    try:
+        sol = solve_lines(initial, SolverConfig(dt=dt), op,
+                          ModelParams(B0=0.1, T=3 * dt, eps=0.02), on_save=lambda state: None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.status == STATUS_OK and sol.meta["n_steps"] == 3
+    assert peak / (8 * n) < 20.0, peak / (8 * n)
 
 
 _FAULT_SCRIPT = textwrap.dedent("""
