@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FIELD_NAMES, SpacetimeSolution, _edge_mask
+from .fields import FIELD_NAMES, SpacetimeSolution, _interior
 from .nonlinearity import a
 from .regops import RegDerivOperator, operator_for_meta
 
@@ -337,7 +337,7 @@ def transport_residual(sol: SpacetimeSolution, op: RegDerivOperator | None = Non
             f"nu={op.nu:.6g}; need save_dt <= nu/4 = {op.nu / 4.0:.6g}"
         )
     Q = [s.sigma - op.apply(s.E) for s in sol.states]
-    cols = ~_edge_mask(sol.grid.n)
+    cols = _interior(sol.grid.n)
     worst = 0.0
     used = 0
     for i in range(1, len(times) - 1):
@@ -354,13 +354,7 @@ def transport_residual(sol: SpacetimeSolution, op: RegDerivOperator | None = Non
 
 def thin_solution(sol: SpacetimeSolution, step: int) -> SpacetimeSolution:
     """Keep every ``step``-th saved state (always keeping the first)."""
-    idx = list(range(0, len(sol.states), step))
-    return SpacetimeSolution(
-        grid=sol.grid,
-        times=sol.times[idx],
-        states=[sol.states[i] for i in idx],
-        meta=dict(sol.meta),
-    )
+    return SpacetimeSolution(sol.grid, sol.states[::step], dict(sol.meta))
 
 
 # ---------------------------------------------------------------------------

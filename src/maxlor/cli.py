@@ -39,6 +39,17 @@ EXIT_RUNTIME = 3
 EXIT_CONTAMINATED = 4
 
 
+def _positive_int(text: str) -> int:
+    """``--workers``: a count of worker processes, at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _load(args):
     try:
         cfg = cfgmod.load_config(args.config)
@@ -300,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_line, description=help_line)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=_positive_int, default=1,
                        help="worker processes for the members of sweep and probe-blowup")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")

@@ -1,11 +1,11 @@
 """Grids, field states, and assembled space-time solutions.
 
 A state carries the triple ``(E, u, sigma)`` on a uniform grid: electric
-field, momentum, and charge density.  Solutions are stacks of saved states
-plus a metadata dictionary rich enough to rebuild the operator that
-produced them.  :meth:`SpacetimeSolution.replay` feeds the saved states to
-a fold, one at a time, as the solver's ``on_save`` hook does during a run;
-a :class:`Collector` is the fold that keeps them for a stored solution.
+field, momentum, and charge density.  A stored solution is its list of
+saved states, in time order, plus a metadata dictionary rich enough to
+rebuild the operator that produced them; its times are read off the
+states.  :meth:`SpacetimeSolution.replay` feeds the saved states to a
+fold, one at a time, as the solver's ``on_save`` hook does during a run.
 
 Fields are treated as compactly supported well inside the grid; the margin
 check quantifies how badly a run violates that convention.  Runs whose
@@ -24,7 +24,6 @@ __all__ = [
     "Grid",
     "FieldState",
     "SpacetimeSolution",
-    "Collector",
     "ModelParams",
     "total_charge",
     "margin_ratio",
@@ -107,15 +106,17 @@ class ModelParams:
 @dataclass
 class SpacetimeSolution:
     grid: Grid
-    times: np.ndarray
     states: list[FieldState]
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ValueError("solution: times and states length mismatch")
-        if len(self.times) >= 2 and not np.all(np.diff(self.times) > 0):
+        if len(self.states) >= 2 and not np.all(np.diff(self.times) > 0):
             raise ValueError("solution: times must be strictly increasing")
+
+    @property
+    def times(self) -> np.ndarray:
+        """The saved times, read off the states."""
+        return np.array([s.t for s in self.states], dtype=float)
 
     def replay(self, fold):
         """Feed each saved state to ``fold`` in time order; returns ``fold``."""
@@ -128,28 +129,15 @@ class SpacetimeSolution:
         return self.meta.get("status", "ok")
 
 
-class Collector(list):
-    """The stored route's fold: keeps every saved state it is given."""
-
-    def __call__(self, state: FieldState) -> None:
-        self.append(state)
-
-    def solution(self, grid: Grid, meta: dict) -> SpacetimeSolution:
-        """The kept states, in the time order the march saved them."""
-        return SpacetimeSolution(grid, np.asarray([s.t for s in self]), list(self), meta)
-
-
 def total_charge(grid: Grid, state: FieldState) -> float:
     """Trapezoidal integral of sigma over the grid."""
     return float(np.trapezoid(state.sigma, dx=grid.dx))
 
 
-def _edge_mask(n: int) -> np.ndarray:
+def _interior(n: int) -> slice:
+    """The columns inside the outermost ``MARGIN_FRACTION`` band at each end."""
     k = max(1, int(round(MARGIN_FRACTION * (n - 1))))
-    mask = np.zeros(n, dtype=bool)
-    mask[: k + 1] = True
-    mask[-(k + 1):] = True
-    return mask
+    return slice(k + 1, n - k - 1)
 
 
 def margin_ratio(grid: Grid, state: FieldState) -> float:
@@ -159,9 +147,10 @@ def margin_ratio(grid: Grid, state: FieldState) -> float:
     ratio 0.  Ratios above ``CONTAMINATION_TOL`` mean the compact-support
     margin convention is violated.
     """
-    edge = _edge_mask(grid.n)
+    inside = _interior(grid.n)
     tot = np.abs(state.E) + np.abs(state.u) + np.abs(state.sigma)
-    interior_max = float(np.max(tot[~edge]))
+    interior_max = float(np.max(tot[inside]))
     if interior_max == 0.0:
         return 0.0
-    return float(np.max(tot[edge]) / interior_max)
+    edge_max = np.maximum(np.max(tot[:inside.start]), np.max(tot[inside.stop:]))
+    return float(edge_max / interior_max)

@@ -10,7 +10,8 @@ host-dependent is ever written.
 
 State files and the headline numbers are folds over saved states
 (:class:`StateWriter`, :class:`SolveSummary`): ``solve`` writes each state
-as the march saves it, and the stored-run functions replay ``sol.states``.
+as the march saves it, the stored-run functions replay ``sol.states``, and
+:func:`read_solution` reads a run directory back into that list of states.
 A state file is written by a numpy kernel instead of one ``%`` per value,
 a block of rows at a time.  It scales each double by a power of ten held
 as a double-double (Dekker's two-product, so no FMA is needed), which
@@ -38,7 +39,7 @@ import os
 
 import numpy as np
 
-from .fields import Collector, FieldState, Grid, SpacetimeSolution, total_charge
+from .fields import FieldState, Grid, SpacetimeSolution, total_charge
 
 __all__ = [
     "canonical_config_bytes",
@@ -322,12 +323,12 @@ def read_solution(out_dir) -> SpacetimeSolution:
         meta = json.load(fh)
     g = meta["grid"]
     grid = Grid(x_min=g["x_min"], x_max=g["x_max"], n=g["n"])
-    states = Collector()
+    states = []
     for t, name in zip(meta["times"], meta["files"]):
         data = np.loadtxt(os.path.join(out_dir, name), delimiter=",", skiprows=1)
-        states(FieldState(t=t, E=data[:, 1], u=data[:, 2], sigma=data[:, 3]))
+        states.append(FieldState(t=t, E=data[:, 1], u=data[:, 2], sigma=data[:, 3]))
     inner_meta = {k: v for k, v in meta.items() if k not in ("grid", "times", "files")}
-    return states.solution(grid, inner_meta)
+    return SpacetimeSolution(grid, states, inner_meta)
 
 
 class SolveSummary:

@@ -19,10 +19,11 @@ matching grids is a meaningful consistency check rather than a tautology.
 The march owns everything else: setup checks, the forward time grid, one
 overflow policy, and one hook, ``on_save``, that gets each saved state as
 it is saved; a caller folding the states there gets back a solution with
-only ``meta``, and without a hook the solution holds every state.  Each
-integrator also owns a workspace, allocated once per march, into which
-its stages, ``rhs`` and the regularized derivative write; a step hands
-out one fresh state, since the saved states hold views of it.
+no states, and without a hook the march appends each state to the
+solution it returns.  Each integrator also owns a workspace, allocated
+once per march, into which its stages, ``rhs`` and the regularized
+derivative write; a step hands out one fresh state, since the saved
+states hold views of it.
 Floating-point overflow never warns; a stage the nonlinearity refuses as
 non-finite, a non-finite new state, or one wandering past a multiple of
 the a-priori bound for the continuum system aborts the run, keeping what
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    Collector,
     FieldState,
     ModelParams,
     SpacetimeSolution,
@@ -274,9 +274,9 @@ def _march(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
         "guard_factor": cfg.guard_factor,
         "status": STATUS_OK,
     }
-    kept, ratios = Collector(), []
+    sol, ratios = SpacetimeSolution(op.grid, [], meta), []
     if on_save is None:
-        on_save = kept  # the stored route
+        on_save = sol.states.append  # the stored route
 
     def save(t, V):
         state = FieldState(t, *V)
@@ -301,7 +301,7 @@ def _march(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
 
     meta["margin_ratio"] = max(ratios)
     meta["boundary_contaminated"] = bool(meta["margin_ratio"] > CONTAMINATION_TOL)
-    return kept.solution(op.grid, meta)
+    return sol
 
 
 def solve_lines(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,

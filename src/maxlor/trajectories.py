@@ -104,7 +104,7 @@ class WorldLines:
         self.u_at = _FieldSampler(self.times, grid.xs, self.rows)
         self.n_steps = default_path_steps(times)
         self.t_first, self.h = float(self.times[0]), _span(times) / self.n_steps
-        self.positions, self.taken = [[float(w)] for w in starts], 0
+        self.positions, self.taken, self.live = [[float(w)] for w in starts], 0, 0
 
     def _velocity(self, t, w, out=None):
         return a(self.u_at(t, w))
@@ -114,10 +114,12 @@ class WorldLines:
         if len(self.rows) == 1:  # the first node's velocity reads row 0 alone
             self.velocities = [[self._velocity(self.t_first, w[0])] for w in self.positions]
         self._advance(self.times[len(self.rows) - 1])
-        # drop the rows before the one at or below the next step's start
+        # drop the rows before the one at or below the next step's start;
+        # rows before ``live`` are gone already, so each row is dropped once
         t = self.t_first + self.taken * self.h
         drop = min(int(np.searchsorted(self.times, t, side="right")) - 1, len(self.times) - 2)
-        self.rows[:drop] = [None] * drop
+        self.rows[self.live:drop] = [None] * (drop - self.live)
+        self.live = drop
 
     def _advance(self, t_saved: float) -> None:
         h = self.h

@@ -203,11 +203,9 @@ def test_08_world_lines(acceptance_report):
     times = np.linspace(0.0, 1.0, 101)
     z = np.zeros(grid.n)
     still = SpacetimeSolution(
-        grid=grid, times=times,
-        states=[FieldState(t, z, z, z) for t in times], meta={"status": "ok"})
+        grid=grid, states=[FieldState(t, z, z, z) for t in times], meta={"status": "ok"})
     moving = SpacetimeSolution(
-        grid=grid, times=times,
-        states=[FieldState(t, z, np.ones(grid.n), z) for t in times],
+        grid=grid, states=[FieldState(t, z, np.ones(grid.n), z) for t in times],
         meta={"status": "ok"})
     still_err = float(np.max(np.abs(integrate_world_line(still, 0.3).positions - 0.3)))
     traj = integrate_world_line(moving, -0.5)

@@ -106,8 +106,7 @@ def synthetic_solution(grid, times, fields, meta=None):
     base = {"status": "ok", "q": 1.0}
     if meta:
         base.update(meta)
-    return SpacetimeSolution(grid=grid, times=np.asarray(times, float),
-                             states=states, meta=base)
+    return SpacetimeSolution(grid=grid, states=states, meta=base)
 
 
 class TestPair:

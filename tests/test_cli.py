@@ -619,7 +619,7 @@ class TestScalingAndBlowup:
                 on_save(FieldState(t, ones, ones, ones / eps))
             meta = {"eps": eps, "status": "guard" if eps == 0.2 else "ok",
                     "boundary_contaminated": eps != 0.2, "a_priori_bound": 1.0}
-            return SpacetimeSolution(op.grid, np.empty(0), [], meta)
+            return SpacetimeSolution(op.grid, [], meta)
 
         monkeypatch.setattr("maxlor.solver.solve", fake_solve)
         cfg = os.path.join(CONFIGS, "blowup_family.json")
@@ -659,6 +659,17 @@ def test_contaminated_run_says_why_it_exits_4(tmp_path, command, flag):
 def test_unknown_subcommand_fails_fast(capsys):
     with pytest.raises(SystemExit):
         main(["transmogrify"])
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_are_refused_before_out_exists(tmp_path, capsys, workers):
+    cfg = os.path.join(CONFIGS, "obstruction_sweep.json")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", cfg, "--out", str(out), "--workers", workers])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--workers: must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # runs one subcommand in a fresh interpreter and prints the SciPy modules it loaded

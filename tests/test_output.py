@@ -148,8 +148,7 @@ def solution_of(columns, x_min=-1.0, x_max=1.0):
     """Two saved states holding the given (E, u, sigma) columns in turn."""
     E, u, sigma = (np.asarray(c, dtype=float) for c in columns)
     states = [FieldState(0.0, E, u, sigma), FieldState(0.5, sigma, E, u)]
-    return SpacetimeSolution(grid=Grid(x_min, x_max, len(E)),
-                             times=np.array([0.0, 0.5]), states=states)
+    return SpacetimeSolution(grid=Grid(x_min, x_max, len(E)), states=states)
 
 
 def assert_writers_agree(out_dir, sol):

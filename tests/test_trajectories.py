@@ -26,8 +26,7 @@ def momentum_solution(u_of_tx, x_min=-2.0, x_max=2.0, n=401, t_max=1.0, n_times=
         FieldState(t, z.copy(), np.asarray(u_of_tx(t, grid.xs), float), z.copy())
         for t in times
     ]
-    return SpacetimeSolution(grid=grid, times=times, states=states,
-                            meta={"status": "ok"})
+    return SpacetimeSolution(grid=grid, states=states, meta={"status": "ok"})
 
 
 def test_sampler_equals_the_blended_row_up_to_rounding():
@@ -122,6 +121,32 @@ def test_world_line_copies_no_field():
     finally:
         tracemalloc.stop()
     assert peak < stack_bytes, (peak, stack_bytes)
+
+
+class _CountingRows(list):
+    """A row list that counts the slots written through item assignment."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += len(value) if isinstance(key, slice) else 1
+        super().__setitem__(key, value)
+
+
+def test_world_lines_drop_each_row_once():
+    # dropping rows costs O(saves) in all: re-nulling every earlier slot at
+    # each save would write about S^2 / 2 of them
+    n_saved = 2_000
+    grid = Grid(-1.0, 1.0, 16)
+    times = np.linspace(0.0, 1.0, n_saved)
+    lines = WorldLines(grid, times, [0.0])
+    lines.rows = lines.u_at.rows = _CountingRows()
+    z = np.zeros(grid.n)
+    for t in times:
+        lines(FieldState(t, z, z, z))
+    assert lines.rows.writes <= n_saved, lines.rows.writes
+    assert sum(row is not None for row in lines.rows) <= 4
+    assert not np.any(lines.result()[0].positions)
 
 
 def test_exit_truncates_path():
