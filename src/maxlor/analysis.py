@@ -7,7 +7,10 @@ each one fold over saved states, which a run hangs on the solver's
 into.  ``transport_residual`` differences neighbouring saves of a stored
 run.  The sweep and the blow-up probe share one family runner (pooled if
 asked), which records each member's sizes and keeps a member that raises
-as an "error" row.
+as an "error" row.  The process pool is imported only when ``workers``
+is above 1, and the 64-node Gauss-Legendre rule of the closed-form
+integrals is built on first use, so a run that computes no pairing
+target never loads ``numpy.polynomial``.
 
 The sweep verdict logic encodes the central structural dichotomy: smooth
 pairings that settle down are reported ``converging``; a family whose
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,15 +74,20 @@ SUPPORT_REL_TOL = 1e-8
 # ---------------------------------------------------------------------------
 # quadrature: the 64-node Gauss-Legendre rule on each smooth piece
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+@functools.cache
+def _gl_rule():
+    # built on first use: numpy.polynomial stays unloaded in a run that
+    # computes no pairing target
+    return np.polynomial.legendre.leggauss(64)
 
 
 def _gl_map(lo, hi):
+    nodes, weights = _gl_rule()
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    return mid[..., None] + half[..., None] * _GL_NODES, half[..., None] * _GL_WEIGHTS
+    return mid[..., None] + half[..., None] * nodes, half[..., None] * weights
 
 
 def _gauss(f, lo, hi, breaks=()):
@@ -408,6 +415,9 @@ def _run_family(template, eps_schedule, make, args=(), workers: int = 1):
         raise ValueError("family: eps schedule must be non-empty and strictly decreasing")
     run = functools.partial(_run_member, template, make, args)
     if workers > 1:
+        # imported here: the pool's modules load only when a run asks for it
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool starts all its processes at once: never more than members
         with ProcessPoolExecutor(max_workers=min(workers, len(eps_schedule))) as pool:
             rows = list(pool.map(run, eps_schedule))

@@ -26,20 +26,31 @@ the tables that may need quoting.
 
 The run id is the first 12 hex digits of the SHA-256 of the canonical
 config serialization, so directories are self-describing and reruns are
-trivially linkable to their inputs.
+trivially linkable to their inputs.  The digest comes from the
+interpreter's built-in SHA-256 module (``hashlib`` only where that is
+missing), so writing a run never loads OpenSSL.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import json
 import os
 
 import numpy as np
 
 from .fields import FieldState, Grid, SpacetimeSolution, total_charge
+
+# the interpreter's built-in SHA-256 gives hashlib's digest without loading
+# OpenSSL, as CPython's random.py does: _sha2 from 3.12, _sha256 before it
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 __all__ = [
     "canonical_config_bytes",
@@ -70,7 +81,7 @@ def canonical_config_bytes(cfg_dict: dict) -> bytes:
 
 
 def run_id(cfg_dict: dict) -> str:
-    return hashlib.sha256(canonical_config_bytes(cfg_dict)).hexdigest()[:12]
+    return _sha256(canonical_config_bytes(cfg_dict)).hexdigest()[:12]
 
 
 def write_json(path, obj) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tempfile
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maxlor import output
-from maxlor.config import assemble_run, config_from_dict, config_to_dict
+from maxlor.config import assemble_run, config_from_dict, config_to_dict, load_config
 from maxlor.fields import FieldState, Grid, SpacetimeSolution
 from maxlor.output import (
     canonical_config_bytes,
@@ -50,6 +51,17 @@ def test_run_id_frozen_and_stable():
     assert run_id({"b": [1.5, 2], "a": 1}) == FROZEN_ID
     assert len(run_id({})) == 12
     assert run_id({"a": 1}) != run_id({"a": 2})
+
+
+@pytest.mark.parametrize("cfg_dict", [
+    pytest.param({"b": [1.5, 2], "a": 1}, id="frozen"),
+    *(pytest.param(config_to_dict(load_config(path)), id=path.stem)
+      for path in sorted((Path(__file__).parent.parent / "configs").glob("*.json"))),
+])
+def test_run_id_is_hashlibs_sha256(cfg_dict):
+    # the built-in SHA-256 run_id takes must agree with OpenSSL's
+    expected = hashlib.sha256(canonical_config_bytes(cfg_dict)).hexdigest()[:12]
+    assert run_id(cfg_dict) == expected
 
 
 def test_write_json_is_deterministic(tmp_path):
