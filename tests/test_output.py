@@ -12,16 +12,16 @@ from maxlor import output
 from maxlor.config import assemble_run, config_from_dict, config_to_dict, load_config
 from maxlor.fields import FieldState, Grid, SpacetimeSolution
 from maxlor.output import (
+    SolveSummary,
+    StateWriter,
     canonical_config_bytes,
     fmt,
-    read_solution,
     run_id,
-    solve_summary,
     write_json,
-    write_solution,
     write_table,
 )
-from maxlor.solver import solve
+
+from stored_route import stored_solve
 
 # sha256 of the canonical encoding of {"b": [1.5, 2], "a": 1}, computed
 # independently with the sha256sum tool on the bytes {"a":1,"b":[1.5,2]}
@@ -92,26 +92,39 @@ def solved_run():
         "solver": {"save_every": 8},
     })
     pieces = assemble_run(cfg)
-    sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
+    sol = stored_solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
     return cfg, sol
+
+
+def write_run(out_dir, sol, cfg_dict):
+    """A run directory written from a stored solution; returns its meta.json."""
+    return sol.replay(StateWriter(out_dir, sol.grid)).finish(sol.meta, cfg_dict)
+
+
+def read_states(out_dir):
+    """The ``(E, u, sigma)`` columns of each state file, read as docs/plotting.md does."""
+    meta = json.loads((Path(out_dir) / "meta.json").read_text())
+    return [np.loadtxt(Path(out_dir) / name, delimiter=",", skiprows=1)[:, 1:].T
+            for name in meta["files"]]
 
 
 def test_solution_round_trip_is_exact(tmp_path, solved_run):
     cfg, sol = solved_run
-    meta = write_solution(tmp_path / "run", sol, config_to_dict(cfg))
-    again = read_solution(tmp_path / "run")
-    assert np.array_equal(again.times, sol.times)
-    for s1, s2 in zip(sol.states, again.states):
-        for name in ("E", "u", "sigma"):
-            assert np.array_equal(s1.component(name), s2.component(name))
-    assert again.grid.n == sol.grid.n
-    assert again.meta["run_id"] == meta["run_id"]
+    meta = write_run(tmp_path / "run", sol, config_to_dict(cfg))
+    assert meta["times"] == sol.times.tolist()
+    again = read_states(tmp_path / "run")
+    assert len(again) == len(sol.states)
+    for s1, columns in zip(sol.states, again):
+        for name, column in zip(("E", "u", "sigma"), columns):
+            assert np.array_equal(s1.component(name), column)
+    assert meta["grid"]["n"] == sol.grid.n
+    assert meta["run_id"] == run_id(config_to_dict(cfg))
 
 
 def test_written_layout(tmp_path, solved_run):
     cfg, sol = solved_run
     out = tmp_path / "run"
-    meta = write_solution(out, sol, config_to_dict(cfg))
+    meta = write_run(out, sol, config_to_dict(cfg))
     names = sorted(p.name for p in out.iterdir())
     assert "meta.json" in names
     assert "config.json" in names
@@ -125,8 +138,8 @@ def test_written_layout(tmp_path, solved_run):
 def test_double_write_is_byte_identical(tmp_path, solved_run):
     cfg, sol = solved_run
     d = config_to_dict(cfg)
-    write_solution(tmp_path / "r1", sol, d)
-    write_solution(tmp_path / "r2", sol, d)
+    write_run(tmp_path / "r1", sol, d)
+    write_run(tmp_path / "r2", sol, d)
     for p1 in sorted((tmp_path / "r1").iterdir()):
         p2 = tmp_path / "r2" / p1.name
         assert p1.read_bytes() == p2.read_bytes(), p1.name
@@ -134,7 +147,7 @@ def test_double_write_is_byte_identical(tmp_path, solved_run):
 
 def test_summary_reports_the_run(solved_run):
     _, sol = solved_run
-    s = solve_summary(sol)
+    s = sol.replay(SolveSummary(sol.grid)).result(sol.meta)
     for key in ("status", "a_priori_bound", "op_norm", "nu", "eps",
                 "charge_initial", "charge_final", "charge_max_drift",
                 "peak_amplitude", "margin_ratio", "boundary_contaminated",
@@ -164,18 +177,18 @@ def solution_of(columns, x_min=-1.0, x_max=1.0):
 
 
 def assert_writers_agree(out_dir, sol):
-    """write_solution's state files equal write_table's on the same rows, and
+    """The state files equal write_table's on the same rows, and
     read back bit for bit (nan as nan)."""
-    meta = write_solution(out_dir / "run", sol, {})
+    meta = write_run(out_dir / "run", sol, {})
     for name, state in zip(meta["files"], sol.states):
         table = out_dir / "table.csv"
         write_table(table, ("x", "E", "u", "sigma"),
                     zip(sol.grid.xs, state.E, state.u, state.sigma))
         assert (out_dir / "run" / name).read_bytes() == table.read_bytes(), name
-    again = read_solution(out_dir / "run")
-    for s1, s2 in zip(sol.states, again.states):
-        for field_name in ("E", "u", "sigma"):
-            v1, v2 = s1.component(field_name), s2.component(field_name)
+    again = read_states(out_dir / "run")
+    for s1, columns in zip(sol.states, again):
+        for field_name, v2 in zip(("E", "u", "sigma"), columns):
+            v1 = s1.component(field_name)
             nan = np.isnan(v1)
             assert np.array_equal(nan, np.isnan(v2))
             assert np.array_equal(v1[~nan].view(np.uint64), v2[~nan].view(np.uint64))

@@ -7,7 +7,7 @@ from scipy import fft as sfft
 
 from maxlor.fields import Grid
 from maxlor.mollifier import make_mollifier
-from maxlor.regops import SPECTRA_KEPT, make_operator, next_fast_len, operator_for_meta
+from maxlor.regops import SPECTRA_KEPT, make_operator, next_fast_len
 
 
 def _direct(op, f, kernel):
@@ -153,16 +153,6 @@ def test_kernel_narrower_than_a_cell_is_refused():
         make_operator(m, 4 * g.dx, g)
 
 
-def test_rebuild_from_meta():
-    g = Grid(-2.0, 2.0, 801)
-    m = make_mollifier("left", support=(-1.5, 0.0))
-    op = make_operator(m, 0.12, g)
-    meta = {"mollifier": m.spec_dict(), "nu": 0.12}
-    op2 = operator_for_meta(meta, g)
-    assert np.array_equal(op.weights, op2.weights)
-    assert np.array_equal(op.offsets, op2.offsets)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=0.05, max_value=0.5), st.integers(min_value=200, max_value=900))
 def test_weight_sum_property(nu, n):
@@ -233,9 +223,8 @@ def test_exact_zeros_outside_dependency_cone(kind):
 
 def test_operators_from_same_meta_are_bit_identical():
     g = Grid(-4.0, 1.0, 8001)
-    meta = {"mollifier": make_mollifier("left").spec_dict(), "nu": 0.1}
-    op1 = operator_for_meta(meta, g)
-    op2 = operator_for_meta(meta, g)
+    op1 = make_operator(make_mollifier("left"), 0.1, g)
+    op2 = make_operator(make_mollifier("left"), 0.1, g)
     rng = np.random.default_rng(3)
     f = rng.standard_normal(g.n)
     assert np.array_equal(op1.apply(f), op2.apply(f))
@@ -337,15 +326,14 @@ def test_apply_does_not_depend_on_the_operator_history():
     # a sweep member gives the same bytes whether its operator is fresh, as
     # in a pool worker, or has transformed other supports first
     g = Grid(-4.0, 1.0, 8001)
-    meta = {"mollifier": make_mollifier("left").spec_dict(), "nu": 0.05}
-    used = operator_for_meta(meta, g)
+    used = make_operator(make_mollifier("left"), 0.05, g)
     rng = np.random.default_rng(11)
     fields = [_supported(g.n, rng, shape)
               for shape in ("grid", "island", "point", "first", "last", "island", "grid")]
     for f in fields:
         used.apply(f)
     for f in fields[::-1]:
-        fresh = operator_for_meta(meta, g)
+        fresh = make_operator(make_mollifier("left"), 0.05, g)
         assert used.apply(f).tobytes() == fresh.apply(f).tobytes()
 
 

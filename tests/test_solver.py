@@ -16,13 +16,13 @@ from maxlor.solver import (
     SolverConfig,
     a_priori_bound,
     rhs,
-    solve,
     solve_lines,
     solve_picard,
     step_bound,
 )
 
 from conftest import smooth_pieces
+from stored_route import stored_solve
 
 
 def small_pieces(method="rk4", dt=0.005, T=0.1, save_every=2, B0=1.0, amp=0.1):
@@ -94,7 +94,8 @@ def test_momentum_overflowing_in_a_stage_aborts_the_march():
     z = np.zeros(grid.n)
     initial = FieldState(0.0, z.copy(), 1e308 * np.sin(grid.xs), z.copy())
     params = ModelParams(B0=0.0, T=0.05, eps=0.1)
-    sol = solve_lines(initial, SolverConfig(dt=0.01, method="rk4"), op, params)
+    sol = stored_solve(initial, SolverConfig(dt=0.01, method="rk4"), op, params,
+                       march=solve_lines)
     assert sol.status == STATUS_OVERFLOW
     assert sol.meta["abort"]["message"] == "overflow at t=0.01"
     assert len(sol.states) == 1
@@ -107,12 +108,13 @@ def test_zero_data_stays_exactly_zero():
     params = ModelParams(B0=5.0, T=1.0, eps=0.1)
     for method in ("rk4", "picard"):
         cfg = SolverConfig(dt=0.01, method=method, save_every=10)
-        sol = solve(initial, cfg, op, params)
+        sol = stored_solve(initial, cfg, op, params)
         assert sol.status == STATUS_OK
         for s in sol.states:
             assert s.max_abs() == 0.0
     # one fixed-point sweep suffices on zero data
-    psol = solve_picard(initial, SolverConfig(dt=0.01, method="picard"), op, params)
+    psol = stored_solve(initial, SolverConfig(dt=0.01, method="picard"), op, params,
+                        march=solve_picard)
     assert psol.meta["picard"]["max_chunk_iterations"] == 1
 
 
@@ -121,7 +123,7 @@ def test_rk4_fourth_order_in_dt():
     sols = {}
     for dt in (0.01, 0.005, 0.0025):
         cfg = SolverConfig(dt=dt, method="rk4", save_every=10**6)
-        sols[dt] = solve(initial, cfg, op, params).states[-1]
+        sols[dt] = stored_solve(initial, cfg, op, params).states[-1]
     ref = sols[0.0025]
     err_c = max(np.max(np.abs(sols[0.01].component(n) - ref.component(n))) for n in "Eu")
     err_f = max(np.max(np.abs(sols[0.005].component(n) - ref.component(n))) for n in "Eu")
@@ -130,8 +132,8 @@ def test_rk4_fourth_order_in_dt():
 
 def test_cross_method_agreement_short_horizon():
     grid, op, params, initial, _ = small_pieces(T=0.1)
-    lines = solve(initial, SolverConfig(dt=0.0025, method="rk4", save_every=8), op, params)
-    picard = solve(
+    lines = stored_solve(initial, SolverConfig(dt=0.0025, method="rk4", save_every=8), op, params)
+    picard = stored_solve(
         initial,
         SolverConfig(dt=0.0025, method="picard", save_every=8, picard_tol=1e-12),
         op,
@@ -177,7 +179,7 @@ def test_transport_companion_matches(smooth_rk4):
 
 def test_uniqueness_probe():
     grid, op, params, initial, cfg = small_pieces(T=0.2, save_every=5)
-    base = solve(initial, cfg, op, params)
+    base = stored_solve(initial, cfg, op, params)
     rng = np.random.default_rng(0)
     noisy = FieldState(
         0.0,
@@ -185,7 +187,7 @@ def test_uniqueness_probe():
         initial.u + 1e-10 * rng.uniform(-1.0, 1.0, grid.n),
         initial.sigma + 1e-10 * rng.uniform(-1.0, 1.0, grid.n),
     )
-    other = solve(noisy, cfg, op, params)
+    other = stored_solve(noisy, cfg, op, params)
     C = 3.0 * (op.op_norm + 1.0)
     for t, s1, s2 in zip(base.times, base.states, other.states):
         gap = max(
@@ -215,7 +217,7 @@ def test_step_bound_enforced():
     grid, op, params, initial, _ = small_pieces()
     bad = SolverConfig(dt=1.0, method="rk4")
     with pytest.raises(ValueError) as exc:
-        solve_lines(initial, bad, op, params)
+        stored_solve(initial, bad, op, params, march=solve_lines)
     assert "step bound" in str(exc.value)
     assert f"{step_bound(op.op_norm):.6g}"[:6] in str(exc.value)
 
@@ -227,7 +229,8 @@ def test_overflow_abort_preserves_partial_output():
     huge = 2e307 * np.sin(grid.xs)
     initial = FieldState(0.0, huge.copy(), huge.copy(), huge.copy())
     params = ModelParams(B0=0.0, T=0.5, eps=0.1)
-    sol = solve_lines(initial, SolverConfig(dt=0.01, method="rk4"), op, params)
+    sol = stored_solve(initial, SolverConfig(dt=0.01, method="rk4"), op, params,
+                       march=solve_lines)
     assert sol.status == STATUS_OVERFLOW
     assert "overflow at t=" in sol.meta["abort"]["message"]
     assert len(sol.states) >= 1
@@ -243,7 +246,8 @@ def test_picard_overflow_abort_warns_nothing():
     params = ModelParams(B0=0.0, T=0.5, eps=0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = solve_picard(initial, SolverConfig(dt=0.01, method="picard"), op, params)
+        sol = stored_solve(initial, SolverConfig(dt=0.01, method="picard"), op, params,
+                           march=solve_picard)
     assert sol.status == STATUS_OVERFLOW
     assert sol.meta["abort"]["reason"] == "overflow"
     assert np.all(np.isfinite(sol.states[0].E))
@@ -254,7 +258,7 @@ def test_guard_abort(monkeypatch):
     # clean run, so shrink the bound artificially to exercise the guard path
     monkeypatch.setattr(solver_mod, "a_priori_bound", lambda *args: 1e-6)
     grid, op, params, initial, cfg = small_pieces(T=0.2)
-    sol = solve_lines(initial, cfg, op, params)
+    sol = stored_solve(initial, cfg, op, params, march=solve_lines)
     assert sol.status == STATUS_GUARD
     assert "a-priori bound" in sol.meta["abort"]["message"]
     assert len(sol.states) >= 1
@@ -264,7 +268,7 @@ def test_guard_abort(monkeypatch):
 def test_picard_guard_abort(monkeypatch):
     monkeypatch.setattr(solver_mod, "a_priori_bound", lambda *args: 1e-6)
     grid, op, params, initial, cfg = small_pieces(method="picard", T=0.2)
-    sol = solve_picard(initial, cfg, op, params)
+    sol = stored_solve(initial, cfg, op, params, march=solve_picard)
     assert sol.status == STATUS_GUARD
     assert "a-priori bound" in sol.meta["abort"]["message"]
     assert len(sol.states) >= 1
@@ -280,7 +284,7 @@ def test_picard_left_node_rhs_once_per_step(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "rhs", counted)
     grid, op, params, initial, cfg = small_pieces(method="picard", dt=0.005, T=0.1)
-    sol = solve_picard(initial, cfg, op, params)
+    sol = stored_solve(initial, cfg, op, params, march=solve_picard)
     assert sol.status == STATUS_OK
     picard = sol.meta["picard"]
     assert picard["subinterval_steps"] == 1
@@ -294,18 +298,18 @@ def test_picard_stall_when_step_does_not_contract():
     # expand; half the field strength still contracts on the same step
     grid, op, params, initial, _ = small_pieces(B0=100.0)
     cfg = SolverConfig(dt=step_bound(op.op_norm), method="picard")
-    sol = solve_picard(initial, cfg, op, params)
+    sol = stored_solve(initial, cfg, op, params, march=solve_picard)
     assert sol.status == STATUS_PICARD_STALL
     assert sol.meta["abort"]["reason"] == "no-contraction"
     assert "lower dt" in sol.meta["abort"]["message"]
     grid, op, params, initial, _ = small_pieces(B0=50.0)
-    assert solve_picard(initial, cfg, op, params).status == STATUS_OK
+    assert stored_solve(initial, cfg, op, params, march=solve_picard).status == STATUS_OK
 
 
 def test_picard_stall_when_iterations_run_out():
     grid, op, params, initial, _ = small_pieces()
     cfg = SolverConfig(dt=0.005, method="picard", picard_max_iter=2)
-    sol = solve_picard(initial, cfg, op, params)
+    sol = stored_solve(initial, cfg, op, params, march=solve_picard)
     assert sol.status == STATUS_PICARD_STALL
     assert sol.meta["abort"]["reason"] == "no-convergence"
     assert sol.meta["abort"]["t"] == 0.0
@@ -316,7 +320,7 @@ def test_picard_stall_when_iterations_run_out():
 def test_save_grid_covers_endpoints(method):
     grid, op, params, initial, _ = small_pieces(T=0.1)
     cfg = SolverConfig(dt=0.003, method=method, save_every=7)
-    sol = solve(initial, cfg, op, params)
+    sol = stored_solve(initial, cfg, op, params)
     assert sol.times[0] == 0.0
     assert sol.times[-1] == pytest.approx(0.1, abs=1e-12)
     assert sol.meta["n_steps"] == 34  # ceil(0.1/0.003)
@@ -325,8 +329,8 @@ def test_save_grid_covers_endpoints(method):
 @pytest.mark.parametrize("method", ["rk4", "picard"])
 def test_identical_runs_are_bitwise_equal(method):
     grid, op, params, initial, cfg = small_pieces(method, T=0.1)
-    s1 = solve(initial, cfg, op, params)
-    s2 = solve(initial, cfg, op, params)
+    s1 = stored_solve(initial, cfg, op, params)
+    s2 = stored_solve(initial, cfg, op, params)
     for a_, b in zip(s1.states, s2.states):
         assert np.array_equal(a_.E, b.E)
         assert np.array_equal(a_.u, b.u)

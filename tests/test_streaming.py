@@ -20,6 +20,8 @@ from maxlor.config import assemble_run, config_from_dict
 from maxlor.fields import FieldState, Grid
 from maxlor.solver import march_plan, solve
 
+from stored_route import stored_solve
+
 
 @pytest.mark.parametrize("n", [16, 1001, 32001, 256001])
 def test_row_trapezoid_equals_the_stacked_reduction_bit_for_bit(n):
@@ -57,7 +59,7 @@ def test_march_plan_is_the_save_grid_the_march_uses(T, dt, save_every):
             "scaling": {"kind": "constant", "c": 0.2}, "eps": 0.1,
             "model": {"T": T}, "solver": {"dt": dt, "save_every": save_every}}
     pieces = assemble_run(config_from_dict(body))
-    sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
+    sol = stored_solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
     h, times, saved = march_plan(0.0, T, dt, save_every)
     assert sol.meta["n_steps"] == len(times) - 1 and sol.meta["dt"] == h
     assert sol.times.tolist() == [times[i] for i in saved]
@@ -131,14 +133,15 @@ def test_streamed_sweep_member_peaks_below_its_states():
 
 
 def test_stored_functions_replay_into_the_streamed_folds(release_left, tmp_path):
-    # each public stored-solution function equals its fold fed by the march
+    # each stored-solution function, and each fold replayed over the stored
+    # states, equals its fold fed by the march
     pieces, sol = release_left
     grid, op = pieces.grid, pieces.operator
     psi = TestFunction2D(t0=0.3, x0=-0.2, r_t=0.1, r_x=0.1)
     folds = {
-        "pair": analysis._Pairing(grid, "Q", psi, op, 0.0, pieces.params.T),
-        "support": analysis._Support(grid, 0.05),
-        "compare": analysis._Compare(grid, pieces.params.q),
+        "pair": analysis.Pairing(grid, "Q", psi, op, 0.0, pieces.params.T),
+        "support": analysis.SupportProbe(grid, 0.05),
+        "compare": analysis.LinearGaps(grid, pieces.params.q),
         "summary": output.SolveSummary(grid),
         "writer": output.StateWriter(tmp_path / "streamed", grid),
     }
@@ -146,8 +149,8 @@ def test_stored_functions_replay_into_the_streamed_folds(release_left, tmp_path)
                  on_save=lambda s: [fold(s) for fold in folds.values()]).meta
     assert folds["pair"].result() == analysis.pair(sol, "Q", psi, op)
     assert folds["support"].result() == analysis.support_probe(sol, 0.05)
-    assert folds["compare"].result() == analysis.compare_linearized(sol)
-    assert folds["summary"].result(meta) == output.solve_summary(sol)
+    assert folds["compare"].result() == sol.replay(analysis.LinearGaps(grid, 1.0)).result()
+    assert folds["summary"].result(meta) == sol.replay(output.SolveSummary(grid)).result(sol.meta)
     assert folds["writer"].finish(meta, {}) == output.write_solution(tmp_path / "stored", sol, {})
     for name in folds["writer"].files + ["meta.json", "config.json"]:
         assert ((tmp_path / "streamed" / name).read_bytes()

@@ -7,14 +7,9 @@ from maxlor.config import assemble_run, config_from_dict
 from maxlor.fields import FieldState, Grid, SpacetimeSolution
 from maxlor.nonlinearity import a, sqrt1p_sq
 from maxlor.solver import march_plan, rk4_step, solve
-from maxlor.trajectories import (
-    WorldLines,
-    _FieldSampler,
-    default_path_steps,
-    integrate_world_line,
-    proper_time_world_line,
-    reparametrization_gap,
-)
+from maxlor.trajectories import WorldLines, _FieldSampler, default_path_steps, integrate_world_line
+
+from stored_route import proper_time_world_line, reparametrization_gap, stored_solve, world_line
 
 
 def momentum_solution(u_of_tx, x_min=-2.0, x_max=2.0, n=401, t_max=1.0, n_times=101,
@@ -46,7 +41,7 @@ def test_sampler_equals_the_blended_row_up_to_rounding():
 
 def test_zero_momentum_is_exactly_stationary():
     sol = momentum_solution(lambda t, x: np.zeros_like(x))
-    traj = integrate_world_line(sol, 0.3)
+    traj = world_line(sol, 0.3)
     assert np.all(traj.positions == 0.3)
     assert np.all(traj.velocities == 0.0)
     assert traj.max_speed == 0.0
@@ -56,7 +51,7 @@ def test_zero_momentum_is_exactly_stationary():
 def test_constant_momentum_moves_linearly():
     c = 1.0
     sol = momentum_solution(lambda t, x: np.full_like(x, c))
-    traj = integrate_world_line(sol, -0.5)
+    traj = world_line(sol, -0.5)
     v = a(c)
     assert v == 0.7071067811865475
     assert np.all(traj.velocities == v)
@@ -67,7 +62,7 @@ def test_constant_momentum_moves_linearly():
 def test_speed_always_subluminal():
     # a steep, loud momentum field still cannot push the path past light speed
     sol = momentum_solution(lambda t, x: 1e6 * np.sin(8 * x + 5 * t))
-    traj = integrate_world_line(sol, 0.0)
+    traj = world_line(sol, 0.0)
     assert traj.max_speed < 1.0
     steps = np.abs(np.diff(traj.positions))
     dr = np.diff(traj.times)
@@ -86,7 +81,7 @@ def test_step_halving_is_fourth_order():
     for n_steps in (50, 100, 200):
         sol = momentum_solution(u, n=201, n_times=n_steps + 1)
         assert default_path_steps(sol.times) == n_steps
-        end[n_steps] = integrate_world_line(sol, 0.1).positions[-1]
+        end[n_steps] = world_line(sol, 0.1).positions[-1]
     err_c = abs(end[50] - end[200])
     err_f = abs(end[100] - end[200])
     assert err_f > 0.0
@@ -96,14 +91,14 @@ def test_step_halving_is_fourth_order():
 def test_window_validation():
     sol = momentum_solution(lambda t, x: np.zeros_like(x))
     with pytest.raises(ValueError, match="start position"):
-        integrate_world_line(sol, 5.0)
+        world_line(sol, 5.0)
 
 
 def test_one_saved_time_is_refused():
     sol = momentum_solution(lambda t, x: np.zeros_like(x), n_times=1)
-    for world_line in (integrate_world_line, proper_time_world_line):
+    for route in (world_line, proper_time_world_line):
         with pytest.raises(ValueError, match="two saved times"):
-            world_line(sol, 0.0)
+            route(sol, 0.0)
     with pytest.raises(ValueError, match="two saved times"):
         default_path_steps(sol.times)
 
@@ -116,7 +111,7 @@ def test_world_line_copies_no_field():
     stack_bytes = n_saved * n * np.dtype(float).itemsize
     tracemalloc.start()
     try:
-        integrate_world_line(sol, 0.0)
+        world_line(sol, 0.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -151,7 +146,7 @@ def test_world_lines_drop_each_row_once():
 
 def test_exit_truncates_path():
     sol = momentum_solution(lambda t, x: np.full_like(x, 1e9), x_min=-1.0, x_max=1.0)
-    traj = integrate_world_line(sol, 0.9)
+    traj = world_line(sol, 0.9)
     assert traj.exited
     assert traj.times[-1] < sol.times[-1]
     assert traj.positions[-1] > 1.0
@@ -159,7 +154,7 @@ def test_exit_truncates_path():
 
 def test_multiple_starts_order_preserved():
     sol = momentum_solution(lambda t, x: np.full_like(x, 2.0))
-    trajs = [integrate_world_line(sol, start) for start in (-0.5, 0.0, 0.5)]
+    trajs = [world_line(sol, start) for start in (-0.5, 0.0, 0.5)]
     assert [t.start for t in trajs] == [-0.5, 0.0, 0.5]
     # ordered starts stay ordered under one velocity field
     finals = [t.positions[-1] for t in trajs]
@@ -192,7 +187,7 @@ def test_proper_time_step_defaults_to_the_world_line_path_step():
     sol = momentum_solution(lambda t, x: 0.8 * np.exp(-x * x) * (1.0 + t),
                             times=[0.0, 0.3, 0.6, 0.9, 1.0])
     assert default_path_steps(sol.times) == 3
-    assert len(integrate_world_line(sol, 0.2).times) - 1 == 3
+    assert len(world_line(sol, 0.2).times) - 1 == 3
     z0, z1 = proper_time_world_line(sol, 0.2)
     # the proper-time march takes RK4 steps of ds = 1/3 from (0, 0.2)
     u_at = _FieldSampler(sol.times, sol.grid.xs, [s.u for s in sol.states])
@@ -217,7 +212,7 @@ def test_world_line_on_solver_output(release_left):
     # released charge drifts into the half-plane it radiates into; the world
     # line must stay subluminal and inside the domain for the whole window
     _, sol = release_left
-    traj = integrate_world_line(sol, -0.05)
+    traj = world_line(sol, -0.05)
     assert not traj.exited
     assert traj.max_speed < 1.0
     assert traj.times[-1] == pytest.approx(float(sol.times[-1]))
@@ -268,7 +263,7 @@ def test_the_live_fold_equals_the_stored_replay(T, save_every, n_march):
         held.append(sum(row is not None for row in lines.rows))
 
     solve(pieces.initial, pieces.solver, pieces.operator, pieces.params, on_save=on_save)
-    stored = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
+    stored = stored_solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
     assert max(held) <= 4, held
     live = lines.result()
     assert lines.n_steps == default_path_steps(stored.times)

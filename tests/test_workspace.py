@@ -23,6 +23,7 @@ from maxlor.solver import (STATUS_OK, SolverConfig, march_plan, rhs, solve_lines
                            step_bound)
 
 from conftest import release_config, smooth_pieces
+from stored_route import stored_solve
 
 
 def _operators():
@@ -139,7 +140,7 @@ def test_buffered_march_gives_the_expression_form_bytes(pieces, method):
     initial, cfg, op, params = pieces()
     cfg = dataclasses.replace(cfg, method=method)
     march = solve_lines if method == "rk4" else solve_picard
-    sol = march(initial, cfg, op, params)
+    sol = stored_solve(initial, cfg, op, params, march=march)
     assert sol.status == STATUS_OK
     want = _reference_march(initial, cfg, op, params)
     assert len(sol.states) == len(want)
@@ -185,7 +186,8 @@ _FAULT_SCRIPT = textwrap.dedent("""
 
     def march(steps):
         cfg = SolverConfig(dt=dt, method=sys.argv[1], save_every=1000)
-        return solve(initial, cfg, op, ModelParams(B0=0.1, T=steps * dt, eps=0.02))
+        return solve(initial, cfg, op, ModelParams(B0=0.1, T=steps * dt, eps=0.02),
+                     on_save=[].append)
 
     march(4)  # the interpreter's and numpy's own first-use faults
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
