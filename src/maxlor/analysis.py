@@ -641,7 +641,7 @@ class _Peak:
     # states; an aborted member keeps the peak of what it saved
 
     def __init__(self, pieces, window: float, center: float):
-        self.mask, self.peaks = _window_mask(pieces.grid, window, center, pieces.eps), []
+        self.mask, self.peaks = _window_mask(pieces.grid, window, center, pieces.params.eps), []
 
     def __call__(self, state) -> None:
         self.peaks.append(float(np.max(np.abs((state.sigma * a(state.u))[self.mask]))))

@@ -28,6 +28,7 @@ import os
 import sys
 
 from . import analysis, config as cfgmod, output, trajectories as trajmod
+from .fields import FIELD_NAMES
 from .scaling import verify_growth_condition
 from .solver import STATUS_OK, march_plan, solve
 
@@ -97,15 +98,6 @@ def _exit_code(summary) -> int:
     return EXIT_CONTAMINATED if any(flags if isinstance(flags, list) else [flags]) else EXIT_OK
 
 
-def _run_status(sol) -> dict:
-    """The status block of a one-solve summary: what ``_exit_code`` reads."""
-    return {
-        "status": sol.status,
-        "a_priori_bound": sol.meta.get("a_priori_bound"),
-        "boundary_contaminated": sol.meta.get("boundary_contaminated"),
-    }
-
-
 def _family_status(fam) -> dict:
     """A family's status block: one entry per member, ``members`` holding
     each one's sizes (grid, stencil, FFT, steps, saves); ``errors`` if one raised."""
@@ -160,7 +152,7 @@ def _run_check_support(cfg, args, out):
     sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params, on_save=probe)
     rep = probe.result()
     rows = []
-    for name in ("E", "u", "sigma"):
+    for name in FIELD_NAMES:
         rows.append((name, "right", rep.sup_right[name], rep.global_max[name], rep.rel_right(name)))
         rows.append((name, "left", rep.sup_left[name], rep.global_max[name], rep.rel_left(name)))
     output.write_table(
@@ -168,15 +160,15 @@ def _run_check_support(cfg, args, out):
         ("field", "side", "sup", "global_max", "relative"), rows,
     )
     # a one-sided kernel keeps the other half-line vacuum; a symmetric one has none
-    vacuum = {"left": "right", "right": "left"}.get(pieces.mollifier.kind)
+    vacuum = {"left": "right", "right": "left"}.get(pieces.operator.mollifier.kind)
     rel = {"right": rep.rel_right, "left": rep.rel_left}.get(vacuum)
-    worst = None if rel is None else max(rel(n) for n in ("E", "u", "sigma"))
+    worst = None if rel is None else max(rel(n) for n in FIELD_NAMES)
     summary = {
         "x0": x0,
         "vacuum_side": vacuum,
         "worst_relative": worst,
         "confined": None if worst is None else bool(worst <= analysis.SUPPORT_REL_TOL),
-        **_run_status(sol),
+        **output.run_status(sol.meta),
     }
     return summary, f"vacuum side {vacuum}: worst relative {worst}"
 
@@ -195,7 +187,7 @@ def _run_compare_lin(cfg, args, out):
         "q": pieces.params.q,
         "max_l1_E": rep.max_l1_E,
         "max_l1_u": rep.max_l1_u,
-        **_run_status(sol),
+        **output.run_status(sol.meta),
     }
     line = f"max L1 gap: E {rep.max_l1_E:.6g}, u {rep.max_l1_u:.6g}"
     return summary, line
@@ -223,10 +215,9 @@ def _run_probe_blowup(cfg, args, out):
 def _run_trajectories(cfg, args, out):
     pieces = cfgmod.assemble_run(cfg)
     # the world lines step on the save grid the march is about to take
-    _, times, saved = march_plan(pieces.initial.t, pieces.params.T, pieces.solver.dt,
-                                 pieces.solver.save_every)
-    lines = trajmod.WorldLines(pieces.grid, [times[i] for i in saved],
-                               cfg.experiment["trajectory_starts"])
+    _, _, saved_times = march_plan(pieces.initial.t, pieces.params.T, pieces.solver.dt,
+                                   pieces.solver.save_every)
+    lines = trajmod.WorldLines(pieces.grid, saved_times, cfg.experiment["trajectory_starts"])
     sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params, on_save=lines)
     rows = []
     # an aborted solve has no field to integrate through; else the summary
@@ -247,7 +238,7 @@ def _run_trajectories(cfg, args, out):
     summary = {
         "trajectories": rows,
         "n_steps": lines.n_steps if ok else None,
-        **_run_status(sol),
+        **output.run_status(sol.meta),
     }
     if rows:
         line = (f"integrated {len(rows)} world line(s), "

@@ -23,7 +23,8 @@ configured grid, each schedule member on its refined grid) it calls the
 builders the run calls (scaling, grid refinement, operator, delta-net
 sampling, the solver's step bound) and reports what they raise; each
 ``psi`` entry goes through the sweep's ``psi_from_dict`` and the pairing
-window check, and the growth grid through ``verify_growth_condition``.
+window check, and the growth grid through ``verify_growth_condition`` at
+every p of ``growth_p``.
 ``assemble_run`` turns a config plus a concrete eps into ready-to-solve
 pieces.
 """
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import copy
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +43,8 @@ from .deltanet import DeltaNet, net_from_spec, sample
 from .fields import FIELD_NAMES, FieldState, Grid, ModelParams
 from .mollifier import DEFAULT_SUPPORTS, Mollifier, make_mollifier
 from .regops import MIN_CELLS_PER_WIDTH, RegDerivOperator, make_operator
-from .scaling import ScalingFunction, h_eval, make_scaling, verify_growth_condition
-from .solver import SolverConfig, _check_step, step_bound
+from .scaling import SCALING_KINDS, ScalingFunction, h_eval, make_scaling, verify_growth_condition
+from .solver import METHODS, SolverConfig, _check_step, step_bound
 
 __all__ = [
     "RunConfig",
@@ -66,7 +67,9 @@ MAX_GRID_POINTS = 600_000
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    # a finite float, or an int a float holds: the builders call float() on it
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _is_pos(v) -> bool:
@@ -74,7 +77,7 @@ def _is_pos(v) -> bool:
 
 
 def _is_pos_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+    return isinstance(v, int) and _is_num(v) and v >= 1
 
 
 def _is_num_list(v, ok=lambda x: True) -> bool:
@@ -120,7 +123,7 @@ _SCHEMA = {
                     "a pair [lo, hi] with lo < hi"),
     },
     "scaling": {
-        "kind": ("powerlaw", ("loglog", "powerlaw", "constant"), None),
+        "kind": ("powerlaw", SCALING_KINDS, None),
         "c": (1.0, *_POSITIVE),
         "exponent": (1.0, *_FINITE),
     },
@@ -131,7 +134,7 @@ _SCHEMA = {
     },
     "solver": {
         "dt": ("auto", lambda v: v == "auto" or _is_pos(v), "a positive number or 'auto'"),
-        "method": ("rk4", ("rk4", "picard"), None),
+        "method": ("rk4", METHODS, None),
         "save_every": (1, _is_pos_int, "a positive integer"),
         "picard_tol": (1e-10, *_POSITIVE),
         "picard_max_iter": (200, _is_pos_int, "a positive integer"),
@@ -371,10 +374,13 @@ def _check_experiment(cfg: RunConfig, window, refused: set, scaling_ok: bool) ->
         for i, spec in enumerate(_experiment_value(cfg, "psi") or ()):
             errors.extend(f"experiment: psi[{i}] {problem}"
                           for problem in _psi_problems(spec, window))
-    if scaling_ok and "growth_eps" not in refused:
-        # the rules above leave only the scaling's own domain to fail, for any p
+    if scaling_ok and not refused & {"growth_p", "growth_eps"}:
+        # the rules above leave the scaling's own domain and the range of
+        # h^-p to fail; check-scaling runs every p of growth_p
+        scl, eps_grid = build_scaling(cfg), _experiment_value(cfg, "growth_eps")
         try:
-            verify_growth_condition(build_scaling(cfg), 1, _experiment_value(cfg, "growth_eps"))
+            for p in _experiment_value(cfg, "growth_p"):
+                verify_growth_condition(scl, p, eps_grid)
         except ValueError as exc:
             errors.append(f"experiment: growth_eps: {exc}")
     return errors
@@ -507,22 +513,17 @@ def _profile_values(prof: dict, grid: Grid, eps: float, net: DeltaNet | None) ->
 
 
 def build_initial_state(cfg: RunConfig, grid: Grid, eps: float,
-                        net: DeltaNet | None = None) -> FieldState:
-    if net is None and _uses_net(cfg):
-        net = net_from_spec(cfg.delta_net)
-    fields = {
-        name: _profile_values(cfg.initial[name], grid, eps, net)
-        for name in ("E", "u", "sigma")
-    }
-    return FieldState(t=0.0, E=fields["E"], u=fields["u"], sigma=fields["sigma"])
+                        net: DeltaNet | None) -> FieldState:
+    """The t = 0 state on ``grid``; a delta-net profile samples ``net``, the run's, at eps."""
+    fields = {name: _profile_values(cfg.initial[name], grid, eps, net) for name in FIELD_NAMES}
+    return FieldState(t=0.0, **fields)
 
 
 @dataclass
 class RunPieces:
+    """A member ready to solve: ``params`` holds eps, ``operator`` the kernel and width nu."""
+
     grid: Grid
-    mollifier: Mollifier
-    eps: float
-    nu: float
     net: DeltaNet | None
     operator: RegDerivOperator
     params: ModelParams
@@ -531,7 +532,7 @@ class RunPieces:
 
 
 def _uses_net(cfg: RunConfig) -> bool:
-    return any(cfg.initial[name]["kind"] == "delta-net" for name in ("E", "u", "sigma"))
+    return any(cfg.initial[name]["kind"] == "delta-net" for name in FIELD_NAMES)
 
 
 def _member_grid(cfg: RunConfig, eps: float, nu: float, net: DeltaNet | None,
@@ -571,18 +572,14 @@ def assemble_run(cfg: RunConfig, eps: float | None = None,
     if eps is None:
         raise ValueError("config: no eps given and none set in the config")
     eps = float(eps)
-    moll = build_mollifier(cfg)
     nu = h_eval(build_scaling(cfg), eps)
     net = net_from_spec(cfg.delta_net) if _uses_net(cfg) else None
     grid = _member_grid(cfg, eps, nu, net, refine)
-    op = make_operator(moll, nu, grid)
+    op = make_operator(build_mollifier(cfg), nu, grid)
     solver_cfg = build_solver_config(cfg, op.op_norm)
     q = float(cfg.model["q"])
     if net is not None and cfg.initial["sigma"]["kind"] == "delta-net":
         q = net.mass
     params = ModelParams(B0=float(cfg.model["B0"]), T=float(cfg.model["T"]), eps=eps, q=q)
-    initial = build_initial_state(cfg, grid, eps, net=net)
-    return RunPieces(
-        grid=grid, mollifier=moll, eps=eps, nu=nu, net=net,
-        operator=op, params=params, initial=initial, solver=solver_cfg,
-    )
+    return RunPieces(grid=grid, net=net, operator=op, params=params,
+                     initial=build_initial_state(cfg, grid, eps, net), solver=solver_cfg)

@@ -61,6 +61,7 @@ __all__ = [
     "write_table",
     "StateWriter",
     "SolveSummary",
+    "run_status",
 ]
 
 
@@ -328,6 +329,12 @@ def write_solution(out_dir, sol: SpacetimeSolution, cfg_dict: dict) -> dict:
     return sol.replay(StateWriter(out_dir, sol.grid)).finish(sol.meta, cfg_dict)
 
 
+def run_status(meta: dict) -> dict:
+    """The status block of a one-solve summary, read off the run's ``meta``."""
+    return {"status": meta.get("status", "ok"), "a_priori_bound": meta.get("a_priori_bound"),
+            "boundary_contaminated": meta.get("boundary_contaminated")}
+
+
 class SolveSummary:
     """The headline numbers of a run as a fold: each saved state's charge,
     peak amplitude and time; ``result`` adds the run's record."""
@@ -342,8 +349,7 @@ class SolveSummary:
         charges, peaks, times = zip(*self.rows)
         q0 = charges[0]
         return {
-            "status": meta.get("status", "ok"),
-            "a_priori_bound": meta.get("a_priori_bound"),
+            **run_status(meta),
             "op_norm": meta.get("op_norm"),
             "nu": meta.get("nu"),
             "eps": meta.get("eps"),
@@ -352,7 +358,6 @@ class SolveSummary:
             "charge_max_drift": max(abs(c - q0) for c in charges),
             "peak_amplitude": max(peaks),
             "margin_ratio": meta.get("margin_ratio"),
-            "boundary_contaminated": meta.get("boundary_contaminated"),
             "n_saved": len(charges),
             "t_final": times[-1],
         }

@@ -51,6 +51,8 @@ from .mollifier import Mollifier
 __all__ = ["RegDerivOperator", "make_operator", "next_fast_len"]
 
 MIN_CELLS_PER_WIDTH = 4
+# stencil weights an operator may hold: a wider kernel is a config mistake
+MAX_STENCIL = 1_000_000
 # kernel spectra an operator keeps, one per transform length, least
 # recently used dropped first
 SPECTRA_KEPT = 2
@@ -139,7 +141,8 @@ def make_operator(m: Mollifier, nu: float, grid: Grid) -> RegDerivOperator:
 
     Fails when the kernel is not resolved by at least four grid cells; an
     under-resolved kernel silently degrades every downstream experiment, so
-    this is checked here rather than at use sites.
+    this is checked here rather than at use sites.  A kernel spanning more
+    than ``MAX_STENCIL`` cells (an infinite width among them) fails too.
     """
     dx = grid.dx
     if not nu > 0.0:
@@ -149,8 +152,14 @@ def make_operator(m: Mollifier, nu: float, grid: Grid) -> RegDerivOperator:
             f"regops: grid spacing dx={dx:.6g} cannot resolve kernel width nu={nu:.6g}; "
             f"need nu >= {MIN_CELLS_PER_WIDTH}*dx = {MIN_CELLS_PER_WIDTH * dx:.6g}, refine the grid"
         )
-    j_min = int(np.floor(nu * m.s_lo / dx - 0.5))
-    j_max = int(np.ceil(nu * m.s_hi / dx + 0.5))
+    # the stencil's offset range, checked before anything is sized by it
+    lo, hi = nu * m.s_lo / dx - 0.5, nu * m.s_hi / dx + 0.5
+    if not hi - lo <= MAX_STENCIL:
+        raise ValueError(
+            f"regops: kernel width nu={nu:.6g} spans more than {MAX_STENCIL} cells of "
+            f"dx={dx:.6g}; lower the width"
+        )
+    j_min, j_max = int(np.floor(lo)), int(np.ceil(hi))
     js = np.arange(j_min, j_max + 1)
     edges_hi = m.eval((js + 0.5) * dx / nu) / nu
     edges_lo = m.eval((js - 0.5) * dx / nu) / nu

@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ScalingFunction", "GrowthReport", "make_scaling", "h_eval", "verify_growth_condition", "LOGLOG_EPS_MAX"]
+__all__ = ["ScalingFunction", "GrowthReport", "make_scaling", "h_eval", "verify_growth_condition",
+           "LOGLOG_EPS_MAX", "SCALING_KINDS"]
 
 # the double log is only a usable denominator for eps below exp(-e)
 LOGLOG_EPS_MAX = math.exp(-math.e)
 
-_KINDS = ("loglog", "powerlaw", "constant")
+SCALING_KINDS = ("loglog", "powerlaw", "constant")
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class ScalingFunction:
 
 
 def make_scaling(kind: str, c: float, exponent: float = 1.0) -> ScalingFunction:
-    if kind not in _KINDS:
+    if kind not in SCALING_KINDS:
         raise ValueError(f"scaling: unknown kind {kind!r}")
     if not (math.isfinite(c) and c > 0.0):
         raise ValueError(f"scaling: c must be positive, got {c}")
@@ -50,20 +51,25 @@ def make_scaling(kind: str, c: float, exponent: float = 1.0) -> ScalingFunction:
 
 
 def h_eval(s: ScalingFunction, eps: float) -> float:
-    """Evaluate the schedule at eps; rejects inadmissible arguments."""
+    """Evaluate the schedule at eps; rejects inadmissible arguments and a
+    width that underflows to 0 or overflows."""
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"scaling: eps must be positive, got {eps}")
     if s.kind == "constant":
-        return s.c
-    if s.kind == "powerlaw":
-        return s.c * eps**s.exponent
-    # loglog
-    if eps >= LOGLOG_EPS_MAX:
+        nu = s.c
+    elif s.kind == "powerlaw":
+        nu = s.c * eps**s.exponent
+    elif eps >= LOGLOG_EPS_MAX:
         raise ValueError(
             f"scaling: loglog schedule needs eps < exp(-e) = {LOGLOG_EPS_MAX:.6g}, "
             f"got eps={eps:g}"
         )
-    return s.c / math.log(math.log(1.0 / eps))
+    else:
+        nu = s.c / math.log(math.log(1.0 / eps))
+    if not 0.0 < nu < math.inf:
+        raise ValueError(f"scaling: width h(eps) = {nu:g} at eps={eps:g} is not a positive "
+                         "finite number")
+    return nu
 
 
 @dataclass(frozen=True)
@@ -92,7 +98,12 @@ def verify_growth_condition(s: ScalingFunction, p: float, eps_grid) -> GrowthRep
     if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise ValueError("scaling: eps grid must be strictly decreasing")
     hs = [h_eval(s, e) for e in eps]
-    rs = [h ** (-p) / math.log(1.0 / e) for h, e in zip(hs, eps)]
+    try:
+        rs = [h ** (-p) / math.log(1.0 / e) for h, e in zip(hs, eps)]
+    except (OverflowError, ZeroDivisionError):
+        # h^-p beyond the double range, or ln(1/eps) = 0 at eps = 1
+        raise ValueError(f"scaling: growth ratio h^-{p:g} / ln(1/eps) is not finite "
+                         "on this eps grid") from None
     diffs = np.diff(rs)
     tail = diffs[-3:] if len(diffs) >= 3 else diffs
     slack = 1e-12 * max(abs(r) for r in rs)

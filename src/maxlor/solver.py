@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    FIELD_NAMES,
     FieldState,
     ModelParams,
     SpacetimeSolution,
@@ -51,6 +52,7 @@ from .regops import RegDerivOperator
 
 __all__ = [
     "SolverConfig",
+    "METHODS",
     "rhs",
     "solve",
     "solve_lines",
@@ -64,6 +66,8 @@ __all__ = [
     "STATUS_GUARD",
     "STATUS_PICARD_STALL",
 ]
+
+METHODS = ("rk4", "picard")
 
 STATUS_OK = "ok"
 STATUS_OVERFLOW = "overflow"
@@ -86,7 +90,7 @@ class SolverConfig:
     def __post_init__(self):
         if not self.dt > 0.0:
             raise ValueError(f"solver: dt must be positive, got {self.dt}")
-        if self.method not in ("rk4", "picard"):
+        if self.method not in METHODS:
             raise ValueError(f"solver: unknown method {self.method!r}")
         if self.save_every < 1:
             raise ValueError("solver: save_every must be >= 1")
@@ -228,13 +232,13 @@ def rk4_step(f, t, y, h, stages=None):
 
 
 def march_plan(t0: float, T: float, dt: float, save_every: int):
-    """``(h, times, saved)`` of a march over ``T`` from ``t0``: ``ceil(T/dt)``
-    equal steps ``h``, ``times[i]`` the time after step ``i``, and the saved
-    step numbers: 0, every ``save_every``-th, the last."""
+    """``(h, n_steps, saved_times)`` of a march over ``T`` from ``t0``: ``ceil(T/dt)``
+    equal steps ``h``, and the times ``t0 + i * h`` (``_march``'s expression) after
+    the saved steps ``i``: 0, every ``save_every``-th, the last."""
     n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
     h = T / n_steps
-    times = [t0 + i * h for i in range(n_steps + 1)]
-    return h, times, list(range(0, n_steps, save_every)) + [n_steps]
+    saved = list(range(0, n_steps, save_every)) + [n_steps]
+    return h, n_steps, [t0 + i * h for i in saved]
 
 
 def _march(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
@@ -253,12 +257,11 @@ def _march(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
     """
     if len(initial.E) != op.grid.n:
         raise ValueError("solver: initial state does not match operator grid")
-    for name in ("E", "u", "sigma"):
+    for name in FIELD_NAMES:
         if not np.all(np.isfinite(initial.component(name))):
             raise ValueError(f"solver: non-finite initial data in {name}")
     _check_step(cfg.dt, op.op_norm)
-    h, times, saved = march_plan(initial.t, params.T, cfg.dt, cfg.save_every)
-    n_steps = len(times) - 1
+    h, n_steps, saved_times = march_plan(initial.t, params.T, cfg.dt, cfg.save_every)
     meta = {
         "solver": method,
         "dt": h,
@@ -283,19 +286,18 @@ def _march(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
         on_save(state)
 
     V = np.array([initial.E, initial.u, initial.sigma], dtype=float)
-    saved = set(saved)
     with np.errstate(over="ignore", invalid="ignore"):
-        save(times[0], V)
+        save(saved_times[0], V)
         for i in range(1, n_steps + 1):
-            t = times[i]
+            t = initial.t + i * h
             try:
-                V = step(times[i - 1], V, h, meta)
+                V = step(initial.t + (i - 1) * h, V, h, meta)
             except ValueError:
                 _abort(meta, STATUS_OVERFLOW, "overflow", t, f"overflow at t={t:.6g}")
                 break
             if V is None or _guard_tripped(meta, t, V):
                 break
-            if i in saved:
+            if i % cfg.save_every == 0 or i == n_steps:
                 save(t, V)
 
     meta["margin_ratio"] = max(ratios)

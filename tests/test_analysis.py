@@ -601,8 +601,10 @@ class TestBlowupProbe:
     @staticmethod
     def _peaks(sols, eps_values):
         # each member's fold over its saved states, as the family runner hangs it
-        return tuple(sol.replay(analysis._Peak(SimpleNamespace(grid=sol.grid, eps=eps), 0.25, 0.0))
-                     .result() for sol, eps in zip(sols, eps_values))
+        def pieces(sol, eps):
+            return SimpleNamespace(grid=sol.grid, params=SimpleNamespace(eps=eps))
+        return tuple(sol.replay(analysis._Peak(pieces(sol, eps), 0.25, 0.0)).result()
+                     for sol, eps in zip(sols, eps_values))
 
     def test_reciprocal_peaks_give_unit_exponent(self):
         eps_values = (0.2, 0.1, 0.05, 0.025)

@@ -186,8 +186,8 @@ def test_round_trip_through_json(tmp_path):
 
 def test_assemble_run_wires_the_pieces_together():
     pieces = assemble_run(config_from_dict({}))
-    assert pieces.eps == 0.1
-    assert pieces.nu == pytest.approx(1.0 * 0.1)  # powerlaw c=1, exponent=1
+    assert pieces.params.eps == 0.1
+    assert pieces.operator.nu == pytest.approx(1.0 * 0.1)  # powerlaw c=1, exponent=1
     # the model charge follows the prepared point-charge mass
     assert pieces.params.q == pieces.net.mass
     assert pieces.solver.dt == pytest.approx(0.4 * step_bound(pieces.operator.op_norm))
@@ -206,7 +206,7 @@ def test_assemble_run_refines_by_doubling():
     cfg = cfg_of(grid={"x_min": -4.0, "x_max": 1.0, "n": 101},
                  scaling={"kind": "constant", "c": 0.1})
     pieces = assemble_run(cfg, eps=0.01, refine=True)
-    finest = min(pieces.nu, pieces.net.half_width(0.01))
+    finest = min(pieces.operator.nu, pieces.net.half_width(0.01))
     assert pieces.grid.dx <= finest / 4.0
     # doubling the cell count keeps the original nodes as a subset
     assert (pieces.grid.n - 1) % 100 == 0
@@ -231,7 +231,7 @@ def test_initial_profile_builders():
             "sigma": {"kind": "zero"},
         },
     })
-    state = build_initial_state(cfg, grid, 0.1)
+    state = build_initial_state(cfg, grid, 0.1, None)
     i = int(np.argmin(np.abs(grid.xs + 1.0)))
     assert state.E[i] == pytest.approx(2.0, abs=1e-12)
     assert state.u[i] == pytest.approx(1.0, abs=1e-12)
