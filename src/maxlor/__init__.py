@@ -23,7 +23,6 @@ from .analysis import (
     TestFunction2D,
     blow_up_probe,
     limit_sweep,
-    linear_system_residuals,
     linearized_reference,
 )
 from .config import (
@@ -35,7 +34,7 @@ from .config import (
     load_config,
     validate_config,
 )
-from .deltanet import DeltaNet, net_from_spec, sample, verify_strict
+from .deltanet import DeltaNet, net_from_spec, sample
 from .fields import FieldState, Grid, ModelParams, SpacetimeSolution, total_charge
 from .mollifier import Mollifier, make_mollifier
 from .nonlinearity import a, sqrt1p_sq

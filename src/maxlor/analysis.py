@@ -9,9 +9,11 @@ solution feeds a fold with ``sol.replay(fold)``.  The sweep and the
 blow-up probe share one family runner (pooled if asked), which records
 each member's sizes and keeps a member that raises as an "error" row.
 The process pool is imported only when ``workers`` is above 1, and the
-64-node Gauss-Legendre rule of the closed-form integrals is built on
-first use, so a run that computes no pairing target never loads
-``numpy.polynomial``.
+64-node Gauss-Legendre rule of the obstruction's pairing target is built
+on first use, so a run that computes no pairing target never loads
+``numpy.polynomial``.  The linearized closed form is here for
+:class:`LinearGaps`; the tests hold the residual check that it solves its
+system.
 
 The sweep verdict logic encodes the central structural dichotomy: smooth
 pairings that settle down are reported ``converging``; a family whose
@@ -45,7 +47,6 @@ __all__ = [
     "LinearGaps",
     "limit_sweep",
     "linearized_reference",
-    "linear_system_residuals",
     "blow_up_probe",
     "psi_from_dict",
     "diag_pairing_target",
@@ -66,38 +67,6 @@ OBSTRUCTION_PAIRING_TOL = 1e-8
 OBSTRUCTION_TARGET_MIN = 1e-3
 # relative tolerance for "support stays on one side"
 SUPPORT_REL_TOL = 1e-8
-
-
-# ---------------------------------------------------------------------------
-# quadrature: the 64-node Gauss-Legendre rule on each smooth piece
-
-@functools.cache
-def _gl_rule():
-    # built on first use: numpy.polynomial stays unloaded in a run that
-    # computes no pairing target
-    return np.polynomial.legendre.leggauss(64)
-
-
-def _gl_map(lo, hi):
-    nodes, weights = _gl_rule()
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    return mid[..., None] + half[..., None] * nodes, half[..., None] * weights
-
-
-def _gauss(f, lo, hi, breaks=()):
-    """``int f(t) dt`` over ``[lo, hi]``, split at the breaks inside it.
-
-    ``f`` takes a vector of nodes; it must be smooth on each piece.
-    """
-    cuts = sorted({lo, hi} | {b for b in breaks if lo < b < hi})
-    total = 0.0
-    for a_, b in zip(cuts, cuts[1:]):
-        tn, tw = _gl_map(a_, b)
-        total += float(np.sum(f(tn) * tw))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -141,38 +110,21 @@ class TestFunction2D:
         return self.x0 + self.r_x
 
     @staticmethod
-    def _b(s, deriv: bool):
-        # the bump b(s), or its derivative b'(s) = b(s) * (-2 s / (1 - s^2)^2)
+    def _b(s):
+        # the bump b(s), zero off (-1, 1)
         s = np.asarray(s)
         out = np.zeros_like(s)
         inside = np.abs(s) < 1.0
         si = s[inside]
-        one = 1.0 - si * si
-        out[inside] = np.exp(1.0 - 1.0 / one)
-        if deriv:
-            out[inside] *= -2.0 * si / one**2
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - si * si))
         return out
 
-    def _eval(self, t, x, d_t: bool, d_x: bool):
-        # psi, or its t- or x-derivative, at broadcast (t, x); floats give a float
+    def value(self, t, x):
+        """psi at broadcast ``(t, x)``; floats give a float."""
         st = (np.asarray(t, dtype=float) - self.t0) / self.r_t
         sx = (np.asarray(x, dtype=float) - self.x0) / self.r_x
-        out = self.amplitude * self._b(st, d_t)
-        if d_t:
-            out = out / self.r_t
-        out = out * self._b(sx, d_x)
-        if d_x:
-            out = out / self.r_x
+        out = self.amplitude * self._b(st) * self._b(sx)
         return float(out) if out.ndim == 0 else out
-
-    def value(self, t, x):
-        return self._eval(t, x, False, False)
-
-    def dt(self, t, x):
-        return self._eval(t, x, True, False)
-
-    def dx(self, t, x):
-        return self._eval(t, x, False, True)
 
     def label(self) -> str:
         return f"({self.t0:g},{self.x0:g})r({self.r_t:g},{self.r_x:g})"
@@ -203,7 +155,18 @@ def diag_pairing_target(psi: TestFunction2D, slope: float = 1.0) -> float:
         lo, hi = max(lo, psi.x_hi / slope), min(hi, psi.x_lo / slope)
     if lo >= hi:
         return 0.0
-    return _gauss(lambda tn: psi.value(tn, slope * tn), lo, hi)
+    nodes, weights = _gl_rule()
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    tn = mid + half * nodes
+    # 0.0 + writes a -0.0 sum as 0.0
+    return 0.0 + float(np.sum(psi.value(tn, slope * tn) * (half * weights)))
+
+
+@functools.cache
+def _gl_rule():
+    # built on first use: numpy.polynomial stays unloaded in a run that
+    # computes no pairing target
+    return np.polynomial.legendre.leggauss(64)
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +468,8 @@ class LinearizedReference:
     """Closed-form solution of the linearized system with point-charge data.
 
     For charge q at the origin: ``E = q (H(x) - H(x-t))``,
-    ``u = q (t-x)(H(x) - H(x-t))``, and the charge stays ``q delta(x)``,
-    available only through its pairing rule.  The jump convention is
-    ``H(0) = 1/2``.
+    ``u = q (t-x)(H(x) - H(x-t))``, and the charge stays ``q delta(x)``.
+    The jump convention is ``H(0) = 1/2``.
     """
 
     q: float
@@ -527,67 +489,9 @@ class LinearizedReference:
         out = self.q * (t - x) * self.box(t, x)
         return float(out) if out.ndim == 0 else out
 
-    def sigma_pairing(self, psi: TestFunction2D) -> float:
-        """``<q delta(x), psi> = q int psi(t, 0) dt``."""
-        if psi.x_lo > 0.0 or psi.x_hi < 0.0:
-            return 0.0
-        return self.q * _gauss(lambda t: psi.value(t, 0.0), psi.t_lo, psi.t_hi)
-
 
 def linearized_reference(q: float) -> LinearizedReference:
     return LinearizedReference(q=float(q))
-
-
-def _gauss_inner(F, t, xlo, xhi):
-    """``int F(t, x) dx`` over ``[xlo, xhi]`` for a whole vector of times.
-
-    Splits at the jump lines ``x = 0`` and ``x = t``; degenerate pieces
-    collapse to zero length and contribute nothing.
-    """
-    t = np.asarray(t, dtype=float)
-    zero = np.clip(0.0, xlo, xhi)
-    cuts = np.sort(
-        np.stack([
-            np.full_like(t, xlo),
-            np.full_like(t, zero),
-            np.clip(t, xlo, xhi),
-            np.full_like(t, xhi),
-        ]),
-        axis=0,
-    )
-    total = np.zeros_like(t)
-    for p in range(3):
-        xn, wn = _gl_map(cuts[p], cuts[p + 1])
-        total += np.sum(F(t[..., None], xn) * wn, axis=-1)
-    return total
-
-
-def linear_system_residuals(q: float, psi: TestFunction2D) -> dict:
-    """Distributional residuals of the linearized system against one psi.
-
-    All integrals act on the closed forms, split at the jump lines ``x = 0``
-    and ``x = t``, by the Gauss-Legendre rule on each smooth piece; no solver
-    output is involved.  Returns the three residuals keyed ``faraday``
-    (dE/dt + dE/dx = sigma), ``force`` (du/dt = E), and ``continuity``
-    (dsigma/dt = 0).
-    """
-    ref = linearized_reference(q)
-    xlo, xhi = psi.x_lo, psi.x_hi
-    tlo, thi = psi.t_lo, psi.t_hi
-    tbreaks = (0.0, xlo, xhi)
-
-    def integral(F):
-        return _gauss(lambda tn: _gauss_inner(F, tn, xlo, xhi), tlo, thi, tbreaks)
-
-    lhs1 = -integral(lambda t, x: ref.E(t, x) * (psi.dt(t, x) + psi.dx(t, x)))
-    lhs2 = -integral(lambda t, x: ref.u(t, x) * psi.dt(t, x))
-    rhs2 = integral(lambda t, x: ref.E(t, x) * psi.value(t, x))
-    rhs1 = ref.sigma_pairing(psi)
-    if psi.x_lo > 0.0 or psi.x_hi < 0.0:
-        res3 = 0.0
-    else:
-        res3 = -q * _gauss(lambda t: psi.dt(t, 0.0), tlo, thi)
-    return {"faraday": lhs1 - rhs1, "force": lhs2 - rhs2, "continuity": res3}
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ the states saved so far gave the hook.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,11 +117,12 @@ def a_priori_bound(initial_norm: float, params: ModelParams, op_norm: float) -> 
         (||V0|| + T (||D|| + |B0|)) * exp(3 T (||D|| + 1)).
 
     Deliberately loose; its role is to catch numerical blow-up, not to be
-    sharp.
+    sharp.  It is at most the largest double, so that the run's JSON can
+    hold it; no finite state exceeds ``guard_factor`` times that.
     """
     T = params.T
     growth = math.exp(min(3.0 * T * (op_norm + 1.0), 700.0))
-    return (initial_norm + T * (op_norm + abs(params.B0))) * growth
+    return min((initial_norm + T * (op_norm + abs(params.B0))) * growth, sys.float_info.max)
 
 
 def rhs(E, u, sigma, op: RegDerivOperator, B0: float, out=None, work=None):

@@ -17,7 +17,6 @@ from maxlor.analysis import (
     SupportProbe,
     TestFunction2D,
     limit_sweep,
-    linear_system_residuals,
     linearized_reference,
 )
 from maxlor.cli import EXIT_OK, main
@@ -30,6 +29,7 @@ from maxlor.scaling import make_scaling, verify_growth_condition
 from maxlor.solver import SolverConfig
 
 from conftest import release_config
+from oracles import linear_system_residuals
 from stored_route import reparametrization_gap, stored_solve, transport_residual, world_line
 
 

@@ -21,7 +21,6 @@ from maxlor.analysis import (
     blow_up_probe,
     diag_pairing_target,
     limit_sweep,
-    linear_system_residuals,
     linearized_reference,
     psi_from_dict,
 )
@@ -34,6 +33,7 @@ from maxlor.nonlinearity import a
 from maxlor.solver import solve
 
 from conftest import release_config
+from oracles import linear_system_residuals, psi_dt, psi_dx, sigma_pairing
 from stored_route import stored_solve, transport_residual
 
 # Integral of the peak-normalized bump e^{1 - 1/(1-s^2)} over [-1, 1],
@@ -59,12 +59,12 @@ class TestTestFunction2D:
         t, x, h = 0.3, 0.4, 1e-6
         dt_fd = (psi_unit.value(t + h, x) - psi_unit.value(t - h, x)) / (2 * h)
         dx_fd = (psi_unit.value(t, x + h) - psi_unit.value(t, x - h)) / (2 * h)
-        assert psi_unit.dt(t, x) == pytest.approx(dt_fd, rel=1e-6, abs=1e-8)
-        assert psi_unit.dx(t, x) == pytest.approx(dx_fd, rel=1e-6, abs=1e-8)
+        assert psi_dt(psi_unit, t, x) == pytest.approx(dt_fd, rel=1e-6, abs=1e-8)
+        assert psi_dx(psi_unit, t, x) == pytest.approx(dx_fd, rel=1e-6, abs=1e-8)
 
     def test_derivative_vanishes_outside(self, psi_unit):
-        assert psi_unit.dt(2.0, 0.5) == 0.0
-        assert psi_unit.dx(0.25, 2.0) == 0.0
+        assert psi_dt(psi_unit, 2.0, 0.5) == 0.0
+        assert psi_dx(psi_unit, 0.25, 2.0) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -447,12 +447,11 @@ class TestLinearizedReference:
         assert ref.E(0.5, 0.5) == pytest.approx(0.5)
 
     def test_charge_pairing(self):
-        ref = linearized_reference(3.0)
         psi = TestFunction2D(t0=0.3, x0=0.0, r_t=0.2, r_x=0.1)
         want, _ = quad(lambda t: psi.value(t, 0.0), 0.1, 0.5, epsabs=1e-12)
-        assert ref.sigma_pairing(psi) == pytest.approx(3.0 * want, rel=1e-9)
+        assert sigma_pairing(3.0, psi) == pytest.approx(3.0 * want, rel=1e-9)
         off = TestFunction2D(t0=0.3, x0=1.0, r_t=0.2, r_x=0.1)
-        assert ref.sigma_pairing(off) == 0.0
+        assert sigma_pairing(3.0, off) == 0.0
 
     @pytest.mark.parametrize("q", [1.0, -2.0, 0.5])
     def test_weak_residuals_vanish(self, q):
@@ -483,25 +482,24 @@ class TestLinearizedReference:
         for psi in windows:
             q = rng.uniform(-2.0, 2.0)
             want_sigma, want_cont = adaptive_on_axis(q, psi)
-            assert linearized_reference(q).sigma_pairing(psi) == pytest.approx(
-                want_sigma, abs=1e-11)
+            assert sigma_pairing(q, psi) == pytest.approx(want_sigma, abs=1e-11)
             assert linear_system_residuals(q, psi)["continuity"] == pytest.approx(
                 want_cont, abs=1e-11)
 
     def test_closed_form_integrals_load_no_scipy(self):
         probe = (
             "import sys\n"
-            "from maxlor.analysis import (TestFunction2D, diag_pairing_target,\n"
-            "    linear_system_residuals, linearized_reference)\n"
+            "from maxlor.analysis import TestFunction2D, diag_pairing_target\n"
+            "from oracles import linear_system_residuals, sigma_pairing\n"
             "psi = TestFunction2D(t0=0.4, x0=0.2, r_t=0.3, r_x=0.35)\n"
             "linear_system_residuals(1.0, psi)\n"
-            "linearized_reference(1.0).sigma_pairing(psi)\n"
+            "sigma_pairing(1.0, psi)\n"
             "diag_pairing_target(psi)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        here = os.path.dirname(__file__)
+        path = [os.path.join(here, "..", "src"), here, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
         proc = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr

@@ -201,7 +201,8 @@ def _no_solve(monkeypatch):
 
 
 def _sample_with(tmp_path, name, **experiment_and_net):
-    body = json.loads(open(os.path.join(CONFIGS, name)).read())
+    with open(os.path.join(CONFIGS, name)) as fh:
+        body = json.load(fh)
     body["delta_net"].update(experiment_and_net.pop("delta_net", {}))
     body["experiment"].update(experiment_and_net)
     return write_cfg(tmp_path, **body)
@@ -243,6 +244,19 @@ def test_trajectories_are_refused_before_solving(tmp_path, capsys, monkeypatch,
     assert message in capsys.readouterr().out.splitlines()
     out = tmp_path / "out"
     assert main(["trajectories", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err.splitlines()
+    assert not out.exists()
+
+
+def test_a_delta_net_beyond_the_double_range_is_refused_before_out_exists(tmp_path, capsys,
+                                                                         monkeypatch):
+    _no_solve(monkeypatch)
+    cfg = _sample_with(tmp_path, "point_charge.json", delta_net={"mass": 1e308})
+    message = "delta_net: mass 1e+308 at eps=0.1 gives samples beyond the double range"
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    assert message in capsys.readouterr().out.splitlines()
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err.splitlines()
     assert not out.exists()
 
@@ -355,6 +369,15 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", out]) == EXIT_RUNTIME
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["status"] == "overflow"
+
+        # the a-priori bound overflows a double: both files hold the largest
+        # one, so they parse as strict JSON (no Infinity)
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        for name in ("summary.json", "meta.json"):
+            data = json.loads((tmp_path / "out" / name).read_text(), parse_constant=refuse)
+            assert data["a_priori_bound"] == sys.float_info.max
 
     def test_boundary_contamination_exits_4(self, tmp_path):
         cfg = tight_cfg(tmp_path)

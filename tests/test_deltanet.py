@@ -1,12 +1,10 @@
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, trapezoid
 
 from maxlor.config import assemble_run, config_from_dict
-from maxlor.deltanet import DeltaNet, net_from_spec, sample, verify_strict
+from maxlor.deltanet import DeltaNet, net_from_spec, sample
 from maxlor.fields import Grid
 from maxlor.mollifier import make_mollifier
 
@@ -63,70 +61,23 @@ def test_width_rule_and_support():
     assert (lo, hi) == (pytest.approx(-0.1), pytest.approx(0.0))
 
 
-def test_verify_strict_passes_for_bump_family():
-    rep = verify_strict(unit_net(), SCHEDULE)
-    assert rep.all_ok
-    assert rep.support_shrinks and rep.unit_mass and rep.abs_bounded
-    widths = [row.width for row in rep.rows]
-    assert widths == sorted(widths, reverse=True)
-    for row in rep.rows:
-        assert row.mass == pytest.approx(1.0, abs=1e-8)
-        assert row.abs_mass <= 1.0 + 1e-8
-
-
-def test_verify_strict_without_scipy_says_how_to_get_it(monkeypatch):
-    monkeypatch.setitem(sys.modules, "scipy.integrate", None)
-    with pytest.raises(ImportError, match="SciPy"):
-        verify_strict(unit_net(), SCHEDULE)
-
-
-def test_verify_strict_flags_wrong_mass():
-    class Short:
-        # a family integrating to 0.9: violates the unit-mass axiom only
-        def __init__(self):
-            self.inner = unit_net()
-
-        def support(self, eps):
-            return self.inner.support(eps)
-
-        def density(self, eps):
-            rho = self.inner.density(eps)
-            return lambda x: 0.9 * rho(x)
-
-    rep = verify_strict(Short(), SCHEDULE)
-    assert not rep.unit_mass
-    assert rep.support_shrinks and rep.abs_bounded
-    assert not rep.all_ok
-
-
-def test_verify_strict_flags_growing_absolute_mass():
-    class Wiggle:
-        # unit mass but a signed part growing like eps^(-1/2): the
-        # absolute masses blow up and the third axiom fails
-        def support(self, eps):
-            return (-eps, eps)
-
-        def density(self, eps):
-            def rho(x):
-                x = np.asarray(x, dtype=float)
-                inside = np.abs(x) <= eps
-                base = np.where(inside, 0.5 / eps, 0.0)
-                wig = np.where(inside, np.sin(np.pi * x / eps) / (eps ** 0.5) / eps, 0.0)
-                return base + wig
-
-            return rho
-
-    rep = verify_strict(Wiggle(), [0.1, 0.01, 0.001], abs_bound=10.0)
-    assert rep.unit_mass
-    assert not rep.abs_bounded
-    assert not rep.all_ok
-
-
-def test_schedule_validation():
-    with pytest.raises(ValueError, match="decreasing"):
-        verify_strict(unit_net(), [0.1, 0.1])
-    with pytest.raises(ValueError, match="2"):
-        verify_strict(unit_net(), [0.1])
+def test_the_bump_family_satisfies_the_three_axioms():
+    # along the schedule the supports shrink to the center, every member has
+    # unit mass, and the absolute masses stay bounded (by 1: no profile is negative)
+    for kind in ("symmetric", "left", "right"):
+        net = unit_net(kind, center=0.3)
+        widths = []
+        for eps in SCHEDULE:
+            lo, hi = net.support(eps)
+            rho = net.density(eps)
+            mass, _ = quad(lambda x: float(rho(x)), lo, hi, limit=200)
+            abs_mass, _ = quad(lambda x: abs(float(rho(x))), lo, hi, limit=200)
+            assert lo <= 0.3 <= hi
+            assert mass == pytest.approx(1.0, abs=1e-8)
+            assert abs_mass <= 1.0 + 1e-8
+            widths.append(hi - lo)
+        assert widths == sorted(widths, reverse=True)
+        assert widths[-1] == pytest.approx(widths[0] * SCHEDULE[-1] / SCHEDULE[0], rel=1e-12)
 
 
 def test_pairing_against_test_function_converges_to_point_value():

@@ -95,9 +95,13 @@ def test_an_integer_beyond_the_double_range_is_refused(tmp_path, capsys, body, l
     # ln(1/eps) = 0 at eps = 1
     ({"experiment": {"growth_eps": [2, 1, 0.5, 0.1]}},
      "experiment: growth_eps: scaling: growth ratio h^-1"),
-], ids=["c-1e308", "eps-1e308", "c-1e5", "loglog-eps-1e-320", "c-1e-320", "eps-1"])
+    # the samples overflow: these used to pass, and solve refused them after --out existed
+    ({"delta_net": {"mass": 1e308}}, "delta_net:"),
+    ({"delta_net": {"mass": -1e308}}, "delta_net:"),
+], ids=["c-1e308", "eps-1e308", "c-1e5", "loglog-eps-1e-320", "c-1e-320", "eps-1",
+        "mass-1e308", "mass-minus-1e308"])
 def test_a_builder_refusal_is_a_problem_line(tmp_path, capsys, body, prefix):
-    # each but c-1e5 used to end in an OverflowError or a ZeroDivisionError
+    # each of the first six but c-1e5 used to end in an OverflowError or a ZeroDivisionError
     code, out = _validate(tmp_path, body, capsys)
     assert code == EXIT_CONFIG
     assert any(line.startswith(prefix) for line in out.out.splitlines()), out
