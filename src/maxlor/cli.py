@@ -15,9 +15,9 @@ without, checks of the defaults it reads), and a run function that does
 only the command's own work.  ``main`` takes every subcommand down the one
 path load → validate (the config plus the row's needs) → create ``--out``
 → run → stamp the run id on the summary, write ``summary.json`` and read
-the exit code off it; ``validate`` stops after the checks.  A run function
-that solves hangs its fold on the solver's ``on_save`` hook and keeps no
-saved state.
+the exit code off it; ``validate`` stops after the checks and prints the
+sizes of each member they rehearsed.  A run function that solves hangs
+its fold on the solver's ``on_save`` hook and keeps no saved state.
 """
 
 from __future__ import annotations
@@ -86,6 +86,13 @@ def _default_probe_cut(cfg) -> list:
     if cfg.experiment.get("probe_x0") is not None:
         return []  # validate checked the given cut
     return cfgmod._off_grid(cfg, "probe_x0", cfgmod._experiment_value(cfg, "probe_x0"))
+
+
+def _plan_line(plan: dict) -> str:
+    """``validate``'s line for one member: the sizes a family run records in ``members``."""
+    sizes = " ".join(f"{key}={plan[key]}" for key in ("grid_n", "m", "fft_len", "n_steps",
+                                                        "n_saved"))
+    return f"member eps={plan['eps']:g} {'schedule' if plan['schedule'] else 'single'}: {sizes}"
 
 
 def _exit_code(summary) -> int:
@@ -315,7 +322,8 @@ def _run(args) -> int:
     cfg = _load(args)
     if cfg is None:
         return EXIT_CONFIG
-    errors = cfgmod.validate_config(cfg) + _unmet(cfg, args.command, needs)
+    plans: list = []
+    errors = cfgmod.validate_config(cfg, plans) + _unmet(cfg, args.command, needs)
     if errors:
         # validate reports on stdout; a refused run on stderr
         stream = sys.stdout if run is None else sys.stderr
@@ -327,6 +335,8 @@ def _run(args) -> int:
     rid = output.run_id(cfgmod.config_to_dict(cfg))
     if run is None:
         print(f"ok: run id {rid}")
+        for plan in plans:
+            print(_plan_line(plan))
         return EXIT_OK
     out = args.out or os.path.join("runs", f"{args.command}-{rid}")
     try:

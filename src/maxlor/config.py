@@ -21,10 +21,11 @@ the rules relating two keys are spelled out beside it.  Then it rehearses
 the run: for every eps a run will use (the single-run eps on the
 configured grid, each schedule member on its refined grid) it calls the
 builders the run calls (scaling, grid refinement, operator, delta-net
-sampling, the solver's step bound) and reports what they raise; each
-``psi`` entry goes through the sweep's ``psi_from_dict`` and the pairing
-window check, and the growth grid through ``verify_growth_condition`` at
-every p of ``growth_p``.
+sampling, the solver's step bound and step count) and reports what they
+raise, and it records what each member will run for ``validate`` to
+print; each ``psi`` entry goes through the sweep's ``psi_from_dict`` and
+the pairing window check, and the growth grid through
+``verify_growth_condition`` at every p of ``growth_p``.
 ``assemble_run`` turns a config plus a concrete eps into ready-to-solve
 pieces.
 """
@@ -44,7 +45,7 @@ from .fields import FIELD_NAMES, FieldState, Grid, ModelParams
 from .mollifier import DEFAULT_SUPPORTS, Mollifier, make_mollifier
 from .regops import MIN_CELLS_PER_WIDTH, RegDerivOperator, make_operator
 from .scaling import SCALING_KINDS, ScalingFunction, h_eval, make_scaling, verify_growth_condition
-from .solver import METHODS, SolverConfig, _check_step, step_bound
+from .solver import METHODS, SolverConfig, _check_step, march_plan, step_bound, step_count
 
 __all__ = [
     "RunConfig",
@@ -289,8 +290,14 @@ def _off_grid(cfg: RunConfig, name: str, x) -> list:
     return [f"experiment: {name} {x:g} lies outside the grid [{x_min:g}, {x_max:g}]"]
 
 
-def validate_config(cfg: RunConfig) -> list:
-    """All violations as section-prefixed messages; empty means valid."""
+def validate_config(cfg: RunConfig, plans: list | None = None) -> list:
+    """All violations as section-prefixed messages; empty means valid.
+
+    ``plans``, a list, gets what each member will run when the config is
+    valid: its ``eps``, whether it is a ``schedule`` member on a refined
+    grid, and the sizes a family run records in ``members`` (``grid_n``,
+    ``m``, ``fft_len``, ``n_steps``, ``n_saved``).
+    """
     errors = [f"config: unknown top-level key {key!r}" for key in cfg.unknown_keys]
     refused = {name: _check(name, getattr(cfg, name), rows, errors)
                for name, rows in _SCHEMA.items()}
@@ -345,8 +352,12 @@ def validate_config(cfg: RunConfig) -> list:
         # a given blowup_window depends on each schedule member's grid
         window = (None if "blowup_window" in refused["experiment"]
                   else cfg.experiment.get("blowup_window"))
+        # T, dt and save_every, each None when its rule refused it
+        march = [None if key in refused[section] else getattr(cfg, section)[key]
+                 for section, key in (("model", "T"), ("solver", "dt"), ("solver", "save_every"))]
         # a single-run eps repeating a schedule member may fail the same way twice
-        errors.extend(dict.fromkeys(_rehearse(cfg, members, window)))
+        errors.extend(dict.fromkeys(_rehearse(cfg, members, window, march,
+                                              [] if plans is None else plans)))
 
     # every pairing window lies in [0, T] x [x_min, x_max]: refinement keeps
     # the domain and the last saved state is at T
@@ -417,12 +428,13 @@ def _psi_problems(spec, window) -> list:
     return problems
 
 
-def _rehearse(cfg: RunConfig, members: list, window) -> list:
+def _rehearse(cfg: RunConfig, members: list, window, march, plans: list) -> list:
     """What the builders of ``assemble_run`` and the solver raise for each
     ``(eps, refine)`` member; a failed step skips the steps needing its result.
 
     A given ``blowup_window`` must hold a grid point of each schedule
-    member's grid.
+    member's grid.  ``march`` is ``(T, dt, save_every)``, each None when
+    refused; each member whose march is planned goes to ``plans``.
     """
     errors: list = []
 
@@ -439,7 +451,6 @@ def _rehearse(cfg: RunConfig, members: list, window) -> list:
         net = net_from_spec(cfg.delta_net) if _uses_net(cfg) else None
     except ValueError as exc:
         return [f"delta_net: profile {exc}"]
-    dt = cfg.solver["dt"]
     for eps, refine in members:
         nu = attempt(h_eval, scl, eps)
         grid = None if nu is None else attempt(_member_grid, cfg, eps, nu, net, refine)
@@ -448,8 +459,16 @@ def _rehearse(cfg: RunConfig, members: list, window) -> list:
         op = attempt(make_operator, moll, nu, grid, eps=eps)
         if net is not None:
             attempt(sample, net, eps, grid)
-        if op is not None and _is_num(dt) and dt > 0:
-            attempt(_check_step, float(dt), op.op_norm, eps=eps)
+        T, dt, save_every = march
+        if op is not None and dt is not None:
+            dt = _step(dt, op.op_norm)
+            attempt(_check_step, dt, op.op_norm, eps=eps)
+            n_steps = None if T is None else attempt(step_count, float(T), dt, eps=eps)
+            if n_steps is not None and save_every is not None:
+                _, _, saved = march_plan(0.0, float(T), dt, save_every)
+                plans.append({"eps": eps, "schedule": refine, "grid_n": grid.n,
+                              "m": len(op.weights), "fft_len": op.fft_len, "n_steps": n_steps,
+                              "n_saved": len(saved)})
         if refine and window is not None:
             attempt(_window_mask, grid, float(window), float(cfg.delta_net["center"]), eps)
     return errors
@@ -475,14 +494,16 @@ def build_scaling(cfg: RunConfig) -> ScalingFunction:
     return make_scaling(kind=s["kind"], c=float(s["c"]), exponent=float(s["exponent"]))
 
 
+def _step(dt, op_norm: float) -> float:
+    """A configured dt, with ``"auto"`` resolved against ``op_norm``."""
+    return 0.4 * step_bound(op_norm) if dt == "auto" else float(dt)
+
+
 def build_solver_config(cfg: RunConfig, op_norm: float) -> SolverConfig:
     """The solver section, with dt ``"auto"`` resolved against ``op_norm``."""
     sv = cfg.solver
-    dt = sv["dt"]
-    if dt == "auto":
-        dt = 0.4 * step_bound(op_norm)
     return SolverConfig(
-        dt=float(dt),
+        dt=_step(sv["dt"], op_norm),
         method=sv["method"],
         save_every=int(sv["save_every"]),
         picard_tol=float(sv["picard_tol"]),

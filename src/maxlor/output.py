@@ -17,13 +17,17 @@ A state file is written by a numpy kernel instead of one ``%`` per value,
 a block of rows at a time.  It scales each double by a power of ten held
 as a double-double (Dekker's two-product, so no FMA is needed), which
 makes the 17 digits ``%.17g`` rounds to come out exact, and lays them out
-by the ``%g`` rules into byte cells whose unused bytes are zero and are
-dropped on write.  Zeros take the kernel too; values outside
-[1e-280, 1e280] (subnormals, nan, inf) and products within 1e-6 of a
-rounding tie go through :func:`fmt` instead.  The bytes are
-:func:`write_table`'s for the same rows: that writer and :func:`fmt` are
-the reference the tests compare the kernel against, and ``csv`` stays for
-the tables that may need quoting.
+by the ``%g`` rules into cells of 8-byte words, each part of a cell one
+word of a table, whose unused bytes are zero and are dropped on write.
+Only the rows from the first to the last one with a nonzero bit in E, u
+or sigma take the kernel; the rows outside, all ``+0.0`` (the vacuum side
+of a one-sided kernel stays exactly zero), are the x cell and ``,0,0,0``.
+Zeros between them take the kernel too; values outside [1e-280, 1e280]
+(subnormals, nan, inf) and products within 1e-6 of a rounding tie go
+through :func:`fmt` instead.  The bytes are :func:`write_table`'s for the
+same rows: that writer and :func:`fmt` are the reference the tests
+compare the kernel against, and ``csv`` stays for the tables that may
+need quoting.
 
 The run id is the first 12 hex digits of the SHA-256 of the canonical
 config serialization, so directories are self-describing and reruns are
@@ -100,17 +104,24 @@ def write_table(path, header, rows) -> None:
 
 
 # -- the state-file kernel ------------------------------------------------
-# A value is laid out in a sparse cell of _SPARSE bytes, a column of a
-# position-major (_SPARSE, n) array, so every numpy call below runs over n.
+# A value is laid out in a cell of _SPARSE bytes, six 8-byte words, the last
+# axis of a value-major array: a cell is a slice of the row it is written
+# in, and each part of it is one word of a table, stored or combined whole.
 # Bytes a value does not use are zero and are dropped when the rows are
 # written:
-#   0      "-" when the sign bit is set
-#   1-5    "0.000": "0." and -E - 1 zeros in fixed notation with E in -4..-1
-#   6-38   d0 . d1 . ... . d16: the 17 digits with a point slot after each
-#          but the last; trailing zeros of a fraction are blank
-#   39-43  "e", the exponent's sign and its three digits (the hundreds
+#   0      left zero: the separator before the value
+#   1      "-" when the sign bit is set
+#   2-6    "0.000": "0." and -E - 1 zeros in fixed notation with E in -4..-1
+#   7      d0, the first digit
+#   8-39   d1 ... d16, each after a point slot: the point follows the last
+#          integer digit when a digit follows it; trailing zeros of a
+#          fraction are blank
+#   40-44  "e", the exponent's sign and its three digits (the hundreds
 #          only when |E| >= 100)
-_SIGN, _PREFIX, _DIGITS, _SUFFIX, _SPARSE = 0, 1, 6, 39, 44
+#   45-47  left zero: the end of a row after its last value
+_SPARSE = 48
+_LEAD, _SUFFIX = 0, 5  # words of a cell
+_FIRST = 7  # the byte of d0
 _CELL = 24  # the widest %.17g of a double: -1.2345678901234567e-308
 # doubles in this range scale by 10**k, k = 16 - E, without leaving the
 # normal range at any step of the product; the rest go through fmt
@@ -121,13 +132,21 @@ _K_MIN, _K_MAX = -266, 298
 _TIE_MARGIN = 1e-6
 # rows formatted at once: the block's buffers and temporaries are what a
 # state file costs in memory beyond the x cells
-_BLOCK = 384
+_BLOCK = 512
 # the decimal exponents the E-indexed tables cover: every E of the kernel
 # range, and E = 0 of the values formatted as 1.0
 _E_MIN, _E_MAX = -300, 300
-# a small integer type keeps the (17, n) broadcasts below cheap
-_PLACES = np.arange(18, dtype=np.uint8)[:, None]
-_NO_POINT = 255
+# the point slot of a layout with no point: after d16, so never shown
+_NO_POINT = 16
+# a row of a state file: the x cell, then the E, u and sigma cells
+_ROW = _CELL + 3 * _SPARSE
+# the rest of a row whose E, u and sigma all have all-zero bits, one word
+_ZERO_WORD = np.frombuffer(b",0,0,0\r\n", np.uint64)[0]
+# x values formatted at once when a writer starts
+_X_CHUNK = 256
+# rows whose bytes are copied and stripped of zeros at once: small enough
+# that both copies stay in cache
+_WRITE_ROWS = 256
 
 
 def _split(a):
@@ -161,102 +180,156 @@ def _exponent_layout(e: int):
 @functools.cache
 def _kernel_tables() -> dict:
     """10**k for k in [_K_MIN, _K_MAX] as double-doubles with the high part
-    pre-split, the digits of 0..9999 as 4-byte words and the E-indexed
-    layouts; built on first use, not at import."""
+    pre-split, the words of a cell's parts and the E-indexed layouts; built
+    on first use, not at import."""
     hi, lo = np.array([_pow10(k) for k in range(_K_MIN, _K_MAX + 1)]).T
-    places = np.array([1000, 100, 10, 1], np.uint16)
-    digits = (np.arange(10000, dtype=np.uint16)[:, None] // places % 10 + 48).astype(np.uint8)
     prefix, suffix, integer, point = zip(*map(_exponent_layout, range(_E_MIN, _E_MAX + 1)))
-
-    def rows(texts):  # position-major: (5, number of exponents)
-        joined = b"".join(t.ljust(5, b"\0") for t in texts)
-        return np.frombuffer(joined, np.uint8).reshape(-1, 5).T.copy()
-
+    # word 0 of a cell: index 2 (E - _E_MIN) + the sign bit
+    lead = np.zeros((len(prefix), 2, 8), np.uint8)
+    lead[:, 1, 1] = ord("-")
+    lead[:, :, 2:7] = np.frombuffer(b"".join(t.ljust(5, b"\0") for t in prefix),
+                                    np.uint8).reshape(-1, 1, 5)
+    last = np.zeros((len(suffix), 8), np.uint8)
+    last[:, :5] = np.frombuffer(b"".join(t.ljust(5, b"\0") for t in suffix),
+                                np.uint8).reshape(-1, 5)
+    # the digits of 0..9999, digit j in byte 2 j + 1 of a word, each after
+    # a point
+    numbers = np.arange(10000, dtype=np.uint16)
+    four_digits = np.full((10000, 8), ord("."), np.uint8)
+    trailing_zeros = np.zeros(10000, np.uint8)
+    for j, place in enumerate((1000, 100, 10, 1)):
+        four_digits[:, 2 * j + 1] = numbers // place % 10 + 48
+        trailing_zeros += numbers % (10000 // place) == 0
+    # what of the digit words a value shows, from the integer digits and
+    # the point slot its exponent gives (a class) and its s significant
+    # digits: row 18 c + s; the point only if a digit follows it
+    classes = sorted(set(zip(integer, point)))
+    masks = np.zeros((len(classes), 18, 32), np.uint8)
+    for c, (whole, point_slot) in enumerate(classes):
+        for s in range(1, 18):
+            shown = max(s, whole)
+            masks[c, s, 1:2 * shown - 1:2] = 255
+            if point_slot < shown - 1:
+                masks[c, s, 2 * point_slot] = 255
     return {
+        "pow_hi": hi,
         "pow_split": _split(hi),
         "pow_lo": lo,
-        "four_digits": digits.view(np.uint32).ravel(),
-        "prefix": rows(prefix),
-        "suffix": rows(suffix),
-        "integer_digits": np.array(integer, np.uint8),
-        "point": np.array(point, np.uint8),
+        "lead": lead.view(np.uint64).ravel(),
+        "suffix": last.view(np.uint64).ravel(),
+        "four_digits": four_digits.view(np.uint64).ravel(),
+        "trailing_zeros": trailing_zeros,
+        "masks": masks.view(np.uint64).reshape(-1, 4),
+        # per exponent, the mask row of 17 significant digits
+        "mask_row": np.array([18 * classes.index(c) + 17 for c in zip(integer, point)],
+                             np.int64),
     }
 
 
 def _scaled(a, e, tables):
     """``a * 10**(16 - e)`` as ``p + r``: ``p`` the rounded double product,
     ``r`` the rest (Dekker's two-product plus ``a`` times the low part)."""
-    i = 16 - e - _K_MIN
-    bh, bl = tables["pow_split"][0][i], tables["pow_split"][1][i]
-    p = a * (bh + bl)
+    i = 16 - _K_MIN - e
+    (bh, bl), lo = tables["pow_split"], tables["pow_lo"]
+    p = tables["pow_hi"].take(i)
+    p *= a
     ah, al = _split(a)
-    r = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, r + a * tables["pow_lo"][i]
+    # ((ah bh - p) + ah bl + al bh) + al bl + a lo, in place and in that
+    # order, each product written over a factor it was the last to need
+    bh = bh.take(i)
+    r = ah * bh
+    r -= p
+    bl = bl.take(i)
+    r += np.multiply(ah, bl, out=ah)
+    r += np.multiply(al, bh, out=bh)
+    r += np.multiply(al, bl, out=bl)
+    del ah, al, bh
+    r += np.multiply(a, lo.take(i), out=bl)
+    return p, r
 
 
-class _CellFormatter:
-    """Writes the ``%.17g`` bytes of up to ``size`` doubles into sparse cells;
-    its digit buffers are allocated once."""
+def _format_cells(v, cells) -> None:
+    """Write the ``%.17g`` bytes of the doubles ``v``, a contiguous array,
+    into ``cells``, a uint64 array of shape ``shape + (_SPARSE // 8,)`` that
+    holds ``prod(shape)`` cells in the order of ``v``.  Each array goes as
+    soon as it is dead: the peak is what a block of rows costs."""
+    tables = _kernel_tables()
+    shape = cells.shape[:-1]
+    a = np.abs(v)
+    zero = a == 0
+    # a value out of the kernel's range goes through fmt; a zero is
+    # formatted as 1.0 with its first digit turned to "0"
+    out_of_range = ~((a >= _KERNEL_RANGE[0]) & (a <= _KERNEL_RANGE[1]))
+    a[out_of_range] = 1.0
+    slow = out_of_range ^ zero
+    del out_of_range
+    # E from log10, corrected from the unrounded product, then from the
+    # rounded digits: 1e-14 needs both
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p, r = _scaled(a, e, tables)
+    up = (p > 1e17) | ((p == 1e17) & (r >= 0))
+    down = (p < 1e16) | ((p == 1e16) & (r < 0))
+    fix = (up | down).nonzero()[0]
+    if len(fix):
+        e[fix] += up[fix].astype(np.int64) - down[fix]
+        p[fix], r[fix] = _scaled(a[fix], e[fix], tables)
+    del a, up, down
+    # p >= 1e16 > 2**53 is an integer, so the digits are p + round(r); a
+    # rest within _TIE_MARGIN of a half goes through fmt
+    rounded = np.rint(r)
+    r -= rounded
+    slow |= 0.5 - np.abs(r, out=r) < _TIE_MARGIN
+    d = p.astype(np.int64)
+    d += rounded.astype(np.int64)
+    del p, r, rounded
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    e += carry
+    # the words that depend on E alone, then the first digit
+    e -= _E_MIN
+    cells[..., _LEAD] = tables["lead"].take(2 * e + np.signbit(v)).reshape(shape)
+    cells[..., _SUFFIX] = tables["suffix"].take(e).reshape(shape)
+    index = tables["mask_row"].take(e)
+    del e
+    first, rest = np.divmod(d, 10 ** 16)
+    del d
+    first += 48
+    first -= zero
+    text = cells.view(np.uint8)
+    text[..., _FIRST] = first.reshape(shape)
+    del first
+    # four groups of four digits, each group one word
+    groups = np.empty((len(v), 4), np.int64)
+    np.divmod(rest, 10 ** 8, out=(groups[:, 0], groups[:, 2]))
+    del rest
+    np.divmod(groups[:, ::2], 10 ** 4, out=(groups[:, ::2], groups[:, 1::2]))
+    # the digits up to the last nonzero one are significant
+    places = tables["trailing_zeros"].take(groups)
+    zeros = places[:, 3].copy()
+    for k in (2, 1, 0):  # through a zero group to the one before it
+        more = (zeros == 12 - 4 * k).nonzero()[0]
+        if not len(more):
+            break
+        zeros[more] += places[more, k]
+    del places
+    index -= zeros
+    digits = tables["four_digits"].take(groups)
+    masks = tables["masks"].take(index, axis=0, out=groups.view(np.uint64),
+                                 mode="clip")  # the groups are dead
+    np.bitwise_and(digits.reshape(shape + (4,)), masks.reshape(shape + (4,)),
+                   out=cells[..., 1:_SUFFIX])
+    del digits, groups, masks
+    for k in slow.nonzero()[0].tolist():
+        cell = text[np.unravel_index(k, shape)]
+        line = fmt(v[k]).encode("ascii")
+        cell[1:_SPARSE - 3] = 0
+        cell[1:1 + len(line)] = np.frombuffer(line, np.uint8)
 
-    def __init__(self, size: int):
-        self.digits = np.empty((17, size), np.uint8)
-        self.groups = np.empty((4, size), np.int64)
 
-    def __call__(self, v, cells) -> None:
-        """Fill ``cells``, a ``(_SPARSE, len(v))`` uint8 array, from ``v``."""
-        tables = _kernel_tables()
-        a = np.abs(v)
-        zero = a == 0
-        fast = (a >= _KERNEL_RANGE[0]) & (a <= _KERNEL_RANGE[1])
-        # a zero is formatted as 1.0 with its first digit turned to "0"
-        a = np.where(fast, a, 1.0)
-        # E from log10, corrected from the unrounded product, then from the
-        # rounded digits: 1e-14 needs both
-        e = np.floor(np.log10(a)).astype(np.int64)
-        p, r = _scaled(a, e, tables)
-        up = (p > 1e17) | ((p == 1e17) & (r >= 0))
-        down = (p < 1e16) | ((p == 1e16) & (r < 0))
-        fix = np.flatnonzero(up | down)
-        if len(fix):
-            e[fix] += up[fix].astype(np.int64) - down[fix]
-            p[fix], r[fix] = _scaled(a[fix], e[fix], tables)
-        rounded = np.rint(r)
-        slow = ~(fast | zero) | (0.5 - np.abs(r - rounded) < _TIE_MARGIN)
-        # p >= 1e16 > 2**53 is an integer, so the digits are p + round(r)
-        d = p.astype(np.int64) + rounded.astype(np.int64)
-        carry = d == 10 ** 17
-        d[carry] = 10 ** 16
-        e += carry
-        # the first digit, then four groups of four, each group one 4-byte
-        # word of a table, its bytes moved to the digit rows
-        first = d // 10 ** 16
-        rest = d - first * 10 ** 16
-        groups = self.groups[:, :len(v)]
-        np.floor_divide(rest, 10 ** 8, out=groups[0])
-        np.subtract(rest, groups[0] * 10 ** 8, out=groups[2])
-        quads = groups[::2] // 10 ** 4
-        np.subtract(groups[::2], quads * 10 ** 4, out=groups[1::2])
-        groups[::2] = quads
-        digits = self.digits[:, :len(v)]
-        digits[0] = first + 48 - zero
-        words = tables["four_digits"][groups].view(np.uint8).reshape(4, len(v), 4)
-        digits[1:].reshape(4, 4, len(v))[...] = words.transpose(0, 2, 1)
-        # the digits up to the last nonzero one are shown, and the integer
-        # digits of fixed notation; the point only if a digit follows it
-        i = e - _E_MIN
-        shown = np.maximum(((digits != 48) * _PLACES[1:]).max(axis=0),
-                           tables["integer_digits"][i])
-        point = tables["point"][i]
-        point[point >= shown - 1] = _NO_POINT
-        cells[_SIGN] = np.signbit(v) * np.uint8(45)
-        np.take(tables["prefix"], i, axis=1, out=cells[_PREFIX:_DIGITS])
-        np.multiply(digits, _PLACES[:17] < shown, out=cells[_DIGITS:_SUFFIX:2])
-        np.multiply(_PLACES[:16] == point, np.uint8(46), out=cells[_DIGITS + 1:_SUFFIX:2])
-        np.take(tables["suffix"], i, axis=1, out=cells[_SUFFIX:])
-        for i in np.flatnonzero(slow).tolist():
-            text = fmt(v[i]).encode("ascii")
-            cells[:, i] = 0
-            cells[:len(text), i] = np.frombuffer(text, np.uint8)
+def _write_rows(fh, rows) -> None:
+    """Write the bytes of ``rows`` but their zeros, ``_WRITE_ROWS`` at a time."""
+    for lo in range(0, len(rows), _WRITE_ROWS):
+        fh.write(rows[lo:lo + _WRITE_ROWS].tobytes().translate(None, b"\0"))
 
 
 def _state_name(i: int) -> str:
@@ -269,48 +342,83 @@ class StateWriter:
 
     It holds buffers for ``_BLOCK`` rows, allocated once, and the ``x``
     column, the same in every state, formatted once into ``_CELL`` bytes
-    per grid point."""
+    per grid point.  Rows before the first and after the last row with a
+    nonzero bit are written from the ``x`` cells alone."""
 
     def __init__(self, out_dir, grid: Grid):
         os.makedirs(out_dir, exist_ok=True)
         self.out_dir, self.grid, self.times, self.files = out_dir, grid, [], []
-        self.format = _CellFormatter(3 * _BLOCK)
-        self.values = np.empty(3 * _BLOCK)
-        self.cells = np.empty((_SPARSE, 3 * _BLOCK), np.uint8)
-        # a row: x, a comma, then E, u and sigma cells each followed by one
-        # separator byte (",", ",", "\r"), then "\n"
-        self.rows = np.empty((_BLOCK, _CELL + 1 + 3 * (_SPARSE + 1) + 1), np.uint8)
-        self.rows[:, _CELL] = ord(",")
-        self._value_cells()[:, :, _SPARSE] = np.frombuffer(b",,\r", np.uint8)
-        self.rows[:, -1] = ord("\n")
-        self.xcells = np.empty((grid.n, _CELL), np.uint8)
-        for lo in range(0, grid.n, _BLOCK):
-            xs = grid.xs[lo:lo + _BLOCK]
-            cells = self.cells[:, :len(xs)]
-            self.format(xs, cells)
+        self.values = np.empty((min(_BLOCK, grid.n), 3))
+        self.rows = np.empty((len(self.values), _ROW // 8), np.uint64)
+        self.xcells = np.empty((grid.n, _CELL // 8), np.uint64)
+        # the x cells are formatted in the E cells of the row buffer
+        for lo in range(0, grid.n, _X_CHUNK):
+            xs = grid.xs[lo:lo + _X_CHUNK]
+            cells = self._cells(len(xs))[:, 0]
+            _format_cells(xs, cells)
             # left-align each cell's bytes: stable, so their order stays
-            order = np.argsort(cells.T == 0, axis=1, kind="stable")
-            self.xcells[lo:lo + _BLOCK] = np.take_along_axis(cells.T, order, axis=1)[:, :_CELL]
+            text = cells.view(np.uint8)
+            order = np.argsort(text == 0, axis=1, kind="stable")
+            aligned = np.take_along_axis(text, order, axis=1)[:, :_CELL]
+            self.xcells[lo:lo + _X_CHUNK] = aligned.copy().view(np.uint64)
 
-    def _value_cells(self, b: int = _BLOCK):
-        """The E, u and sigma cells of the first ``b`` rows, ``(b, 3, _SPARSE + 1)``."""
-        return self.rows[:b, _CELL + 1:-1].reshape(b, 3, _SPARSE + 1)
+    def _cells(self, b: int):
+        """The E, u and sigma cells of the first ``b`` rows, as words."""
+        return self.rows[:b, _CELL // 8:].reshape(b, 3, _SPARSE // 8)
+
+    def _span(self, state: FieldState):
+        """The first row with a nonzero bit in E, u or sigma, and one past
+        the last; ``(0, 0)`` for an all-zero state.  Blocks are scanned from
+        either end, so no n-sized temporary is made."""
+        n, columns = self.grid.n, (state.E, state.u, state.sigma)
+
+        def nonzero_rows(lo, hi):
+            bits = [c[lo:hi].view(np.uint64) for c in columns]
+            return np.flatnonzero(bits[0] | bits[1] | bits[2])
+
+        for lo in range(0, n, _BLOCK):
+            rows = nonzero_rows(lo, lo + _BLOCK)
+            if len(rows):
+                first = lo + int(rows[0])
+                break
+        else:
+            return 0, 0
+        hi = n
+        while True:  # ends at the latest in the block of row `first`
+            lo = max(hi - _BLOCK, first)
+            rows = nonzero_rows(lo, hi)
+            if len(rows):
+                return first, lo + int(rows[-1]) + 1
+            hi = lo
+
+    def _write_zero_rows(self, fh, lo: int, hi: int) -> None:
+        """Rows ``lo`` to ``hi - 1``, all zero: each its x cell and ",0,0,0"."""
+        for start in range(lo, hi, _BLOCK):
+            b = min(_BLOCK, hi - start)
+            rows = self.rows.reshape(-1)[:b * (_CELL // 8 + 1)].reshape(b, -1)
+            rows[:, :-1] = self.xcells[start:start + b]
+            rows[:, -1] = _ZERO_WORD
+            _write_rows(fh, rows)
 
     def __call__(self, state: FieldState) -> None:
         name = _state_name(len(self.files))
+        first, last = self._span(state)
         with open(os.path.join(self.out_dir, name), "wb") as fh:
             fh.write(_STATE_HEADER)
-            for lo in range(0, self.grid.n, _BLOCK):
-                b = min(_BLOCK, self.grid.n - lo)
-                values = self.values[:3 * b].reshape(3, b)
-                for row, column in zip(values, (state.E, state.u, state.sigma)):
-                    row[:] = column[lo:lo + b]
-                cells = self.cells[:, :3 * b]
-                self.format(values.ravel(), cells)
+            self._write_zero_rows(fh, 0, first)
+            for lo in range(first, last, _BLOCK):
+                b = min(_BLOCK, last - lo)
+                values = self.values[:b]
+                for k, column in enumerate((state.E, state.u, state.sigma)):
+                    values[:, k] = column[lo:lo + b]
                 rows = self.rows[:b]
-                rows[:, :_CELL] = self.xcells[lo:lo + b]
-                self._value_cells(b)[:, :, :_SPARSE] = cells.reshape(_SPARSE, 3, b).T
-                fh.write(rows.tobytes().translate(None, b"\0"))
+                rows[:, :_CELL // 8] = self.xcells[lo:lo + b]
+                _format_cells(values.ravel(), self._cells(b))
+                text = rows.view(np.uint8)
+                text[:, _CELL::_SPARSE] = ord(",")
+                text[:, -3:-1] = np.frombuffer(b"\r\n", np.uint8)
+                _write_rows(fh, rows)
+            self._write_zero_rows(fh, last, self.grid.n)
         self.times.append(float(state.t))
         self.files.append(name)
 

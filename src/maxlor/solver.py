@@ -60,6 +60,8 @@ __all__ = [
     "solve_picard",
     "rk4_step",
     "march_plan",
+    "step_count",
+    "MAX_STEPS",
     "a_priori_bound",
     "step_bound",
     "STATUS_OK",
@@ -77,6 +79,10 @@ STATUS_PICARD_STALL = "picard-stall"
 
 # consecutive growing Picard updates before declaring non-contraction
 _STALL_PATIENCE = 5
+
+# the most steps a march may take: every sample config and benchmark
+# workload takes at most 200, and a count beyond this is a config mistake
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -233,11 +239,22 @@ def rk4_step(f, t, y, h, stages=None):
     return y + np.multiply(h / 6.0, total, out=total_out)
 
 
+def step_count(T: float, dt: float) -> int:
+    """The ``ceil(T/dt)`` steps, at least one, of a march over ``T``; a count
+    that is not finite or exceeds ``MAX_STEPS`` is refused."""
+    steps = T / dt - 1e-12
+    if not steps <= MAX_STEPS:
+        raise ValueError(f"solver: T={T:g} at dt={dt:.6g} needs {steps:.3g} steps, more than "
+                         f"the {MAX_STEPS} a march may take; raise dt or lower T")
+    return max(1, math.ceil(steps))
+
+
 def march_plan(t0: float, T: float, dt: float, save_every: int):
     """``(h, n_steps, saved_times)`` of a march over ``T`` from ``t0``: ``ceil(T/dt)``
-    equal steps ``h``, and the times ``t0 + i * h`` (``_march``'s expression) after
-    the saved steps ``i``: 0, every ``save_every``-th, the last."""
-    n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
+    equal steps ``h`` (``step_count``), and the times ``t0 + i * h``
+    (``_march``'s expression) after the saved steps ``i``: 0, every
+    ``save_every``-th, the last."""
+    n_steps = step_count(T, dt)
     h = T / n_steps
     saved = list(range(0, n_steps, save_every)) + [n_steps]
     return h, n_steps, [t0 + i * h for i in saved]

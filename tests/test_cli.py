@@ -261,6 +261,29 @@ def test_a_delta_net_beyond_the_double_range_is_refused_before_out_exists(tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("body", [
+    {"solver": {"dt": 1e-320}}, {"model": {"T": 1e308}}, {"solver": {"dt": 1e-9}},
+], ids=["dt-1e-320", "T-1e308", "dt-1e-9"])
+def test_a_march_beyond_max_steps_is_refused_before_out_exists(tmp_path, capsys, monkeypatch,
+                                                               body):
+    # the first two overflowed ceil(T/dt) in solve, the last planned 5e8 steps
+    _no_solve(monkeypatch)
+    with open(os.path.join(CONFIGS, "point_charge.json")) as fh:
+        sample = json.load(fh)
+    for section, values in body.items():
+        sample[section].update(values)
+    cfg = write_cfg(tmp_path, **sample)
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("solver: T=") and f"the {solver.MAX_STEPS} a march may take"
+               in line for line in lines), lines
+    for command in ("solve", "trajectories", "check-scaling"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert any(line.startswith("solver: T=") for line in capsys.readouterr().err.splitlines())
+        assert not out.exists()
+
+
 def test_default_path_steps_are_the_most_the_saves_allow(release_left):
     # 83 march steps saved every fourth leave 21 save intervals, the last one
     # short; the largest spacing, four march steps, allows 20 path steps
@@ -405,6 +428,25 @@ class TestSweep:
             assert member == {"grid_n": op.grid.n, "m": len(op.weights), "nu": op.nu,
                               "fft_len": op.fft_len, "n_steps": sol.meta["n_steps"],
                               "n_saved": len(sol.states)}
+
+    def test_validate_prints_the_sizes_each_member_records(self, tmp_path, capsys):
+        path = os.path.join(CONFIGS, "obstruction_sweep.json")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_OK
+        members = json.loads((out / "summary.json").read_text())["members"]
+        capsys.readouterr()
+        assert main(["validate", "--config", path]) == EXIT_OK
+        first, *lines = capsys.readouterr().out.splitlines()
+        assert first.startswith("ok: run id ")
+        cfg = cfgmod.load_config(path)
+        assert lines[0].startswith(f"member eps={cfg.eps:g} single: ")
+        schedule = [line for line in lines if " schedule: " in line]
+        assert len(schedule) == len(members) == len(cfg.eps_schedule)
+        for eps, line, member in zip(cfg.eps_schedule, schedule, members):
+            label, sizes = line.split(": ")
+            assert label == f"member eps={eps:g} schedule"
+            assert dict(pair.split("=") for pair in sizes.split()) == {
+                key: str(member[key]) for key in ("grid_n", "m", "fft_len", "n_steps", "n_saved")}
 
     def test_contaminated_member_exits_4(self, tmp_path):
         # the tight domain of the solve contamination test, run as a

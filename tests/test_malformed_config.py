@@ -98,8 +98,13 @@ def test_an_integer_beyond_the_double_range_is_refused(tmp_path, capsys, body, l
     # the samples overflow: these used to pass, and solve refused them after --out existed
     ({"delta_net": {"mass": 1e308}}, "delta_net:"),
     ({"delta_net": {"mass": -1e308}}, "delta_net:"),
+    # ceil(T/dt) overflows, or plans 5e8 steps: these used to pass, and solve
+    # raised OverflowError or built the save grid for minutes after --out existed
+    ({"solver": {"dt": 1e-320}}, "solver: T=0.5 at dt=9.99989e-321 needs inf steps"),
+    ({"model": {"T": 1e308}}, "solver: T=1e+308 at dt="),
+    ({"solver": {"dt": 1e-9}}, "solver: T=0.5 at dt=1e-09 needs 5e+08 steps"),
 ], ids=["c-1e308", "eps-1e308", "c-1e5", "loglog-eps-1e-320", "c-1e-320", "eps-1",
-        "mass-1e308", "mass-minus-1e308"])
+        "mass-1e308", "mass-minus-1e308", "dt-1e-320", "T-1e308", "dt-1e-9"])
 def test_a_builder_refusal_is_a_problem_line(tmp_path, capsys, body, prefix):
     # each of the first six but c-1e5 used to end in an OverflowError or a ZeroDivisionError
     code, out = _validate(tmp_path, body, capsys)

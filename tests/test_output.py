@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from maxlor import output
 from maxlor.config import assemble_run, config_from_dict, config_to_dict, load_config
@@ -218,14 +218,14 @@ def test_state_writer_matches_write_table_on_any_doubles(columns, x_min, x_max):
 def kernel_bytes(values):
     """The kernel's bytes for ``values``, each followed by a newline."""
     size = 3 * output._BLOCK
-    formatter = output._CellFormatter(size)
-    cells = np.empty((output._SPARSE + 1, size), np.uint8)
-    cells[-1] = ord("\n")
+    cells = np.empty((size, output._SPARSE // 8), np.uint64)
     chunks = []
     for lo in range(0, len(values), size):
         v = values[lo:lo + size]
-        formatter(v, cells[:-1, :len(v)])
-        chunks.append(cells[:, :len(v)].T.tobytes().translate(None, b"\0"))
+        output._format_cells(v, cells[:len(v)])
+        text = cells[:len(v)].view(np.uint8)
+        text[:, -1] = ord("\n")
+        chunks.append(text.tobytes().translate(None, b"\0"))
     return b"".join(chunks)
 
 
@@ -299,3 +299,68 @@ def test_state_writer_matches_write_table_at_block_edges(tmp_path, n):
     columns[0][::7] = 0.0
     columns[1][::11] = np.nan
     assert_writers_agree(tmp_path, solution_of(columns, x_min=-3.0, x_max=1e-3))
+
+
+# -- rows whose E, u and sigma are all +0.0 ------------------------------------
+
+# doubles with a nonzero bit that compare equal to zero or are not numbers
+SPECIAL_VALUES = [-0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  2.2250738585072009e-308, -1e-310]
+
+
+def _span_bounds(n):
+    edge = st.sampled_from([0, 1, output._BLOCK - 1, output._BLOCK, output._BLOCK + 1,
+                            n - 1, n])
+    return edge | st.integers(0, n)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_state_writer_matches_write_table_around_the_nonzero_span(data):
+    # random doubles fill [lo, hi) and +0.0 the rest; special values land
+    # anywhere, so -0.0, nan, inf and subnormals sit inside and outside it
+    n = 2 * output._BLOCK + 3
+    lo, hi = sorted(data.draw(st.tuples(_span_bounds(n), _span_bounds(n))))
+    if lo < n and data.draw(st.booleans()):
+        hi = lo + 1
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    columns = np.zeros((3, n))
+    columns[:, lo:hi] = rng.standard_normal((3, hi - lo)) * 10.0 ** rng.integers(-30, 30)
+    columns[:, lo:hi][rng.random((3, hi - lo)) < 0.2] = 0.0
+    for _ in range(data.draw(st.integers(0, 6))):
+        row, column = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 2))
+        columns[column, row] = data.draw(st.sampled_from(SPECIAL_VALUES))
+    with tempfile.TemporaryDirectory() as d:
+        assert_writers_agree(Path(d), solution_of(columns, x_min=-3.0, x_max=1.0))
+
+
+def _count_formatted(monkeypatch):
+    """The values each kernel call gets from here on, in order."""
+    seen = []
+    kernel = output._format_cells
+
+    def counting(v, cells):
+        seen.append(v.copy())
+        kernel(v, cells)
+
+    monkeypatch.setattr(output, "_format_cells", counting)
+    return seen
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (700, 701), (37, 1400), (0, 1601),
+                                    (1024, 1601)])
+def test_only_the_rows_between_the_first_and_last_nonzero_ones_take_the_kernel(
+        tmp_path, monkeypatch, lo, hi):
+    n = 1601
+    grid = Grid(-3.0, 1.0, n)
+    writer = StateWriter(tmp_path, grid)  # formats the x cells
+    seen = _count_formatted(monkeypatch)
+    rng = np.random.default_rng(n + lo)
+    columns = np.zeros((3, n))
+    columns[:, lo:hi] = rng.standard_normal((3, hi - lo))
+    columns[:, lo + 1:hi - 1:3] = 0.0  # zero rows inside the span take the kernel
+    writer(FieldState(0.0, *columns))
+    formatted = np.concatenate(seen) if seen else np.empty(0)
+    assert np.array_equal(formatted.view(np.uint64), columns[:, lo:hi].T.ravel().view(np.uint64))
+    write_table(tmp_path / "table.csv", ("x", "E", "u", "sigma"), zip(grid.xs, *columns))
+    assert (tmp_path / "state_00000.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()

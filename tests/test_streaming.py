@@ -113,7 +113,7 @@ def test_streamed_world_lines_peak_below_the_states_they_read(tmp_path):
 
 def test_state_writer_holds_the_x_cells_and_one_block(tmp_path):
     # a writer keeps the x column as _CELL bytes per point and buffers and
-    # temporaries for _BLOCK rows (about 1.3 kB a row): no object per point
+    # temporaries for _BLOCK rows (about 0.55 kB a row): no object per point
     n = 256001
     grid = Grid(-4.0, 1.0, n)
     rng = np.random.default_rng(5)
