@@ -193,7 +193,7 @@ def _kernel_tables() -> dict:
     last[:, :5] = np.frombuffer(b"".join(t.ljust(5, b"\0") for t in suffix),
                                 np.uint8).reshape(-1, 5)
     # the digits of 0..9999, digit j in byte 2 j + 1 of a word, each after
-    # a point
+    # a point (a mask keeps the one shown), and the trailing zeros of each
     numbers = np.arange(10000, dtype=np.uint16)
     four_digits = np.full((10000, 8), ord("."), np.uint8)
     trailing_zeros = np.zeros(10000, np.uint8)
@@ -249,8 +249,8 @@ def _scaled(a, e, tables):
 
 
 def _format_cells(v, cells) -> None:
-    """Write the ``%.17g`` bytes of the doubles ``v``, a contiguous array,
-    into ``cells``, a uint64 array of shape ``shape + (_SPARSE // 8,)`` that
+    """Write the ``%.17g`` bytes of the doubles ``v``, a 1-D array, into
+    ``cells``, a uint64 array of shape ``shape + (_SPARSE // 8,)`` that
     holds ``prod(shape)`` cells in the order of ``v``.  Each array goes as
     soon as it is dead: the peak is what a block of rows costs."""
     tables = _kernel_tables()

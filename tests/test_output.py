@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from maxlor import output
 from maxlor.config import assemble_run, config_from_dict, config_to_dict, load_config
@@ -308,28 +308,32 @@ SPECIAL_VALUES = [-0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-32
                   2.2250738585072009e-308, -1e-310]
 
 
-def _span_bounds(n):
-    edge = st.sampled_from([0, 1, output._BLOCK - 1, output._BLOCK, output._BLOCK + 1,
-                            n - 1, n])
-    return edge | st.integers(0, n)
+_N = 2 * output._BLOCK + 3
+_BOUND = st.sampled_from([0, 1, output._BLOCK - 1, output._BLOCK, output._BLOCK + 1, _N - 1, _N])
 
 
-@given(st.data())
+@given(span=st.tuples(_BOUND | st.integers(0, _N), _BOUND | st.integers(0, _N)).map(sorted),
+       seed=st.integers(0, 2 ** 32 - 1),
+       specials=st.lists(st.tuples(st.integers(0, _N - 1), st.integers(0, 2),
+                                   st.sampled_from(SPECIAL_VALUES)), max_size=6))
+@example(span=(0, 0), seed=0, specials=[])  # every row +0.0
+@example(span=(0, 0), seed=0, specials=[(output._BLOCK, 1, -0.0)])  # one -0.0 row
+@example(span=(0, _N), seed=1, specials=[])  # the whole grid
+@example(span=(0, 1), seed=2, specials=[(_N - 1, 2, math.nan)])
+@example(span=(output._BLOCK - 1, output._BLOCK), seed=3, specials=[])
+@example(span=(output._BLOCK, output._BLOCK + 1), seed=4, specials=[(0, 0, 5e-324)])
+@example(span=(output._BLOCK + 1, _N), seed=5, specials=[])
 @settings(max_examples=40, deadline=None)
-def test_state_writer_matches_write_table_around_the_nonzero_span(data):
-    # random doubles fill [lo, hi) and +0.0 the rest; special values land
+def test_state_writer_matches_write_table_around_the_nonzero_span(span, seed, specials):
+    # random doubles fill [lo, hi) and +0.0 the rest; the special values land
     # anywhere, so -0.0, nan, inf and subnormals sit inside and outside it
-    n = 2 * output._BLOCK + 3
-    lo, hi = sorted(data.draw(st.tuples(_span_bounds(n), _span_bounds(n))))
-    if lo < n and data.draw(st.booleans()):
-        hi = lo + 1
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    columns = np.zeros((3, n))
+    lo, hi = span
+    rng = np.random.default_rng(seed)
+    columns = np.zeros((3, _N))
     columns[:, lo:hi] = rng.standard_normal((3, hi - lo)) * 10.0 ** rng.integers(-30, 30)
     columns[:, lo:hi][rng.random((3, hi - lo)) < 0.2] = 0.0
-    for _ in range(data.draw(st.integers(0, 6))):
-        row, column = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 2))
-        columns[column, row] = data.draw(st.sampled_from(SPECIAL_VALUES))
+    for row, column, value in specials:
+        columns[column, row] = value
     with tempfile.TemporaryDirectory() as d:
         assert_writers_agree(Path(d), solution_of(columns, x_min=-3.0, x_max=1.0))
 
