@@ -303,7 +303,7 @@ def test_state_writer_matches_write_table_at_block_edges(tmp_path, n):
 
 # -- rows whose E, u and sigma are all +0.0 ------------------------------------
 
-# doubles with a nonzero bit that compare equal to zero or are not numbers
+# -0.0 and doubles the kernel hands to fmt: a row holding one is not all +0.0
 SPECIAL_VALUES = [-0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
                   2.2250738585072009e-308, -1e-310]
 
