@@ -48,8 +48,8 @@ __all__ = [
     "limit_sweep",
     "linearized_reference",
     "blow_up_probe",
-    "psi_from_dict",
     "diag_pairing_target",
+    "member_record",
     "VERDICT_CONVERGING",
     "VERDICT_DIVERGING",
     "VERDICT_OBSTRUCTION",
@@ -128,16 +128,6 @@ class TestFunction2D:
 
     def label(self) -> str:
         return f"({self.t0:g},{self.x0:g})r({self.r_t:g},{self.r_x:g})"
-
-
-def psi_from_dict(d: dict) -> TestFunction2D:
-    return TestFunction2D(
-        t0=float(d["t0"]),
-        x0=float(d["x0"]),
-        r_t=float(d["r_t"]),
-        r_x=float(d["r_x"]),
-        amplitude=float(d.get("amplitude", 1.0)),
-    )
 
 
 def diag_pairing_target(psi: TestFunction2D, slope: float = 1.0) -> float:
@@ -240,6 +230,11 @@ class SupportReport:
         g = self.global_max[name]
         return self.sup_left[name] / g if g > 0.0 else 0.0
 
+    def worst(self, side: str) -> float:
+        """The largest relative sup over the fields on ``side``, "right" or "left"."""
+        rel = self.rel_right if side == "right" else self.rel_left
+        return max(rel(n) for n in FIELD_NAMES)
+
 
 class SupportProbe:
     """Per-field sup of ``|F|`` over ``{x >= x0}``, ``{x <= x0}`` and the grid
@@ -290,6 +285,13 @@ class _Family:
     partial: bool             # some member aborted or raised
 
 
+def member_record(op, n_steps, n_saved) -> dict:
+    """What a family records in ``members`` for one member, in the order
+    ``validate`` prints it: its grid, stencil, width, FFT and march sizes."""
+    return {"grid_n": op.grid.n, "m": len(op.weights), "nu": op.nu, "fft_len": op.fft_len,
+            "n_steps": n_steps, "n_saved": n_saved}
+
+
 def _run_member(template, make, args, eps):
     # one member, each saved state folded as the march saves it, so no state
     # outlives its step; a member that raises becomes an "error" row
@@ -307,8 +309,7 @@ def _run_member(template, make, args, eps):
 
         meta = solve(pieces.initial, pieces.solver, op, pieces.params, on_save=on_save).meta
         contaminated, bound = bool(meta.get("boundary_contaminated")), meta.get("a_priori_bound")
-        sizes = {"grid_n": op.grid.n, "m": len(op.weights), "nu": op.nu, "fft_len": op.fft_len,
-                 "n_steps": meta.get("n_steps"), "n_saved": len(saved)}
+        sizes = member_record(op, meta.get("n_steps"), len(saved))
         return meta["status"], contaminated, bound, sizes, fold.result(), None
     except Exception as exc:
         return "error", contaminated, bound, None, None, f"{type(exc).__name__}: {exc}"
@@ -353,10 +354,6 @@ class SweepResult(_Family):
     targets: dict
 
 
-def _observable_label(field_name: str, psi: TestFunction2D) -> str:
-    return f"{field_name}@{psi.label()}"
-
-
 def _vacuum_diagonal(field_name: str, psi: TestFunction2D):
     """Slope (1.0 or -1.0) of the light-cone diagonal through a vacuum
     half-plane that ``psi`` sits on, when the observable is ``Q``; else None.
@@ -374,33 +371,27 @@ def _vacuum_diagonal(field_name: str, psi: TestFunction2D):
 
 
 class _SweepMember:
-    # the sweep's fold: each pairing, plus what _classify reads (size and
-    # leakage) for the observables that can show the obstruction
+    # the sweep's fold: each observable's pairing, and for one on a vacuum
+    # diagonal (slope not None) the support probe of its vacuum side
 
-    def __init__(self, pieces, observables):
+    def __init__(self, pieces, observables, slopes):
         t0, grid, self.folds = pieces.initial.t, pieces.grid, []
-        for field_name, psi in observables:
-            slope = _vacuum_diagonal(field_name, psi)
+        for (field_name, psi), slope in zip(observables, slopes):
             pairing = Pairing(grid, field_name, psi, pieces.operator, t0, t0 + pieces.params.T)
             probe = slope and SupportProbe(grid, 0.5 * (psi.x_lo if slope > 0 else psi.x_hi))
-            self.folds.append((_observable_label(field_name, psi), slope, pairing, probe))
+            self.folds.append((slope and ("right" if slope > 0 else "left"), pairing, probe))
 
     def __call__(self, state) -> None:
-        for *_, pairing, probe in self.folds:
+        for _, pairing, probe in self.folds:
             pairing(state)
             if probe:
                 probe(state)
 
-    def result(self) -> dict:
-        out = {"pairings": {}, "support_rel": {}, "field_max": {}}
-        for label, slope, pairing, probe in self.folds:
-            out["pairings"][label] = pairing.result()
-            if probe:
-                rep = probe.result()
-                rel = rep.rel_right if slope > 0 else rep.rel_left
-                out["support_rel"][label] = max(rel(n) for n in FIELD_NAMES)
-                out["field_max"][label] = pairing.peak
-        return out
+    def result(self) -> list:
+        # one (pairing, leak, peak) per observable: the vacuum side's worst
+        # relative sup and the largest |F|, both None off a vacuum diagonal
+        return [(pairing.result(), probe and probe.result().worst(side), probe and pairing.peak)
+                for side, pairing, probe in self.folds]
 
 
 def limit_sweep(template, eps_schedule, observables, workers: int = 1) -> SweepResult:
@@ -409,33 +400,36 @@ def limit_sweep(template, eps_schedule, observables, workers: int = 1) -> SweepR
     ``observables`` is a list of ``(field_name, TestFunction2D)`` pairs.
     Members run independently (optionally in a process pool); a member that
     aborted or raised leaves the sweep partial, its pairings empty and the
-    observables inconclusive.
+    observables inconclusive without a target.  Each observable's vacuum
+    diagonal and pairing target are found once, here, for the verdict.
     """
-    fam, values = _run_family(template, eps_schedule, _SweepMember, (observables,), workers)
-    labels = tuple(_observable_label(f, psi) for f, psi in observables)
+    slopes = [_vacuum_diagonal(f, psi) for f, psi in observables]
+    fam, values = _run_family(template, eps_schedule, _SweepMember, (observables, slopes),
+                              workers)
+    labels = tuple(f"{f}@{psi.label()}" for f, psi in observables)
     pairings, increments, verdicts, targets = {}, {}, {}, {}
-    for (field_name, psi), label in zip(observables, labels):
-        targets[label] = None
-        vals = pairings[label] = tuple(v["pairings"][label] if s == "ok" else None
+    for j, ((_, psi), slope, label) in enumerate(zip(observables, slopes, labels)):
+        vals = pairings[label] = tuple(v[j][0] if s == "ok" else None
                                        for s, v in zip(fam.statuses, values))
         if fam.partial:
-            increments[label], verdicts[label] = (), VERDICT_INCONCLUSIVE
+            increments[label], verdicts[label], targets[label] = (), VERDICT_INCONCLUSIVE, None
             continue
+        _, leaks, peaks = zip(*(v[j] for v in values))
+        target = targets[label] = None if slope is None else diag_pairing_target(psi, slope)
         incs = increments[label] = tuple(abs(b - a_) for a_, b in zip(vals, vals[1:]))
-        verdicts[label] = _classify(field_name, psi, vals, incs, values, label, targets)
+        verdicts[label] = _classify(vals, incs, target, leaks, peaks)
     return SweepResult(**vars(fam), labels=labels, pairings=pairings, increments=increments,
                        verdicts=verdicts, targets=targets)
 
 
-def _classify(field_name, psi, vals, incs, results, label, targets) -> str:
+def _classify(vals, incs, target, leaks, peaks) -> str:
+    """One observable's verdict from its pairings and their increments, and
+    on a vacuum diagonal (``target`` not None) each member's leak and peak."""
     # the obstruction case: Q paired against a diagonal bump in the vacuum
     # half-plane, for solutions carrying charge confined to the other side
-    slope = _vacuum_diagonal(field_name, psi)
-    if slope is not None:
-        target = diag_pairing_target(psi, slope=slope)
-        targets[label] = target
-        confined = all(r["support_rel"][label] <= SUPPORT_REL_TOL for r in results)
-        nontrivial = any(r["field_max"][label] > 1e-6 for r in results)
+    if target is not None:
+        confined = all(leak <= SUPPORT_REL_TOL for leak in leaks)
+        nontrivial = any(peak > 1e-6 for peak in peaks)
         vanishing = all(abs(v) <= OBSTRUCTION_PAIRING_TOL for v in vals)
         if confined and nontrivial and vanishing and target > OBSTRUCTION_TARGET_MIN:
             return VERDICT_OBSTRUCTION

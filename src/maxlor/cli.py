@@ -88,11 +88,10 @@ def _default_probe_cut(cfg) -> list:
     return cfgmod._off_grid(cfg, "probe_x0", cfgmod._experiment_value(cfg, "probe_x0"))
 
 
-def _plan_line(plan: dict) -> str:
-    """``validate``'s line for one member: the sizes a family run records in ``members``."""
-    sizes = " ".join(f"{key}={plan[key]}" for key in ("grid_n", "m", "fft_len", "n_steps",
-                                                        "n_saved"))
-    return f"member eps={plan['eps']:g} {'schedule' if plan['schedule'] else 'single'}: {sizes}"
+def _plan_line(eps, schedule, record) -> str:
+    """``validate``'s line for one member: the record a family run keeps in ``members``."""
+    sizes = " ".join(f"{key}={value}" for key, value in record.items())
+    return f"member eps={eps:g} {'schedule' if schedule else 'single'}: {sizes}"
 
 
 def _exit_code(summary) -> int:
@@ -134,7 +133,7 @@ def _run_solve(cfg, args, out):
 
 
 def _run_sweep(cfg, args, out):
-    obs = [(cfgmod._psi_field(d), analysis.psi_from_dict(d)) for d in cfg.experiment["psi"]]
+    obs = cfgmod.build_observables(cfg)
     result = analysis.limit_sweep(cfg, cfg.eps_schedule, obs, workers=args.workers)
     # a member without a pairing leaves its cell empty
     rows = [(eps, label, val) for label in result.labels
@@ -168,8 +167,7 @@ def _run_check_support(cfg, args, out):
     )
     # a one-sided kernel keeps the other half-line vacuum; a symmetric one has none
     vacuum = {"left": "right", "right": "left"}.get(pieces.operator.mollifier.kind)
-    rel = {"right": rep.rel_right, "left": rep.rel_left}.get(vacuum)
-    worst = None if rel is None else max(rel(n) for n in FIELD_NAMES)
+    worst = None if vacuum is None else rep.worst(vacuum)
     summary = {
         "x0": x0,
         "vacuum_side": vacuum,
@@ -336,7 +334,7 @@ def _run(args) -> int:
     if run is None:
         print(f"ok: run id {rid}")
         for plan in plans:
-            print(_plan_line(plan))
+            print(_plan_line(*plan))
         return EXIT_OK
     out = args.out or os.path.join("runs", f"{args.command}-{rid}")
     try:

@@ -23,11 +23,11 @@ configured grid, each schedule member on its refined grid) it calls the
 builders the run calls (scaling, grid refinement, operator, delta-net
 sampling, the solver's step bound and step count) and reports what they
 raise, and it records what each member will run for ``validate`` to
-print; each ``psi`` entry goes through the sweep's ``psi_from_dict`` and
-the pairing window check, and the growth grid through
-``verify_growth_condition`` at every p of ``growth_p``.
-``assemble_run`` turns a config plus a concrete eps into ready-to-solve
-pieces.
+print; the ``psi`` entries, once every one passed its rows, are built by the
+sweep's ``build_observables`` for the pairing window check, and the
+growth grid goes through ``verify_growth_condition`` at every p of
+``growth_p``.  ``assemble_run`` turns a config plus a concrete eps into
+ready-to-solve pieces.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import _check_window, _window_mask, psi_from_dict
+from .analysis import TestFunction2D, _check_window, _window_mask, member_record
 from .deltanet import DeltaNet, net_from_spec, sample
 from .fields import FIELD_NAMES, FieldState, Grid, ModelParams
 from .mollifier import DEFAULT_SUPPORTS, Mollifier, make_mollifier
@@ -60,6 +60,7 @@ __all__ = [
     "build_solver_config",
     "build_initial_state",
     "assemble_run",
+    "build_observables",
     "MAX_GRID_POINTS",
 ]
 
@@ -99,7 +100,8 @@ _POSITIVE = (_is_pos, "a positive number")
 
 # key -> (default, rule, demand).  A rule is a predicate the value must pass
 # (``demand`` says what it asks), a tuple of the names the value may take,
-# or a dict: the value is an object with those rows of its own.  A default
+# a dict: the value is an object with those rows of its own, or a list
+# holding one such dict: the value is a list of those objects.  A default
 # of None means the key is optional and has none.
 _PROFILE = {
     "kind": (_GIVEN, ("zero", "gaussian", "bump", "delta-net"), None),
@@ -109,6 +111,16 @@ _PROFILE = {
     "center": (0.0, *_FINITE),
 }
 _SHAPED_KINDS = ("gaussian", "bump")
+
+# a sweep observable: the field it pairs and its TestFunction2D
+_PSI = {
+    "field": ("Q", ("Q",) + FIELD_NAMES, None),
+    "t0": (_GIVEN, *_FINITE),
+    "x0": (_GIVEN, *_FINITE),
+    "r_t": (_GIVEN, *_POSITIVE),
+    "r_x": (_GIVEN, *_POSITIVE),
+    "amplitude": (1.0, *_FINITE),
+}
 
 _MOLLIFIER_KINDS = tuple(sorted(DEFAULT_SUPPORTS))
 
@@ -158,7 +170,7 @@ _SCHEMA = {
         "width_power": (1.0, *_POSITIVE),
     },
     "experiment": {
-        "psi": (None, lambda v: isinstance(v, (list, tuple)), "a list of objects"),
+        "psi": (None, [_PSI], "a list of objects"),
         "probe_x0": (0.05, *_FINITE),
         "blowup_window": (0.25, *_POSITIVE),
         "trajectory_starts": (None, _is_num_list, "a list of finite numbers"),
@@ -249,7 +261,9 @@ def _experiment_value(cfg: RunConfig, key: str):
 
 def _check(name: str, values: dict, rows: dict, errors: list) -> set:
     """Report each key of ``values`` that ``rows`` does not know and each
-    value its row's rule refuses, prefixed ``<name>:``; return the refused keys.
+    value its row's rule refuses, prefixed ``<name>:`` (``<name>.<key>:`` in
+    a nested object, ``<name>.<key>[i]:`` in a list item); return the
+    refused keys.
 
     A key set to null counts as absent, except where the config holds the
     key's default and null would replace it.
@@ -270,6 +284,18 @@ def _check(name: str, values: dict, rows: dict, errors: list) -> set:
                 refused.add(key)
             elif _check(f"{name}.{key}", value, rule, errors):
                 refused.add(key)
+        elif isinstance(rule, list):
+            if not isinstance(value, (list, tuple)):
+                errors.append(f"{name}: {key} must be {demand}")
+                refused.add(key)
+                continue
+            for i, item in enumerate(value):
+                where = f"{name}.{key}[{i}]"
+                if not isinstance(item, dict):
+                    errors.append(f"{where}: must be an object")
+                    refused.add(key)
+                elif _check(where, item, rule[0], errors):
+                    refused.add(key)
         elif isinstance(rule, tuple):
             if value not in rule:
                 errors.append(f"{name}: unknown {key} {value!r}; choose from {', '.join(rule)}")
@@ -294,9 +320,9 @@ def validate_config(cfg: RunConfig, plans: list | None = None) -> list:
     """All violations as section-prefixed messages; empty means valid.
 
     ``plans``, a list, gets what each member will run when the config is
-    valid: its ``eps``, whether it is a ``schedule`` member on a refined
-    grid, and the sizes a family run records in ``members`` (``grid_n``,
-    ``m``, ``fft_len``, ``n_steps``, ``n_saved``).
+    valid: ``(eps, schedule, record)``, ``schedule`` true for a member on a
+    refined grid and ``record`` the sizes a family run records for it in
+    ``members`` (``analysis.member_record``).
     """
     errors = [f"config: unknown top-level key {key!r}" for key in cfg.unknown_keys]
     refused = {name: _check(name, getattr(cfg, name), rows, errors)
@@ -373,7 +399,8 @@ def validate_config(cfg: RunConfig, plans: list | None = None) -> list:
 
 def _check_experiment(cfg: RunConfig, window, refused: set, scaling_ok: bool) -> list:
     """The given probe cut against the grid, then the psi entries and the
-    growth study through the code the run calls on them."""
+    growth study through the code the run calls on them; ``window`` is the
+    solved window the psi supports must lie in, None when refused."""
     errors = []
     x0 = cfg.experiment.get("probe_x0")
     if "probe_x0" not in refused and x0 is not None:
@@ -381,10 +408,12 @@ def _check_experiment(cfg: RunConfig, window, refused: set, scaling_ok: bool) ->
     if "trajectory_starts" not in refused:
         for i, w0 in enumerate(cfg.experiment.get("trajectory_starts") or ()):
             errors.extend(_off_grid(cfg, f"trajectory_starts[{i}]", w0))
-    if "psi" not in refused:
-        for i, spec in enumerate(_experiment_value(cfg, "psi") or ()):
-            errors.extend(f"experiment: psi[{i}] {problem}"
-                          for problem in _psi_problems(spec, window))
+    if "psi" not in refused and window is not None:
+        for i, (_, psi) in enumerate(build_observables(cfg)):
+            try:
+                _check_window(psi, *window)
+            except ValueError as exc:
+                errors.append(f"experiment.psi[{i}]: {exc}")
     if scaling_ok and not refused & {"growth_p", "growth_eps"}:
         # the rules above leave the scaling's own domain and the range of
         # h^-p to fail; check-scaling runs every p of growth_p
@@ -395,37 +424,6 @@ def _check_experiment(cfg: RunConfig, window, refused: set, scaling_ok: bool) ->
         except ValueError as exc:
             errors.append(f"experiment: growth_eps: {exc}")
     return errors
-
-
-# what a psi entry may hold: the field it pairs and the TestFunction2D keys
-_PSI_KEYS = ("field", "t0", "x0", "r_t", "r_x", "amplitude")
-
-
-def _psi_field(spec: dict) -> str:
-    """The field a ``psi`` entry pairs against: the charge Q unless it names one."""
-    return spec.get("field", "Q")
-
-
-def _psi_problems(spec, window) -> list:
-    if not isinstance(spec, dict):
-        return ["must be an object"]
-    problems = [f"has unknown key {k!r}" for k in spec if k not in _PSI_KEYS]
-    field_name = _psi_field(spec)
-    if field_name not in ("Q",) + FIELD_NAMES:
-        problems.append(f"has unknown field {field_name!r}; choose Q, {', '.join(FIELD_NAMES)}")
-    numbers = {k: spec[k] for k in _PSI_KEYS[1:] if k in spec}
-    problems.extend(f"{k} must be a finite number" for k, v in numbers.items() if not _is_num(v))
-    if not all(isinstance(v, float) or _is_num(v) for v in numbers.values()):
-        return problems  # psi_from_dict's float() would take a string or a bool
-    try:
-        psi = psi_from_dict(spec)
-        if window is not None:
-            _check_window(psi, *window)
-    except KeyError as exc:
-        problems.append(f"is missing {exc}")
-    except (TypeError, ValueError) as exc:
-        problems.append(f"is invalid: {exc}")
-    return problems
 
 
 def _rehearse(cfg: RunConfig, members: list, window, march, plans: list) -> list:
@@ -466,9 +464,7 @@ def _rehearse(cfg: RunConfig, members: list, window, march, plans: list) -> list
             n_steps = None if T is None else attempt(step_count, float(T), dt, eps=eps)
             if n_steps is not None and save_every is not None:
                 _, _, saved = march_plan(0.0, float(T), dt, save_every)
-                plans.append({"eps": eps, "schedule": refine, "grid_n": grid.n,
-                              "m": len(op.weights), "fft_len": op.fft_len, "n_steps": n_steps,
-                              "n_saved": len(saved)})
+                plans.append((eps, refine, member_record(op, n_steps, len(saved))))
         if refine and window is not None:
             attempt(_window_mask, grid, float(window), float(cfg.delta_net["center"]), eps)
     return errors
@@ -492,6 +488,13 @@ def build_mollifier(cfg: RunConfig) -> Mollifier:
 def build_scaling(cfg: RunConfig) -> ScalingFunction:
     s = cfg.scaling
     return make_scaling(kind=s["kind"], c=float(s["c"]), exponent=float(s["exponent"]))
+
+
+def build_observables(cfg: RunConfig) -> list:
+    """The sweep's ``(field, TestFunction2D)`` pair of each ``experiment.psi`` entry."""
+    return [(_read(spec, _PSI, "field"),
+             TestFunction2D(**{key: float(_read(spec, _PSI, key)) for key in list(_PSI)[1:]}))
+            for spec in _experiment_value(cfg, "psi") or ()]
 
 
 def _step(dt, op_norm: float) -> float:

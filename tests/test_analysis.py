@@ -13,7 +13,9 @@ from maxlor.analysis import (
     OBSTRUCTION_PAIRING_TOL,
     SUPPORT_REL_TOL,
     VERDICT_CONVERGING,
+    VERDICT_DIVERGING,
     VERDICT_INCONCLUSIVE,
+    VERDICT_OBSTRUCTION,
     LinearGaps,
     Pairing,
     SupportProbe,
@@ -22,7 +24,6 @@ from maxlor.analysis import (
     diag_pairing_target,
     limit_sweep,
     linearized_reference,
-    psi_from_dict,
 )
 from maxlor.cli import main
 from maxlor.config import assemble_run, config_from_dict
@@ -71,10 +72,6 @@ class TestTestFunction2D:
             TestFunction2D(t0=0.0, x0=0.0, r_t=-1.0, r_x=1.0)
         with pytest.raises(ValueError):
             TestFunction2D(t0=0.0, x0=0.0, r_t=1.0, r_x=0.0)
-
-    def test_dict_round_trip(self, psi_unit):
-        d = {"t0": 0.25, "x0": 0.5, "r_t": 0.2, "r_x": 0.3, "amplitude": 1.0}
-        assert psi_from_dict(d) == psi_unit
 
     def test_diag_pairing_target_against_1d_quadrature(self):
         psi = TestFunction2D(t0=0.3, x0=0.3, r_t=0.2, r_x=0.2)
@@ -195,6 +192,8 @@ class TestSupportProbe:
         rep = support_probe(sol, 0.05)
         assert rep.rel_right("E") > 0.1
         assert rep.rel_left("E") > 0.1
+        for side, rel in (("right", rep.rel_right), ("left", rep.rel_left)):
+            assert rep.worst(side) == max(rel(name) for name in ("E", "u", "sigma"))
 
     @pytest.mark.parametrize("x0", [5.0, -10.0])
     def test_cut_with_an_empty_side_is_refused(self, release_left, x0):
@@ -353,6 +352,38 @@ class TestLimitSweep:
         psi = TestFunction2D(t0=0.15, x0=-0.5, r_t=0.1, r_x=0.3)
         with pytest.raises(ValueError):
             limit_sweep(zero_template(), [0.05, 0.1], [("Q", psi)])
+
+
+# today's verdict rule, one case per branch.  The obstruction cases pair
+# vanishing values whose increments grow, so each that fails one of its four
+# conditions falls through to the increment rules and reads diverging; the
+# obstruction case also sits on the inclusive bounds of leak and pairing.
+_OBSTRUCTION = dict(vals=(0.0, 1e-8, -1e-8), target=0.1,
+                    leaks=(0.0, SUPPORT_REL_TOL, 0.0), peaks=(0.5, 0.5, 0.5))
+
+
+@pytest.mark.parametrize("case, verdict", [
+    (dict(vals=(0.0, 0.0, 0.0)), VERDICT_CONVERGING),
+    (dict(vals=(0.5,)), VERDICT_INCONCLUSIVE),
+    (dict(vals=(1.0, 0.5, 0.3, 0.25)), VERDICT_CONVERGING),
+    (dict(vals=(0.0, 1.0)), VERDICT_INCONCLUSIVE),
+    (dict(vals=(0.0, 0.1, 0.3, 0.6)), VERDICT_DIVERGING),
+    (dict(vals=(0.0, 0.1, 0.4, 0.6)), VERDICT_INCONCLUSIVE),
+    (_OBSTRUCTION, VERDICT_OBSTRUCTION),
+    ({**_OBSTRUCTION, "leaks": (0.0, 2e-8, 0.0)}, VERDICT_DIVERGING),
+    ({**_OBSTRUCTION, "peaks": (1e-6, 1e-6, 1e-6)}, VERDICT_DIVERGING),
+    ({**_OBSTRUCTION, "vals": (0.0, 1e-8, -2e-8)}, VERDICT_DIVERGING),
+    ({**_OBSTRUCTION, "target": 1e-3}, VERDICT_DIVERGING),
+], ids=["exact-zeros", "one-member", "settling-tail", "one-increment", "growing-tail",
+        "mixed-tail", "obstruction", "leaking", "no-charge", "nonzero-pairing",
+        "small-target"])
+def test_classify_rule(case, verdict):
+    vals = case["vals"]
+    incs = tuple(abs(b - a_) for a_, b in zip(vals, vals[1:]))
+    off_diagonal = (None,) * len(vals)
+    got = analysis._classify(vals, incs, case.get("target"), case.get("leaks", off_diagonal),
+                             case.get("peaks", off_diagonal))
+    assert got == verdict
 
 
 # The adaptive oracle for the closed-form integrals of the linearized system:

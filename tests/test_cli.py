@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from maxlor import analysis, solver
+from maxlor import analysis, output, solver
 from maxlor import config as cfgmod
 
 from maxlor.cli import (
@@ -338,6 +338,25 @@ class TestGridCap:
 
 
 class TestSolve:
+    def test_seed_flag_moves_the_run_id_and_no_state(self, tmp_path, capsys):
+        path = os.path.join(CONFIGS, "point_charge.json")
+        plain, seeded = tmp_path / "plain", tmp_path / "seeded"
+        assert main(["solve", "--config", path, "--out", str(plain)]) == EXIT_OK
+        assert main(["solve", "--config", path, "--out", str(seeded), "--seed", "7"]) == EXIT_OK
+        states = sorted(p.name for p in plain.glob("state_*.csv"))
+        assert states and states == sorted(p.name for p in seeded.glob("state_*.csv"))
+        for name in states:
+            assert (plain / name).read_bytes() == (seeded / name).read_bytes()
+        cfg = cfgmod.load_config(path)
+        assert cfg.seed != 7
+        cfg.seed = 7
+        rid = output.run_id(cfgmod.config_to_dict(cfg))
+        assert json.loads((seeded / "summary.json").read_text())["run_id"] == rid
+        assert json.loads((plain / "summary.json").read_text())["run_id"] != rid
+        capsys.readouterr()
+        assert main(["validate", "--config", path, "--seed", "7"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == f"ok: run id {rid}"
+
     def test_writes_states_summary_and_config(self, tmp_path):
         cfg = release_cfg(tmp_path)
         out = str(tmp_path / "out")
@@ -429,24 +448,33 @@ class TestSweep:
                               "fft_len": op.fft_len, "n_steps": sol.meta["n_steps"],
                               "n_saved": len(sol.states)}
 
-    def test_validate_prints_the_sizes_each_member_records(self, tmp_path, capsys):
-        path = os.path.join(CONFIGS, "obstruction_sweep.json")
+    @pytest.mark.parametrize("command, config", [
+        ("sweep", "obstruction_sweep.json"), ("probe-blowup", "blowup_family.json"),
+    ])
+    def test_validate_prints_the_sizes_each_member_records(self, tmp_path, capsys, command,
+                                                           config):
+        path = os.path.join(CONFIGS, config)
         out = tmp_path / "out"
-        assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_OK
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_OK
         members = json.loads((out / "summary.json").read_text())["members"]
         capsys.readouterr()
         assert main(["validate", "--config", path]) == EXIT_OK
         first, *lines = capsys.readouterr().out.splitlines()
         assert first.startswith("ok: run id ")
         cfg = cfgmod.load_config(path)
-        assert lines[0].startswith(f"member eps={cfg.eps:g} single: ")
         schedule = [line for line in lines if " schedule: " in line]
+        assert lines == [lines[0]] * (cfg.eps is not None) + schedule
+        if cfg.eps is not None:
+            assert lines[0].startswith(f"member eps={cfg.eps:g} single: ")
         assert len(schedule) == len(members) == len(cfg.eps_schedule)
         for eps, line, member in zip(cfg.eps_schedule, schedule, members):
             label, sizes = line.split(": ")
             assert label == f"member eps={eps:g} schedule"
-            assert dict(pair.split("=") for pair in sizes.split()) == {
-                key: str(member[key]) for key in ("grid_n", "m", "fft_len", "n_steps", "n_saved")}
+            pairs = [pair.split("=") for pair in sizes.split()]
+            # the record's own order; summary.json sorts its keys
+            assert [key for key, _ in pairs] == ["grid_n", "m", "nu", "fft_len", "n_steps",
+                                                 "n_saved"]
+            assert dict(pairs) == {key: str(value) for key, value in member.items()}
 
     def test_contaminated_member_exits_4(self, tmp_path):
         # the tight domain of the solve contamination test, run as a
@@ -529,26 +557,33 @@ class TestSweep:
         cfg = release_cfg(tmp_path, eps_schedule=[0.2, 0.1],
                           experiment={"psi": [{"field": "Q", "t0": 0.3}]})
         assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "psi[0]" in err and "'x0'" in err
+        assert capsys.readouterr().err.splitlines() == [
+            "experiment.psi[0]: x0 must be a finite number",
+            "experiment.psi[0]: r_t must be a positive number",
+            "experiment.psi[0]: r_x must be a positive number",
+            "config: 3 problem(s)",
+        ]
 
     def test_non_object_psi_exits_before_solving(self, tmp_path, capsys):
         cfg = release_cfg(tmp_path, eps_schedule=[0.2, 0.1], experiment={"psi": [5]})
         assert main(["validate", "--config", cfg]) == EXIT_CONFIG
-        assert "experiment: psi[0] must be an object" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines() == [
+            "experiment.psi[0]: must be an object", "invalid: 1 problem(s)"]
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
     @pytest.mark.parametrize("spec, message", [
-        ({"field": "B"}, "experiment: psi[0] has unknown field 'B'"),
-        ({"t0": 0.45}, "experiment: psi[0] is invalid: psi time support [0.35, 0.55]"),
-        ({"x0": 0.95}, "experiment: psi[0] is invalid: psi spatial support [0.85, 1.05]"),
-        ({"r_x": 0.0}, "experiment: psi[0] is invalid: test function: radii must be positive"),
-        ({"x0": float("nan")}, "experiment: psi[0] is invalid: psi spatial support [nan, nan]"),
-        ({"feild": "sigma"}, "experiment: psi[0] has unknown key 'feild'"),
-        ({"t0": "0.15"}, "experiment: psi[0] t0 must be a finite number"),
-        ({"r_x": True}, "experiment: psi[0] r_x must be a finite number"),
+        ({"field": "B"}, "experiment.psi[0]: unknown field 'B'; choose from Q, E, u, sigma"),
+        ({"t0": 0.45},
+         "experiment.psi[0]: psi time support [0.35, 0.55] outside solved window [0, 0.3]"),
+        ({"x0": 0.95},
+         "experiment.psi[0]: psi spatial support [0.85, 1.05] outside the grid [-3, 1]"),
+        ({"r_x": 0.0}, "experiment.psi[0]: r_x must be a positive number"),
+        ({"x0": float("nan")}, "experiment.psi[0]: x0 must be a finite number"),
+        ({"feild": "sigma"}, "experiment.psi[0]: unknown key 'feild'"),
+        ({"t0": "0.15"}, "experiment.psi[0]: t0 must be a finite number"),
+        ({"r_x": True}, "experiment.psi[0]: r_x must be a positive number"),
     ], ids=["field", "time-window", "space-window", "radius", "nan-center", "unknown-key",
             "string-number", "bool-radius"])
     def test_psi_rehearsal_refuses_before_solving(self, tmp_path, capsys, monkeypatch,
@@ -560,10 +595,10 @@ class TestSweep:
         psi = {"field": "Q", "t0": 0.15, "x0": 0.3, "r_t": 0.1, "r_x": 0.1, **spec}
         cfg = release_cfg(tmp_path, eps_schedule=[0.2, 0.1], experiment={"psi": [psi]})
         assert main(["validate", "--config", cfg]) == EXIT_CONFIG
-        assert message in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines() == [message, "invalid: 1 problem(s)"]
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [message, "config: 1 problem(s)"]
         assert not out.exists()
 
     def test_psi_with_every_known_key_validates(self, tmp_path, capsys):

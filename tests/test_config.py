@@ -5,11 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from maxlor.analysis import TestFunction2D
 from maxlor.config import (
     MAX_GRID_POINTS,
     assemble_run,
     build_initial_state,
     build_grid,
+    build_observables,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -260,6 +262,20 @@ def test_profile_validation_messages():
     assert any("positive width" in e for e in errs)
     errs = validate_config(cfg_of(initial={"fields": {"kind": "zero"}}))
     assert any("unknown field 'fields'" in e for e in errs)
+
+
+def test_build_observables_reads_each_psi_entry():
+    # field Q and amplitude 1 unless given; a null key counts as absent
+    window = {"t0": 0.25, "x0": 0.5, "r_t": 0.2, "r_x": 0.3}
+    cfg = cfg_of(experiment={"psi": [
+        window,
+        {**window, "field": "sigma", "amplitude": 2},
+        {**window, "field": None, "amplitude": None},
+    ]})
+    assert validate_config(cfg) == []
+    psi = TestFunction2D(t0=0.25, x0=0.5, r_t=0.2, r_x=0.3)
+    doubled = TestFunction2D(t0=0.25, x0=0.5, r_t=0.2, r_x=0.3, amplitude=2.0)
+    assert build_observables(cfg) == [("Q", psi), ("sigma", doubled), ("Q", psi)]
 
 
 def test_schedule_validation():

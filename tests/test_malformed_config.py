@@ -40,7 +40,9 @@ def _targets():
             yield (section, key)
             if isinstance(rule, dict):
                 yield from ((section, key, sub) for sub in rule)
-    yield from [("eps",), ("eps_schedule",), ("seed",), ("experiment", "psi", 0, "t0")]
+            elif isinstance(rule, list):  # the first item of a list of objects
+                yield from ((section, key, 0, sub) for sub in rule[0])
+    yield from [("eps",), ("eps_schedule",), ("seed",)]
 
 
 TARGETS = list(_targets())
