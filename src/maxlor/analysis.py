@@ -50,6 +50,7 @@ __all__ = [
     "blow_up_probe",
     "diag_pairing_target",
     "member_record",
+    "observable_label",
     "VERDICT_CONVERGING",
     "VERDICT_DIVERGING",
     "VERDICT_OBSTRUCTION",
@@ -126,8 +127,10 @@ class TestFunction2D:
         out = self.amplitude * self._b(st) * self._b(sx)
         return float(out) if out.ndim == 0 else out
 
-    def label(self) -> str:
-        return f"({self.t0:g},{self.x0:g})r({self.r_t:g},{self.r_x:g})"
+
+def observable_label(field_name: str, psi: TestFunction2D) -> str:
+    """A sweep observable's key in its results; ``validate`` refuses a repeat."""
+    return f"{field_name}@({psi.t0:g},{psi.x0:g})r({psi.r_t:g},{psi.r_x:g})"
 
 
 def diag_pairing_target(psi: TestFunction2D, slope: float = 1.0) -> float:
@@ -406,7 +409,7 @@ def limit_sweep(template, eps_schedule, observables, workers: int = 1) -> SweepR
     slopes = [_vacuum_diagonal(f, psi) for f, psi in observables]
     fam, values = _run_family(template, eps_schedule, _SweepMember, (observables, slopes),
                               workers)
-    labels = tuple(f"{f}@{psi.label()}" for f, psi in observables)
+    labels = tuple(observable_label(f, psi) for f, psi in observables)
     pairings, increments, verdicts, targets = {}, {}, {}, {}
     for j, ((_, psi), slope, label) in enumerate(zip(observables, slopes, labels)):
         vals = pairings[label] = tuple(v[j][0] if s == "ok" else None

@@ -10,10 +10,11 @@ family an aborted member wins over a contaminated one.  ``sweep`` and
 pools the members, and a member that raises becomes an ``error`` row.
 
 The subcommands are the rows of ``_COMMANDS``: a name, its ``--help``
-line, what it needs of a config beyond ``validate`` (keys it cannot run
-without, checks of the defaults it reads), and a run function that does
+line, the keys its run reads beyond the config sections (``eps``,
+``eps_schedule``, ``experiment.<key>``), and a run function that does
 only the command's own work.  ``main`` takes every subcommand down the one
-path load → validate (the config plus the row's needs) → create ``--out``
+path load → validate (the config; the row's keys at the value the run
+reads, a default included, and set if they have none) → create ``--out``
 → run → stamp the run id on the summary, write ``summary.json`` and read
 the exit code off it; ``validate`` stops after the checks and prints the
 sizes of each member they rehearsed.  A run function that solves hangs
@@ -67,25 +68,16 @@ def _load(args):
 
 
 def _unmet(cfg, command: str, needs) -> list:
-    """A message for each needed key (``eps``, ``eps_schedule`` or ``experiment.<key>``)
-    that the config leaves unset or empty, and those of each needed check."""
+    """A message for each key in ``needs`` without a default (``eps``,
+    ``eps_schedule``, ``experiment.<key>``) that the config leaves unset or empty."""
     errors = []
     for need in needs:
-        if callable(need):
-            errors.extend(need(cfg))
-            continue
         section, _, key = need.rpartition(".")
+        if section and cfgmod._SCHEMA[section][key][0] is not None:
+            continue
         if not (cfg.experiment.get(key) if section else getattr(cfg, key)):
             errors.append(f"{section or key}: {command} needs {key!r}")
     return errors
-
-
-def _default_probe_cut(cfg) -> list:
-    """check-support cuts at the default probe_x0 when the key is absent, a
-    cut that validate does not know is used; it must lie on the grid too."""
-    if cfg.experiment.get("probe_x0") is not None:
-        return []  # validate checked the given cut
-    return cfgmod._off_grid(cfg, "probe_x0", cfgmod._experiment_value(cfg, "probe_x0"))
 
 
 def _plan_line(eps, schedule, record) -> str:
@@ -276,7 +268,7 @@ def _run_check_scaling(cfg, args, out):
     return summary, "\n".join(lines)
 
 
-# name -> (--help line, keys and checks the run cannot do without, run function)
+# name -> (--help line, the keys the run reads beyond the sections, run function)
 _COMMANDS = {
     "validate": ("dry-check a config against every module precondition, then exit",
                  (), None),
@@ -285,15 +277,15 @@ _COMMANDS = {
     "sweep": ("run an eps schedule, pair observables, classify the limit",
               ("eps_schedule", "experiment.psi"), _run_sweep),
     "check-support": ("solve, then probe field leakage into the vacuum half-line",
-                      ("eps", _default_probe_cut), _run_check_support),
+                      ("eps", "experiment.probe_x0"), _run_check_support),
     "compare-lin": ("L1 distance of a run from the linearized closed form over time",
                     ("eps",), _run_compare_lin),
     "probe-blowup": ("peak interaction density sigma*a(u) across an eps family + fit",
-                     ("eps_schedule",), _run_probe_blowup),
+                     ("eps_schedule", "experiment.blowup_window"), _run_probe_blowup),
     "trajectories": ("integrate charge world lines through a solved field",
                      ("eps", "experiment.trajectory_starts"), _run_trajectories),
     "check-scaling": ("test the admissible-growth condition for the configured scaling",
-                      (), _run_check_scaling),
+                      ("experiment.growth_p", "experiment.growth_eps"), _run_check_scaling),
 }
 
 
@@ -321,7 +313,7 @@ def _run(args) -> int:
     if cfg is None:
         return EXIT_CONFIG
     plans: list = []
-    errors = cfgmod.validate_config(cfg, plans) + _unmet(cfg, args.command, needs)
+    errors = cfgmod.validate_config(cfg, plans, reads=needs) + _unmet(cfg, args.command, needs)
     if errors:
         # validate reports on stdout; a refused run on stderr
         stream = sys.stdout if run is None else sys.stderr

@@ -23,11 +23,14 @@ configured grid, each schedule member on its refined grid) it calls the
 builders the run calls (scaling, grid refinement, operator, delta-net
 sampling, the solver's step bound and step count) and reports what they
 raise, and it records what each member will run for ``validate`` to
-print; the ``psi`` entries, once every one passed its rows, are built by the
-sweep's ``build_observables`` for the pairing window check, and the
-growth grid goes through ``verify_growth_condition`` at every p of
-``growth_p``.  ``assemble_run`` turns a config plus a concrete eps into
-ready-to-solve pieces.
+print.  A key named in ``reads`` (a command's run reads it) is checked at
+the value the run uses, its default included, where else only a given
+value is.  The ``psi`` entries, once every one passed its rows, are built
+by the sweep's ``build_observables`` for the pairing window check, and no
+two may share an ``analysis.observable_label``; the growth grid goes
+through ``verify_growth_condition`` at every p of ``growth_p``.
+``assemble_run`` turns a config plus a concrete eps into ready-to-solve
+pieces.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import TestFunction2D, _check_window, _window_mask, member_record
+from .analysis import TestFunction2D, _check_window, _window_mask, member_record, observable_label
 from .deltanet import DeltaNet, net_from_spec, sample
 from .fields import FIELD_NAMES, FieldState, Grid, ModelParams
 from .mollifier import DEFAULT_SUPPORTS, Mollifier, make_mollifier
@@ -316,13 +319,22 @@ def _off_grid(cfg: RunConfig, name: str, x) -> list:
     return [f"experiment: {name} {x:g} lies outside the grid [{x_min:g}, {x_max:g}]"]
 
 
-def validate_config(cfg: RunConfig, plans: list | None = None) -> list:
+def _checked(cfg: RunConfig, key: str, refused: set, reads):
+    """The value of ``experiment.<key>`` to check: None when its rule
+    refused it, the run's when ``reads`` names it, else the given one."""
+    if key in refused:
+        return None
+    return _experiment_value(cfg, key) if f"experiment.{key}" in reads else cfg.experiment.get(key)
+
+
+def validate_config(cfg: RunConfig, plans: list | None = None, reads=()) -> list:
     """All violations as section-prefixed messages; empty means valid.
 
     ``plans``, a list, gets what each member will run when the config is
     valid: ``(eps, schedule, record)``, ``schedule`` true for a member on a
     refined grid and ``record`` the sizes a family run records for it in
-    ``members`` (``analysis.member_record``).
+    ``members`` (``analysis.member_record``).  ``reads`` names the keys
+    (``experiment.<key>``) whose default is checked too: a command's run reads them.
     """
     errors = [f"config: unknown top-level key {key!r}" for key in cfg.unknown_keys]
     refused = {name: _check(name, getattr(cfg, name), rows, errors)
@@ -375,9 +387,8 @@ def validate_config(cfg: RunConfig, plans: list | None = None) -> list:
 
     if not any(refused[name] for name in ("grid", "mollifier", "scaling", "delta_net",
                                           "initial")):
-        # a given blowup_window depends on each schedule member's grid
-        window = (None if "blowup_window" in refused["experiment"]
-                  else cfg.experiment.get("blowup_window"))
+        # the window depends on each schedule member's grid
+        window = _checked(cfg, "blowup_window", refused["experiment"], reads)
         # T, dt and save_every, each None when its rule refused it
         march = [None if key in refused[section] else getattr(cfg, section)[key]
                  for section, key in (("model", "T"), ("solver", "dt"), ("solver", "save_every"))]
@@ -390,26 +401,30 @@ def validate_config(cfg: RunConfig, plans: list | None = None) -> list:
     window = ((0.0, cfg.model["T"], g["x_min"], g["x_max"])
               if not refused["grid"] and "T" not in refused["model"] else None)
     errors.extend(_check_experiment(cfg, window, refused["experiment"],
-                                    not refused["scaling"]))
+                                    not refused["scaling"], reads))
 
     if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool):
         errors.append("seed: must be an integer")
     return errors
 
 
-def _check_experiment(cfg: RunConfig, window, refused: set, scaling_ok: bool) -> list:
-    """The given probe cut against the grid, then the psi entries and the
-    growth study through the code the run calls on them; ``window`` is the
-    solved window the psi supports must lie in, None when refused."""
+def _check_experiment(cfg: RunConfig, window, refused: set, scaling_ok: bool, reads) -> list:
+    """The probe cut against the grid, then the psi entries and the growth
+    study through the code the run calls on them; ``window`` is the solved
+    window the psi supports must lie in, None when refused."""
     errors = []
-    x0 = cfg.experiment.get("probe_x0")
-    if "probe_x0" not in refused and x0 is not None:
+    x0 = _checked(cfg, "probe_x0", refused, reads)
+    if x0 is not None:
         errors.extend(_off_grid(cfg, "probe_x0", x0))
-    if "trajectory_starts" not in refused:
-        for i, w0 in enumerate(cfg.experiment.get("trajectory_starts") or ()):
-            errors.extend(_off_grid(cfg, f"trajectory_starts[{i}]", w0))
-    if "psi" not in refused and window is not None:
-        for i, (_, psi) in enumerate(build_observables(cfg)):
+    for i, w0 in enumerate(_checked(cfg, "trajectory_starts", refused, reads) or ()):
+        errors.extend(_off_grid(cfg, f"trajectory_starts[{i}]", w0))
+    first = {}  # each observable label -> the first psi entry with it
+    for i, (name, psi) in enumerate(build_observables(cfg) if "psi" not in refused else ()):
+        label = observable_label(name, psi)
+        if first.setdefault(label, i) != i:
+            errors.append(f"experiment.psi[{i}]: repeats the observable {label} "
+                          f"of psi[{first[label]}]")
+        if window is not None:
             try:
                 _check_window(psi, *window)
             except ValueError as exc:
@@ -430,8 +445,8 @@ def _rehearse(cfg: RunConfig, members: list, window, march, plans: list) -> list
     """What the builders of ``assemble_run`` and the solver raise for each
     ``(eps, refine)`` member; a failed step skips the steps needing its result.
 
-    A given ``blowup_window`` must hold a grid point of each schedule
-    member's grid.  ``march`` is ``(T, dt, save_every)``, each None when
+    A ``blowup_window`` must hold a grid point of each schedule member's
+    grid.  ``march`` is ``(T, dt, save_every)``, each None when
     refused; each member whose march is planned goes to ``plans``.
     """
     errors: list = []

@@ -13,21 +13,22 @@ State files and the headline numbers are folds over saved states
 as the march saves it, and a stored solution feeds them with
 ``sol.replay``.  A state file reads back bit for bit with
 ``numpy.loadtxt(path, delimiter=",", skiprows=1)``.
-A state file is written by a numpy kernel instead of one ``%`` per value,
-a block of rows at a time.  It scales each double by a power of ten held
-as a double-double (Dekker's two-product, so no FMA is needed), which
-makes the 17 digits ``%.17g`` rounds to come out exact, and lays them out
-by the ``%g`` rules into cells of 8-byte words, each part of a cell one
-word of a table, whose unused bytes are zero and are dropped on write.
-Only the rows from the first to the last one with a nonzero bit in E, u
-or sigma take the kernel; the rows outside, all ``+0.0`` (the vacuum side
-of a one-sided kernel stays exactly zero), are the x cell and ``,0,0,0``.
-Zeros between them take the kernel too; values outside [1e-280, 1e280]
-(subnormals, nan, inf) and products within 1e-6 of a rounding tie go
-through :func:`fmt` instead.  The bytes are :func:`write_table`'s for the
-same rows: that writer and :func:`fmt` are the reference the tests
-compare the kernel against, and ``csv`` stays for the tables that may
-need quoting.
+The ``x`` column of a state file is formatted by :func:`fmt` once per
+writer; E, u and sigma are written by a numpy kernel instead of one ``%``
+per value, a block of rows at a time.  It scales each double by a power of
+ten held as a double-double (Dekker's two-product, so no FMA is needed),
+which makes the 17 digits ``%.17g`` rounds to come out exact, and lays
+them out by the ``%g`` rules into cells of 8-byte words, each part of a
+cell one word of a table, whose unused bytes are zero and are dropped on
+write.  Only the rows from the first to the last one with a nonzero bit in
+E, u or sigma take the kernel; the rows outside, all ``+0.0`` (the vacuum
+side of a one-sided kernel stays exactly zero), are the x cell and
+``,0,0,0``.  Zeros between them take the kernel too; values outside
+[1e-280, 1e280] (subnormals, nan, inf) and products within 1e-6 of a
+rounding tie go through :func:`fmt` instead.  The bytes are
+:func:`write_table`'s for the same rows: that writer and :func:`fmt` are
+the reference the tests compare the kernel against, and ``csv`` stays for
+the tables that may need quoting.
 
 The run id is the first 12 hex digits of the SHA-256 of the canonical
 config serialization, so directories are self-describing and reruns are
@@ -142,11 +143,9 @@ _NO_POINT = 16
 _ROW = _CELL + 3 * _SPARSE
 # the rest of a row whose E, u and sigma all have all-zero bits, one word
 _ZERO_WORD = np.frombuffer(b",0,0,0\r\n", np.uint64)[0]
-# x values formatted at once when a writer starts
+# x values formatted at once when a writer starts: only a chunk's strings
+# are alive at a time, not one per grid point
 _X_CHUNK = 256
-# rows whose bytes are copied and stripped of zeros at once: small enough
-# that both copies stay in cache
-_WRITE_ROWS = 256
 
 
 def _split(a):
@@ -327,9 +326,8 @@ def _format_cells(v, cells) -> None:
 
 
 def _write_rows(fh, rows) -> None:
-    """Write the bytes of ``rows`` but their zeros, ``_WRITE_ROWS`` at a time."""
-    for lo in range(0, len(rows), _WRITE_ROWS):
-        fh.write(rows[lo:lo + _WRITE_ROWS].tobytes().translate(None, b"\0"))
+    """Write the bytes of ``rows`` but their zeros."""
+    fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def _state_name(i: int) -> str:
@@ -351,20 +349,10 @@ class StateWriter:
         self.values = np.empty((min(_BLOCK, grid.n), 3))
         self.rows = np.empty((len(self.values), _ROW // 8), np.uint64)
         self.xcells = np.empty((grid.n, _CELL // 8), np.uint64)
-        # the x cells are formatted in the E cells of the row buffer
+        # each x cell is fmt's text, zero-padded
+        xtext = self.xcells.view(f"S{_CELL}")[:, 0]
         for lo in range(0, grid.n, _X_CHUNK):
-            xs = grid.xs[lo:lo + _X_CHUNK]
-            cells = self._cells(len(xs))[:, 0]
-            _format_cells(xs, cells)
-            # left-align each cell's bytes: stable, so their order stays
-            text = cells.view(np.uint8)
-            order = np.argsort(text == 0, axis=1, kind="stable")
-            aligned = np.take_along_axis(text, order, axis=1)[:, :_CELL]
-            self.xcells[lo:lo + _X_CHUNK] = aligned.copy().view(np.uint64)
-
-    def _cells(self, b: int):
-        """The E, u and sigma cells of the first ``b`` rows, as words."""
-        return self.rows[:b, _CELL // 8:].reshape(b, 3, _SPARSE // 8)
+            xtext[lo:lo + _X_CHUNK] = [fmt(x) for x in grid.xs[lo:lo + _X_CHUNK].tolist()]
 
     def _span(self, state: FieldState):
         """The first row with a nonzero bit in E, u or sigma, and one past
@@ -413,7 +401,7 @@ class StateWriter:
                     values[:, k] = column[lo:lo + b]
                 rows = self.rows[:b]
                 rows[:, :_CELL // 8] = self.xcells[lo:lo + b]
-                _format_cells(values.ravel(), self._cells(b))
+                _format_cells(values.ravel(), rows[:, _CELL // 8:].reshape(b, 3, _SPARSE // 8))
                 text = rows.view(np.uint8)
                 text[:, _CELL::_SPARSE] = ord(",")
                 text[:, -3:-1] = np.frombuffer(b"\r\n", np.uint8)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from maxlor import analysis, output, solver
+from maxlor import analysis, cli, output, solver
 from maxlor import config as cfgmod
 
 from maxlor.cli import (
@@ -176,22 +176,6 @@ def test_probe_cut_outside_the_grid_is_refused_before_solving(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_default_probe_cut_outside_the_grid_is_refused_before_solving(tmp_path, capsys,
-                                                                      monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solve called with a probe cut outside the grid")
-
-    monkeypatch.setattr("maxlor.cli.solve", no_solve)
-    # no probe_x0: check-support cuts at the default 0.05, right of x_max
-    cfg = release_cfg(tmp_path, grid={"x_min": -3.0, "x_max": 0.0, "n": 801})
-    assert main(["validate", "--config", cfg]) == EXIT_OK
-    out = tmp_path / "out"
-    assert main(["check-support", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert ("experiment: probe_x0 0.05 lies outside the grid [-3, 0]"
-            in capsys.readouterr().err)
-    assert not out.exists()
-
-
 def _no_solve(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("solve called on a config validate refuses")
@@ -220,6 +204,70 @@ def test_blowup_window_without_a_grid_point_is_refused_before_solving(tmp_path, 
     assert message in capsys.readouterr().out.splitlines()
     out = tmp_path / "out"
     assert main(["probe-blowup", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err.splitlines()
+    assert not out.exists()
+
+
+# a family so coarse that the default blowup_window (0.25) around center 1
+# holds no grid point of either member's grid
+_COARSE_FAMILY = {
+    "grid": {"x_min": -100.0, "x_max": 100.0, "n": 16},
+    "scaling": {"kind": "constant", "c": 40.0},
+    "eps": None, "eps_schedule": [40.0, 20.0], "delta_net": {"center": 1.0},
+}
+
+
+@pytest.mark.parametrize("command, body, messages", [
+    # no probe_x0: check-support cuts at the default 0.05, right of x_max
+    ("check-support", {"grid": {"x_min": -3.0, "x_max": 0.0, "n": 801}},
+     ["experiment: probe_x0 0.05 lies outside the grid [-3, 0]"]),
+    ("probe-blowup", _COARSE_FAMILY,
+     [f"blow-up probe: window 0.25 around center 1 holds no grid point at eps={eps} "
+      f"(dx={dx}); widen blowup_window" for eps, dx in (("40", "6.66667"), ("20", "3.33333"))]),
+], ids=["check-support-cut", "probe-blowup-window"])
+def test_a_default_the_run_reads_is_checked_before_out_exists(tmp_path, capsys, monkeypatch,
+                                                               command, body, messages):
+    # validate checks given values only; the run checks the value it reads
+    _no_solve(monkeypatch)
+    cfg = release_cfg(tmp_path, **body)
+    assert main(["validate", "--config", cfg]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line in messages] == messages
+    assert not out.exists()
+
+
+def test_a_given_cut_at_zero_is_a_cut_not_a_missing_key(tmp_path):
+    cfg = cfgmod.load_config(release_cfg(tmp_path, experiment={"probe_x0": 0.0}))
+    needs = cli._COMMANDS["check-support"][1]
+    assert cfgmod.validate_config(cfg, reads=needs) == []
+    assert cli._unmet(cfg, "check-support", needs) == []
+
+
+_SIGMA_PSI = {"field": "sigma", "t0": 0.3, "x0": -0.2, "r_t": 0.1, "r_x": 0.1}
+
+
+@pytest.mark.parametrize("third", [
+    {**_SIGMA_PSI, "amplitude": 2.0},
+    {**_SIGMA_PSI, "t0": 0.3000001},
+    _SIGMA_PSI,
+], ids=["amplitude", "t0-7th-digit", "copy"])
+def test_a_psi_entry_repeating_an_observable_label_is_refused(tmp_path, capsys, monkeypatch,
+                                                              third):
+    # the sweep keys its results by the label, which shows the field and
+    # psi's center and radii at %g: two entries with one label would collide
+    _no_solve(monkeypatch)
+    with open(os.path.join(CONFIGS, "obstruction_sweep.json")) as fh:
+        psi = json.load(fh)["experiment"]["psi"]
+    cfg = _sample_with(tmp_path, "obstruction_sweep.json", psi=psi + [third])
+    message = ("experiment.psi[2]: repeats the observable sigma@(0.3,-0.2)r(0.1,0.1) "
+               "of psi[1]")
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    assert message in capsys.readouterr().out.splitlines()
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err.splitlines()
     assert not out.exists()
 

@@ -265,14 +265,16 @@ def test_profile_validation_messages():
 
 
 def test_build_observables_reads_each_psi_entry():
-    # field Q and amplitude 1 unless given; a null key counts as absent
+    # field Q and amplitude 1 unless given; a null key counts as absent, so
+    # the last entry is the first one again
     window = {"t0": 0.25, "x0": 0.5, "r_t": 0.2, "r_x": 0.3}
     cfg = cfg_of(experiment={"psi": [
         window,
         {**window, "field": "sigma", "amplitude": 2},
         {**window, "field": None, "amplitude": None},
     ]})
-    assert validate_config(cfg) == []
+    assert validate_config(cfg) == [
+        "experiment.psi[2]: repeats the observable Q@(0.25,0.5)r(0.2,0.3) of psi[0]"]
     psi = TestFunction2D(t0=0.25, x0=0.5, r_t=0.2, r_x=0.3)
     doubled = TestFunction2D(t0=0.25, x0=0.5, r_t=0.2, r_x=0.3, amplitude=2.0)
     assert build_observables(cfg) == [("Q", psi), ("sigma", doubled), ("Q", psi)]
