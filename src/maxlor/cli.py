@@ -69,13 +69,18 @@ def _load(args):
 
 def _unmet(cfg, command: str, needs) -> list:
     """A message for each key in ``needs`` without a default (``eps``,
-    ``eps_schedule``, ``experiment.<key>``) that the config leaves unset or empty."""
+    ``eps_schedule``, ``experiment.<key>``) that the config leaves unset or
+    empty; a value its rule refuses has ``validate_config``'s line alone.
+    Every empty ``eps`` and ``eps_schedule`` fails its rule, and an empty
+    list passes the rules of ``psi`` and ``trajectory_starts``."""
+    refused = cfgmod._check("experiment", cfg.experiment, cfgmod._SCHEMA["experiment"], [])
     errors = []
     for need in needs:
         section, _, key = need.rpartition(".")
         if section and cfgmod._SCHEMA[section][key][0] is not None:
             continue
-        if not (cfg.experiment.get(key) if section else getattr(cfg, key)):
+        value = cfg.experiment.get(key) if section else getattr(cfg, key)
+        if value is None or (not value and section and key not in refused):
             errors.append(f"{section or key}: {command} needs {key!r}")
     return errors
 

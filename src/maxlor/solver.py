@@ -13,8 +13,10 @@ would otherwise see an artificial jump at the grid ends.
 Two integrators are provided, as two step rules of one march (``_march``):
 classical RK4 (``rk4_step``, the method of lines) and the implicit
 trapezoid rule, whose step equation is solved by Picard (fixed-point)
-iteration.  They discretize time differently, so their agreement on
-matching grids is a meaningful consistency check rather than a tautology.
+iteration to an update of at most ``picard_tol`` times max(1, max|V|) of
+the step's start state.  They discretize time differently, so their
+agreement on matching grids is a meaningful consistency check rather than
+a tautology.
 
 The march owns everything else: setup checks, the forward time grid, one
 overflow policy, and one hook, ``on_save``, that gets each saved state as
@@ -87,6 +89,9 @@ MAX_STEPS = 100_000
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """A march's settings; ``picard_tol`` is relative: a Picard step stops at an
+    update of at most ``picard_tol * max(1, max|V|)``, ``V`` its start state."""
+
     dt: float
     method: str = "rk4"
     save_every: int = 1
@@ -352,13 +357,15 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
     A step from ``V`` solves ``Vn = V + h/2 (F(V) + F(Vn))``, with ``F`` the
     right-hand side, by Picard iteration started at ``Vn = V``; ``F(V)`` is
     evaluated once per step, and the first iterate's ``F(Vn)`` is a copy of
-    it, since that iterate starts at ``Vn = V``.  The map contracts for
-    small enough ``h``.  Non-contraction (updates growing several times in a
-    row) and missing convergence within ``picard_max_iter`` iterations abort
-    the run, as do the checks of ``_march``, which also sets the time range
-    and save grid.  The node slopes, the quadrature, two alternating
-    iterates and ``rhs``'s intermediates live in one workspace for the
-    whole march; each step allocates only the copy of its last iterate.
+    it, since that iterate starts at ``Vn = V``.  The iteration stops at an
+    update of at most ``picard_tol * max(1, max|V|)``, the state's own scale.
+    The map contracts for small enough ``h``.  Non-contraction (updates
+    growing several times in a row) and missing convergence within
+    ``picard_max_iter`` iterations abort the run, as do the checks of
+    ``_march``, which also sets the time range and save grid.  The node
+    slopes, the quadrature, two alternating iterates and ``rhs``'s
+    intermediates live in one workspace for the whole march; each step
+    allocates only the copy of its last iterate.
     """
     B0 = params.B0
     n = op.grid.n
@@ -371,6 +378,8 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
 
     def step(t, V, h, meta):
         rhs(V[0], V[1], V[2], op, B0, out=F[0], work=work)
+        # an absolute tolerance of 1e-10 is below one ulp of a state near 1e6
+        bound = cfg.picard_tol * max(1.0, float(np.max(V)), -float(np.min(V)))
         Vk = V
         prev_delta = math.inf
         grow = 0
@@ -386,7 +395,7 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
                 _abort(meta, STATUS_OVERFLOW, "overflow", t,
                        f"overflow in the Picard step starting at t={t:.6g}")
                 return None
-            if delta < cfg.picard_tol:
+            if delta <= bound:
                 break
             grow = grow + 1 if delta > prev_delta else 0
             prev_delta = delta
@@ -399,10 +408,10 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
         stats["iterations"] += it
         stats["max_chunk_iterations"] = max(stats["max_chunk_iterations"], it)
         stats["max_final_residual"] = max(stats["max_final_residual"], delta)
-        if delta >= cfg.picard_tol:
+        if delta > bound:
             _abort(meta, STATUS_PICARD_STALL, "no-convergence", t, (
-                f"Picard did not reach tol={cfg.picard_tol:g} in "
-                f"{cfg.picard_max_iter} iterations (last update {delta:.3g})"
+                f"Picard did not reach tol={cfg.picard_tol:g} x max(1, max|V|) = {bound:.3g} "
+                f"in {cfg.picard_max_iter} iterations (last update {delta:.3g})"
             ))
             return None
         return Vk.copy()

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -156,6 +157,21 @@ def test_a_one_eps_run_without_eps_is_refused_before_out_exists(tmp_path, capsys
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert f"eps: {command} needs 'eps'" in capsys.readouterr().err.splitlines()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, body, message", [
+    ("solve", {"eps": 0}, "eps: must be a positive number"),
+    ("sweep", {"eps_schedule": [0.2, 0.1], "experiment": {"psi": 0}},
+     "experiment: psi must be a list of objects"),
+], ids=["eps-0", "psi-0"])
+def test_a_needed_key_its_rule_refuses_is_one_problem(tmp_path, capsys, command, body,
+                                                      message):
+    # the refusal says what is wrong; "needs" would add a second line for it
+    cfg = release_cfg(tmp_path, **body)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [message, "config: 1 problem(s)"]
     assert not out.exists()
 
 
@@ -752,6 +768,47 @@ class TestSupportAndTrajectories:
             assert not row["exited"]
             samples = read_csv_columns(out / f"trajectory_{i:02d}.csv")
             assert len(samples) == summary["n_steps"] + 1
+
+    def test_a_heavy_charge_picard_run_converges_at_the_state_scale(self, tmp_path):
+        # the picard_worldlines benchmark workload at seed 1 with mass 20:
+        # max|V| reaches 1.3e6, where one ulp of the state exceeds an
+        # absolute step tolerance of 1e-10, and a Picard step that stopped
+        # on one stalled for 200 iterations
+        cfg = write_cfg(tmp_path, **{**_PICARD_WORLDLINES_SEED_1,
+                                     "delta_net": {"profile": {"kind": "left"},
+                                                   "center": 0.0, "mass": 20.0}})
+        out = tmp_path / "out"
+        assert main(["trajectories", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert len(summary["trajectories"]) == 3
+        assert all(row["max_speed"] < 1.0 for row in summary["trajectories"])
+        pieces = cfgmod.assemble_run(cfgmod.load_config(cfg))
+        final = {}
+        for method in ("picard", "rk4"):
+            sol = stored_solve(pieces.initial, dataclasses.replace(pieces.solver, method=method),
+                               pieces.operator, pieces.params)
+            assert sol.status == solver.STATUS_OK
+            last = sol.states[-1]
+            final[method] = np.array([last.E, last.u, last.sigma])
+        scale = np.max(np.abs(final["rk4"]))
+        assert scale > 1e6
+        # the two time rules differ by 3.1e-2 of max|V| here, as at mass 0.85
+        assert np.max(np.abs(final["picard"] - final["rk4"])) <= 0.1 * scale
+
+
+# the picard_worldlines benchmark workload at seed 1
+_PICARD_WORLDLINES_SEED_1 = {
+    "grid": {"x_min": -4.0, "x_max": 1.0, "n": 8001},
+    "mollifier": {"kind": "left"},
+    "model": {"B0": 0.138973, "T": 0.5},
+    "delta_net": {"profile": {"kind": "left"}, "center": 0.0, "mass": 0.853746},
+    "initial": {"E": {"kind": "zero"}, "u": {"kind": "zero"}, "sigma": {"kind": "delta-net"}},
+    "seed": 1,
+    "scaling": {"kind": "constant", "c": 0.1},
+    "eps": 0.1,
+    "solver": {"method": "picard", "dt": "auto", "save_every": 4},
+    "experiment": {"trajectory_starts": [-0.459712, -0.327511, -0.179924]},
+}
 
 
 class TestScalingAndBlowup:

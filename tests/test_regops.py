@@ -78,6 +78,19 @@ def test_left_kernel_first_order():
     assert np.log2(errs[0] / errs[1]) >= 0.8
 
 
+def test_right_kernel_first_order():
+    # acceptance 01's sin(x) setup for the kernel that reads leftward
+    g = Grid(-10.0, 10.0, 4001)
+    f = np.sin(g.xs)
+    m = make_mollifier("right")
+    errs = []
+    for nu in (0.2, 0.1, 0.05):
+        op = make_operator(m, nu, g)
+        errs.append(np.max(np.abs(_interior(op.apply(f) - np.cos(g.xs), g, nu))))
+    orders = np.log2(np.divide(errs[:-1], errs[1:]))
+    assert min(orders) >= 0.8, orders
+
+
 def test_constants_annihilated_on_interior():
     g = Grid(-2.0, 2.0, 801)
     op = make_operator(make_mollifier("symmetric"), 0.1, g)

@@ -312,6 +312,9 @@ def test_picard_stall_when_iterations_run_out():
     sol = stored_solve(initial, cfg, op, params, march=solve_picard)
     assert sol.status == STATUS_PICARD_STALL
     assert sol.meta["abort"]["reason"] == "no-convergence"
+    # the bound is relative to the state's scale, max(1, max|V|)
+    assert sol.meta["abort"]["message"].startswith(
+        "Picard did not reach tol=1e-10 x max(1, max|V|) = 1e-10 in 2 iterations")
     assert sol.meta["abort"]["t"] == 0.0
     assert len(sol.states) == 1
 

@@ -112,11 +112,12 @@ def _reference_march(initial, cfg, op, params):
         else:
             F0 = f(V)
             Vk = V
+            bound = cfg.picard_tol * max(1.0, np.max(np.abs(V)))
             for _ in range(cfg.picard_max_iter):
                 Vn = V + h * (f(Vk) + F0) / 2.0
                 delta = np.max(np.abs(Vn - Vk))
                 Vk = Vn
-                if delta < cfg.picard_tol:
+                if delta <= bound:
                     break
             V = Vk
         if i % cfg.save_every == 0 or i == n_steps:
