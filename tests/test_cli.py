@@ -691,6 +691,21 @@ class TestSweep:
         assert raw.startswith("eps,observable,pairing")
 
 
+# the picard_worldlines benchmark workload at seed 1
+_PICARD_WORLDLINES_SEED_1 = {
+    "grid": {"x_min": -4.0, "x_max": 1.0, "n": 8001},
+    "mollifier": {"kind": "left"},
+    "model": {"B0": 0.138973, "T": 0.5},
+    "delta_net": {"profile": {"kind": "left"}, "center": 0.0, "mass": 0.853746},
+    "initial": {"E": {"kind": "zero"}, "u": {"kind": "zero"}, "sigma": {"kind": "delta-net"}},
+    "seed": 1,
+    "scaling": {"kind": "constant", "c": 0.1},
+    "eps": 0.1,
+    "solver": {"method": "picard", "dt": "auto", "save_every": 4},
+    "experiment": {"trajectory_starts": [-0.459712, -0.327511, -0.179924]},
+}
+
+
 class TestSupportAndTrajectories:
     def test_check_support_confined(self, tmp_path):
         cfg = release_cfg(tmp_path)
@@ -794,21 +809,6 @@ class TestSupportAndTrajectories:
         assert scale > 1e6
         # the two time rules differ by 3.1e-2 of max|V| here, as at mass 0.85
         assert np.max(np.abs(final["picard"] - final["rk4"])) <= 0.1 * scale
-
-
-# the picard_worldlines benchmark workload at seed 1
-_PICARD_WORLDLINES_SEED_1 = {
-    "grid": {"x_min": -4.0, "x_max": 1.0, "n": 8001},
-    "mollifier": {"kind": "left"},
-    "model": {"B0": 0.138973, "T": 0.5},
-    "delta_net": {"profile": {"kind": "left"}, "center": 0.0, "mass": 0.853746},
-    "initial": {"E": {"kind": "zero"}, "u": {"kind": "zero"}, "sigma": {"kind": "delta-net"}},
-    "seed": 1,
-    "scaling": {"kind": "constant", "c": 0.1},
-    "eps": 0.1,
-    "solver": {"method": "picard", "dt": "auto", "save_every": 4},
-    "experiment": {"trajectory_starts": [-0.459712, -0.327511, -0.179924]},
-}
 
 
 class TestScalingAndBlowup:
