@@ -5,9 +5,11 @@ one-sided support (:class:`SupportProbe`), measuring the gap to the
 linearized closed form (:class:`LinearGaps`) and tracking the interaction
 peak are each one fold over saved states: a callable that a run hangs on
 the solver's ``on_save`` hook, finished by ``result()``.  A stored
-solution feeds a fold with ``sol.replay(fold)``.  The sweep and the
-blow-up probe share one family runner (pooled if asked), which records
-each member's sizes and keeps a member that raises as an "error" row.
+solution feeds a fold with ``sol.replay(fold)``.  Every command marches
+through one member runner, ``run_member``, which feeds the fold and
+records the march's sizes; the sweep and the blow-up probe walk their eps
+family through it (pooled if asked), keeping a member that raises as an
+"error" row.
 The process pool is imported only when ``workers`` is above 1, and the
 64-node Gauss-Legendre rule of the obstruction's pairing target is built
 on first use, so a run that computes no pairing target never loads
@@ -50,6 +52,7 @@ __all__ = [
     "blow_up_probe",
     "diag_pairing_target",
     "member_record",
+    "run_member",
     "observable_label",
     "VERDICT_CONVERGING",
     "VERDICT_DIVERGING",
@@ -274,7 +277,7 @@ def support_probe(sol: SpacetimeSolution, x0: float) -> SupportReport:
 
 
 # ---------------------------------------------------------------------------
-# eps families: the one runner of every command that walks a schedule
+# members: the one runner of every march, and of every eps family
 
 
 @dataclass(frozen=True)
@@ -289,31 +292,39 @@ class _Family:
 
 
 def member_record(op, n_steps, n_saved) -> dict:
-    """What a family records in ``members`` for one member, in the order
-    ``validate`` prints it: its grid, stencil, width, FFT and march sizes."""
+    """What a run records for its march (a family in ``members``, a single run
+    as ``member``), in the order ``validate`` prints it: its grid, stencil,
+    width, FFT and march sizes."""
     return {"grid_n": op.grid.n, "m": len(op.weights), "nu": op.nu, "fft_len": op.fft_len,
             "n_steps": n_steps, "n_saved": n_saved}
 
 
+def run_member(pieces, fold):
+    """The one runner of every march: ``fold`` gets each state as the march
+    saves it, so no state outlives its step; returns ``(meta, member_record)``."""
+    from .solver import solve  # looked up per call: a patched solver.solve sees every march
+
+    op, saved = pieces.operator, []
+
+    def on_save(state):
+        saved.append(state.t)
+        fold(state)
+
+    meta = solve(pieces.initial, pieces.solver, op, pieces.params, on_save=on_save).meta
+    return meta, member_record(op, meta.get("n_steps"), len(saved))
+
+
 def _run_member(template, make, args, eps):
-    # one member, each saved state folded as the march saves it, so no state
-    # outlives its step; a member that raises becomes an "error" row
+    # one family member, refined; a member that raises becomes an "error" row
     from .config import assemble_run
-    from .solver import solve
 
     contaminated, bound = False, None
     try:
         pieces = assemble_run(template, eps=eps, refine=True)
-        fold, op, saved = make(pieces, *args), pieces.operator, []
-
-        def on_save(state):
-            saved.append(state.t)
-            fold(state)
-
-        meta = solve(pieces.initial, pieces.solver, op, pieces.params, on_save=on_save).meta
+        fold = make(pieces, *args)
+        meta, record = run_member(pieces, fold)
         contaminated, bound = bool(meta.get("boundary_contaminated")), meta.get("a_priori_bound")
-        sizes = member_record(op, meta.get("n_steps"), len(saved))
-        return meta["status"], contaminated, bound, sizes, fold.result(), None
+        return meta["status"], contaminated, bound, record, fold.result(), None
     except Exception as exc:
         return "error", contaminated, bound, None, None, f"{type(exc).__name__}: {exc}"
 

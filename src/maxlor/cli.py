@@ -17,8 +17,10 @@ path load → validate (the config; the row's keys at the value the run
 reads, a default included, and set if they have none) → create ``--out``
 → run → stamp the run id on the summary, write ``summary.json`` and read
 the exit code off it; ``validate`` stops after the checks and prints the
-sizes of each member they rehearsed.  A run function that solves hangs
-its fold on the solver's ``on_save`` hook and keeps no saved state.
+sizes of each member they rehearsed.  A run function that solves hands
+its fold to ``analysis.run_member``, the one runner of every march, keeps
+no saved state, and writes the runner's record as ``member``: the sizes
+``validate`` prints for its single line.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import sys
 from . import analysis, config as cfgmod, output, trajectories as trajmod
 from .fields import FIELD_NAMES
 from .scaling import verify_growth_condition
-from .solver import STATUS_OK, march_plan, solve
+from .solver import STATUS_OK
 
 __all__ = ["main", "console_entry"]
 
@@ -122,11 +124,10 @@ def _run_solve(cfg, args, out):
         writer(state)
         summary(state)
 
-    meta = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params,
-                 on_save=on_save).meta
+    meta, record = analysis.run_member(pieces, on_save)
     writer.finish(meta, cfgmod.config_to_dict(cfg))
     line = f"status={meta['status']} saved={len(writer.files)} out={out}"
-    return summary.result(meta), line
+    return {**summary.result(meta), "member": record}, line
 
 
 def _run_sweep(cfg, args, out):
@@ -152,7 +153,7 @@ def _run_check_support(cfg, args, out):
     x0 = float(cfgmod._experiment_value(cfg, "probe_x0"))
     pieces = cfgmod.assemble_run(cfg)
     probe = analysis.SupportProbe(pieces.grid, x0)
-    sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params, on_save=probe)
+    meta, record = analysis.run_member(pieces, probe)
     rep = probe.result()
     rows = []
     for name in FIELD_NAMES:
@@ -170,7 +171,8 @@ def _run_check_support(cfg, args, out):
         "vacuum_side": vacuum,
         "worst_relative": worst,
         "confined": None if worst is None else bool(worst <= analysis.SUPPORT_REL_TOL),
-        **output.run_status(sol.meta),
+        "member": record,
+        **output.run_status(meta),
     }
     return summary, f"vacuum side {vacuum}: worst relative {worst}"
 
@@ -178,7 +180,7 @@ def _run_check_support(cfg, args, out):
 def _run_compare_lin(cfg, args, out):
     pieces = cfgmod.assemble_run(cfg)
     gaps = analysis.LinearGaps(pieces.grid, pieces.params.q)
-    sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params, on_save=gaps)
+    meta, record = analysis.run_member(pieces, gaps)
     rep = gaps.result()
     output.write_table(
         os.path.join(out, "compare_lin.csv"),
@@ -189,7 +191,8 @@ def _run_compare_lin(cfg, args, out):
         "q": pieces.params.q,
         "max_l1_E": rep.max_l1_E,
         "max_l1_u": rep.max_l1_u,
-        **output.run_status(sol.meta),
+        "member": record,
+        **output.run_status(meta),
     }
     line = f"max L1 gap: E {rep.max_l1_E:.6g}, u {rep.max_l1_u:.6g}"
     return summary, line
@@ -216,15 +219,12 @@ def _run_probe_blowup(cfg, args, out):
 
 def _run_trajectories(cfg, args, out):
     pieces = cfgmod.assemble_run(cfg)
-    # the world lines step on the save grid the march is about to take
-    _, _, saved_times = march_plan(pieces.initial.t, pieces.params.T, pieces.solver.dt,
-                                   pieces.solver.save_every)
-    lines = trajmod.WorldLines(pieces.grid, saved_times, cfg.experiment["trajectory_starts"])
-    sol = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params, on_save=lines)
+    lines = trajmod.WorldLines(pieces.grid, pieces.times, cfg.experiment["trajectory_starts"])
+    meta, record = analysis.run_member(pieces, lines)
     rows = []
     # an aborted solve has no field to integrate through; else the summary
     # records the count every world line steps with
-    ok = sol.status == STATUS_OK
+    ok = meta["status"] == STATUS_OK
     for i, traj in enumerate(lines.result() if ok else ()):
         output.write_table(
             os.path.join(out, f"trajectory_{i:02d}.csv"),
@@ -240,13 +240,14 @@ def _run_trajectories(cfg, args, out):
     summary = {
         "trajectories": rows,
         "n_steps": lines.n_steps if ok else None,
-        **output.run_status(sol.meta),
+        "member": record,
+        **output.run_status(meta),
     }
     if rows:
         line = (f"integrated {len(rows)} world line(s), "
                 f"max speed {max(r['max_speed'] for r in rows):.6g}")
     else:
-        line = f"status={sol.status}: no trajectories integrated"
+        line = f"status={meta['status']}: no trajectories integrated"
     return summary, line
 
 

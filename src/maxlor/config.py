@@ -560,7 +560,8 @@ def build_initial_state(cfg: RunConfig, grid: Grid, eps: float,
 
 @dataclass
 class RunPieces:
-    """A member ready to solve: ``params`` holds eps, ``operator`` the kernel and width nu."""
+    """A member ready to solve: ``params`` holds eps, ``operator`` the kernel and
+    width nu, ``times`` the times its march saves at (``march_plan``'s)."""
 
     grid: Grid
     net: DeltaNet | None
@@ -568,6 +569,7 @@ class RunPieces:
     params: ModelParams
     initial: FieldState
     solver: SolverConfig
+    times: list
 
 
 def _uses_net(cfg: RunConfig) -> bool:
@@ -620,5 +622,7 @@ def assemble_run(cfg: RunConfig, eps: float | None = None,
     if net is not None and cfg.initial["sigma"]["kind"] == "delta-net":
         q = net.mass
     params = ModelParams(B0=float(cfg.model["B0"]), T=float(cfg.model["T"]), eps=eps, q=q)
-    return RunPieces(grid=grid, net=net, operator=op, params=params,
-                     initial=build_initial_state(cfg, grid, eps, net), solver=solver_cfg)
+    initial = build_initial_state(cfg, grid, eps, net)
+    _, _, times = march_plan(initial.t, params.T, solver_cfg.dt, solver_cfg.save_every)
+    return RunPieces(grid=grid, net=net, operator=op, params=params, initial=initial,
+                     solver=solver_cfg, times=times)

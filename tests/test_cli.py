@@ -137,7 +137,7 @@ def test_bad_experiment_key_is_refused_before_solving(tmp_path, capsys, monkeypa
     def no_solve(*args, **kwargs):
         raise AssertionError("solve called on an invalid experiment block")
 
-    monkeypatch.setattr("maxlor.cli.solve", no_solve)
+    monkeypatch.setattr("maxlor.solver.solve", no_solve)
     cfg = release_cfg(tmp_path, eps_schedule=[0.2, 0.1],
                       experiment={key: value, **extra})
     assert main(["validate", "--config", cfg]) == EXIT_CONFIG
@@ -181,7 +181,7 @@ def test_probe_cut_outside_the_grid_is_refused_before_solving(tmp_path, capsys,
     def no_solve(*args, **kwargs):
         raise AssertionError("solve called with a probe cut outside the grid")
 
-    monkeypatch.setattr("maxlor.cli.solve", no_solve)
+    monkeypatch.setattr("maxlor.solver.solve", no_solve)
     cfg = release_cfg(tmp_path, experiment={"probe_x0": x0})
     message = f"experiment: probe_x0 {x0:g} lies outside the grid [-3, 1]"
     assert main(["validate", "--config", cfg]) == EXIT_CONFIG
@@ -192,11 +192,26 @@ def test_probe_cut_outside_the_grid_is_refused_before_solving(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config", [
+    ("solve", "point_charge.json"), ("check-support", "point_charge.json"),
+    ("compare-lin", "weak_charge.json"), ("trajectories", "point_charge.json"),
+])
+def test_patching_the_solver_reaches_every_single_run(tmp_path, monkeypatch, command, config):
+    # the one patch point of the "refused before solving" tests: each run
+    # marches through analysis.run_member, which looks solver.solve up per call
+    def stub(*args, **kwargs):
+        raise RuntimeError("the patched solve ran")
+
+    monkeypatch.setattr("maxlor.solver.solve", stub)
+    path = os.path.join(CONFIGS, config)
+    with pytest.raises(RuntimeError, match="the patched solve ran"):
+        main([command, "--config", path, "--out", str(tmp_path / "out")])
+
+
 def _no_solve(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("solve called on a config validate refuses")
 
-    monkeypatch.setattr("maxlor.cli.solve", no_solve)
     monkeypatch.setattr("maxlor.solver.solve", no_solve)
 
 
@@ -393,7 +408,6 @@ class TestGridCap:
         def no_solve(*args, **kwargs):
             raise AssertionError("solve called on an invalid schedule")
 
-        monkeypatch.setattr("maxlor.cli.solve", no_solve)
         monkeypatch.setattr("maxlor.solver.solve", no_solve)
         cfg = write_cfg(tmp_path, **OVER_CAP)
         out = tmp_path / "out"
@@ -514,13 +528,15 @@ class TestSweep:
 
     @pytest.mark.parametrize("command, config", [
         ("sweep", "obstruction_sweep.json"), ("probe-blowup", "blowup_family.json"),
+        ("solve", "point_charge.json"), ("check-support", "point_charge.json"),
+        ("compare-lin", "weak_charge.json"), ("trajectories", "point_charge.json"),
     ])
     def test_validate_prints_the_sizes_each_member_records(self, tmp_path, capsys, command,
                                                            config):
         path = os.path.join(CONFIGS, config)
         out = tmp_path / "out"
         assert main([command, "--config", path, "--out", str(out)]) == EXIT_OK
-        members = json.loads((out / "summary.json").read_text())["members"]
+        summary = json.loads((out / "summary.json").read_text())
         capsys.readouterr()
         assert main(["validate", "--config", path]) == EXIT_OK
         first, *lines = capsys.readouterr().out.splitlines()
@@ -530,10 +546,17 @@ class TestSweep:
         assert lines == [lines[0]] * (cfg.eps is not None) + schedule
         if cfg.eps is not None:
             assert lines[0].startswith(f"member eps={cfg.eps:g} single: ")
-        assert len(schedule) == len(members) == len(cfg.eps_schedule)
-        for eps, line, member in zip(cfg.eps_schedule, schedule, members):
+        if "members" in summary:
+            assert "member" not in summary
+            members, printed, want = summary["members"], schedule, [
+                f"member eps={eps:g} schedule" for eps in cfg.eps_schedule]
+        else:  # a single run keeps the record of validate's single line
+            members, printed, want = [summary["member"]], lines[:1], [
+                f"member eps={cfg.eps:g} single"]
+        assert len(printed) == len(members) == len(want)
+        for label_want, line, member in zip(want, printed, members):
             label, sizes = line.split(": ")
-            assert label == f"member eps={eps:g} schedule"
+            assert label == label_want
             pairs = [pair.split("=") for pair in sizes.split()]
             # the record's own order; summary.json sorts its keys
             assert [key for key, _ in pairs] == ["grid_n", "m", "nu", "fft_len", "n_steps",

@@ -54,16 +54,21 @@ def test_the_hook_sees_the_stored_states_and_the_solution_keeps_none(release_lef
         assert all(np.array_equal(a.component(n), b.component(n)) for n in ("E", "u", "sigma"))
 
 
-@pytest.mark.parametrize("T, dt, save_every", [(0.5, 0.006, 4), (0.3, 0.01, 7), (0.2, 0.03, 1)])
-def test_march_plan_is_the_save_grid_the_march_uses(T, dt, save_every):
+@pytest.mark.parametrize("T, dt, save_every, method", [
+    (0.5, 0.006, 4, "rk4"), (0.3, 0.01, 7, "rk4"), (0.2, 0.03, 1, "rk4"),
+    (0.3, 0.01, 7, "picard"),
+], ids=["0.5-0.006-4", "0.3-0.01-7", "0.2-0.03-1", "0.3-0.01-7-picard"])
+def test_march_plan_is_the_save_grid_the_march_uses(T, dt, save_every, method):
     body = {"grid": {"x_min": -4.0, "x_max": 1.0, "n": 401},
-            "scaling": {"kind": "constant", "c": 0.2}, "eps": 0.1,
-            "model": {"T": T}, "solver": {"dt": dt, "save_every": save_every}}
+            "scaling": {"kind": "constant", "c": 0.2}, "eps": 0.1, "model": {"T": T},
+            "solver": {"dt": dt, "save_every": save_every, "method": method}}
     pieces = assemble_run(config_from_dict(body))
     sol = stored_solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
     h, n_steps, saved_times = march_plan(0.0, T, dt, save_every)
     assert sol.meta["n_steps"] == n_steps and sol.meta["dt"] == h
     assert sol.times.tolist() == saved_times
+    # the save grid a run's pieces carry
+    assert pieces.times == sol.times.tolist()
 
 
 # a point-charge release whose stored run would hold 85 states of 1001 cells

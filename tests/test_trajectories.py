@@ -6,7 +6,7 @@ import pytest
 from maxlor.config import assemble_run, config_from_dict
 from maxlor.fields import FieldState, Grid, SpacetimeSolution
 from maxlor.nonlinearity import a, sqrt1p_sq
-from maxlor.solver import march_plan, rk4_step, solve
+from maxlor.solver import rk4_step, solve
 from maxlor.trajectories import WorldLines, _FieldSampler, default_path_steps, integrate_world_line
 
 from stored_route import proper_time_world_line, reparametrization_gap, stored_solve, world_line
@@ -253,16 +253,16 @@ def test_the_live_fold_equals_the_stored_replay(T, save_every, n_march):
             "solver": {"dt": 0.005, "save_every": save_every},
             "initial": {"u": {"kind": "gaussian", "amplitude": 3.0, "width": 1.0}}}
     pieces = assemble_run(config_from_dict(body))
-    _, n_steps, saved_times = march_plan(0.0, T, pieces.solver.dt, save_every)
-    assert n_steps == n_march
     starts = [-0.5, 0.0, 0.85]
-    lines, held = WorldLines(pieces.grid, saved_times, starts), []
+    lines, held = WorldLines(pieces.grid, pieces.times, starts), []
 
     def on_save(state):
         lines(state)
         held.append(sum(row is not None for row in lines.rows))
 
-    solve(pieces.initial, pieces.solver, pieces.operator, pieces.params, on_save=on_save)
+    meta = solve(pieces.initial, pieces.solver, pieces.operator, pieces.params,
+                 on_save=on_save).meta
+    assert meta["n_steps"] == n_march
     stored = stored_solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
     assert max(held) <= 4, held
     live = lines.result()
