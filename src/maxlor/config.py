@@ -152,7 +152,7 @@ _SCHEMA = {
         "dt": ("auto", lambda v: v == "auto" or _is_pos(v), "a positive number or 'auto'"),
         "method": ("rk4", METHODS, None),
         "save_every": (1, _is_pos_int, "a positive integer"),
-        "picard_tol": (1e-10, *_POSITIVE),
+        "picard_tol": (1e-8, *_POSITIVE),
         "picard_max_iter": (200, _is_pos_int, "a positive integer"),
         "guard_factor": (10.0, lambda v: _is_num(v) and v >= 1.0, ">= 1"),
     },

@@ -14,9 +14,12 @@ Two integrators are provided, as two step rules of one march (``_march``):
 classical RK4 (``rk4_step``, the method of lines) and the implicit
 trapezoid rule, whose step equation is solved by Picard (fixed-point)
 iteration to an update of at most ``picard_tol`` times max(1, max|V|) of
-the step's start state.  They discretize time differently, so their
-agreement on matching grids is a meaningful consistency check rather than
-a tautology.
+the step's start state.  The default 1e-8 keeps Picard's algebraic error
+at least 100 times below the trapezoid rule's own error on the exact
+linear reference in ``tests/test_solver.py``.  The two rules discretize
+time differently, so their agreement on matching grids is a meaningful
+consistency check rather than a tautology; they agree to the trapezoid
+rule's error, which is large on delta-like data at ``dt: "auto"``.
 
 The march owns everything else: setup checks, the forward time grid, one
 overflow policy, and one hook, ``on_save``, that gets each saved state as
@@ -90,12 +93,14 @@ MAX_STEPS = 100_000
 @dataclass(frozen=True)
 class SolverConfig:
     """A march's settings; ``picard_tol`` is relative: a Picard step stops at an
-    update of at most ``picard_tol * max(1, max|V|)``, ``V`` its start state."""
+    update of at most ``picard_tol * max(1, max|V|)``, ``V`` its start state.
+    Its default 1e-8 keeps the algebraic error at least 100 times below the
+    trapezoid rule's error on the exact linear reference of the tests."""
 
     dt: float
     method: str = "rk4"
     save_every: int = 1
-    picard_tol: float = 1e-10
+    picard_tol: float = 1e-8
     picard_max_iter: int = 200
     guard_factor: float = 10.0
 
@@ -378,7 +383,7 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
 
     def step(t, V, h, meta):
         rhs(V[0], V[1], V[2], op, B0, out=F[0], work=work)
-        # an absolute tolerance of 1e-10 is below one ulp of a state near 1e6
+        # relative: any fixed absolute tolerance is below one ulp of a large enough state
         bound = cfg.picard_tol * max(1.0, float(np.max(V)), -float(np.min(V)))
         Vk = V
         prev_delta = math.inf

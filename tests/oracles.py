@@ -1,4 +1,5 @@
-"""The linearized system's residual oracle: numpy only.
+"""Two oracles, numpy only: the linearized system's residuals, and an exact
+linear reference for the time rules.
 
 The library carries the closed form of the linearized system with
 point-charge data (``analysis.linearized_reference``) because ``compare-lin``
@@ -12,9 +13,16 @@ smooth piece, split at the jump lines ``x = 0`` and ``x = t``.  Nothing
 here needs SciPy, so acceptance 7 runs on a plain install;
 ``tests/test_analysis.py`` checks this rule against SciPy's adaptive
 ``quad``.
+
+The time reference is the E row with sigma and u zero at the start:
+sigma then stays zero, so ``dE/dt = -D E`` exactly, whatever u does.  With
+``D`` the operator's matrix, ``exp(-T D) E0`` is the semi-discrete solution
+and the Cayley map ``(I + hD/2)^-1 (I - hD/2)`` one trapezoid step.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -130,3 +138,43 @@ def linear_system_residuals(q: float, psi: TestFunction2D) -> dict:
     else:
         res3 = -q * _gauss(lambda t: psi_dt(psi, t, 0.0), tlo, thi)
     return {"faraday": lhs1 - rhs1, "force": lhs2 - rhs2, "continuity": res3}
+
+
+def dense_operator(op) -> np.ndarray:
+    """The matrix of ``op.apply``: column j is the operator on the j-th unit vector."""
+    n = op.grid.n
+    D = np.empty((n, n))
+    e = np.zeros(n)
+    for j in range(n):
+        e[j] = 1.0
+        D[:, j] = op.apply(e)
+        e[j] = 0.0
+    return D
+
+
+def exact_decay(D: np.ndarray, E0: np.ndarray, T: float) -> np.ndarray:
+    """``exp(-T D) E0``: the degree-20 Taylor polynomial of ``exp(A / 2^s)``,
+    ``A = -T D`` and ``s`` the least with ``||A||_1 / 2^s <= 1/2``, squared
+    ``s`` times.  The truncation error is about 0.5^21 / 21!, far below
+    round-off."""
+    A = -T * D
+    norm = float(np.max(np.sum(np.abs(A), axis=0)))
+    s = max(0, math.ceil(math.log2(norm / 0.5)))
+    A /= 2.0**s
+    eye = np.eye(len(D))
+    P = eye
+    for k in range(20, 0, -1):  # Horner: I + A/1 (I + A/2 (... (I + A/20)))
+        P = eye + (A @ P) / k
+    for _ in range(s):
+        P = P @ P
+    return P @ E0
+
+
+def trapezoid_decay(D: np.ndarray, E0: np.ndarray, h: float, n_steps: int) -> np.ndarray:
+    """``n_steps`` exact trapezoid steps of ``dE/dt = -D E`` from ``E0``."""
+    eye = np.eye(len(D))
+    cayley = np.linalg.solve(eye + 0.5 * h * D, eye - 0.5 * h * D)
+    E = E0
+    for _ in range(n_steps):
+        E = cayley @ E
+    return E

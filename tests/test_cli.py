@@ -807,6 +807,17 @@ class TestSupportAndTrajectories:
             samples = read_csv_columns(out / f"trajectory_{i:02d}.csv")
             assert len(samples) == summary["n_steps"] + 1
 
+    def test_a_picard_run_records_its_iterations(self, tmp_path):
+        # seed 1 takes 646 iterations at the default picard_tol, 807 at 1e-10
+        out = tmp_path / "picard"
+        cfg = write_cfg(tmp_path, **_PICARD_WORLDLINES_SEED_1)
+        assert main(["trajectories", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["picard_iterations"] == 646
+        out = tmp_path / "rk4"
+        cfg = release_cfg(tmp_path, experiment={"trajectory_starts": [-0.05]})
+        assert main(["trajectories", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert "picard_iterations" not in json.loads((out / "summary.json").read_text())
+
     def test_a_heavy_charge_picard_run_converges_at_the_state_scale(self, tmp_path):
         # the picard_worldlines benchmark workload at seed 1 with mass 20:
         # max|V| reaches 1.3e6, where one ulp of the state exceeds an

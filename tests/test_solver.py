@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from maxlor.solver import (
     step_bound,
 )
 
+import oracles
 from conftest import smooth_pieces
 from stored_route import stored_solve
 
@@ -314,9 +316,38 @@ def test_picard_stall_when_iterations_run_out():
     assert sol.meta["abort"]["reason"] == "no-convergence"
     # the bound is relative to the state's scale, max(1, max|V|)
     assert sol.meta["abort"]["message"].startswith(
-        "Picard did not reach tol=1e-10 x max(1, max|V|) = 1e-10 in 2 iterations")
+        "Picard did not reach tol=1e-08 x max(1, max|V|) = 1e-08 in 2 iterations")
     assert sol.meta["abort"]["t"] == 0.0
     assert len(sol.states) == 1
+
+
+@pytest.mark.parametrize("kind", ["left", "symmetric"])
+def test_picard_default_tol_sits_below_the_trapezoid_error(kind):
+    # E0 with u = sigma = 0 decays by dE/dt = -D E exactly (tests/oracles.py):
+    # exp(-T D) E0 is the exact solution and the Cayley steps the trapezoid
+    # rule's, so Picard's algebraic error, its gap to the Cayley steps, is
+    # measured apart from the rule's own error, the Cayley steps' gap to exp
+    grid = Grid(-6.0, 6.0, 601)
+    op = make_operator(make_mollifier(kind), 0.1, grid)
+    D = oracles.dense_operator(op)
+    T = 0.5
+    E0 = 0.5 * np.exp(-grid.xs**2 / 0.5)
+    exact = oracles.exact_decay(D, E0, T)
+    z = np.zeros(grid.n)
+    initial = FieldState(0.0, E0, z, z)
+    params = ModelParams(B0=0.0, T=T, eps=0.1)
+    n = math.ceil(T * op.op_norm / 0.2)
+    trapezoid_errors = []
+    for n_steps in (n, 2 * n):  # h ||D|| about 0.2, then 0.1
+        h = T / n_steps
+        cfg = SolverConfig(dt=h, method="picard", save_every=n_steps)
+        sol = stored_solve(initial, cfg, op, params, march=solve_picard)
+        assert sol.meta["n_steps"] == n_steps
+        cayley = oracles.trapezoid_decay(D, E0, h, n_steps)
+        trapezoid_errors.append(np.max(np.abs(cayley - exact)))
+        # 4.9e-5 to 5.4e-4 of it at the default tol; at tol 1e-6 up to 4.2e-2
+        assert np.max(np.abs(sol.states[-1].E - cayley)) <= 1e-2 * trapezoid_errors[-1]
+    assert math.log2(trapezoid_errors[0] / trapezoid_errors[1]) >= 1.9
 
 
 @pytest.mark.parametrize("method", ["rk4", "picard"])
