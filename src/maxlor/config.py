@@ -152,9 +152,6 @@ _SCHEMA = {
         "dt": ("auto", lambda v: v == "auto" or _is_pos(v), "a positive number or 'auto'"),
         "method": ("rk4", METHODS, None),
         "save_every": (1, _is_pos_int, "a positive integer"),
-        "picard_tol": (1e-8, *_POSITIVE),
-        "picard_max_iter": (200, _is_pos_int, "a positive integer"),
-        "guard_factor": (10.0, lambda v: _is_num(v) and v >= 1.0, ">= 1"),
     },
     "initial": {
         "E": ({"kind": "zero"}, _PROFILE, None),
@@ -524,9 +521,6 @@ def build_solver_config(cfg: RunConfig, op_norm: float) -> SolverConfig:
         dt=_step(sv["dt"], op_norm),
         method=sv["method"],
         save_every=int(sv["save_every"]),
-        picard_tol=float(sv["picard_tol"]),
-        picard_max_iter=int(sv["picard_max_iter"]),
-        guard_factor=float(sv["guard_factor"]),
     )
 
 

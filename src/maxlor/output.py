@@ -428,7 +428,7 @@ def write_solution(out_dir, sol: SpacetimeSolution, cfg_dict: dict) -> dict:
 def run_status(meta: dict) -> dict:
     """The status block of a one-solve summary, read off the run's ``meta``; a
     Picard march adds ``picard_iterations``, its fixed-point iterations summed
-    over the steps."""
+    over the steps, an aborted step's included."""
     status = {"status": meta.get("status", "ok"), "a_priori_bound": meta.get("a_priori_bound"),
               "boundary_contaminated": meta.get("boundary_contaminated")}
     if "picard" in meta:

@@ -13,8 +13,8 @@ would otherwise see an artificial jump at the grid ends.
 Two integrators are provided, as two step rules of one march (``_march``):
 classical RK4 (``rk4_step``, the method of lines) and the implicit
 trapezoid rule, whose step equation is solved by Picard (fixed-point)
-iteration to an update of at most ``picard_tol`` times max(1, max|V|) of
-the step's start state.  The default 1e-8 keeps Picard's algebraic error
+iteration to an update of at most ``PICARD_TOL`` = 1e-8 times max(1,
+max|V|) of the step's start state, which keeps Picard's algebraic error
 at least 100 times below the trapezoid rule's own error on the exact
 linear reference in ``tests/test_solver.py``.  The two rules discretize
 time differently, so their agreement on matching grids is a meaningful
@@ -67,6 +67,9 @@ __all__ = [
     "march_plan",
     "step_count",
     "MAX_STEPS",
+    "PICARD_TOL",
+    "PICARD_MAX_ITER",
+    "GUARD_FACTOR",
     "a_priori_bound",
     "step_bound",
     "STATUS_OK",
@@ -82,6 +85,14 @@ STATUS_OVERFLOW = "overflow"
 STATUS_GUARD = "guard"
 STATUS_PICARD_STALL = "picard-stall"
 
+# the numerical policy of every march, not a run's input: a Picard step
+# stops at an update of at most PICARD_TOL * max(1, max|V|), V its start
+# state, and aborts after PICARD_MAX_ITER iterations; any march aborts when
+# max|V| exceeds GUARD_FACTOR times the a-priori bound
+PICARD_TOL = 1e-8
+PICARD_MAX_ITER = 200
+GUARD_FACTOR = 10.0
+
 # consecutive growing Picard updates before declaring non-contraction
 _STALL_PATIENCE = 5
 
@@ -92,17 +103,12 @@ MAX_STEPS = 100_000
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """A march's settings; ``picard_tol`` is relative: a Picard step stops at an
-    update of at most ``picard_tol * max(1, max|V|)``, ``V`` its start state.
-    Its default 1e-8 keeps the algebraic error at least 100 times below the
-    trapezoid rule's error on the exact linear reference of the tests."""
+    """What a run chooses of its march: the step, the integrator and the
+    save stride; the tolerances and caps are the module's constants."""
 
     dt: float
     method: str = "rk4"
     save_every: int = 1
-    picard_tol: float = 1e-8
-    picard_max_iter: int = 200
-    guard_factor: float = 10.0
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -111,12 +117,6 @@ class SolverConfig:
             raise ValueError(f"solver: unknown method {self.method!r}")
         if self.save_every < 1:
             raise ValueError("solver: save_every must be >= 1")
-        if not self.picard_tol > 0.0:
-            raise ValueError("solver: picard_tol must be positive")
-        if self.picard_max_iter < 1:
-            raise ValueError("solver: picard_max_iter must be >= 1")
-        if self.guard_factor < 1.0:
-            raise ValueError("solver: guard_factor must be >= 1")
 
 
 def step_bound(op_norm: float) -> float:
@@ -134,7 +134,7 @@ def a_priori_bound(initial_norm: float, params: ModelParams, op_norm: float) -> 
 
     Deliberately loose; its role is to catch numerical blow-up, not to be
     sharp.  It is at most the largest double, so that the run's JSON can
-    hold it; no finite state exceeds ``guard_factor`` times that.
+    hold it; no finite state exceeds ``GUARD_FACTOR`` times that.
     """
     T = params.T
     growth = math.exp(min(3.0 * T * (op_norm + 1.0), 700.0))
@@ -304,7 +304,7 @@ def _march(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
         "q": params.q,
         "op_norm": op.op_norm,
         "a_priori_bound": a_priori_bound(initial.max_abs(), params, op.op_norm),
-        "guard_factor": cfg.guard_factor,
+        "guard_factor": GUARD_FACTOR,
         "status": STATUS_OK,
     }
     ratios = []
@@ -363,10 +363,10 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
     right-hand side, by Picard iteration started at ``Vn = V``; ``F(V)`` is
     evaluated once per step, and the first iterate's ``F(Vn)`` is a copy of
     it, since that iterate starts at ``Vn = V``.  The iteration stops at an
-    update of at most ``picard_tol * max(1, max|V|)``, the state's own scale.
+    update of at most ``PICARD_TOL * max(1, max|V|)``, the state's own scale.
     The map contracts for small enough ``h``.  Non-contraction (updates
     growing several times in a row) and missing convergence within
-    ``picard_max_iter`` iterations abort the run, as do the checks of
+    ``PICARD_MAX_ITER`` iterations abort the run, as do the checks of
     ``_march``, which also sets the time range and save grid.  The node
     slopes, the quadrature, two alternating iterates and ``rhs``'s
     intermediates live in one workspace for the whole march; each step
@@ -384,11 +384,12 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
     def step(t, V, h, meta):
         rhs(V[0], V[1], V[2], op, B0, out=F[0], work=work)
         # relative: any fixed absolute tolerance is below one ulp of a large enough state
-        bound = cfg.picard_tol * max(1.0, float(np.max(V)), -float(np.min(V)))
+        bound = PICARD_TOL * max(1.0, float(np.max(V)), -float(np.min(V)))
         Vk = V
         prev_delta = math.inf
         grow = 0
-        for it in range(1, cfg.picard_max_iter + 1):
+        for it in range(1, PICARD_MAX_ITER + 1):
+            stats["iterations"] += 1  # before any abort, so an aborted step counts too
             if it == 1:
                 F[1] = F[0]
             else:
@@ -410,13 +411,12 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
                     f"starting at t={t:.6g} (dt={h:.6g}); lower dt"
                 ))
                 return None
-        stats["iterations"] += it
         stats["max_chunk_iterations"] = max(stats["max_chunk_iterations"], it)
         stats["max_final_residual"] = max(stats["max_final_residual"], delta)
         if delta > bound:
             _abort(meta, STATUS_PICARD_STALL, "no-convergence", t, (
-                f"Picard did not reach tol={cfg.picard_tol:g} x max(1, max|V|) = {bound:.3g} "
-                f"in {cfg.picard_max_iter} iterations (last update {delta:.3g})"
+                f"Picard did not reach tol={PICARD_TOL:g} x max(1, max|V|) = {bound:.3g} "
+                f"in {PICARD_MAX_ITER} iterations (last update {delta:.3g})"
             ))
             return None
         return Vk.copy()

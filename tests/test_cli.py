@@ -808,7 +808,7 @@ class TestSupportAndTrajectories:
             assert len(samples) == summary["n_steps"] + 1
 
     def test_a_picard_run_records_its_iterations(self, tmp_path):
-        # seed 1 takes 646 iterations at the default picard_tol, 807 at 1e-10
+        # seed 1 takes 646 iterations at the default PICARD_TOL, 807 at 1e-10
         out = tmp_path / "picard"
         cfg = write_cfg(tmp_path, **_PICARD_WORLDLINES_SEED_1)
         assert main(["trajectories", "--config", cfg, "--out", str(out)]) == EXIT_OK

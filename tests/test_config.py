@@ -18,7 +18,7 @@ from maxlor.config import (
     validate_config,
 )
 from maxlor.scaling import make_scaling
-from maxlor.solver import SolverConfig, step_bound
+from maxlor.solver import step_bound
 
 
 def cfg_of(**overrides):
@@ -61,6 +61,9 @@ def test_unknown_keys_are_collected_not_fatal():
     ("initial.E", "centre"),
     ("experiment", "probe_xo"),
     ("experiment", "trajectory_steps"),
+    ("solver", "picard_tol"),
+    ("solver", "picard_max_iter"),
+    ("solver", "guard_factor"),
 ])
 def test_unknown_section_key_is_reported(section, key):
     outer, _, inner = section.partition(".")
@@ -146,17 +149,6 @@ def test_single_eps_in_schedule_reported_once():
     width = [e for e in errs if e.startswith("delta_net: width 0.01")]
     assert len(width) == 1
     assert sum("kernel width" in e and "eps=0.01" in e for e in errs) == 1
-
-
-@pytest.mark.parametrize("factor, ok", [(1.0, True), (0.99, False)])
-def test_guard_factor_rule_matches_solver_config(factor, ok):
-    errs = validate_config(cfg_of(solver={"guard_factor": factor}))
-    assert (not any("guard_factor" in e for e in errs)) == ok
-    if ok:
-        SolverConfig(dt=0.01, guard_factor=factor)
-    else:
-        with pytest.raises(ValueError, match="guard_factor"):
-            SolverConfig(dt=0.01, guard_factor=factor)
 
 
 def test_validate_reports_the_message_a_refined_run_raises():

@@ -132,15 +132,12 @@ def test_rk4_fourth_order_in_dt():
     assert err_c / err_f >= 8.0
 
 
-def test_cross_method_agreement_short_horizon():
+def test_cross_method_agreement_short_horizon(monkeypatch):
+    monkeypatch.setattr(solver_mod, "PICARD_TOL", 1e-12)
     grid, op, params, initial, _ = small_pieces(T=0.1)
     lines = stored_solve(initial, SolverConfig(dt=0.0025, method="rk4", save_every=8), op, params)
     picard = stored_solve(
-        initial,
-        SolverConfig(dt=0.0025, method="picard", save_every=8, picard_tol=1e-12),
-        op,
-        params,
-    )
+        initial, SolverConfig(dt=0.0025, method="picard", save_every=8), op, params)
     assert np.array_equal(lines.times, picard.times)
     worst = max(
         np.max(np.abs(sl.component(n) - sp.component(n)))
@@ -252,6 +249,7 @@ def test_picard_overflow_abort_warns_nothing():
                            march=solve_picard)
     assert sol.status == STATUS_OVERFLOW
     assert sol.meta["abort"]["reason"] == "overflow"
+    assert sol.meta["picard"]["iterations"] == 1  # the aborted step's one iteration counts
     assert np.all(np.isfinite(sol.states[0].E))
 
 
@@ -295,22 +293,32 @@ def test_picard_left_node_rhs_once_per_step(monkeypatch):
     assert len(calls) == picard["iterations"]
 
 
-def test_picard_stall_when_step_does_not_contract():
+def test_picard_stall_when_step_does_not_contract(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rhs(*args, **kwargs)
+
     # at the explicit step bound the B0 a(u) term makes the trapezoid map
     # expand; half the field strength still contracts on the same step
     grid, op, params, initial, _ = small_pieces(B0=100.0)
     cfg = SolverConfig(dt=step_bound(op.op_norm), method="picard")
+    monkeypatch.setattr(solver_mod, "rhs", counted)
     sol = stored_solve(initial, cfg, op, params, march=solve_picard)
     assert sol.status == STATUS_PICARD_STALL
     assert sol.meta["abort"]["reason"] == "no-contraction"
     assert "lower dt" in sol.meta["abort"]["message"]
+    # the aborted step's iterations count, one rhs call each
+    assert sol.meta["picard"]["iterations"] == len(calls) == 7
     grid, op, params, initial, _ = small_pieces(B0=50.0)
     assert stored_solve(initial, cfg, op, params, march=solve_picard).status == STATUS_OK
 
 
-def test_picard_stall_when_iterations_run_out():
+def test_picard_stall_when_iterations_run_out(monkeypatch):
+    monkeypatch.setattr(solver_mod, "PICARD_MAX_ITER", 2)
     grid, op, params, initial, _ = small_pieces()
-    cfg = SolverConfig(dt=0.005, method="picard", picard_max_iter=2)
+    cfg = SolverConfig(dt=0.005, method="picard")
     sol = stored_solve(initial, cfg, op, params, march=solve_picard)
     assert sol.status == STATUS_PICARD_STALL
     assert sol.meta["abort"]["reason"] == "no-convergence"
@@ -378,5 +386,3 @@ def test_config_validation():
         SolverConfig(dt=0.1, method="euler")
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, save_every=0)
-    with pytest.raises(ValueError):
-        SolverConfig(dt=0.1, guard_factor=0.5)

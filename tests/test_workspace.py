@@ -19,8 +19,8 @@ from maxlor.fields import FieldState, Grid, ModelParams
 from maxlor.mollifier import make_mollifier
 from maxlor.nonlinearity import a, sqrt1p_sq
 from maxlor.regops import make_operator
-from maxlor.solver import (STATUS_OK, SolverConfig, march_plan, rhs, solve_lines, solve_picard,
-                           step_bound)
+from maxlor.solver import (PICARD_MAX_ITER, PICARD_TOL, STATUS_OK, SolverConfig, march_plan, rhs,
+                           solve_lines, solve_picard, step_bound)
 
 from conftest import release_config, smooth_pieces
 from stored_route import stored_solve
@@ -112,8 +112,8 @@ def _reference_march(initial, cfg, op, params):
         else:
             F0 = f(V)
             Vk = V
-            bound = cfg.picard_tol * max(1.0, np.max(np.abs(V)))
-            for _ in range(cfg.picard_max_iter):
+            bound = PICARD_TOL * max(1.0, np.max(np.abs(V)))
+            for _ in range(PICARD_MAX_ITER):
                 Vn = V + h * (f(Vk) + F0) / 2.0
                 delta = np.max(np.abs(Vn - Vk))
                 Vk = Vn
