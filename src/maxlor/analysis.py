@@ -195,18 +195,39 @@ class Pairing:
     ``field_name`` is one of ``E``, ``u``, ``sigma`` or the derived ``Q =
     sigma - D E``, which reads the operator ``op``.  ``psi`` must lie in the
     time window ``[t_lo, t_hi]`` the states will cover, and on the grid.
+
+    ``psi(t, .)`` on the grid is ``(amplitude * b(st)) * bx``, the
+    operations of ``TestFunction2D.value`` in its order, with ``bx`` the
+    bump's x-factor.  That factor does not change from state to state, and
+    it is exactly 0.0 off the points with ``|sx| < 1``, a contiguous window
+    since the grid is sorted.  So ``bx`` is evaluated once, on that window,
+    and each state writes its products there and ``(amplitude * b(st)) *
+    0.0``, the bytes of value's products off the window, elsewhere.
     """
 
     def __init__(self, grid, field_name, psi, op, t_lo, t_hi):
         _check_window(psi, t_lo, t_hi, grid.x_min, grid.x_max)
         self.grid, self.field_name, self.psi, self.op = grid, field_name, psi, op
         self.times, self.rows, self.peak = [], [], 0.0
+        sx = (grid.xs - psi.x0) / psi.r_x
+        inside = np.flatnonzero(np.abs(sx) < 1.0)
+        self._lo, self._hi = (int(inside[0]), int(inside[-1]) + 1) if len(inside) else (0, 0)
+        self._bx = psi._b(sx[self._lo:self._hi])
+        self._row = np.empty(grid.n)
+
+    def psi_row(self, t) -> np.ndarray:
+        """``psi.value(t, grid.xs)``, byte for byte, in the pairing's own buffer."""
+        psi, row, lo, hi = self.psi, self._row, self._lo, self._hi
+        c = psi.amplitude * psi._b((t - psi.t0) / psi.r_t)
+        row[:lo] = row[hi:] = c * 0.0
+        np.multiply(c, self._bx, out=row[lo:hi])
+        return row
 
     def __call__(self, state) -> None:
         name, t = self.field_name, state.t
         F = state.sigma - self.op.apply(state.E) if name == "Q" else state.component(name)
         self.times.append(t)
-        self.rows.append(np.trapezoid(F * self.psi.value(t, self.grid.xs), dx=self.grid.dx))
+        self.rows.append(np.trapezoid(F * self.psi_row(t), dx=self.grid.dx))
         self.peak = max(self.peak, float(np.max(np.abs(F))))
 
     def result(self) -> float:

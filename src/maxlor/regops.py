@@ -8,7 +8,10 @@ convolution (``numpy.fft``) against the stencil's spectrum.
 Only the window ``f[lo:hi+1]`` between the first and the last nonzero
 value of f is transformed, padded to ``next_fast_len(hi - lo + m)`` for a
 stencil of m weights: a delta-like field covers a small part of the grid,
-and the one-sided kernel keeps the vacuum side exactly zero.  A field
+and the one-sided kernel keeps the vacuum side exactly zero.  The window's
+ends are the first and last 1 in the bytes of ``f != 0``, which
+``bytes.find`` and ``bytes.rfind`` locate without a reversed-stride scan,
+and ``next_fast_len`` bisects a table of 5-smooth lengths.  A field
 spanning the grid takes the longest transform, ``fft_len``.  The stencil's
 spectrum depends on the transform length, so each operator keeps the
 spectra of its last two lengths.  Each operator also owns two work
@@ -39,8 +42,9 @@ not on which fields the operator transformed before.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -58,20 +62,33 @@ MAX_STENCIL = 1_000_000
 SPECTRA_KEPT = 2
 
 
-@lru_cache(maxsize=1024)
-def next_fast_len(target: int) -> int:
-    """Smallest 5-smooth integer ``>= target``, a length real FFTs are fast
-    on; equal to ``scipy.fft.next_fast_len(target, real=True)``."""
-    best = 1 << (target - 1).bit_length()
+@cache
+def _smooth_lengths(top: int) -> tuple:
+    """Every 5-smooth integer up to ``top``, ascending."""
+    smooth = []
     p5 = 1
-    while p5 < best:
+    while p5 <= top:
         p35 = p5
-        while p35 < best:
-            # p35 times the smallest power of two that reaches target
-            best = min(best, p35 << ((target - 1) // p35).bit_length())
+        while p35 <= top:
+            p = p35
+            while p <= top:
+                smooth.append(p)
+                p *= 2
             p35 *= 3
         p5 *= 5
-    return best
+    return tuple(sorted(smooth))
+
+
+def next_fast_len(target: int) -> int:
+    """Smallest 5-smooth integer ``>= target``, a length real FFTs are fast
+    on; equal to ``scipy.fft.next_fast_len(target, real=True)``.
+
+    A bisection into the table of 5-smooth lengths up to the first power of
+    two at or above ``target``, itself 5-smooth; a table is built once per
+    power of two, and holds 582 lengths at 2**21.
+    """
+    table = _smooth_lengths(1 << (target - 1).bit_length())
+    return table[bisect_left(table, target)]
 
 
 @dataclass(eq=False)
@@ -114,12 +131,13 @@ class RegDerivOperator:
             )
         if out is None:
             out = np.empty(n)
-        nonzero = f != 0.0
-        lo = int(nonzero.argmax())
-        if not nonzero[lo]:
+        # one flag byte per point; argmax on a reversed view would crawl
+        flags = np.not_equal(f, 0.0).tobytes()
+        lo = flags.find(1)
+        if lo < 0:
             out[:] = 0.0
             return out
-        hi = n - 1 - int(nonzero[::-1].argmax())
+        hi = flags.rfind(1)
         # the window's linear convolution has hi - lo + m terms
         size = next_fast_len(hi - lo + len(self.weights))
         spec = rfft(f[lo:hi + 1], size, out=self._spec[:size // 2 + 1])

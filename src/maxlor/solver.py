@@ -93,6 +93,9 @@ PICARD_TOL = 1e-8
 PICARD_MAX_ITER = 200
 GUARD_FACTOR = 10.0
 
+# |u| at or below which sqrt(1 + u^2) rounds to exactly 1.0 (see ``rhs``)
+_ROOT_IS_ONE = 2.0**-27
+
 # consecutive growing Picard updates before declaring non-contraction
 _STALL_PATIENCE = 5
 
@@ -146,16 +149,30 @@ def rhs(E, u, sigma, op: RegDerivOperator, B0: float, out=None, work=None):
 
     The three derivatives are the rows of ``out``, a ``(3, n)`` array, and
     the intermediates use the two rows of ``work``; either is allocated
-    when not given, so a march passing both allocates nothing here.  One
-    ``hypot`` serves both nonlinear terms: ``a(u)`` is ``u / root`` with
-    ``root = sqrt1p_sq(u)``, the bytes of ``nonlinearity.a``.  ``-D f + g``
-    is computed as ``g - D f``, the same IEEE operation.
+    when not given, so a march passing both allocates only a row of flags
+    here.  One ``hypot`` serves both nonlinear terms: ``a(u)`` is ``u /
+    root`` with ``root = sqrt1p_sq(u)``, the bytes of ``nonlinearity.a``.
+    ``-D f + g`` is computed as ``g - D f``, the same IEEE operation.
+
+    ``sqrt1p_sq`` runs only on the span from the first to the last ``u``
+    that is not ``|u| <= 2**-27``, and ``root`` is 1.0 outside it: there
+    ``sqrt(1 + u^2)`` lies within ``2**-55`` of 1, below half an ulp, so
+    ``hypot`` gives exactly 1.0, ``u / root`` is ``u`` and ``root - 1``
+    is 0.0.  A nan or inf is not ``<= 2**-27``, so it lies in the span,
+    where ``sqrt1p_sq`` refuses it as before.
     """
     n = len(u)
     out = np.empty((3, n)) if out is None else out
     work = np.empty((2, n)) if work is None else work
     dE, du, dsigma = out
-    root = sqrt1p_sq(u, out=work[0])
+    root = work[0]
+    # one flag byte per point, 1 where the root is exactly 1.0
+    flags = np.less_equal(np.abs(u, out=work[1]), _ROOT_IS_ONE).tobytes()
+    lo = flags.find(0)
+    lo, hi = (0, 0) if lo < 0 else (lo, flags.rfind(0) + 1)
+    root[:lo] = 1.0
+    sqrt1p_sq(u[lo:hi], out=root[lo:hi])
+    root[hi:] = 1.0
     au = np.divide(u, root, out=work[1])
     # dsigma holds each product term until its own turn
     np.subtract(1.0, au, out=dsigma)
@@ -371,6 +388,11 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
     slopes, the quadrature, two alternating iterates and ``rhs``'s
     intermediates live in one workspace for the whole march; each step
     allocates only the copy of its last iterate.
+
+    ``meta["picard"]`` holds the iterations summed over the steps, the most
+    in one step, and the largest final update.  A step that aborts counts
+    with its iterations and its largest finite update, so that the value
+    stays a finite JSON number.
     """
     B0 = params.B0
     n = op.grid.n
@@ -388,6 +410,7 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
         Vk = V
         prev_delta = math.inf
         grow = 0
+        largest = 0.0  # the step's largest finite update
         for it in range(1, PICARD_MAX_ITER + 1):
             stats["iterations"] += 1  # before any abort, so an aborted step counts too
             if it == 1:
@@ -400,7 +423,8 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
             if not math.isfinite(delta):
                 _abort(meta, STATUS_OVERFLOW, "overflow", t,
                        f"overflow in the Picard step starting at t={t:.6g}")
-                return None
+                break
+            largest = max(largest, delta)
             if delta <= bound:
                 break
             grow = grow + 1 if delta > prev_delta else 0
@@ -410,14 +434,18 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
                     f"Picard updates grew {_STALL_PATIENCE} times in a row on the step "
                     f"starting at t={t:.6g} (dt={h:.6g}); lower dt"
                 ))
-                return None
-        stats["max_chunk_iterations"] = max(stats["max_chunk_iterations"], it)
-        stats["max_final_residual"] = max(stats["max_final_residual"], delta)
-        if delta > bound:
+                break
+        else:
             _abort(meta, STATUS_PICARD_STALL, "no-convergence", t, (
                 f"Picard did not reach tol={PICARD_TOL:g} x max(1, max|V|) = {bound:.3g} "
                 f"in {PICARD_MAX_ITER} iterations (last update {delta:.3g})"
             ))
+        aborted = meta["status"] != STATUS_OK
+        stats["max_chunk_iterations"] = max(stats["max_chunk_iterations"], it)
+        # an aborted step's largest finite update, so that meta.json stays strict JSON
+        stats["max_final_residual"] = max(stats["max_final_residual"],
+                                          largest if aborted else delta)
+        if aborted:
             return None
         return Vk.copy()
 

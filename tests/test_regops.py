@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import fft as sfft
 
+from maxlor.config import MAX_GRID_POINTS
 from maxlor.fields import Grid
 from maxlor.mollifier import make_mollifier
-from maxlor.regops import SPECTRA_KEPT, make_operator, next_fast_len
+from maxlor.regops import MAX_STENCIL, SPECTRA_KEPT, make_operator, next_fast_len
 
 
 def _direct(op, f, kernel):
@@ -246,6 +247,35 @@ def test_operators_from_same_meta_are_bit_identical():
 def test_next_fast_len_matches_scipy():
     mismatch = [t for t in range(1, 200_001)
                 if next_fast_len(t) != sfft.next_fast_len(t, real=True)]
+    assert mismatch == []
+
+
+def _loop_next_fast_len(target):
+    # the search next_fast_len replaced: for each 5-smooth odd part below the
+    # running best, the smallest power-of-two multiple that reaches target
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << ((target - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def test_next_fast_len_matches_scipy_and_the_loop_up_to_the_longest_transform():
+    # above the exhaustive range, up to the longest window a valid config can
+    # ask for; the 5-smooth lengths and their neighbours are where the answer
+    # steps
+    top = MAX_GRID_POINTS + MAX_STENCIL
+    steps = [2**i * 3**j * 5**k for i in range(22) for j in range(14) for k in range(10)
+             if 200_000 <= 2**i * 3**j * 5**k <= top + 1]
+    rng = np.random.default_rng(11)
+    targets = sorted({t for p in steps for t in (p - 1, p, p + 1)}
+                     | set(rng.integers(200_001, top + 1, 2000).tolist()) | {top})
+    mismatch = [t for t in targets
+                if not next_fast_len(t) == _loop_next_fast_len(t) == sfft.next_fast_len(t, real=True)]
     assert mismatch == []
 
 

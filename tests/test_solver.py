@@ -10,6 +10,7 @@ from maxlor.mollifier import make_mollifier
 from maxlor.nonlinearity import a, sqrt1p_sq
 from maxlor.regops import make_operator
 from maxlor.solver import (
+    PICARD_TOL,
     STATUS_GUARD,
     STATUS_OK,
     STATUS_OVERFLOW,
@@ -59,34 +60,66 @@ def test_rhs_zero_state_is_fixed_point():
         assert np.all(dE == 0.0) and np.all(du == 0.0) and np.all(dsigma == 0.0)
 
 
-def test_rhs_keeps_the_bytes_of_the_two_nonlinearity_calls():
-    # rhs takes one hypot for a(u) and sqrt1p_sq(u); its bytes must be those
-    # of calling both, on signed zeros, subnormals and huge momenta too
-    grid, op, _, _, _ = small_pieces()
+def _momentum_rows(n):
+    """Rows of u for the byte test of ``rhs``, keyed by what each covers."""
     rng = np.random.default_rng(4)
     special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, 1e150, -1e150, 1.0, -1.0]
-    u = rng.standard_normal(grid.n) * 10.0 ** rng.uniform(-3.0, 3.0, grid.n)
-    u[np.linspace(0, grid.n - 1, len(special)).astype(int)] = special
-    u[200:260] = 0.0
+    mixed = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    mixed[np.linspace(0, n - 1, len(special)).astype(int)] = special
+    mixed[200:260] = 0.0
+    # rhs's root is exactly 1.0 at |u| <= 2**-27 and hypot runs only between
+    # the first and the last u above it
+    edge = 2.0**-27
+    above = np.nextafter(edge, 1.0)
+    thresholds = np.zeros(n)
+    # 3 * 2**-27 is the first multiple whose root is not 1.0
+    thresholds[100:107] = (edge, -edge, above, -above, np.nextafter(edge, 0.0), 2.0 * edge,
+                           -3.0 * edge)
+    tiny = rng.uniform(-edge, edge, n)
+    subnormal_tails = tiny.copy()
+    subnormal_tails[:150] = 5e-324 * rng.integers(-9, 10, 150)
+    subnormal_tails[-150:] = 2.5e-310 * rng.standard_normal(150)
+    subnormal_tails[300] = 0.3
+    first, last = tiny.copy(), tiny.copy()
+    first[0] = 0.25
+    last[n - 1] = -0.7
+    return {"mixed": mixed, "thresholds": thresholds, "all tiny": tiny,
+            "subnormal tails": subnormal_tails, "lone first": first, "lone last": last}
+
+
+def test_rhs_keeps_the_bytes_of_the_two_nonlinearity_calls():
+    # rhs takes one hypot for a(u) and sqrt1p_sq(u), on the span where the
+    # root is not exactly 1.0; its bytes must be those of calling both on the
+    # whole row, on signed zeros, subnormals, huge momenta and the threshold
+    grid, op, _, _, _ = small_pieces()
+    rng = np.random.default_rng(5)
     E = rng.standard_normal(grid.n)
     sigma = rng.standard_normal(grid.n)
-    for B0 in (0.0, 1.0, -2.5):
-        got = rhs(E, u, sigma, op, B0)
-        want = (-op.apply(E) + sigma * (1.0 - a(u)),
-                -op.apply(sqrt1p_sq(u) - 1.0) + E + B0 * a(u),
-                -op.apply(sigma * a(u)))
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
+    for case, u in _momentum_rows(grid.n).items():
+        for B0 in (0.0, 1.0, -2.5):
+            got = rhs(E, u, sigma, op, B0)
+            want = (-op.apply(E) + sigma * (1.0 - a(u)),
+                    -op.apply(sqrt1p_sq(u) - 1.0) + E + B0 * a(u),
+                    -op.apply(sigma * a(u)))
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), case
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_rhs_refuses_non_finite_momentum(bad):
     grid, op, _, _, _ = small_pieces()
     z = np.zeros(grid.n)
-    u = z.copy()
-    u[300] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        rhs(z, u, z, op, 1.0)
+    middle = z.copy()
+    middle[300] = bad
+    # in the tail, far past the last u above 2**-27, and at the row's end
+    tail = np.full(grid.n, 1e-20)
+    tail[:50] = 0.5
+    tail[grid.n - 1] = bad
+    lone = np.full(grid.n, -1e-20)
+    lone[grid.n - 1] = bad
+    for u in (middle, tail, lone):
+        with pytest.raises(ValueError, match="non-finite"):
+            rhs(z, u, z, op, 1.0)
 
 
 def test_momentum_overflowing_in_a_stage_aborts_the_march():
@@ -249,7 +282,11 @@ def test_picard_overflow_abort_warns_nothing():
                            march=solve_picard)
     assert sol.status == STATUS_OVERFLOW
     assert sol.meta["abort"]["reason"] == "overflow"
-    assert sol.meta["picard"]["iterations"] == 1  # the aborted step's one iteration counts
+    picard = sol.meta["picard"]
+    assert picard["iterations"] == 1  # the aborted step's one iteration counts
+    # in the step maxima too; its one update is not finite, so none is recorded
+    assert picard["max_chunk_iterations"] == 1
+    assert picard["max_final_residual"] == 0.0
     assert np.all(np.isfinite(sol.states[0].E))
 
 
@@ -309,8 +346,13 @@ def test_picard_stall_when_step_does_not_contract(monkeypatch):
     assert sol.status == STATUS_PICARD_STALL
     assert sol.meta["abort"]["reason"] == "no-contraction"
     assert "lower dt" in sol.meta["abort"]["message"]
-    # the aborted step's iterations count, one rhs call each
-    assert sol.meta["picard"]["iterations"] == len(calls) == 7
+    # the aborted step's iterations count, one rhs call each, and its
+    # largest update joins the step maxima
+    picard = sol.meta["picard"]
+    assert picard["iterations"] == len(calls) == 7
+    assert picard["max_chunk_iterations"] == 7
+    # 9.6e-3, far above the step's bound PICARD_TOL * max(1, max|V|)
+    assert PICARD_TOL < picard["max_final_residual"] < 1.0
     grid, op, params, initial, _ = small_pieces(B0=50.0)
     assert stored_solve(initial, cfg, op, params, march=solve_picard).status == STATUS_OK
 
@@ -329,21 +371,27 @@ def test_picard_stall_when_iterations_run_out(monkeypatch):
     assert len(sol.states) == 1
 
 
-@pytest.mark.parametrize("kind", ["left", "symmetric"])
-def test_picard_default_tol_sits_below_the_trapezoid_error(kind):
+def _exact_decay_case(kind):
     # E0 with u = sigma = 0 decays by dE/dt = -D E exactly (tests/oracles.py):
-    # exp(-T D) E0 is the exact solution and the Cayley steps the trapezoid
-    # rule's, so Picard's algebraic error, its gap to the Cayley steps, is
-    # measured apart from the rule's own error, the Cayley steps' gap to exp
+    # exp(-T D) E0 is the exact solution of the semi-discrete system
     grid = Grid(-6.0, 6.0, 601)
     op = make_operator(make_mollifier(kind), 0.1, grid)
     D = oracles.dense_operator(op)
     T = 0.5
     E0 = 0.5 * np.exp(-grid.xs**2 / 0.5)
-    exact = oracles.exact_decay(D, E0, T)
     z = np.zeros(grid.n)
     initial = FieldState(0.0, E0, z, z)
     params = ModelParams(B0=0.0, T=T, eps=0.1)
+    return op, D, initial, params, oracles.exact_decay(D, E0, T)
+
+
+@pytest.mark.parametrize("kind", ["left", "symmetric"])
+def test_picard_default_tol_sits_below_the_trapezoid_error(kind):
+    # the Cayley steps are the trapezoid rule's, so Picard's algebraic error,
+    # its gap to the Cayley steps, is measured apart from the rule's own
+    # error, the Cayley steps' gap to exp
+    op, D, initial, params, exact = _exact_decay_case(kind)
+    T = params.T
     n = math.ceil(T * op.op_norm / 0.2)
     trapezoid_errors = []
     for n_steps in (n, 2 * n):  # h ||D|| about 0.2, then 0.1
@@ -351,11 +399,26 @@ def test_picard_default_tol_sits_below_the_trapezoid_error(kind):
         cfg = SolverConfig(dt=h, method="picard", save_every=n_steps)
         sol = stored_solve(initial, cfg, op, params, march=solve_picard)
         assert sol.meta["n_steps"] == n_steps
-        cayley = oracles.trapezoid_decay(D, E0, h, n_steps)
+        cayley = oracles.trapezoid_decay(D, initial.E, h, n_steps)
         trapezoid_errors.append(np.max(np.abs(cayley - exact)))
         # 4.9e-5 to 5.4e-4 of it at the default tol; at tol 1e-6 up to 4.2e-2
         assert np.max(np.abs(sol.states[-1].E - cayley)) <= 1e-2 * trapezoid_errors[-1]
     assert math.log2(trapezoid_errors[0] / trapezoid_errors[1]) >= 1.9
+
+
+@pytest.mark.parametrize("kind", ["left", "symmetric"])
+def test_rk4_is_fourth_order_on_the_exact_decay(kind):
+    # the RK4 march against exp(-T D) E0 itself, from h ||D|| about 0.4
+    op, _, initial, params, exact = _exact_decay_case(kind)
+    T = params.T
+    n = math.ceil(T * op.op_norm / 0.4)
+    errors = []
+    for n_steps in (n, 2 * n):
+        cfg = SolverConfig(dt=T / n_steps, method="rk4", save_every=n_steps)
+        sol = stored_solve(initial, cfg, op, params, march=solve_lines)
+        assert sol.meta["n_steps"] == n_steps
+        errors.append(np.max(np.abs(sol.states[-1].E - exact)))
+    assert math.log2(errors[0] / errors[1]) >= 3.8, errors
 
 
 @pytest.mark.parametrize("method", ["rk4", "picard"])

@@ -1,7 +1,9 @@
 """The march's workspace: written into caller buffers, the regularized
 derivative, ``rhs`` and both integrators give the bytes of their expression
 forms, in which every term is a fresh array, and a long-grid march faults
-in no more than one new state's pages per step."""
+in no more than one new state's pages per step.  The work they skip keeps
+the bytes too: the derivative's window ends and a pairing's test-function
+row, whose bump is evaluated only where it is nonzero."""
 
 import dataclasses
 import os
@@ -15,10 +17,11 @@ import pytest
 
 import maxlor
 from maxlor import assemble_run
+from maxlor.analysis import Pairing, TestFunction2D
 from maxlor.fields import FieldState, Grid, ModelParams
 from maxlor.mollifier import make_mollifier
 from maxlor.nonlinearity import a, sqrt1p_sq
-from maxlor.regops import make_operator
+from maxlor.regops import make_operator, next_fast_len
 from maxlor.solver import (PICARD_MAX_ITER, PICARD_TOL, STATUS_OK, SolverConfig, march_plan, rhs,
                            solve_lines, solve_picard, step_bound)
 
@@ -63,6 +66,68 @@ def test_apply_into_a_dirty_buffer_gives_the_fresh_bytes(case):
         assert op.apply(f, out=dirty).tobytes() == fresh.tobytes()
         if case in ("zero", "negative-zero"):
             assert fresh.tobytes() == np.zeros(op.grid.n).tobytes()
+
+
+def _window_convolution(op, f):
+    """``apply`` in expression form: the numpy.fft convolution of the window
+    from the first to the last nonzero of f, cut to the window's cone."""
+    n = len(f)
+    out = np.zeros(n)
+    nz = np.flatnonzero(f)
+    if len(nz) == 0:
+        return out
+    lo, hi = int(nz[0]), int(nz[-1])
+    size = next_fast_len(hi - lo + len(op.weights))
+    full = np.fft.irfft(np.fft.rfft(f[lo:hi + 1], size) * np.fft.rfft(op.weights, size), size)
+    j_min = int(op.offsets[0])
+    a_ = max(lo + j_min, 0)
+    b = max(min(hi + int(op.offsets[-1]), n - 1) + 1, a_)
+    out[a_:b] = full[a_ - lo - j_min:b - lo - j_min]
+    return out
+
+
+def test_apply_window_ends_keep_the_expression_bytes():
+    # the window's ends at the grid's ends, a lone nonzero anywhere, and
+    # signed zeros just outside a window, which must not widen it
+    n = 201
+    rng = np.random.default_rng(8)
+    cases = dict(_fields(n))
+    for k in (0, 1, 100, n - 2, n - 1):
+        cases[f"lone {k}"] = np.eye(1, n, k)[0] * rng.standard_normal()
+    head, tail = np.zeros(n), np.zeros(n)
+    head[:60] = rng.standard_normal(60)
+    tail[140:] = rng.standard_normal(n - 140)
+    cases["from 0"], cases["to n - 1"] = head, tail
+    fenced = np.zeros(n)
+    fenced[50:70] = rng.standard_normal(20)
+    fenced[[0, 49, 70, n - 1]] = -0.0
+    cases["fenced by -0.0"] = fenced
+    for op in _operators():
+        for case, f in cases.items():
+            assert op.apply(f).tobytes() == _window_convolution(op, f).tobytes(), case
+
+
+def test_pairing_row_gives_the_bytes_of_psi_value():
+    grid = Grid(-1.0, 1.0, 201)
+    rng = np.random.default_rng(9)
+    psis = (TestFunction2D(0.5, 0.2, 0.25, 0.3),
+            # a negative amplitude: psi is -0.0 off its support
+            TestFunction2D(0.5, -0.9, 0.25, 0.1, amplitude=-2.0),
+            TestFunction2D(0.5, 0.9, 0.3, 0.1, amplitude=0.7),  # to the grid's end
+            TestFunction2D(0.5, 0.005, 0.2, 0.004))  # between two grid points
+    for psi in psis:
+        pairing = Pairing(grid, "E", psi, None, 0.0, 1.0)
+        # before, at the edge of, just inside, in and after the time support
+        times = (0.0, psi.t_lo, np.nextafter(psi.t_lo, 1.0), psi.t0 - 0.01, psi.t0,
+                 psi.t_hi, 1.0)
+        Es = [rng.standard_normal(grid.n) for _ in times]
+        for t, E in zip(times, Es):
+            want = psi.value(t, grid.xs)
+            assert pairing.psi_row(t).tobytes() == want.tobytes(), (psi, t)
+            pairing(FieldState(t, E, E, E))
+        want_rows = [np.trapezoid(E * psi.value(t, grid.xs), dx=grid.dx)
+                     for t, E in zip(times, Es)]
+        assert np.array(pairing.rows).tobytes() == np.array(want_rows).tobytes()
 
 
 def _reference_rhs(E, u, sigma, op, B0):
