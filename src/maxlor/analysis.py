@@ -227,7 +227,7 @@ class Pairing:
         name, t = self.field_name, state.t
         F = state.sigma - self.op.apply(state.E) if name == "Q" else state.component(name)
         self.times.append(t)
-        self.rows.append(np.trapezoid(F * self.psi_row(t), dx=self.grid.dx))
+        self.rows.append(self.grid.integrate(F * self.psi_row(t)))
         self.peak = max(self.peak, float(np.max(np.abs(F))))
 
     def result(self) -> float:
@@ -540,10 +540,10 @@ class LinearGaps:
         self.grid, self.ref, self.rows = grid, linearized_reference(q), []
 
     def __call__(self, state) -> None:
-        t, xs, dx = state.t, self.grid.xs, self.grid.dx
+        t, xs, integrate = state.t, self.grid.xs, self.grid.integrate
         self.rows.append((float(t),
-                          float(np.trapezoid(np.abs(state.E - self.ref.E(t, xs)), dx=dx)),
-                          float(np.trapezoid(np.abs(state.u - self.ref.u(t, xs)), dx=dx))))
+                          float(integrate(np.abs(state.E - self.ref.E(t, xs)))),
+                          float(integrate(np.abs(state.u - self.ref.u(t, xs))))))
 
     def result(self) -> CompareReport:
         times, l1_E, l1_u = zip(*self.rows)

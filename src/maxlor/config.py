@@ -46,7 +46,7 @@ from .analysis import TestFunction2D, _check_window, _window_mask, member_record
 from .deltanet import DeltaNet, net_from_spec, sample
 from .fields import FIELD_NAMES, FieldState, Grid, ModelParams
 from .mollifier import DEFAULT_SUPPORTS, Mollifier, make_mollifier
-from .regops import MIN_CELLS_PER_WIDTH, RegDerivOperator, make_operator
+from .regops import RegDerivOperator, make_operator
 from .scaling import SCALING_KINDS, ScalingFunction, h_eval, make_scaling, verify_growth_condition
 from .solver import METHODS, SolverConfig, _check_step, march_plan, step_bound, step_count
 
@@ -572,23 +572,23 @@ def _uses_net(cfg: RunConfig) -> bool:
 
 def _member_grid(cfg: RunConfig, eps: float, nu: float, net: DeltaNet | None,
                  refine: bool) -> Grid:
-    """The configured grid, or with ``refine`` its spacing halved until the
-    kernel width and the net width each span enough cells."""
+    """The configured grid, or with ``refine`` its spacing halved until it
+    resolves the kernel's and the net's widths, each ``Mollifier.width``."""
     grid = build_grid(cfg)
     if not refine:
         return grid
-    finest = nu if net is None else min(nu, net.half_width(eps))
-    n = grid.n
-    span = grid.x_max - grid.x_min
-    while span / (n - 1) > finest / MIN_CELLS_PER_WIDTH:
-        n = 2 * (n - 1) + 1
-        if n > MAX_GRID_POINTS:
+    finest = build_mollifier(cfg).width(nu)
+    if net is not None:
+        finest = min(finest, net.profile.width(net.half_width(eps)))
+    while not grid.resolves(finest):
+        grid = grid.refined()
+        if grid.n > MAX_GRID_POINTS:
             raise ValueError(
                 f"grid: resolving width {finest:g} at eps={eps:g} on [{grid.x_min:g}, "
                 f"{grid.x_max:g}] needs more than {MAX_GRID_POINTS} points; "
                 "shrink the domain or stop the eps schedule earlier"
             )
-    return grid if n == grid.n else Grid(x_min=grid.x_min, x_max=grid.x_max, n=n)
+    return grid
 
 
 def assemble_run(cfg: RunConfig, eps: float | None = None,

@@ -19,7 +19,6 @@ import numpy as np
 
 from .fields import Grid
 from .mollifier import Mollifier, make_mollifier
-from .regops import MIN_CELLS_PER_WIDTH
 
 __all__ = ["DeltaNet", "sample"]
 
@@ -76,15 +75,13 @@ def sample(net: DeltaNet, eps: float, grid: Grid) -> np.ndarray:
 
     The raw samples are rescaled so the trapezoid rule integrates exactly to
     ``net.mass``; charge conservation checks downstream then start from an
-    exact reference value instead of a quadrature approximation.
-    """
-    w = net.half_width(eps)
-    dx = grid.dx
-    if w < MIN_CELLS_PER_WIDTH * dx:
-        raise ValueError(
-            f"delta_net: width {w:.6g} at eps={eps:g} is below "
-            f"{MIN_CELLS_PER_WIDTH}*dx = {MIN_CELLS_PER_WIDTH * dx:.6g}; refine the grid"
-        )
+    exact reference value instead of a quadrature approximation.  The grid
+    must resolve the profile's ``Mollifier.width`` at w."""
+    w, length = net.half_width(eps), net.profile.s_hi - net.profile.s_lo
+    if not grid.resolves(net.profile.width(w)):
+        times = "" if length >= 1.0 else f" times the support length {length:.6g}"
+        raise ValueError(f"delta_net: width {w:.6g}{times} at eps={eps:g} is below "
+                         f"{grid.resolution}; refine the grid")
     lo, hi = net.support(eps)
     if lo < grid.x_min or hi > grid.x_max:
         raise ValueError(
@@ -96,7 +93,7 @@ def sample(net: DeltaNet, eps: float, grid: Grid) -> np.ndarray:
     # overflow shows as a non-finite mass or sample, refused below, not as a warning
     with np.errstate(all="ignore"):
         values = net.mass * net.density(eps)(grid.xs)
-        discrete_mass = np.trapezoid(values, dx=dx)
+        discrete_mass = grid.integrate(values)
         out = values * (net.mass / discrete_mass)
     if not (np.isfinite(discrete_mass) and np.isfinite(out).all()):
         raise ValueError(f"delta_net: mass {net.mass:g} at eps={eps:g} gives samples "

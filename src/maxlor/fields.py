@@ -1,11 +1,13 @@
 """Grids, field states, and assembled space-time solutions.
 
 A state carries the triple ``(E, u, sigma)`` on a uniform grid: electric
-field, momentum, and charge density.  A solution holds a run's metadata
-and the saved states a caller kept, in time order (the solver keeps none);
-its times are read off the states.  :meth:`SpacetimeSolution.replay`
-feeds them to a fold, one at a time, as the solver's ``on_save`` hook
-does during a run.
+field, momentum, and charge density.  The :class:`Grid` owns its
+quadrature, margin band, refinement and resolution rule: a bump's width
+(``Mollifier.width``) must span ``MIN_CELLS_PER_WIDTH`` cells.  A solution
+holds a run's metadata and the saved states a caller kept, in time order
+(the solver keeps none); its times are read off the states.
+:meth:`SpacetimeSolution.replay` feeds them to a fold, one at a time, as
+the solver's ``on_save`` hook does during a run.
 
 Fields are treated as compactly supported well inside the grid; the margin
 check quantifies how badly a run violates that convention.  Runs whose
@@ -29,9 +31,11 @@ __all__ = [
     "margin_ratio",
     "MARGIN_FRACTION",
     "CONTAMINATION_TOL",
+    "MIN_CELLS_PER_WIDTH",
 ]
 
 MARGIN_FRACTION = 0.05
+MIN_CELLS_PER_WIDTH = 4
 CONTAMINATION_TOL = 1e-8
 
 FIELD_NAMES = ("E", "u", "sigma")
@@ -60,6 +64,29 @@ class Grid:
         xs = np.linspace(self.x_min, self.x_max, self.n)
         xs.setflags(write=False)
         return xs
+
+    def integrate(self, f: np.ndarray):
+        """Trapezoid rule of ``f`` over the grid."""
+        return np.trapezoid(f, dx=self.dx)
+
+    @property
+    def interior(self) -> slice:
+        """The columns inside the outermost ``MARGIN_FRACTION`` band at each end."""
+        k = max(1, int(round(MARGIN_FRACTION * (self.n - 1))))
+        return slice(k + 1, self.n - k - 1)
+
+    def resolves(self, width: float) -> bool:
+        """Whether ``width`` spans at least ``MIN_CELLS_PER_WIDTH`` cells."""
+        return width >= MIN_CELLS_PER_WIDTH * self.dx
+
+    @property
+    def resolution(self) -> str:
+        """The narrowest resolved width, as refusals state it."""
+        return f"{MIN_CELLS_PER_WIDTH}*dx = {MIN_CELLS_PER_WIDTH * self.dx:.6g}"
+
+    def refined(self) -> Grid:
+        """The grid with half the spacing; it keeps every point of this one."""
+        return Grid(self.x_min, self.x_max, 2 * (self.n - 1) + 1)
 
     def spec_dict(self) -> dict:
         return {"x_min": self.x_min, "x_max": self.x_max, "n": self.n}
@@ -131,13 +158,7 @@ class SpacetimeSolution:
 
 def total_charge(grid: Grid, state: FieldState) -> float:
     """Trapezoidal integral of sigma over the grid."""
-    return float(np.trapezoid(state.sigma, dx=grid.dx))
-
-
-def _interior(n: int) -> slice:
-    """The columns inside the outermost ``MARGIN_FRACTION`` band at each end."""
-    k = max(1, int(round(MARGIN_FRACTION * (n - 1))))
-    return slice(k + 1, n - k - 1)
+    return float(grid.integrate(state.sigma))
 
 
 def margin_ratio(grid: Grid, state: FieldState) -> float:
@@ -147,7 +168,7 @@ def margin_ratio(grid: Grid, state: FieldState) -> float:
     ratio 0.  Ratios above ``CONTAMINATION_TOL`` mean the compact-support
     margin convention is violated.
     """
-    inside = _interior(grid.n)
+    inside = grid.interior
     tot = np.abs(state.E) + np.abs(state.u) + np.abs(state.sigma)
     interior_max = float(np.max(tot[inside]))
     if interior_max == 0.0:

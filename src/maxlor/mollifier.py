@@ -61,6 +61,10 @@ class Mollifier:
             return float(out)
         return out
 
+    def width(self, scale: float) -> float:
+        """The narrower of ``scale`` and the support at that scale."""
+        return scale * min(1.0, self.s_hi - self.s_lo)
+
     def spec_dict(self) -> dict:
         return {"kind": self.kind, "s_lo": self.s_lo, "s_hi": self.s_hi}
 

@@ -54,7 +54,6 @@ from .mollifier import Mollifier
 
 __all__ = ["RegDerivOperator", "make_operator", "next_fast_len"]
 
-MIN_CELLS_PER_WIDTH = 4
 # stencil weights an operator may hold: a wider kernel is a config mistake
 MAX_STENCIL = 1_000_000
 # kernel spectra an operator keeps, one per transform length, least
@@ -157,7 +156,7 @@ class RegDerivOperator:
 def make_operator(m: Mollifier, nu: float, grid: Grid) -> RegDerivOperator:
     """Precompute the stencil for kernel width nu on the given grid.
 
-    Fails when the kernel is not resolved by at least four grid cells; an
+    Fails unless ``grid.resolves`` the kernel's ``Mollifier.width``; an
     under-resolved kernel silently degrades every downstream experiment, so
     this is checked here rather than at use sites.  A kernel spanning more
     than ``MAX_STENCIL`` cells (an infinite width among them) fails too.
@@ -165,10 +164,12 @@ def make_operator(m: Mollifier, nu: float, grid: Grid) -> RegDerivOperator:
     dx = grid.dx
     if not nu > 0.0:
         raise ValueError(f"regops: kernel width nu must be positive, got {nu}")
-    if nu < MIN_CELLS_PER_WIDTH * dx:
+    if not grid.resolves(m.width(nu)):
+        length = m.s_hi - m.s_lo
+        need = "nu" if length >= 1.0 else f"nu times the support length {length:.6g}"
         raise ValueError(
             f"regops: grid spacing dx={dx:.6g} cannot resolve kernel width nu={nu:.6g}; "
-            f"need nu >= {MIN_CELLS_PER_WIDTH}*dx = {MIN_CELLS_PER_WIDTH * dx:.6g}, refine the grid"
+            f"need {need} >= {grid.resolution}, refine the grid"
         )
     # the stencil's offset range, checked before anything is sized by it
     lo, hi = nu * m.s_lo / dx - 0.5, nu * m.s_hi / dx + 0.5
@@ -182,9 +183,9 @@ def make_operator(m: Mollifier, nu: float, grid: Grid) -> RegDerivOperator:
     edges_hi = m.eval((js + 0.5) * dx / nu) / nu
     edges_lo = m.eval((js - 0.5) * dx / nu) / nu
     deriv_w = edges_hi - edges_lo
+    # never all zero: phi is 0 at the outermost midpoints, off the support, and
+    # > 0 at the one nearest the center of a support four cells wide, |y| <= 1/4
     nz = np.nonzero(deriv_w)[0]
-    if len(nz) == 0:
-        raise ValueError("regops: kernel sampled to an empty stencil")
     js, deriv_w = js[nz[0]:nz[-1] + 1], deriv_w[nz[0]:nz[-1] + 1]
     # project to an exact zero sum
     deriv_w = deriv_w - deriv_w.sum() / len(deriv_w)

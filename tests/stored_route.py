@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from maxlor.fields import SpacetimeSolution, _interior
+from maxlor.fields import SpacetimeSolution
 from maxlor.nonlinearity import sqrt1p_sq
 from maxlor.solver import rk4_step, solve
 from maxlor.trajectories import WorldLines, _FieldSampler, _span, default_path_steps
@@ -43,7 +43,7 @@ def transport_residual(sol: SpacetimeSolution, op) -> TransportReport:
     Uses a centered difference in time on ``Q = sigma - D E``; needs the
     saved spacing to resolve the kernel (``save_dt <= nu/4``) and at least
     three uniformly spaced saves.  The outermost 5% of columns, the margin
-    band of ``fields.margin_ratio``, are excluded since padding pollutes them
+    band outside ``Grid.interior``, are excluded since padding pollutes them
     for non-compact data.
     """
     times = sol.times
@@ -57,7 +57,7 @@ def transport_residual(sol: SpacetimeSolution, op) -> TransportReport:
             f"nu={op.nu:.6g}; need save_dt <= nu/4 = {op.nu / 4.0:.6g}"
         )
     Q = [s.sigma - op.apply(s.E) for s in sol.states]
-    cols = _interior(sol.grid.n)
+    cols = sol.grid.interior
     worst = 0.0
     used = 0
     for i in range(1, len(times) - 1):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from maxlor.cli import (
     EXIT_RUNTIME,
     main,
 )
-from maxlor.fields import FieldState, SpacetimeSolution
+from maxlor.fields import FieldState, Grid, SpacetimeSolution
 
 from stored_route import stored_solve, world_line
 
@@ -206,6 +207,48 @@ def test_patching_the_solver_reaches_every_single_run(tmp_path, monkeypatch, com
     path = os.path.join(CONFIGS, config)
     with pytest.raises(RuntimeError, match="the patched solve ran"):
         main([command, "--config", path, "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("command, config", [
+    ("solve", "point_charge.json"), ("compare-lin", "weak_charge.json"),
+    ("sweep", "obstruction_sweep.json"),
+])
+def test_every_spatial_integral_goes_through_the_grid(tmp_path, monkeypatch, command, config):
+    # Grid.integrate counts the functions that call it and np.trapezoid its
+    # own callers: a spatial integral that skips the grid shows as a caller
+    # of np.trapezoid other than integrate and Pairing.result's time rule
+    integrals, trapezoids, samples = Counter(), Counter(), []
+    integrate, trapezoid, sample = Grid.integrate, np.trapezoid, cfgmod.sample
+
+    def counted_integrate(self, f):
+        integrals[sys._getframe(1).f_code.co_name] += 1
+        return integrate(self, f)
+
+    def counted_trapezoid(*args, **kwargs):
+        trapezoids[sys._getframe(1).f_code.co_name] += 1
+        return trapezoid(*args, **kwargs)
+
+    def counted_sample(*args):
+        samples.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(Grid, "integrate", counted_integrate)
+    monkeypatch.setattr(np, "trapezoid", counted_trapezoid)
+    monkeypatch.setattr(cfgmod, "sample", counted_sample)
+    out = tmp_path / "out"
+    argv = [command, "--config", os.path.join(CONFIGS, config), "--out", str(out)]
+    assert main(argv + ["--workers", "1"]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    members = summary.get("members", [summary.get("member")])
+    saved = sum(member["n_saved"] for member in members)
+    observables = len(summary.get("pairings", ()))
+    # per saved state: the charge, the two L1 gaps, one row per observable
+    caller, per_state = {"solve": ("total_charge", 1), "compare-lin": ("__call__", 2),
+                         "sweep": ("__call__", observables)}[command]
+    assert len(samples) > len(members) and saved > 0  # validate and the run both sample
+    assert integrals == Counter({caller: per_state * saved, "sample": len(samples)})
+    assert trapezoids == Counter(integrate=per_state * saved + len(samples),
+                                 result=observables * len(members))
 
 
 def _no_solve(monkeypatch):

@@ -8,16 +8,22 @@ import pytest
 from maxlor.analysis import TestFunction2D
 from maxlor.config import (
     MAX_GRID_POINTS,
+    _member_grid,
     assemble_run,
     build_initial_state,
     build_grid,
+    build_mollifier,
     build_observables,
+    build_scaling,
     config_from_dict,
     config_to_dict,
     load_config,
     validate_config,
 )
-from maxlor.scaling import make_scaling
+from maxlor.deltanet import net_from_spec, sample
+from maxlor.fields import Grid
+from maxlor.regops import make_operator
+from maxlor.scaling import h_eval, make_scaling
 from maxlor.solver import step_bound
 
 
@@ -214,6 +220,62 @@ def test_refinement_refuses_to_exceed_hard_cap():
                  scaling={"kind": "constant", "c": 0.1})
     with pytest.raises(ValueError, match=f"{MAX_GRID_POINTS}"):
         assemble_run(cfg, eps=1e-7, refine=True)
+
+
+# 4 dx two halvings below the base grid of the refinement cases, n = 101 on [-4, 1]
+FOUR_DX = 4 * Grid(-4.0, 1.0, 401).dx
+_LEFT_NET = {"kind": "left"}
+
+
+def _builders_pass(cfg, eps, nu, net, grid):
+    try:
+        make_operator(build_mollifier(cfg), nu, grid)
+        sample(net, eps, grid)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kernel, profile, c, eps, n", [
+    ({"kind": "left"}, _LEFT_NET, 0.5, 0.5, 101),  # the configured grid resolves both
+    ({"kind": "left"}, _LEFT_NET, FOUR_DX, 0.5, 401),  # nu at exactly 4 dx
+    ({"kind": "left"}, _LEFT_NET, math.nextafter(FOUR_DX, 0.0), 0.5, 801),
+    ({"kind": "left"}, _LEFT_NET, 0.5, FOUR_DX, 401),  # the net's w at exactly 4 dx
+    ({"kind": "left"}, _LEFT_NET, 0.5, math.nextafter(FOUR_DX, 0.0), 801),
+    # narrow supports: the width is the scale times the support's length
+    ({"kind": "left", "support": [-0.05, 0.0]}, _LEFT_NET, 0.1, 0.5, 6401),
+    ({"kind": "symmetric", "support": [-0.1, 0.1]}, _LEFT_NET, 0.1, 0.5, 1601),
+    ({"kind": "left"}, {"kind": "left", "s_lo": -0.12, "s_hi": 0.0}, 0.5, 0.1, 3201),
+    ({"kind": "left"}, {"kind": "symmetric", "s_lo": -0.05, "s_hi": 0.05}, 0.5, 0.1, 3201),
+])
+def test_refinement_stops_at_the_coarsest_halving_the_builders_pass(kernel, profile, c, eps,
+                                                                    n):
+    cfg = cfg_of(grid={"x_min": -4.0, "x_max": 1.0, "n": 101}, mollifier=kernel,
+                 scaling={"kind": "constant", "c": c}, delta_net={"profile": profile})
+    nu, net = h_eval(build_scaling(cfg), eps), net_from_spec(cfg.delta_net)
+    grid = _member_grid(cfg, eps, nu, net, refine=True)
+    assert grid.n == n
+    assert _builders_pass(cfg, eps, nu, net, grid)
+    if n > 101:
+        coarser = Grid(grid.x_min, grid.x_max, (n - 1) // 2 + 1)
+        assert not _builders_pass(cfg, eps, nu, net, coarser)
+
+
+@pytest.mark.parametrize("body, message", [
+    ({"mollifier": {"kind": "left", "support": [-0.05, 0.0]},
+      "scaling": {"kind": "constant", "c": 0.1}},
+     "regops: grid spacing dx=0.005 cannot resolve kernel width nu=0.1; need nu times the "
+     "support length 0.05 >= 4*dx = 0.02, refine the grid (eps=0.1)"),
+    # a 2-point net, and one that fell between the grid points
+    ({"delta_net": {"profile": {"kind": "left", "s_lo": -0.12, "s_hi": 0.0}}},
+     "delta_net: width 0.1 times the support length 0.12 at eps=0.1 is below 4*dx = 0.02; "
+     "refine the grid"),
+    ({"delta_net": {"profile": {"kind": "left", "s_lo": -0.05, "s_hi": 0.0}}},
+     "delta_net: width 0.1 times the support length 0.05 at eps=0.1 is below 4*dx = 0.02; "
+     "refine the grid"),
+])
+def test_a_support_shorter_than_four_cells_is_refused_by_its_length(body, message):
+    assert validate_config(cfg_of(eps=0.1, **body)) == [message]
 
 
 def test_initial_profile_builders():

@@ -72,12 +72,18 @@ def _band_width(n):
     return max(1, int(round(MARGIN_FRACTION * (n - 1))))
 
 
-def _mask_margin_ratio(grid, state):
-    """The margin ratio as a boolean mask of the two edge bands: the oracle."""
-    k = _band_width(grid.n)
-    edge = np.zeros(grid.n, dtype=bool)
+def _edge_mask(n):
+    """The two edge bands as a boolean mask: the oracle."""
+    k = _band_width(n)
+    edge = np.zeros(n, dtype=bool)
     edge[: k + 1] = True
     edge[-(k + 1):] = True
+    return edge
+
+
+def _mask_margin_ratio(grid, state):
+    """The margin ratio over the mask of the two edge bands."""
+    edge = _edge_mask(grid.n)
     tot = np.abs(state.E) + np.abs(state.u) + np.abs(state.sigma)
     interior_max = float(np.max(tot[~edge]))
     if interior_max == 0.0:
@@ -87,6 +93,12 @@ def _mask_margin_ratio(grid, state):
 
 def _same_bits(x, y):
     return math.isnan(x) and math.isnan(y) or np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def test_grid_interior_is_what_the_edge_mask_leaves():
+    for n in range(16, 2002):
+        inside = np.arange(n)[Grid(-1.0, 1.0, n).interior]
+        assert np.array_equal(inside, np.flatnonzero(~_edge_mask(n))), n
 
 
 @pytest.mark.parametrize("n", [16, 17, 1001])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import fft as sfft
 
 from maxlor.config import MAX_GRID_POINTS
@@ -146,10 +146,12 @@ def _support(kind, anchor, width):
 def test_stencil_holds_every_sampled_kernel_point(kind, anchor, width, cells):
     # the stencil is trimmed on the derivative weights alone; it must still
     # cover every offset j where the kernel sampled at j*dx is nonzero, which
-    # is where the union with the point-sampled kernel used to reach
+    # is where the union with the point-sampled kernel used to reach; cells
+    # counts the cells of the resolved width, the narrower of nu and the support
     g = Grid(-1.0, 1.0, 2001)
     m = make_mollifier(kind, support=_support(kind, anchor, width))
-    nu = cells * g.dx
+    nu = cells * g.dx / min(1.0, width)
+    assume(g.resolves(m.width(nu)))  # cells = 4 may round below the rule
     op = make_operator(m, nu, g)
     js = np.arange(math.floor(nu * m.s_lo / g.dx) - 2, math.ceil(nu * m.s_hi / g.dx) + 3)
     sampled = js[m.eval(js * g.dx / nu) != 0.0]
@@ -159,11 +161,13 @@ def test_stencil_holds_every_sampled_kernel_point(kind, anchor, width, cells):
 
 def test_kernel_narrower_than_a_cell_is_refused():
     # the kernel holds the grid point 0 but no midpoint j +- 1/2, so every
-    # derivative weight is zero
+    # derivative weight would be zero; its support spans 0.4 cells, so the
+    # resolution rule refuses it, naming the support's length
     g = Grid(-1.0, 1.0, 2001)
     m = make_mollifier("symmetric", support=(-0.05, 0.05))
     assert m.eval(0.0) > 0.0
-    with pytest.raises(ValueError, match="empty stencil"):
+    with pytest.raises(ValueError, match="cannot resolve kernel width nu=0.004; "
+                       r"need nu times the support length 0.1 >= 4\*dx = 0.004"):
         make_operator(m, 4 * g.dx, g)
 
 
