@@ -13,13 +13,13 @@ The subcommands are the rows of ``_COMMANDS``: a name, its ``--help``
 line, the keys its run reads beyond the config sections (``eps``,
 ``eps_schedule``, ``experiment.<key>``), and a run function that does
 only the command's own work.  ``main`` takes every subcommand down the one
-path load → validate (the config; the row's keys at the value the run
-reads, a default included, and set if they have none) → create ``--out``
-→ run → stamp the run id on the summary, write ``summary.json`` and read
-the exit code off it; ``validate`` stops after the checks and prints the
-sizes of each member they rehearsed.  A run function that solves hands
-its fold to ``analysis.run_member``, the one runner of every march, keeps
-no saved state, and writes the runner's record as ``member``: the sizes
+path load → ``config.validate_config`` with the row's keys, which owns
+what they mean → create ``--out`` → run → stamp the run id on the
+summary, write ``summary.json`` and read the exit code off it;
+``validate`` stops after the checks and prints the sizes of each member
+they rehearsed.  A run function that solves hands its fold to
+``analysis.run_member``, the one runner of every march, keeps no saved
+state, and writes the runner's record as ``member``: the sizes
 ``validate`` prints for its single line.
 """
 
@@ -67,24 +67,6 @@ def _load(args):
     if args.seed is not None:
         cfg.seed = args.seed
     return cfg
-
-
-def _unmet(cfg, command: str, needs) -> list:
-    """A message for each key in ``needs`` without a default (``eps``,
-    ``eps_schedule``, ``experiment.<key>``) that the config leaves unset or
-    empty; a value its rule refuses has ``validate_config``'s line alone.
-    Every empty ``eps`` and ``eps_schedule`` fails its rule, and an empty
-    list passes the rules of ``psi`` and ``trajectory_starts``."""
-    refused = cfgmod._check("experiment", cfg.experiment, cfgmod._SCHEMA["experiment"], [])
-    errors = []
-    for need in needs:
-        section, _, key = need.rpartition(".")
-        if section and cfgmod._SCHEMA[section][key][0] is not None:
-            continue
-        value = cfg.experiment.get(key) if section else getattr(cfg, key)
-        if value is None or (not value and section and key not in refused):
-            errors.append(f"{section or key}: {command} needs {key!r}")
-    return errors
 
 
 def _plan_line(eps, schedule, record) -> str:
@@ -319,7 +301,7 @@ def _run(args) -> int:
     if cfg is None:
         return EXIT_CONFIG
     plans: list = []
-    errors = cfgmod.validate_config(cfg, plans, reads=needs) + _unmet(cfg, args.command, needs)
+    errors = cfgmod.validate_config(cfg, plans, reads=needs, command=args.command)
     if errors:
         # validate reports on stdout; a refused run on stderr
         stream = sys.stdout if run is None else sys.stderr

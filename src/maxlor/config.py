@@ -14,21 +14,20 @@ the run id covers every default; experiment defaults, and those of the
 objects nested in a section, apply when a run reads the key.
 
 ``validate_config`` collects every violation instead of stopping at the
-first, so one round-trip fixes a broken file.  One loop walks the table,
-refusing keys it does not know (``<section>: unknown key '<k>'``) and
-values their rule refuses (``<section>: <key> must be <demand>``); only
-the rules relating two keys are spelled out beside it.  Then it rehearses
-the run: for every eps a run will use (the single-run eps on the
-configured grid, each schedule member on its refined grid) it calls the
-builders the run calls (scaling, grid refinement, operator, delta-net
-sampling, the solver's step bound and step count) and reports what they
-raise, and it records what each member will run for ``validate`` to
-print.  A key named in ``reads`` (a command's run reads it) is checked at
-the value the run uses, its default included, where else only a given
-value is.  The ``psi`` entries, once every one passed its rows, are built
-by the sweep's ``build_observables`` for the pairing window check, and no
-two may share an ``analysis.observable_label``; the growth grid goes
-through ``verify_growth_condition`` at every p of ``growth_p``.
+first, so one round-trip fixes a broken file.  One loop walks the table
+over every given key, refusing keys it does not know (``<section>:
+unknown key '<k>'``) and values their rule refuses (``<section>: <key>
+must be <demand>``); only the rules relating two keys are spelled out
+beside it.  It owns what a command reads: from the keys its run reads it
+decides which members to rehearse and which keys must be set.  The
+rehearsal calls the builders the run calls (scaling, grid refinement,
+operator, delta-net sampling, the solver's step bound and step count),
+reports what they raise, and records what each member will run for
+``validate`` to print.  The ``psi`` entries, once every one passed its
+rows, are built by the sweep's ``build_observables`` for the pairing
+window check, and no two may share an ``analysis.observable_label``; the
+growth grid goes through ``verify_growth_condition`` at every p of
+``growth_p``.
 ``assemble_run`` turns a config plus a concrete eps into ready-to-solve
 pieces.
 """
@@ -225,7 +224,7 @@ def config_from_dict(d: dict) -> RunConfig:
     return RunConfig(
         **sections,
         **given,
-        eps_schedule=(list(sched) if isinstance(sched, list) else sched) if sched else None,
+        eps_schedule=list(sched) if isinstance(sched, list) else sched,
         unknown_keys=unknown,
     )
 
@@ -324,14 +323,20 @@ def _checked(cfg: RunConfig, key: str, refused: set, reads):
     return _experiment_value(cfg, key) if f"experiment.{key}" in reads else cfg.experiment.get(key)
 
 
-def validate_config(cfg: RunConfig, plans: list | None = None, reads=()) -> list:
+def validate_config(cfg: RunConfig, plans: list | None = None, reads=(),
+                    command: str = "validate") -> list:
     """All violations as section-prefixed messages; empty means valid.
 
     ``plans``, a list, gets what each member will run when the config is
     valid: ``(eps, schedule, record)``, ``schedule`` true for a member on a
     refined grid and ``record`` the sizes a family run records for it in
     ``members`` (``analysis.member_record``).  ``reads`` names the keys
-    (``experiment.<key>``) whose default is checked too: a command's run reads them.
+    ``command``'s run reads beyond the sections (``eps``, ``eps_schedule``,
+    ``experiment.<key>``): one without a default must be set (``<key>:
+    <command> needs '<key>'``), one with a default is checked at the value
+    the run uses, and only the members it runs are rehearsed, the
+    single-run eps for ``eps``, the schedule's for ``eps_schedule``; with
+    no ``reads``, as for ``validate``, every member is.
     """
     errors = [f"config: unknown top-level key {key!r}" for key in cfg.unknown_keys]
     refused = {name: _check(name, getattr(cfg, name), rows, errors)
@@ -364,13 +369,13 @@ def validate_config(cfg: RunConfig, plans: list | None = None, reads=()) -> list
             errors.append(str(exc))
             refused["mollifier"].add("support")
 
-    # (eps, refine) for every member a run builds: the single run on the
-    # configured grid, schedule members on a refined one
+    # (eps, refine) for every member the command runs: the single run on
+    # the configured grid, schedule members on a refined one
     members = []
     if cfg.eps is not None:
         if not _is_num(cfg.eps) or cfg.eps <= 0:
             errors.append("eps: must be a positive number")
-        else:
+        elif not reads or "eps" in reads:
             members.append((float(cfg.eps), False))
     if cfg.eps_schedule is not None:
         sched = cfg.eps_schedule
@@ -379,7 +384,7 @@ def validate_config(cfg: RunConfig, plans: list | None = None, reads=()) -> list
             errors.append("eps_schedule: must list at least 2 positive numbers")
         elif any(b >= a for a, b in zip(sched, sched[1:])):
             errors.append("eps_schedule: values must be strictly decreasing")
-        else:
+        elif not reads or "eps_schedule" in reads:
             members.extend((float(e), True) for e in sched)
 
     if not any(refused[name] for name in ("grid", "mollifier", "scaling", "delta_net",
@@ -402,6 +407,15 @@ def validate_config(cfg: RunConfig, plans: list | None = None, reads=()) -> list
 
     if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool):
         errors.append("seed: must be an integer")
+
+    # a needed key without a default left unset, or a psi or trajectory_starts left empty
+    for need in reads:
+        section, _, key = need.rpartition(".")
+        if section and (_SCHEMA[section][key][0] is not None or key in refused[section]):
+            continue
+        value = getattr(cfg, section).get(key) if section else getattr(cfg, key)
+        if value is None or (section and not value):
+            errors.append(f"{section or key}: {command} needs {key!r}")
     return errors
 
 

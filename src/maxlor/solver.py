@@ -332,8 +332,10 @@ def _march(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
         on_save(state)
 
     V = np.array([initial.E, initial.u, initial.sigma], dtype=float)
+    pending = iter(saved_times)  # this loop's t at each saved step, byte for byte
     with np.errstate(over="ignore", invalid="ignore"):
-        save(saved_times[0], V)
+        save(next(pending), V)
+        due = next(pending)
         for i in range(1, n_steps + 1):
             t = initial.t + i * h
             try:
@@ -343,8 +345,9 @@ def _march(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
                 break
             if V is None or _guard_tripped(meta, t, V):
                 break
-            if i % cfg.save_every == 0 or i == n_steps:
+            if t == due:
                 save(t, V)
+                due = next(pending, None)
 
     meta["margin_ratio"] = max(ratios)
     meta["boundary_contaminated"] = bool(meta["margin_ratio"] > CONTAMINATION_TOL)

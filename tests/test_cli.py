@@ -313,11 +313,41 @@ def test_a_default_the_run_reads_is_checked_before_out_exists(tmp_path, capsys, 
     assert not out.exists()
 
 
-def test_a_given_cut_at_zero_is_a_cut_not_a_missing_key(tmp_path):
-    cfg = cfgmod.load_config(release_cfg(tmp_path, experiment={"probe_x0": 0.0}))
-    needs = cli._COMMANDS["check-support"][1]
-    assert cfgmod.validate_config(cfg, reads=needs) == []
-    assert cli._unmet(cfg, "check-support", needs) == []
+def _obstruction(**changes):
+    with open(os.path.join(CONFIGS, "obstruction_sweep.json")) as fh:
+        return {**json.load(fh), **changes}
+
+
+# (id, config body, the commands that run none of its failing members, the
+# line validate refuses it with); each used to refuse these commands too
+UNRUN_MEMBERS = [
+    ("single-eps-1e-3", _obstruction(eps=0.001), ("sweep", "probe-blowup"),
+     "delta_net: width 0.001 at eps=0.001 is below 4*dx = 0.02; refine the grid"),
+    ("schedule-to-1e-7",
+     _obstruction(eps_schedule=[0.2, 0.1, 0.05, 1e-7], experiment={
+         **_obstruction()["experiment"], "trajectory_starts": [-0.1]}),
+     ("solve", "check-support", "compare-lin", "trajectories"),
+     "grid: resolving width 1e-07 at eps=1e-07 on [-4, 1] needs more than 600000 points; "
+     "shrink the domain or stop the eps schedule earlier"),
+    ("loglog-default-eps", {"scaling": {"kind": "loglog", "c": 1.0}}, ("check-scaling",),
+     "scaling: loglog schedule needs eps < exp(-e) = 0.065988, got eps=0.1"),
+]
+_UNRUN_RUNS = [(case, command) for case in UNRUN_MEMBERS for command in case[2]]
+
+
+@pytest.mark.parametrize("case, command", _UNRUN_RUNS,
+                         ids=[f"{case[0]}-{command}" for case, command in _UNRUN_RUNS])
+def test_a_command_is_not_refused_for_a_member_it_never_runs(tmp_path, capsys, case,
+                                                             command):
+    _, body, _, line = case
+    cfg = write_cfg(tmp_path, **body)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert (out / "summary.json").is_file()
+    capsys.readouterr()
+    # validate rehearses every member, so it still refuses the config
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().out.splitlines() == [line, "invalid: 1 problem(s)"]
 
 
 _SIGMA_PSI = {"field": "sigma", "t0": 0.3, "x0": -0.2, "r_t": 0.1, "r_x": 0.1}
@@ -399,7 +429,7 @@ def test_a_march_beyond_max_steps_is_refused_before_out_exists(tmp_path, capsys,
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("solver: T=") and f"the {solver.MAX_STEPS} a march may take"
                in line for line in lines), lines
-    for command in ("solve", "trajectories", "check-scaling"):
+    for command in ("solve", "trajectories", "check-support", "compare-lin"):
         out = tmp_path / command
         assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert any(line.startswith("solver: T=") for line in capsys.readouterr().err.splitlines())
@@ -441,8 +471,9 @@ class TestGridCap:
         out = capsys.readouterr().out
         assert any("600000" in line and "eps=1e-05" in line for line in out.splitlines())
 
-    # every run subcommand, not only the family ones: all take the one
-    # path that validates before it creates --out or solves
+    # every run subcommand takes the one path that validates before it
+    # creates --out or solves; only the family ones run the over-cap member,
+    # so only they are refused for it
     @pytest.mark.parametrize("command", [
         "solve", "sweep", "check-support", "compare-lin", "probe-blowup",
         "trajectories", "check-scaling",
@@ -454,8 +485,14 @@ class TestGridCap:
         monkeypatch.setattr("maxlor.solver.solve", no_solve)
         cfg = write_cfg(tmp_path, **OVER_CAP)
         out = tmp_path / "out"
-        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-        assert not out.exists()
+        if command in ("sweep", "probe-blowup"):
+            assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+            assert not out.exists()
+            return
+        reads = cli._COMMANDS[command][1]
+        errors = cfgmod.validate_config(cfgmod.load_config(cfg), reads=reads, command=command)
+        unset = ["experiment: trajectories needs 'trajectory_starts'"]
+        assert errors == (unset if command == "trajectories" else [])
 
 
 class TestSolve:

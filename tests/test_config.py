@@ -341,6 +341,23 @@ def test_schedule_validation():
     assert any("strictly decreasing" in e for e in errs)
 
 
+def test_a_given_cut_at_zero_is_a_cut_not_a_missing_key():
+    cfg = cfg_of(experiment={"probe_x0": 0.0})
+    reads = ("eps", "experiment.probe_x0")
+    assert validate_config(cfg, reads=reads, command="check-support") == []
+
+
+@pytest.mark.parametrize("experiment, reads, message", [
+    ({}, ("eps_schedule",), "eps_schedule: sweep needs 'eps_schedule'"),
+    ({"psi": []}, ("experiment.psi",), "experiment: sweep needs 'psi'"),
+    ({"trajectory_starts": []}, ("experiment.trajectory_starts",),
+     "experiment: sweep needs 'trajectory_starts'"),
+], ids=["schedule-unset", "psi-empty", "starts-empty"])
+def test_a_needed_key_left_unset_names_the_command(experiment, reads, message):
+    assert validate_config(cfg_of(experiment=experiment), reads=reads,
+                           command="sweep") == [message]
+
+
 def test_seed_must_be_integer():
     errs = validate_config(cfg_of(seed=1.5))
     assert any("seed" in e for e in errs)

@@ -16,9 +16,9 @@ from maxlor.config import _SCHEMA
 
 # an integer literal no double holds
 HUGE_INT = int("1" + "0" * 400)
-BAD_VALUES = [[], {}, "x", True, None, -1, 0, 1e308, 1e-320, HUGE_INT]
-BAD_IDS = ["list", "object", "string", "true", "null", "minus-one", "zero", "1e308",
-           "1e-320", "huge-int"]
+BAD_VALUES = [[], {}, "x", "", True, False, None, -1, 0, 1e308, 1e-320, HUGE_INT]
+BAD_IDS = ["list", "object", "string", "empty-string", "true", "false", "null", "minus-one",
+           "zero", "1e308", "1e-320", "huge-int"]
 
 # valid, with every object a nested key lives in spelled out, a schedule
 # so the sweep's keys are rehearsed, and one psi entry
@@ -73,6 +73,20 @@ def test_a_bad_value_is_refused_or_usable(tmp_path, capsys, path, value):
     assert code in (EXIT_OK, EXIT_CONFIG), out
     if code == EXIT_CONFIG:
         assert "Traceback" not in out.err and (out.out or out.err), out
+
+
+# the falsy values: only null means "no schedule"
+FALSY = [(value, name) for value, name in zip(BAD_VALUES, BAD_IDS)
+         if value is not None and not value]
+
+
+@pytest.mark.parametrize("value", [value for value, _ in FALSY], ids=[name for _, name in FALSY])
+def test_a_given_falsy_schedule_is_refused_by_its_rule(tmp_path, capsys, value):
+    # these used to read as no schedule and print the run id of a config without one
+    code, out = _validate(tmp_path, {"eps_schedule": value}, capsys)
+    assert code == EXIT_CONFIG
+    assert out.out.splitlines() == ["eps_schedule: must list at least 2 positive numbers",
+                                    "invalid: 1 problem(s)"]
 
 
 @pytest.mark.parametrize("body, line", [
