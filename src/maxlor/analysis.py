@@ -9,7 +9,8 @@ solution feeds a fold with ``sol.replay(fold)``.  Every command marches
 through one member runner, ``run_member``, which feeds the fold and
 records the march's sizes; the sweep and the blow-up probe walk their eps
 family through it (pooled if asked), keeping a member that raises as an
-"error" row.
+"error" row.  A fold that reads part of the grid holds it as a slice of
+columns: a pairing its bump's, the support probe each half-line, the peak its window.
 The process pool is imported only when ``workers`` is above 1, and the
 64-node Gauss-Legendre rule of the obstruction's pairing target is built
 on first use, so a run that computes no pairing target never loads
@@ -190,19 +191,17 @@ def _check_window(psi: TestFunction2D, t_lo: float, t_hi: float,
 class Pairing:
     """Space-time trapezoid pairing ``<F, psi>`` as a fold: the row integral
     of ``F psi(t, .)`` per state, then the trapezoid over their times; also
-    the peak of ``|F|``.
+    the peak of ``|F|`` over the grid.
 
     ``field_name`` is one of ``E``, ``u``, ``sigma`` or the derived ``Q =
     sigma - D E``, which reads the operator ``op``.  ``psi`` must lie in the
     time window ``[t_lo, t_hi]`` the states will cover, and on the grid.
 
-    ``psi(t, .)`` on the grid is ``(amplitude * b(st)) * bx``, the
-    operations of ``TestFunction2D.value`` in its order, with ``bx`` the
-    bump's x-factor.  That factor does not change from state to state, and
-    it is exactly 0.0 off the points with ``|sx| < 1``, a contiguous window
-    since the grid is sorted.  So ``bx`` is evaluated once, on that window,
-    and each state writes its products there and ``(amplitude * b(st)) *
-    0.0``, the bytes of value's products off the window, elsewhere.
+    ``psi(t, .)`` is ``c * bx``, with ``c = amplitude * b((t - t0)/r_t)`` and
+    ``bx`` the bump's x-factor, fixed across states and zero off the columns
+    with ``|sx| < 1``.  The pairing keeps those columns and one zero column on
+    each side, clipped at the grid's ends, and ``bx`` on them: the trapezoid
+    rule weighs them as on the whole grid, so their row integral is the grid's.
     """
 
     def __init__(self, grid, field_name, psi, op, t_lo, t_hi):
@@ -211,23 +210,15 @@ class Pairing:
         self.times, self.rows, self.peak = [], [], 0.0
         sx = (grid.xs - psi.x0) / psi.r_x
         inside = np.flatnonzero(np.abs(sx) < 1.0)
-        self._lo, self._hi = (int(inside[0]), int(inside[-1]) + 1) if len(inside) else (0, 0)
-        self._bx = psi._b(sx[self._lo:self._hi])
-        self._row = np.empty(grid.n)
-
-    def psi_row(self, t) -> np.ndarray:
-        """``psi.value(t, grid.xs)``, byte for byte, in the pairing's own buffer."""
-        psi, row, lo, hi = self.psi, self._row, self._lo, self._hi
-        c = psi.amplitude * psi._b((t - psi.t0) / psi.r_t)
-        row[:lo] = row[hi:] = c * 0.0
-        np.multiply(c, self._bx, out=row[lo:hi])
-        return row
+        self.cols = slice(max(inside[0] - 1, 0), inside[-1] + 2) if len(inside) else slice(0)
+        self.bx = psi._b(sx[self.cols])
 
     def __call__(self, state) -> None:
-        name, t = self.field_name, state.t
+        name, t, psi = self.field_name, state.t, self.psi
         F = state.sigma - self.op.apply(state.E) if name == "Q" else state.component(name)
+        c = psi.amplitude * psi._b((t - psi.t0) / psi.r_t)
         self.times.append(t)
-        self.rows.append(self.grid.integrate(F * self.psi_row(t)))
+        self.rows.append(self.grid.integrate(F[self.cols] * (c * self.bx)))
         self.peak = max(self.peak, float(np.max(np.abs(F))))
 
     def result(self) -> float:
@@ -272,9 +263,10 @@ class SupportProbe:
     """
 
     def __init__(self, grid, x0: float):
-        xs = grid.xs
-        self.right, self.left = xs >= x0, xs <= x0
-        if not (self.right.any() and self.left.any()):
+        xs = grid.xs  # sorted: each half-line is a run of columns from one end
+        self.right = slice(int(np.searchsorted(xs, x0, side="left")), grid.n)
+        self.left = slice(0, int(np.searchsorted(xs, x0, side="right")))
+        if not (self.right.start < grid.n and self.left.stop > 0):
             raise ValueError(
                 f"support probe: x0={x0:g} leaves a side with no grid points on "
                 f"[{grid.x_min:g}, {grid.x_max:g}]"
@@ -560,13 +552,13 @@ class BlowupReport(_Family):
     exponent: float | None    # None when a member raised
 
 
-def _window_mask(grid, window: float, center: float, eps: float) -> np.ndarray:
-    """The grid points with ``|x - center| <= window``; raises if there are none."""
-    mask = np.abs(grid.xs - center) <= window
-    if not mask.any():
+def _window_mask(grid, window: float, center: float, eps: float) -> slice:
+    """The run of grid columns with ``|x - center| <= window``; raises if there are none."""
+    inside = np.flatnonzero(np.abs(grid.xs - center) <= window)
+    if not len(inside):
         raise ValueError(f"blow-up probe: window {window:g} around center {center:g} holds "
                          f"no grid point at eps={eps:g} (dx={grid.dx:.6g}); widen blowup_window")
-    return mask
+    return slice(int(inside[0]), int(inside[-1]) + 1)
 
 
 class _Peak:
@@ -574,10 +566,11 @@ class _Peak:
     # states; an aborted member keeps the peak of what it saved
 
     def __init__(self, pieces, window: float, center: float):
-        self.mask, self.peaks = _window_mask(pieces.grid, window, center, pieces.params.eps), []
+        self.cols, self.peaks = _window_mask(pieces.grid, window, center, pieces.params.eps), []
 
     def __call__(self, state) -> None:
-        self.peaks.append(float(np.max(np.abs((state.sigma * a(state.u))[self.mask]))))
+        sigma, u = state.sigma[self.cols], state.u[self.cols]
+        self.peaks.append(float(np.max(np.abs(sigma * a(u)))))
 
     def result(self) -> float:
         return max(self.peaks)

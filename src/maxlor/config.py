@@ -208,9 +208,9 @@ class RunConfig:
     unknown_keys: tuple = ()
 
 
-def _merged(section: str, given) -> dict:
+def _merged(section: str, given):
     if given is not None and not isinstance(given, dict):
-        raise ValueError(f"{section}: must be a JSON object")
+        return given  # validate_config reports it
     return {**copy.deepcopy(_WRITTEN[section]), **copy.deepcopy(given or {})}
 
 
@@ -265,8 +265,12 @@ def _check(name: str, values: dict, rows: dict, errors: list) -> set:
     refused keys.
 
     A key set to null counts as absent, except where the config holds the
-    key's default and null would replace it.
+    key's default and null would replace it.  A section that is not an
+    object is one problem, and every key of it counts as refused.
     """
+    if not isinstance(values, dict):  # only a section: a nested object is checked first
+        errors.append(f"{name}: must be a JSON object")
+        return set(rows)
     # the keys of ``initial`` are fields, each naming its profile initial.<field>
     noun = "field" if name == "initial" else "key"
     errors.extend(f"{name}: unknown {noun} {key!r}" for key in values if key not in rows)
@@ -305,14 +309,13 @@ def _check(name: str, values: dict, rows: dict, errors: list) -> set:
     return refused
 
 
-def _off_grid(cfg: RunConfig, name: str, x) -> list:
-    """A point ``x`` outside a valid grid: a probe cut there leaves a side
-    with no grid points, which would read as vacuously confined, and a world
-    line started there has no field to move in."""
-    x_min, x_max = cfg.grid.get("x_min"), cfg.grid.get("x_max")
-    if not (_is_num(x_min) and _is_num(x_max) and x_min < x_max) or x_min <= x <= x_max:
+def _off_grid(span, name: str, x) -> list:
+    """A point ``x`` outside the grid's ``span`` (None when refused): a probe cut
+    there leaves a side with no grid points, which would read as vacuously
+    confined, and a world line started there has no field to move in."""
+    if span is None or span[0] <= x <= span[1]:
         return []
-    return [f"experiment: {name} {x:g} lies outside the grid [{x_min:g}, {x_max:g}]"]
+    return [f"experiment: {name} {x:g} lies outside the grid [{span[0]:g}, {span[1]:g}]"]
 
 
 def _checked(cfg: RunConfig, key: str, refused: set, reads):
@@ -343,18 +346,19 @@ def validate_config(cfg: RunConfig, plans: list | None = None, reads=(),
                for name, rows in _SCHEMA.items()}
 
     # the rules that relate two keys, each applied once its keys passed
-    g, net_prof = cfg.grid, cfg.delta_net.get("profile")
+    g = cfg.grid
     if not refused["grid"] & {"x_min", "x_max"} and g["x_min"] >= g["x_max"]:
         errors.append("grid: x_min must be below x_max")
         refused["grid"].add("x_max")
+    span = None if refused["grid"] & {"x_min", "x_max"} else (g["x_min"], g["x_max"])
     if not refused["scaling"]:
         try:
             build_scaling(cfg)  # owns the powerlaw exponent range
         except ValueError as exc:
             errors.append(str(exc))
             refused["scaling"].add("exponent")
-    if ("profile" not in refused["delta_net"] and net_prof.keys() & {"s_lo", "s_hi"}
-            and None in (net_prof.get("s_lo"), net_prof.get("s_hi"))):
+    net_prof = {} if "profile" in refused["delta_net"] else cfg.delta_net["profile"]
+    if net_prof.keys() & {"s_lo", "s_hi"} and None in (net_prof.get("s_lo"), net_prof.get("s_hi")):
         errors.append("delta_net: profile s_lo and s_hi must be given together as numbers")
         refused["delta_net"].add("profile")
     for name in _SCHEMA["initial"]:
@@ -402,7 +406,7 @@ def validate_config(cfg: RunConfig, plans: list | None = None, reads=(),
     # the domain and the last saved state is at T
     window = ((0.0, cfg.model["T"], g["x_min"], g["x_max"])
               if not refused["grid"] and "T" not in refused["model"] else None)
-    errors.extend(_check_experiment(cfg, window, refused["experiment"],
+    errors.extend(_check_experiment(cfg, span, window, refused["experiment"],
                                     not refused["scaling"], reads))
 
     if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool):
@@ -419,16 +423,16 @@ def validate_config(cfg: RunConfig, plans: list | None = None, reads=(),
     return errors
 
 
-def _check_experiment(cfg: RunConfig, window, refused: set, scaling_ok: bool, reads) -> list:
-    """The probe cut against the grid, then the psi entries and the growth
-    study through the code the run calls on them; ``window`` is the solved
-    window the psi supports must lie in, None when refused."""
+def _check_experiment(cfg: RunConfig, span, window, refused: set, scaling_ok, reads) -> list:
+    """The probe cut and world-line starts against the grid's ``span``, then the
+    psi entries and the growth study through the code the run calls on them;
+    ``window`` is the solved window the psi supports must lie in; None if refused."""
     errors = []
     x0 = _checked(cfg, "probe_x0", refused, reads)
     if x0 is not None:
-        errors.extend(_off_grid(cfg, "probe_x0", x0))
+        errors.extend(_off_grid(span, "probe_x0", x0))
     for i, w0 in enumerate(_checked(cfg, "trajectory_starts", refused, reads) or ()):
-        errors.extend(_off_grid(cfg, f"trajectory_starts[{i}]", w0))
+        errors.extend(_off_grid(span, f"trajectory_starts[{i}]", w0))
     first = {}  # each observable label -> the first psi entry with it
     for i, (name, psi) in enumerate(build_observables(cfg) if "psi" not in refused else ()):
         label = observable_label(name, psi)

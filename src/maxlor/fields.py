@@ -66,7 +66,8 @@ class Grid:
         return xs
 
     def integrate(self, f: np.ndarray):
-        """Trapezoid rule of ``f`` over the grid."""
+        """Trapezoid rule of ``f`` on a run of consecutive grid columns, the
+        whole grid or a slice of it, at the grid's spacing."""
         return np.trapezoid(f, dx=self.dx)
 
     @property

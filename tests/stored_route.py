@@ -3,7 +3,8 @@ that read a whole stored run at once.
 
 The library reads a run only through folds on the solver's ``on_save``
 hook.  The tests also need the states themselves: to replay them into a
-fold and compare with the streamed result, and for two oracles that look
+fold and compare with the streamed result (a stored run's state files,
+a world line through it), and for two oracles that look
 at neighbouring saves together, the discrete transport residual of ``Q``
 (acceptance 4) and the proper-time world line (acceptance 8).
 """
@@ -17,6 +18,7 @@ import numpy as np
 
 from maxlor.fields import SpacetimeSolution
 from maxlor.nonlinearity import sqrt1p_sq
+from maxlor.output import StateWriter
 from maxlor.solver import rk4_step, solve
 from maxlor.trajectories import WorldLines, _FieldSampler, _span, default_path_steps
 
@@ -100,6 +102,12 @@ def proper_time_world_line(sol: SpacetimeSolution, start: float):
         path.append(z)
     z0, z1 = np.array(path).T
     return z0, z1
+
+
+def write_states(out_dir, sol: SpacetimeSolution, cfg_dict: dict) -> dict:
+    """Replay a stored solution into a :class:`StateWriter` on ``out_dir``
+    and finish it; returns ``meta.json``'s contents."""
+    return sol.replay(StateWriter(out_dir, sol.grid)).finish(sol.meta, cfg_dict)
 
 
 def world_line(sol: SpacetimeSolution, start: float):

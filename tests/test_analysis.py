@@ -195,6 +195,15 @@ class TestSupportProbe:
         for side, rel in (("right", rep.rel_right), ("left", rep.rel_left)):
             assert rep.worst(side) == max(rel(name) for name in ("E", "u", "sigma"))
 
+    @pytest.mark.parametrize("x0", [-1.0, -0.4, -0.4 + 0.004, 1.0],
+                             ids=["left-end", "on-a-node", "between-nodes", "right-end"])
+    def test_each_side_is_the_run_of_columns_its_mask_selects(self, x0):
+        grid = Grid(-1.0, 1.0, 201)
+        assert (x0 in grid.xs) == (x0 != -0.4 + 0.004)
+        probe, columns = SupportProbe(grid, x0), np.arange(grid.n)
+        assert np.array_equal(columns[probe.right], np.flatnonzero(grid.xs >= x0))
+        assert np.array_equal(columns[probe.left], np.flatnonzero(grid.xs <= x0))
+
     @pytest.mark.parametrize("x0", [5.0, -10.0])
     def test_cut_with_an_empty_side_is_refused(self, release_left, x0):
         # with no grid point on one side its sup would read a vacuous 0
@@ -653,6 +662,20 @@ class TestBlowupProbe:
         peaks = self._peaks([flat(e) for e in eps_values], eps_values)
         assert peaks == (0.0, 0.0, 0.0)
         assert analysis._peak_exponent(eps_values, peaks) == 0.0
+
+    def test_the_window_is_the_run_of_columns_its_mask_selects(self):
+        grid = Grid(-1.0, 1.0, 201)
+        columns = np.arange(grid.n)
+        for window, center in ((0.25, 0.0), (0.1, -1.0), (0.1, 1.0), (0.02, 0.005), (0.01, 0.3)):
+            cols = analysis._window_mask(grid, window, center, 0.1)
+            want = np.flatnonzero(np.abs(grid.xs - center) <= window)
+            assert np.array_equal(columns[cols], want), (window, center)
+
+    def test_a_window_without_a_grid_point_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            analysis._window_mask(Grid(-1.0, 1.0, 201), 0.004, 0.005, 0.1)
+        assert str(info.value) == ("blow-up probe: window 0.004 around center 0.005 holds no "
+                                   "grid point at eps=0.1 (dx=0.01); widen blowup_window")
 
     def test_needs_at_least_two_runs(self):
         with pytest.raises(ValueError, match="at least 2 members"):

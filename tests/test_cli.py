@@ -942,6 +942,15 @@ class TestScalingAndBlowup:
         raw = (tmp_path / "out" / "check_scaling.csv").read_text()
         assert raw.startswith("p,eps,h,growth_ratio")
 
+    def test_check_scaling_records_a_powerlaw_exponent(self, tmp_path):
+        cfg = release_cfg(tmp_path, scaling={"kind": "powerlaw", "c": 0.5, "exponent": 0.5},
+                          initial={"E": {"kind": "zero"}, "u": {"kind": "zero"},
+                                   "sigma": {"kind": "zero"}})
+        out = tmp_path / "out"
+        assert main(["check-scaling", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["scaling"] == {"kind": "powerlaw", "c": 0.5, "exponent": 0.5}
+
     def test_probe_blowup_reports_exponent(self, tmp_path):
         cfg = release_cfg(tmp_path, eps_schedule=[0.2, 0.1, 0.05],
                           model={"B0": 0.0, "T": 0.15})

@@ -42,6 +42,11 @@ def test_empty_dict_gets_full_defaults():
     assert validate_config(cfg) == []
 
 
+def test_assembling_without_an_eps_is_refused():
+    with pytest.raises(ValueError, match="^config: no eps given and none set in the config$"):
+        assemble_run(cfg_of(eps=None))
+
+
 def test_partial_section_merge_keeps_other_defaults():
     cfg = cfg_of(model={"B0": 2.5})
     assert cfg.model["B0"] == 2.5

@@ -38,6 +38,12 @@ def test_field_state_shape_check():
         FieldState(0.0, z, z, np.zeros(17))
 
 
+def test_an_unknown_component_is_refused():
+    z = np.zeros(16)
+    with pytest.raises(KeyError, match="unknown field component 'Q'"):
+        FieldState(0.0, z, z, z).component("Q")
+
+
 def test_total_charge_of_hat():
     g = Grid(-1.0, 1.0, 2001)
     sigma = np.maximum(0.0, 1.0 - np.abs(g.xs))

@@ -1,9 +1,10 @@
 """``validate`` refuses malformed configs with exit 2 and problem lines.
 
-Every key a config may hold is fed each of a fixed set of bad values; a
-value the run could use may pass (exit 0), anything else must be refused
-with exit 2, never end in a traceback.  The configs found to crash a
-builder are pinned by name below.  No test here needs SciPy.
+Every section and every key a config may hold is fed each of a fixed set
+of bad values; a value the run could use may pass (exit 0), anything else
+must be refused with exit 2 and problem lines on stdout, never end in a
+traceback.  The configs found to crash a builder are pinned by name below.
+No test here needs SciPy.
 """
 
 import copy
@@ -34,8 +35,9 @@ BASE = {
 
 
 def _targets():
-    """A path into the config for every key a run reads."""
+    """A path into the config for every section and every key a run reads."""
     for section, rows in _SCHEMA.items():
+        yield (section,)
         for key, (_, rule, _) in rows.items():
             yield (section, key)
             if isinstance(rule, dict):
@@ -72,7 +74,25 @@ def test_a_bad_value_is_refused_or_usable(tmp_path, capsys, path, value):
     code, out = _validate(tmp_path, body, capsys)
     assert code in (EXIT_OK, EXIT_CONFIG), out
     if code == EXIT_CONFIG:
-        assert "Traceback" not in out.err and (out.out or out.err), out
+        lines = out.out.splitlines()
+        assert lines[-1] == f"invalid: {len(lines) - 1} problem(s)" and not out.err, out
+        if len(path) == 1 and path[0] in _SCHEMA:
+            assert f"{path[0]}: must be a JSON object" in lines, out
+
+
+def test_a_section_that_is_not_an_object_hides_no_other_problem(tmp_path, capsys):
+    # the section used to be refused alone, on stderr, before any other check ran
+    code, out = _validate(tmp_path, {"grid": 5, "model": {"T": -1}}, capsys)
+    assert code == EXIT_CONFIG
+    assert out.out.splitlines() == ["grid: must be a JSON object",
+                                    "model: T must be a positive number",
+                                    "invalid: 2 problem(s)"]
+
+
+def test_a_top_level_that_is_not_an_object_fails_to_load(tmp_path, capsys):
+    code, out = _validate(tmp_path, [1, 2], capsys)
+    assert code == EXIT_CONFIG
+    assert (out.out, out.err) == ("", "config: top level must be a JSON object\n")
 
 
 # the falsy values: only null means "no schedule"

@@ -54,6 +54,14 @@ def test_rejects_unresolved_width():
         make_operator(m, -0.5, g)
 
 
+def test_a_field_of_the_wrong_length_is_refused():
+    op = make_operator(make_mollifier("symmetric"), 0.1, Grid(-1.0, 1.0, 201))
+    for f in (np.zeros(200), np.zeros(202), np.zeros((1, 201))):
+        with pytest.raises(ValueError) as info:
+            op.apply(f)
+        assert str(info.value) == f"regops: field length {f.shape} does not match grid n=201"
+
+
 def test_derivative_of_sine_converges():
     g = Grid(-10.0, 10.0, 4001)
     f = np.sin(g.xs)

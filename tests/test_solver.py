@@ -269,6 +269,44 @@ def test_overflow_abort_preserves_partial_output():
     assert np.all(np.isfinite(sol.states[0].E))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_new_state_aborts_as_overflow(bad):
+    # every overflow above is a stage the nonlinearity refuses; a step that
+    # returns a non-finite state is caught by the march's own check
+    grid, op, params, initial, cfg = small_pieces(T=0.1, dt=0.005, save_every=2)
+    h = params.T / 20
+
+    def step(t, V, h_, meta):
+        V = V.copy()
+        if t == 4 * h:  # the fifth step
+            V[1, 300] = bad
+        return V
+
+    saved = []
+    meta = solver_mod._march(initial, cfg, op, params, "rk4", step,
+                             lambda state: saved.append(state.t)).meta
+    assert meta["status"] == STATUS_OVERFLOW
+    assert meta["abort"] == {"reason": "overflow", "t": 5 * h, "message": "overflow at t=0.025"}
+    assert saved == [0.0, 2 * h, 4 * h]
+
+
+def test_the_march_refuses_an_initial_state_off_its_grid_or_not_finite():
+    grid, op, params, initial, cfg = small_pieces()
+
+    def no_save(state):
+        raise AssertionError("a refused march saved a state")
+
+    short = FieldState(0.0, *(np.zeros(grid.n - 1) for _ in range(3)))
+    with pytest.raises(ValueError, match="^solver: initial state does not match operator grid$"):
+        solve_lines(short, cfg, op, params, on_save=no_save)
+    for name in ("E", "u", "sigma"):
+        for bad in (np.inf, np.nan):
+            fields = {k: initial.component(k).copy() for k in ("E", "u", "sigma")}
+            fields[name][7] = bad
+            with pytest.raises(ValueError, match=f"^solver: non-finite initial data in {name}$"):
+                solve_picard(FieldState(0.0, **fields), cfg, op, params, on_save=no_save)
+
+
 def test_picard_overflow_abort_warns_nothing():
     # the same field as above: Picard's step runs inside the march's overflow
     # policy too, so the overflow is an abort, never a RuntimeWarning
