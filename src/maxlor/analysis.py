@@ -190,8 +190,9 @@ def _check_window(psi: TestFunction2D, t_lo: float, t_hi: float,
 
 class Pairing:
     """Space-time trapezoid pairing ``<F, psi>`` as a fold: the row integral
-    of ``F psi(t, .)`` per state, then the trapezoid over their times; also
-    the peak of ``|F|`` over the grid.
+    of ``F psi(t, .)`` per state, then the trapezoid over their times; with
+    ``peak`` true, also the peak of ``|F|`` over the grid, which is None
+    otherwise.
 
     ``field_name`` is one of ``E``, ``u``, ``sigma`` or the derived ``Q =
     sigma - D E``, which reads the operator ``op``.  ``psi`` must lie in the
@@ -204,10 +205,10 @@ class Pairing:
     rule weighs them as on the whole grid, so their row integral is the grid's.
     """
 
-    def __init__(self, grid, field_name, psi, op, t_lo, t_hi):
+    def __init__(self, grid, field_name, psi, op, t_lo, t_hi, peak=False):
         _check_window(psi, t_lo, t_hi, grid.x_min, grid.x_max)
         self.grid, self.field_name, self.psi, self.op = grid, field_name, psi, op
-        self.times, self.rows, self.peak = [], [], 0.0
+        self.times, self.rows, self.peak = [], [], 0.0 if peak else None
         sx = (grid.xs - psi.x0) / psi.r_x
         inside = np.flatnonzero(np.abs(sx) < 1.0)
         self.cols = slice(max(inside[0] - 1, 0), inside[-1] + 2) if len(inside) else slice(0)
@@ -219,7 +220,8 @@ class Pairing:
         c = psi.amplitude * psi._b((t - psi.t0) / psi.r_t)
         self.times.append(t)
         self.rows.append(self.grid.integrate(F[self.cols] * (c * self.bx)))
-        self.peak = max(self.peak, float(np.max(np.abs(F))))
+        if self.peak is not None:
+            self.peak = max(self.peak, float(np.max(np.abs(F))))
 
     def result(self) -> float:
         return float(np.trapezoid(np.asarray(self.rows), x=np.asarray(self.times)))
@@ -399,12 +401,13 @@ def _vacuum_diagonal(field_name: str, psi: TestFunction2D):
 
 class _SweepMember:
     # the sweep's fold: each observable's pairing, and for one on a vacuum
-    # diagonal (slope not None) the support probe of its vacuum side
+    # diagonal (slope not None) its peak and the support probe of its vacuum side
 
     def __init__(self, pieces, observables, slopes):
         t0, grid, self.folds = pieces.initial.t, pieces.grid, []
         for (field_name, psi), slope in zip(observables, slopes):
-            pairing = Pairing(grid, field_name, psi, pieces.operator, t0, t0 + pieces.params.T)
+            pairing = Pairing(grid, field_name, psi, pieces.operator, t0, t0 + pieces.params.T,
+                              peak=slope is not None)
             probe = slope and SupportProbe(grid, 0.5 * (psi.x_lo if slope > 0 else psi.x_hi))
             self.folds.append((slope and ("right" if slope > 0 else "left"), pairing, probe))
 
@@ -417,7 +420,7 @@ class _SweepMember:
     def result(self) -> list:
         # one (pairing, leak, peak) per observable: the vacuum side's worst
         # relative sup and the largest |F|, both None off a vacuum diagonal
-        return [(pairing.result(), probe and probe.result().worst(side), probe and pairing.peak)
+        return [(pairing.result(), probe and probe.result().worst(side), pairing.peak)
                 for side, pairing, probe in self.folds]
 
 

@@ -14,12 +14,15 @@ Two integrators are provided, as two step rules of one march (``_march``):
 classical RK4 (``rk4_step``, the method of lines) and the implicit
 trapezoid rule, whose step equation is solved by Picard (fixed-point)
 iteration to an update of at most ``PICARD_TOL`` = 1e-8 times max(1,
-max|V|) of the step's start state, which keeps Picard's algebraic error
-at least 100 times below the trapezoid rule's own error on the exact
-linear reference in ``tests/test_solver.py``.  The two rules discretize
-time differently, so their agreement on matching grids is a meaningful
-consistency check rather than a tautology; they agree to the trapezoid
-rule's error, which is large on delta-like data at ``dt: "auto"``.
+max|V|) of the step's start state, at one ``rhs`` call per iterate: a
+step's left-node slope is the one its predecessor last evaluated, at an
+iterate within that step's tolerance of the new state.  Picard's
+algebraic error stays at least 100 times below the trapezoid rule's own
+error on the exact linear reference in ``tests/test_solver.py``.  The two
+rules discretize time differently, so their agreement on matching grids
+is a meaningful consistency check rather than a tautology; they agree to
+the trapezoid rule's error, which is large on delta-like data at ``dt:
+"auto"``.
 
 The march owns everything else: setup checks, the forward time grid, one
 overflow policy, and one hook, ``on_save``, that gets each saved state as
@@ -190,9 +193,9 @@ def cumulative_trapezoid(F: np.ndarray, h: float, out=None) -> np.ndarray:
     """Trapezoid integral ``h (F[0] + F[1]) / 2`` of a two-node stack over
     one step, written into ``out`` when given.
 
-    The arithmetic of ``scipy.integrate.cumulative_trapezoid(F, dx=h,
-    axis=0)[0]``, so Picard results are unchanged; a module function so that
-    ``bench/tracer.py`` can time the Picard quadrature by name.
+    No march calls it: ``solve_picard`` builds each step's constant part
+    once instead.  It stays only because ``bench/tracer.py`` wraps it by
+    name, until the tracer stops wrapping it (ROADMAP item 1).
     """
     out = np.add(F[1], F[0], out=out)
     out *= h
@@ -380,17 +383,26 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
     """Implicit trapezoid rule, each step solved by fixed-point iteration.
 
     A step from ``V`` solves ``Vn = V + h/2 (F(V) + F(Vn))``, with ``F`` the
-    right-hand side, by Picard iteration started at ``Vn = V``; ``F(V)`` is
-    evaluated once per step, and the first iterate's ``F(Vn)`` is a copy of
-    it, since that iterate starts at ``Vn = V``.  The iteration stops at an
-    update of at most ``PICARD_TOL * max(1, max|V|)``, the state's own scale.
-    The map contracts for small enough ``h``.  Non-contraction (updates
-    growing several times in a row) and missing convergence within
-    ``PICARD_MAX_ITER`` iterations abort the run, as do the checks of
-    ``_march``, which also sets the time range and save grid.  The node
-    slopes, the quadrature, two alternating iterates and ``rhs``'s
-    intermediates live in one workspace for the whole march; each step
-    allocates only the copy of its last iterate.
+    right-hand side, by Picard iteration started at ``V_0 = V``: the step
+    builds its constant part ``V + (h/2) F(V)`` once, and each iterate
+    ``V_{k+1}`` is that plus ``(h/2) F(V_k)``, at one ``rhs`` call, since
+    the first iterate's ``F(V_0)`` is ``F(V)`` itself.  The iteration stops
+    at an update of at most ``PICARD_TOL * max(1, max|V|)``, the state's own
+    scale, and the step takes its last iterate ``V_K``.
+
+    ``F(V)`` is carried from step to step: a step that stopped at ``K >= 2``
+    last evaluated ``F(V_{K-1})``, at an iterate within its tolerance of
+    ``V_K``, and the next step takes that slope as its ``F(V)``.  Only the
+    march's first step, and a step after one that stopped at its first
+    iterate (whose one slope is its own start's), evaluate ``F(V)`` afresh;
+    no slope outlives its march.  The map contracts for small enough ``h``.
+    Non-contraction (updates growing several times in a row) and missing
+    convergence within ``PICARD_MAX_ITER`` iterations abort the run, as do
+    the checks of ``_march``, which also sets the time range and save grid.
+    The slope, the constant part, two alternating iterates (the older one
+    takes the update) and ``rhs``'s intermediates live in one workspace for
+    the whole march, 14 rows of ``n``; each step allocates only the copy of
+    its last iterate.
 
     ``meta["picard"]`` holds the iterations summed over the steps, the most
     in one step, and the largest final update.  A step that aborts counts
@@ -399,15 +411,20 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
     """
     B0 = params.B0
     n = op.grid.n
-    F = np.empty((2, 3, n))  # F at the left and right node of the step
+    slope = np.empty((3, n))  # F(V), then F at each iterate
+    const = np.empty((3, n))  # the step's constant part V + (h/2) F(V)
     iterates = np.empty((2, 3, n))
-    quad = np.empty((3, n))  # the trapezoid sum, then the update
     work = np.empty((2, n))
     stats = {"iterations": 0, "max_chunk_iterations": 0, "max_final_residual": 0.0,
              "subinterval_steps": 1}
+    carried = False  # whether ``slope`` holds the next step's F(V)
 
     def step(t, V, h, meta):
-        rhs(V[0], V[1], V[2], op, B0, out=F[0], work=work)
+        nonlocal carried
+        if not carried:
+            rhs(V[0], V[1], V[2], op, B0, out=slope, work=work)
+        half = 0.5 * h
+        np.add(V, np.multiply(half, slope, out=const), out=const)
         # relative: any fixed absolute tolerance is below one ulp of a large enough state
         bound = PICARD_TOL * max(1.0, float(np.max(V)), -float(np.min(V)))
         Vk = V
@@ -416,12 +433,14 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
         largest = 0.0  # the step's largest finite update
         for it in range(1, PICARD_MAX_ITER + 1):
             stats["iterations"] += 1  # before any abort, so an aborted step counts too
-            if it == 1:
-                F[1] = F[0]
-            else:
-                rhs(Vk[0], Vk[1], Vk[2], op, B0, out=F[1], work=work)
-            Vn = np.add(V, cumulative_trapezoid(F, h, out=quad), out=iterates[it % 2])
-            delta = float(np.max(np.abs(np.subtract(Vn, Vk, out=quad), out=quad)))
+            if it > 1:
+                rhs(Vk[0], Vk[1], Vk[2], op, B0, out=slope, work=work)
+            Vn = iterates[it % 2]
+            np.add(const, np.multiply(half, slope, out=Vn), out=Vn)
+            # the update overwrites V_k (on the first iterate, the unused buffer)
+            update = np.subtract(Vn, Vk, out=iterates[(it + 1) % 2])
+            # max|update| from its extremes, nan or inf when any value is
+            delta = max(float(np.max(update)), -float(np.min(update)))
             Vk = Vn
             if not math.isfinite(delta):
                 _abort(meta, STATUS_OVERFLOW, "overflow", t,
@@ -448,6 +467,8 @@ def solve_picard(initial: FieldState, cfg: SolverConfig, op: RegDerivOperator,
         # an aborted step's largest finite update, so that meta.json stays strict JSON
         stats["max_final_residual"] = max(stats["max_final_residual"],
                                           largest if aborted else delta)
+        # a first-iterate stop leaves F(V) in ``slope``, not F near the new state
+        carried = it > 1 and not aborted
         if aborted:
             return None
         return Vk.copy()

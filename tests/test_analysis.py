@@ -357,6 +357,27 @@ class TestLimitSweep:
         assert probed == [0.5 * (0.2 - 0.1), 0.5 * (-0.2 + 0.1)] * 2
         assert [lab for lab, t in res.targets.items() if t is not None] == list(res.labels[:2])
 
+    def test_vacuum_diagonal_observables_alone_take_a_peak(self):
+        # a member pairs every observable as a lone pairing does, and takes
+        # max|F| over the grid only for the observable on a vacuum diagonal
+        pieces = assemble_run(release_config("left"))
+        observables = [("Q", TestFunction2D(t0=0.3, x0=0.3, r_t=0.1, r_x=0.1)),
+                       ("sigma", TestFunction2D(t0=0.3, x0=-0.2, r_t=0.1, r_x=0.1))]
+        slopes = [analysis._vacuum_diagonal(f, psi) for f, psi in observables]
+        member, states = analysis._SweepMember(pieces, observables, slopes), []
+        solve(pieces.initial, pieces.solver, pieces.operator, pieces.params,
+              on_save=lambda s: (member(s), states.append(s)))
+        (q_pair, q_leak, q_peak), (s_pair, s_leak, s_peak) = member.result()
+        assert s_leak is None and s_peak is None and q_leak is not None
+        for (field_name, psi), got in zip(observables, (q_pair, s_pair)):
+            alone = Pairing(pieces.grid, field_name, psi, pieces.operator, 0.0, pieces.params.T)
+            for state in states:
+                alone(state)
+            assert alone.peak is None
+            assert np.float64(got).tobytes() == np.float64(alone.result()).tobytes()
+        Q = [s.sigma - pieces.operator.apply(s.E) for s in states]
+        assert q_peak == max(float(np.max(np.abs(F))) for F in Q) > 0.0
+
     def test_schedule_must_decrease(self):
         psi = TestFunction2D(t0=0.15, x0=-0.5, r_t=0.1, r_x=0.3)
         with pytest.raises(ValueError):

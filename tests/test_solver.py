@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import maxlor.solver as solver_mod
+from maxlor.config import assemble_run
 from maxlor.fields import FieldState, Grid, ModelParams, total_charge
 from maxlor.mollifier import make_mollifier
 from maxlor.nonlinearity import a, sqrt1p_sq
@@ -24,7 +25,7 @@ from maxlor.solver import (
 )
 
 import oracles
-from conftest import smooth_pieces
+from conftest import release_config
 from stored_route import stored_solve
 
 
@@ -350,22 +351,100 @@ def test_picard_guard_abort(monkeypatch):
     assert sol.times[-1] < params.T
 
 
-def test_picard_left_node_rhs_once_per_step(monkeypatch):
-    calls = []
+def _picard_rhs_log(monkeypatch, initial, cfg, op, params):
+    """A Picard march saving every state, and its ``rhs`` calls step by step:
+    for each step, how many evaluate its start state (the saved state it
+    starts from) and how many an iterate."""
+    steps, saved = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return rhs(*args, **kwargs)
+    def counted(E, *args, **kwargs):
+        steps[-1][0 if np.shares_memory(E, saved[-1].E) else 1] += 1
+        return rhs(E, *args, **kwargs)
+
+    def on_save(state):
+        saved.append(state)
+        steps.append([0, 0])
 
     monkeypatch.setattr(solver_mod, "rhs", counted)
-    grid, op, params, initial, cfg = small_pieces(method="picard", dt=0.005, T=0.1)
-    sol = stored_solve(initial, cfg, op, params, march=solve_picard)
-    assert sol.status == STATUS_OK
-    picard = sol.meta["picard"]
+    cfg = SolverConfig(dt=cfg.dt, method="picard", save_every=1)
+    sol = solve_picard(initial, cfg, op, params, on_save=on_save)
+    assert sol.meta["status"] == STATUS_OK
+    return sol.meta, steps[:-1]  # the last save starts no step
+
+
+def _check_left_node_rule(meta, steps) -> int:
+    """Check a logged Picard march against its ``rhs`` rule; return how many
+    steps followed a first-iterate stop."""
+    picard = meta["picard"]
     assert picard["subinterval_steps"] == 1
-    # one call at the left node per step; the first iterate starts there,
-    # so its right-node slope is a copy, and every later iterate takes one
-    assert len(calls) == picard["iterations"]
+    assert len(steps) == meta["n_steps"]
+    # every iterate after the first takes one call; the first starts at V,
+    # whose slope the step already holds
+    iterations = [iterates + 1 for _, iterates in steps]
+    assert sum(iterations) == picard["iterations"]
+    # a step takes F(V) from the step before, unless it is the first or the
+    # step before stopped at its first iterate, whose one slope is F of its
+    # own start
+    fresh = [i == 0 or iterations[i - 1] == 1 for i in range(len(steps))]
+    assert [left for left, _ in steps] == [int(f) for f in fresh]
+    calls = sum(left + iterates for left, iterates in steps)
+    assert calls == picard["iterations"] - meta["n_steps"] + 1 + sum(fresh[1:])
+    return sum(fresh[1:])
+
+
+def test_picard_left_node_rhs_once_per_step(monkeypatch):
+    grid, op, params, initial, cfg = small_pieces(method="picard", dt=0.005, T=0.1)
+    meta, steps = _picard_rhs_log(monkeypatch, initial, cfg, op, params)
+    # no step stops at its first iterate: one call at the first step's left
+    # node, and one per later iterate
+    assert _check_left_node_rule(meta, steps) == 0
+    assert meta["picard"]["iterations"] == 80 and meta["n_steps"] == 20
+
+
+def test_picard_left_node_after_first_iterate_stops(monkeypatch):
+    # a field growing from 1e-7 under a strong B0: the early steps stop at
+    # their first iterate, the later ones iterate
+    grid, op, params, initial, cfg = small_pieces(method="picard", amp=1e-7, B0=20.0, T=0.3)
+    meta, steps = _picard_rhs_log(monkeypatch, initial, cfg, op, params)
+    assert _check_left_node_rule(meta, steps) > 0
+    assert meta["picard"]["max_chunk_iterations"] >= 2
+
+
+def test_picard_carry_does_not_leak(monkeypatch):
+    # a second march on the same inputs starts from nothing the first left
+    grid, op, params, initial, cfg = small_pieces(method="picard")
+    runs = [stored_solve(initial, cfg, op, params, march=solve_picard) for _ in range(2)]
+    assert runs[0].meta == runs[1].meta
+    assert len(runs[0].states) == len(runs[1].states)
+    for s0, s1 in zip(*(run.states for run in runs)):
+        for name in ("E", "u", "sigma"):
+            assert s0.component(name).tobytes() == s1.component(name).tobytes()
+    # zero data: every step stops at its first iterate, so every step
+    # evaluates its own start and nothing else
+    z = np.zeros(grid.n)
+    zero = FieldState(0.0, z.copy(), z.copy(), z.copy())
+    meta, steps = _picard_rhs_log(monkeypatch, zero, SolverConfig(dt=0.01, method="picard"),
+                                  op, ModelParams(B0=5.0, T=1.0, eps=0.1))
+    assert meta["picard"]["iterations"] == meta["n_steps"] == len(steps) == 100
+    assert steps == [[1, 0]] * 100
+
+
+def test_picard_keeps_one_sided_confinement():
+    # acceptance 05 on the Picard march: the release's charge sits on one
+    # side of x = 0, and the one-sided kernel never carries it across, so
+    # every saved state is exactly zero on the other half-line
+    for side in ("left", "right"):
+        cfg = release_config(side)
+        cfg.solver.update(method="picard")
+        pieces = assemble_run(cfg)
+        sol = stored_solve(pieces.initial, pieces.solver, pieces.operator, pieces.params)
+        assert sol.status == STATUS_OK and len(sol.states) == 22
+        xs = sol.grid.xs
+        vacuum = xs >= 0.0 if side == "left" else xs <= 0.0
+        assert vacuum.sum() >= 200
+        for state in sol.states:
+            for name in ("E", "u", "sigma"):
+                assert np.all(state.component(name)[vacuum] == 0.0), (side, state.t, name)
 
 
 def test_picard_stall_when_step_does_not_contract(monkeypatch):
@@ -439,7 +518,8 @@ def test_picard_default_tol_sits_below_the_trapezoid_error(kind):
         assert sol.meta["n_steps"] == n_steps
         cayley = oracles.trapezoid_decay(D, initial.E, h, n_steps)
         trapezoid_errors.append(np.max(np.abs(cayley - exact)))
-        # 4.9e-5 to 5.4e-4 of it at the default tol; at tol 1e-6 up to 4.2e-2
+        # 9.7e-5 to 1.08e-3 of it at the default tol, with the left node's
+        # slope carried from the step before; at tol 1e-6 up to 8.3e-2
         assert np.max(np.abs(sol.states[-1].E - cayley)) <= 1e-2 * trapezoid_errors[-1]
     assert math.log2(trapezoid_errors[0] / trapezoid_errors[1]) >= 1.9
 

@@ -169,6 +169,7 @@ def _reference_march(initial, cfg, op, params):
 
     V = np.array([initial.E, initial.u, initial.sigma])
     states = [V]
+    carried = None  # the Picard slope a step hands to the next as its F(V)
     for i in range(1, n_steps + 1):
         if cfg.method == "rk4":
             k1 = f(V)
@@ -177,15 +178,20 @@ def _reference_march(initial, cfg, op, params):
             k4 = f(V + h * k3)
             V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
-            F0 = f(V)
-            Vk = V
+            F0 = f(V) if carried is None else carried
+            const = V + (0.5 * h) * F0
+            Vk, Fk = V, F0
             bound = PICARD_TOL * max(1.0, np.max(np.abs(V)))
-            for _ in range(PICARD_MAX_ITER):
-                Vn = V + h * (f(Vk) + F0) / 2.0
+            for k in range(PICARD_MAX_ITER):
+                if k > 0:
+                    Fk = f(Vk)
+                Vn = const + (0.5 * h) * Fk
                 delta = np.max(np.abs(Vn - Vk))
                 Vk = Vn
                 if delta <= bound:
                     break
+            # F of the iterate before the last, unless the first one stopped
+            carried = Fk if k > 0 else None
             V = Vk
         if i % cfg.save_every == 0 or i == n_steps:
             states.append(V)
