@@ -209,7 +209,8 @@ class Pairing:
         _check_window(psi, t_lo, t_hi, grid.x_min, grid.x_max)
         self.grid, self.field_name, self.psi, self.op = grid, field_name, psi, op
         self.times, self.rows, self.peak = [], [], 0.0 if peak else None
-        sx = (grid.xs - psi.x0) / psi.r_x
+        with np.errstate(over="ignore"):  # inf far out, where the bump is 0.0
+            sx = (grid.xs - psi.x0) / psi.r_x
         inside = np.flatnonzero(np.abs(sx) < 1.0)
         self.cols = slice(max(inside[0] - 1, 0), inside[-1] + 2) if len(inside) else slice(0)
         self.bx = psi._b(sx[self.cols])

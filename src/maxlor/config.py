@@ -19,11 +19,13 @@ over every given key, refusing keys it does not know (``<section>:
 unknown key '<k>'``) and values their rule refuses (``<section>: <key>
 must be <demand>``); only the rules relating two keys are spelled out
 beside it.  It owns what a command reads: from the keys its run reads it
-decides which members to rehearse and which keys must be set.  The
-rehearsal calls the builders the run calls (scaling, grid refinement,
-operator, delta-net sampling, the solver's step bound and step count),
-reports what they raise, and records what each member will run for
-``validate`` to print.  The ``psi`` entries, once every one passed its
+decides which members to rehearse and which keys must be set.  Each
+member is built by ``_build_member``, the function ``assemble_run``
+calls: width, grid refinement, operator, initial state (the delta-net
+sampled), step, step count and march plan.  It reports what each of
+them raises, skipping only those whose input failed or was refused, and
+records what the member will run for ``validate`` to print; the run
+raises the first problem.  The ``psi`` entries, once every one passed its
 rows, are built by the sweep's ``build_observables`` for the pairing
 window check, and no two may share an ``analysis.observable_label``; the
 growth grid goes through ``verify_growth_condition`` at every p of
@@ -59,7 +61,6 @@ __all__ = [
     "build_grid",
     "build_mollifier",
     "build_scaling",
-    "build_solver_config",
     "build_initial_state",
     "assemble_run",
     "build_observables",
@@ -398,9 +399,18 @@ def validate_config(cfg: RunConfig, plans: list | None = None, reads=(),
         # T, dt and save_every, each None when its rule refused it
         march = [None if key in refused[section] else getattr(cfg, section)[key]
                  for section, key in (("model", "T"), ("solver", "dt"), ("solver", "save_every"))]
-        # a single-run eps repeating a schedule member may fail the same way twice
-        errors.extend(dict.fromkeys(_rehearse(cfg, members, window, march,
-                                              [] if plans is None else plans)))
+        try:
+            net = net_from_spec(cfg.delta_net) if _uses_net(cfg) else None
+        except ValueError as exc:
+            errors.append(f"delta_net: profile {exc}")
+        else:
+            found: list = []
+            for eps, refine in members:
+                member = _build_member(cfg, eps, refine, net, march, window, found)
+                if member is not None and plans is not None:
+                    plans.append((eps, refine, member[-1]))
+            # a single-run eps repeating a schedule member may fail the same way twice
+            errors.extend(dict.fromkeys(found))
 
     # every pairing window lies in [0, T] x [x_min, x_max]: refinement keeps
     # the domain and the last saved state is at T
@@ -456,50 +466,6 @@ def _check_experiment(cfg: RunConfig, span, window, refused: set, scaling_ok, re
     return errors
 
 
-def _rehearse(cfg: RunConfig, members: list, window, march, plans: list) -> list:
-    """What the builders of ``assemble_run`` and the solver raise for each
-    ``(eps, refine)`` member; a failed step skips the steps needing its result.
-
-    A ``blowup_window`` must hold a grid point of each schedule member's
-    grid.  ``march`` is ``(T, dt, save_every)``, each None when
-    refused; each member whose march is planned goes to ``plans``.
-    """
-    errors: list = []
-
-    def attempt(fn, *args, eps=None):
-        try:
-            return fn(*args)
-        except ValueError as exc:
-            errors.append(str(exc) if eps is None else f"{exc} (eps={eps:g})")
-            return None
-
-    moll = build_mollifier(cfg)
-    scl = build_scaling(cfg)
-    try:
-        net = net_from_spec(cfg.delta_net) if _uses_net(cfg) else None
-    except ValueError as exc:
-        return [f"delta_net: profile {exc}"]
-    for eps, refine in members:
-        nu = attempt(h_eval, scl, eps)
-        grid = None if nu is None else attempt(_member_grid, cfg, eps, nu, net, refine)
-        if grid is None:
-            continue
-        op = attempt(make_operator, moll, nu, grid, eps=eps)
-        if net is not None:
-            attempt(sample, net, eps, grid)
-        T, dt, save_every = march
-        if op is not None and dt is not None:
-            dt = _step(dt, op.op_norm)
-            attempt(_check_step, dt, op.op_norm, eps=eps)
-            n_steps = None if T is None else attempt(step_count, float(T), dt, eps=eps)
-            if n_steps is not None and save_every is not None:
-                _, _, saved = march_plan(0.0, float(T), dt, save_every)
-                plans.append((eps, refine, member_record(op, n_steps, len(saved))))
-        if refine and window is not None:
-            attempt(_window_mask, grid, float(window), float(cfg.delta_net["center"]), eps)
-    return errors
-
-
 # ---------------------------------------------------------------------------
 # builders
 
@@ -527,21 +493,6 @@ def build_observables(cfg: RunConfig) -> list:
             for spec in _experiment_value(cfg, "psi") or ()]
 
 
-def _step(dt, op_norm: float) -> float:
-    """A configured dt, with ``"auto"`` resolved against ``op_norm``."""
-    return 0.4 * step_bound(op_norm) if dt == "auto" else float(dt)
-
-
-def build_solver_config(cfg: RunConfig, op_norm: float) -> SolverConfig:
-    """The solver section, with dt ``"auto"`` resolved against ``op_norm``."""
-    sv = cfg.solver
-    return SolverConfig(
-        dt=_step(sv["dt"], op_norm),
-        method=sv["method"],
-        save_every=int(sv["save_every"]),
-    )
-
-
 def _profile_values(prof: dict, grid: Grid, eps: float, net: DeltaNet | None) -> np.ndarray:
     kind = prof["kind"]
     xs = grid.xs
@@ -554,9 +505,10 @@ def _profile_values(prof: dict, grid: Grid, eps: float, net: DeltaNet | None) ->
     amp = float(_read(prof, _PROFILE, "amplitude"))
     c = float(_read(prof, _PROFILE, "center"))
     w = float(prof["width"])
-    if kind == "gaussian":
-        return amp * np.exp(-(((xs - c) / w) ** 2))
-    s = (xs - c) / w
+    with np.errstate(over="ignore"):  # far out s is inf and the profile 0.0
+        s = (xs - c) / w
+        if kind == "gaussian":
+            return amp * np.exp(-(s ** 2))
     out = np.zeros(grid.n)
     inside = np.abs(s) < 1.0
     out[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
@@ -609,15 +561,60 @@ def _member_grid(cfg: RunConfig, eps: float, nu: float, net: DeltaNet | None,
     return grid
 
 
+def _build_member(cfg: RunConfig, eps: float, refine: bool, net: DeltaNet | None, march,
+                  window, errors: list):
+    """The member at ``eps``, on a refined grid with ``refine``, built from
+    ``net``, the run's: every refusal is appended to ``errors``, and a
+    builder is skipped only when an input it needs failed or was refused,
+    so every problem of the member is reported.
+
+    ``march`` is the configured ``(T, dt, save_every)``, each None when
+    refused; dt ``"auto"`` is 0.4 of the step bound 0.5/||D||.  A ``window``
+    not None is a ``blowup_window`` that must hold a grid point of a refined
+    member's grid (``assemble_run`` passes None: ``probe-blowup``'s fold
+    checks its own).  Returns ``(grid, operator, initial, dt, times,
+    record)``, ``record`` the member's ``member_record``, or None if a piece
+    failed or was not built.
+    """
+    before = len(errors)
+
+    def attempt(fn, *args, tag=False):
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            errors.append(f"{exc} (eps={eps:g})" if tag else str(exc))
+            return None
+
+    T, dt, save_every = march
+    nu = attempt(h_eval, build_scaling(cfg), eps)
+    grid = None if nu is None else attempt(_member_grid, cfg, eps, nu, net, refine)
+    if grid is None:
+        return None
+    op = attempt(make_operator, build_mollifier(cfg), nu, grid, tag=True)
+    initial = attempt(build_initial_state, cfg, grid, eps, net)
+    times = None
+    if op is not None and dt is not None:
+        dt = 0.4 * step_bound(op.op_norm) if dt == "auto" else float(dt)
+        attempt(_check_step, dt, op.op_norm, tag=True)
+        n_steps = None if T is None else attempt(step_count, float(T), dt, tag=True)
+        if n_steps is not None and save_every is not None:
+            _, _, times = march_plan(0.0, float(T), dt, save_every)
+    if refine and window is not None:
+        attempt(_window_mask, grid, float(window), float(cfg.delta_net["center"]), eps)
+    if times is None or len(errors) > before:
+        return None
+    return grid, op, initial, dt, times, member_record(op, n_steps, len(times))
+
+
 def assemble_run(cfg: RunConfig, eps: float | None = None,
                  refine: bool = False) -> RunPieces:
     """Build every piece needed to solve one member of the family.
 
-    With ``refine=False`` (single runs) no silent fixups happen: if the
-    configured grid cannot resolve the kernel or the charge profile at
-    this eps, the corresponding builder raises the same message
-    ``validate_config`` would report.  The eps-family harnesses pass
-    ``refine=True``, which treats the configured grid as a floor and
+    The member is built as ``validate_config`` builds it, and the first
+    problem it reports is raised.  With ``refine=False`` (single runs) no
+    silent fixups happen: a configured grid that cannot resolve the kernel
+    or the charge profile at this eps is refused.  The eps-family harnesses
+    pass ``refine=True``, which treats the configured grid as a floor and
     halves the spacing until both widths span enough cells.
     """
     if eps is None:
@@ -625,16 +622,17 @@ def assemble_run(cfg: RunConfig, eps: float | None = None,
     if eps is None:
         raise ValueError("config: no eps given and none set in the config")
     eps = float(eps)
-    nu = h_eval(build_scaling(cfg), eps)
     net = net_from_spec(cfg.delta_net) if _uses_net(cfg) else None
-    grid = _member_grid(cfg, eps, nu, net, refine)
-    op = make_operator(build_mollifier(cfg), nu, grid)
-    solver_cfg = build_solver_config(cfg, op.op_norm)
+    sv, errors = cfg.solver, []
+    member = _build_member(cfg, eps, refine, net, (cfg.model["T"], sv["dt"], sv["save_every"]),
+                           None, errors)
+    if errors:
+        raise ValueError(errors[0])
+    grid, op, initial, dt, times, _ = member
     q = float(cfg.model["q"])
     if net is not None and cfg.initial["sigma"]["kind"] == "delta-net":
         q = net.mass
     params = ModelParams(B0=float(cfg.model["B0"]), T=float(cfg.model["T"]), eps=eps, q=q)
-    initial = build_initial_state(cfg, grid, eps, net)
-    _, _, times = march_plan(initial.t, params.T, solver_cfg.dt, solver_cfg.save_every)
+    solver = SolverConfig(dt=dt, method=sv["method"], save_every=int(sv["save_every"]))
     return RunPieces(grid=grid, net=net, operator=op, params=params, initial=initial,
-                     solver=solver_cfg, times=times)
+                     solver=solver, times=times)

@@ -65,6 +65,15 @@ def read_csv_columns(path):
     return rows
 
 
+# what validate reports of eps = 0.1 on a 21-point grid under a constant width
+# of 0.1, and of dt = 10 on the default config
+COARSE_KERNEL = ("regops: grid spacing dx=0.25 cannot resolve kernel width nu=0.1; need nu "
+                 ">= 4*dx = 1, refine the grid (eps=0.1)")
+COARSE_NET = "delta_net: width 0.1 at eps=0.1 is below 4*dx = 1; refine the grid"
+STEP_CAP = ("solver: dt=10 exceeds the stable step bound 0.5/||D|| = 0.0150863; lower dt or "
+            "use 'auto' (eps=0.1)")
+
+
 class TestValidate:
     def test_good_config_prints_run_id(self, tmp_path, capsys):
         cfg = release_cfg(tmp_path)
@@ -105,6 +114,25 @@ class TestValidate:
         assert main(["validate", "--config", cfg]) == EXIT_CONFIG
         assert "cannot resolve" in capsys.readouterr().out
 
+
+    @pytest.mark.parametrize("body, lines", [
+        ({"grid": {"n": 21}, "scaling": {"kind": "constant", "c": 0.1}, "model": {"T": -1}},
+         ["model: T must be a positive number", COARSE_KERNEL, COARSE_NET,
+          "invalid: 3 problem(s)"]),
+        ({"grid": {"n": 21}, "scaling": {"kind": "constant", "c": 0.1},
+          "solver": {"dt": "fast", "save_every": 0}},
+         ["solver: dt must be a positive number or 'auto'",
+          "solver: save_every must be a positive integer", COARSE_KERNEL, COARSE_NET,
+          "invalid: 4 problem(s)"]),
+        ({"solver": {"dt": 10.0, "save_every": 0}},
+         ["solver: save_every must be a positive integer", STEP_CAP, "invalid: 2 problem(s)"]),
+        ({"model": {"T": -1}, "solver": {"dt": 10.0}},
+         ["model: T must be a positive number", STEP_CAP, "invalid: 2 problem(s)"]),
+    ], ids=["T", "dt-save_every", "save_every-cap", "T-cap"])
+    def test_a_refused_march_key_hides_no_member_problem(self, tmp_path, capsys, body, lines):
+        # each member builder runs unless a key it needs was refused
+        assert main(["validate", "--config", write_cfg(tmp_path, **body)]) == EXIT_CONFIG
+        assert capsys.readouterr().out.splitlines() == lines
 
     @pytest.mark.parametrize("body, prefix", [
         ({"delta_net": {"profile": "left"}}, "delta_net:"),
@@ -434,6 +462,24 @@ def test_a_march_beyond_max_steps_is_refused_before_out_exists(tmp_path, capsys,
         assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert any(line.startswith("solver: T=") for line in capsys.readouterr().err.splitlines())
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, body", [
+    ("solve", {"grid": {"x_min": -1e200, "x_max": 1e200, "n": 1001},
+               "scaling": {"kind": "constant", "c": 1e199}, "eps": 0.1, "model": {"T": 1e-199},
+               "initial": {"E": {"kind": "gaussian", "width": 0.5}, "u": {"kind": "zero"},
+                           "sigma": {"kind": "zero"}}}),
+    ("sweep", {"grid": {"x_min": -1e300, "x_max": 1e300, "n": 1001},
+               "scaling": {"kind": "constant", "c": 1e299}, "eps": None,
+               "eps_schedule": [1e299, 5e298], "model": {"T": 1.0},
+               "experiment": {"psi": [{"field": "sigma", "t0": 0.5, "x0": 0.0, "r_t": 0.4,
+                                       "r_x": 1e-10}]}}),
+], ids=["gaussian", "psi"])
+def test_a_grid_reaching_far_runs_without_an_overflow_warning(tmp_path, command, body):
+    # far from a gaussian's center or a psi's x0 the scaled offset is inf and
+    # the profile 0.0; the suite turns numpy's RuntimeWarning into an error
+    cfg = write_cfg(tmp_path, **body)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 def test_default_path_steps_are_the_most_the_saves_allow(release_left):

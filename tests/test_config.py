@@ -162,11 +162,22 @@ def test_single_eps_in_schedule_reported_once():
     assert sum("kernel width" in e and "eps=0.01" in e for e in errs) == 1
 
 
-def test_validate_reports_the_message_a_refined_run_raises():
-    cfg = cfg_of(scaling={"kind": "constant", "c": 0.1}, eps_schedule=[0.01, 1e-5])
+@pytest.mark.parametrize("body, eps, refine", [
+    ({"scaling": {"kind": "loglog"}, "eps": None, "eps_schedule": [0.1, 0.01]}, 0.1, True),
+    ({"grid": {"n": 21}, "scaling": {"kind": "constant", "c": 0.1}}, None, False),
+    ({"delta_net": {"profile": {"kind": "left", "s_lo": -0.12, "s_hi": 0.0}}}, None, False),
+    ({"grid": {"x_min": -0.05, "x_max": 1.0}}, None, False),
+    ({"delta_net": {"mass": 1e308}}, None, False),
+    ({"scaling": {"kind": "constant", "c": 0.1}, "eps_schedule": [0.01, 1e-5]}, 1e-5, True),
+    ({"solver": {"dt": 10.0}}, None, False),
+    ({"model": {"T": 1000.0}}, None, False),
+], ids=["loglog-eps", "kernel", "net-narrow", "net-outside", "net-mass", "grid-cap",
+        "dt-cap", "max-steps"])
+def test_a_run_refuses_a_member_with_the_first_line_validate_reports(body, eps, refine):
+    cfg = cfg_of(**body)
     with pytest.raises(ValueError) as exc:
-        assemble_run(cfg, eps=1e-5, refine=True)
-    assert validate_config(cfg) == [str(exc.value)]
+        assemble_run(cfg, eps, refine)
+    assert str(exc.value) == validate_config(cfg)[0]
 
 
 def test_net_support_checked_for_every_schedule_member():
